@@ -65,7 +65,6 @@ from .model import (
     chained_truncation,
     classify_sector,
     euclidean_cost,
-    heaviside_mask,
     standard_cost,
     truncation_map,
 )

@@ -18,6 +18,7 @@ from .errors import StepUnderflow, TruncflowError
 from .flows import clustered_explicit, clustered_rhs, one_dim_flow, CollapsedState
 from .integrate import (
     IntegratorOptions,
+    _fit_log_slope,
     fit_phase_exponents,
     freeze_time,
     integrate_collapsed,
@@ -203,10 +204,7 @@ def _run_collapsed(cfg: ScenarioConfig, out: Path) -> dict:
     (out / "events.csv").write_text("s,layer,cluster,point,coordinate,direction\n")
     ts, costs = traj.times, traj.costs
     tail = ts >= 0.5 * cfg.s_end
-    slope = None
-    if np.sum(tail) >= 3 and np.all(costs[tail] > 1e-300):
-        a = np.vstack([ts[tail], np.ones(int(np.sum(tail)))]).T
-        slope = float(np.linalg.lstsq(a, np.log(costs[tail]), rcond=None)[0][0])
+    slope = _fit_log_slope(ts[tail], costs[tail])
     return {
         "mode": "collapsed",
         "final_cost": costs[-1],
@@ -334,7 +332,8 @@ def _cmd_verify(args) -> int:
         for prop in suite["properties"]:
             status = "PASS" if prop["passed"] else "FAIL"
             print(f"[{status}] {suite['suite']}/{prop['name']}: "
-                  f"worst {prop['worst']:.3e} (tol {prop['tolerance']:.3e}, {prop['cases']} cases)")
+                  f"worst {prop['worst']:.3e} (tol {prop['tolerance']:.3e}, "
+                  f"{prop['cases']} cases, {prop['skipped']} skipped)")
     if args.out:
         try:
             with open(args.out, "w") as fh:

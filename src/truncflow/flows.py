@@ -29,7 +29,7 @@ from .errors import (
     SingularGram,
 )
 from .manifold import AntisymmetricMatrix
-from .measures import TrainingSet, compute_moments, pushforward_points
+from .measures import TrainingSet, compute_moments
 from .model import ModelState
 
 
@@ -70,11 +70,10 @@ def effective_rhs(state: ModelState, data: TrainingSet, layer: int, frozen_masks
     pts = data.clusters[layer]
     if len(pts) == 0:
         raise EmptyCluster(f"cluster {layer} is empty")
-    lp = state.layers[layer]
-    r = lp.rotation.mat
-    gap = lp.beta + state.pulled_labels[layer]
+    r, beta = state.rotations[layer], state.betas[layer]
+    gap = beta + state.pulled_labels[layer]
     v = r @ gap
-    z = pushforward_points(lp, pts)
+    z = (pts + beta) @ r.T
     n = z.shape[0]
     pos = (z > 0.0) if frozen_masks is None else frozen_masks
     j0_perp = 1.0 - pos.mean(axis=0)
@@ -142,25 +141,24 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
         # forward sweep: pushed coordinates and activity masks per layer
         t = np.asarray(pts, dtype=float)
         pushed, masks = [], []
-        for k, lp in enumerate(state.layers):
-            r = lp.rotation.mat
-            z = (t + lp.beta) @ r.T
+        for k, (r, beta) in enumerate(zip(state.rotations, state.betas)):
+            z = (t + beta) @ r.T
             nu = (z > 0.0) if frozen_masks is None else frozen_masks[(k, l_cl)]
             nu = nu.astype(float)
             pushed.append(z)
             masks.append(nu)
-            t = (nu * z) @ r - lp.beta
+            t = (nu * z) @ r - beta
         resid = t - ytil
         # backward sweep: suffix[k][i] = D_{depth-1,i} ... D_{k,i}
         suffix = np.broadcast_to(eye, (n, q, q))
         suffixes = [None] * (depth + 1)
         suffixes[depth] = suffix
         for k in range(depth - 1, -1, -1):
-            r = state.layers[k].rotation.mat
+            r = state.rotations[k]
             d = (r.T[None, :, :] * masks[k][:, None, :]) @ r
             suffixes[k] = suffixes[k + 1] @ d
         for l in range(depth):
-            r = state.layers[l].rotation.mat
+            r = state.rotations[l]
             pulled = np.einsum("nqp,nq->np", suffixes[l + 1], resid)
             c = pulled @ r.T
             beta_dots[l] += weight * np.sum(((1.0 - masks[l]) * c) @ r, axis=0)
@@ -184,16 +182,15 @@ def chained_projectors(state: ModelState, point, lo: int = 0, hi: int | None = N
     p_plus = np.eye(q)
     p_minus: list[np.ndarray] = []
     for k in range(lo, hi):
-        lp = state.layers[k]
-        r = lp.rotation.mat
-        z = r @ (t + lp.beta)
+        r, beta = state.rotations[k], state.betas[k]
+        z = r @ (t + beta)
         nu = (z > 0.0).astype(float)
         d = r.T @ (nu[:, None] * r)
         d_perp = r.T @ ((1.0 - nu)[:, None] * r)
         p_minus = [d @ pm for pm in p_minus]
         p_minus.append(d_perp)
         p_plus = d @ p_plus
-        t = r.T @ (nu * z) - lp.beta
+        t = r.T @ (nu * z) - beta
     return p_plus, p_minus
 
 

@@ -7,6 +7,10 @@ crossing time is localized by bisection, the step is split there, and an
 event is recorded.  Rotations are advanced by retraction (exponential of
 the averaged generator), so orthogonality is preserved to round-off;
 every 100th retraction the rotation is re-projected onto the group.
+
+RK stages and bisection probes step the state's stacked arrays and build no
+validated objects.  Rotations are checked against the orthogonality bound at
+integrator entry and once per accepted step (`ModelState.checked`).
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from .flows import (
     effective_rhs,
     general_rhs,
 )
-from .manifold import REPOLAR_EVERY, AntisymmetricMatrix, reproject, retract
+from .manifold import REPOLAR_EVERY, reproject, retract_array
 from .measures import TrainingSet, warn_if_not_separated
-from .model import ModelState, chained_truncation_batch, euclidean_cost
+from .model import ModelState, chained_truncation, euclidean_cost
 
 logger = logging.getLogger(__name__)
 
@@ -88,31 +92,26 @@ class Trajectory:
         return self.samples[-1].state
 
 
-def _apply(state: ModelState, slopes, dt: float) -> ModelState:
+def _stacked(slopes) -> tuple[np.ndarray, np.ndarray]:
+    """One (beta_dot, Omega) pair per layer as stacked (L, Q) and (L, Q, Q) arrays."""
+    return np.array([bd for bd, _ in slopes]), np.array([om.mat for _, om in slopes])
+
+
+def _apply(state: ModelState, beta_dots: np.ndarray, omegas: np.ndarray, dt: float) -> ModelState:
     """Advance every layer: beta by dt * beta_dot, R by retraction of dt * Omega."""
-    layers = []
-    for lp, (beta_dot, omega) in zip(state.layers, slopes):
-        layers.append(
-            lp.with_updates(
-                rotation=retract(lp.rotation, omega, dt),
-                beta=lp.beta + dt * beta_dot,
-            )
-        )
-    return ModelState(layers, state.output_map, state.labels)
+    rotations = np.array([retract_array(r, om, dt) for r, om in zip(state.rotations, omegas)])
+    return state.derive(rotations, state.betas + dt * beta_dots)
 
 
-def _rk4_step(state: ModelState, rhs_fn, h: float) -> ModelState:
-    """Classical 4-stage step; the rotation update uses the averaged generator."""
-    k1 = rhs_fn(state)
-    k2 = rhs_fn(_apply(state, k1, 0.5 * h))
-    k3 = rhs_fn(_apply(state, k2, 0.5 * h))
-    k4 = rhs_fn(_apply(state, k3, h))
-    combined = []
-    for (b1, o1), (b2, o2), (b3, o3), (b4, o4) in zip(k1, k2, k3, k4):
-        beta_dot = (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
-        omega = AntisymmetricMatrix((o1.mat + 2.0 * o2.mat + 2.0 * o3.mat + o4.mat) / 6.0)
-        combined.append((beta_dot, omega))
-    return _apply(state, combined, h)
+def _rk4_step(state: ModelState, rhs_fn, h: float) -> tuple[ModelState, np.ndarray]:
+    """Classical 4-stage step retracting by the averaged generators; returns both."""
+    b1, o1 = _stacked(rhs_fn(state))
+    b2, o2 = _stacked(rhs_fn(_apply(state, b1, o1, 0.5 * h)))
+    b3, o3 = _stacked(rhs_fn(_apply(state, b2, o2, 0.5 * h)))
+    b4, o4 = _stacked(rhs_fn(_apply(state, b3, o3, h)))
+    beta_dots = (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
+    omegas = (o1 + 2.0 * o2 + 2.0 * o3 + o4) / 6.0
+    return _apply(state, beta_dots, omegas, h), omegas
 
 
 def _sector_masks(state: ModelState, data: TrainingSet, pairs) -> list[np.ndarray]:
@@ -123,9 +122,8 @@ def _sector_masks(state: ModelState, data: TrainingSet, pairs) -> list[np.ndarra
     """
     out = []
     for layer, cluster in pairs:
-        lp = state.layers[layer]
-        images = chained_truncation_batch(state.layers, data.clusters[cluster], 0, layer)
-        z = (images + lp.beta) @ lp.rotation.mat.T
+        images = chained_truncation(state, data.clusters[cluster], 0, layer)
+        z = (images + state.betas[layer]) @ state.rotations[layer].T
         out.append(z > 0.0)
     return out
 
@@ -147,7 +145,7 @@ def _diagnostics(state: ModelState, slopes, own_masks) -> tuple[LayerDiagnostics
     """Per-layer Omega norm, distance of beta to its attractor, truncation counts."""
     diags = []
     for k, (beta_dot, omega) in enumerate(slopes):
-        gap = float(np.linalg.norm(state.layers[k].beta + state.pulled_labels[k]))
+        gap = float(np.linalg.norm(state.betas[k] + state.pulled_labels[k]))
         counts = np.sum(~own_masks[k], axis=0)
         diags.append(LayerDiagnostics(omega_norm=omega.norm(), beta_gap=gap, truncated_counts=counts))
     return tuple(diags)
@@ -169,7 +167,7 @@ def _integrate_layered(state0, data, make_rhs, pairs, s_end, opts) -> Trajectory
     own = [own_index[(k, k)] for k in range(state0.depth)]
     fresh_rhs = make_rhs(None)
 
-    state = state0
+    state = state0.checked()
     s = 0.0
     masks = _sector_masks(state, data, pairs)
     cost = euclidean_cost(state, data)
@@ -187,7 +185,7 @@ def _integrate_layered(state0, data, make_rhs, pairs, s_end, opts) -> Trajectory
         while True:
             if h < opts.min_step:
                 raise StepUnderflow(f"step underflow at s = {s:.6g}")
-            trial = _rk4_step(state, rhs_step, h)
+            trial, generators = _rk4_step(state, rhs_step, h)
             trial_masks = _sector_masks(trial, data, pairs)
             if _masks_equal(masks, trial_masks):
                 advanced, new_masks, dt = trial, trial_masks, h
@@ -196,12 +194,12 @@ def _integrate_layered(state0, data, make_rhs, pairs, s_end, opts) -> Trajectory
                 lo, hi = 0.0, h
                 while hi - lo > opts.bisect_tol:
                     mid = 0.5 * (lo + hi)
-                    probe = _rk4_step(state, rhs_step, mid)
+                    probe, _ = _rk4_step(state, rhs_step, mid)
                     if _masks_equal(masks, _sector_masks(probe, data, pairs)):
                         lo = mid
                     else:
                         hi = mid
-                advanced = _rk4_step(state, rhs_step, hi)
+                advanced, generators = _rk4_step(state, rhs_step, hi)
                 new_masks = _sector_masks(advanced, data, pairs)
                 pending_events = _diff_events(s + hi, pairs, masks, new_masks)
                 dt = hi
@@ -223,13 +221,12 @@ def _integrate_layered(state0, data, make_rhs, pairs, s_end, opts) -> Trajectory
         events.extend(pending_events)
 
         for k in range(state.depth):
-            if advanced.layers[k].rotation is not state.layers[k].rotation:
+            if np.linalg.norm(generators[k]) != 0.0:  # retract_array moved this rotation
                 retractions[k] += 1
                 if retractions[k] % REPOLAR_EVERY == 0:
-                    advanced = advanced.with_layer(
-                        k, advanced.layers[k].with_updates(rotation=reproject(advanced.layers[k].rotation))
-                    )
-        state, masks = advanced, new_masks
+                    lp = advanced.layers[k]
+                    advanced = advanced.with_layer(k, lp.with_updates(rotation=reproject(lp.rotation)))
+        state, masks = advanced.checked(), new_masks
         cost = euclidean_cost(state, data)
         s += dt
         samples.append(

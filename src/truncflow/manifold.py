@@ -1,9 +1,10 @@
 """Dense linear algebra on the orthogonal group O(Q).
 
 Rotations are represented by :class:`OrthogonalMatrix`, generators of the
-group by :class:`AntisymmetricMatrix`.  Both wrappers re-verify their
-defining bound at construction, so any code path that degrades a rotation
-fails loudly instead of silently drifting off the group.
+group by :class:`AntisymmetricMatrix`.  Both wrappers verify their defining
+bound at construction, at the public boundary.  Integration stages advance
+plain arrays by :func:`retract_array`, which stays on the group by
+construction; the integrator checks the bound once per accepted step.
 """
 
 from __future__ import annotations
@@ -166,6 +167,13 @@ def expm_antisym(a: AntisymmetricMatrix) -> OrthogonalMatrix:
     return OrthogonalMatrix(_expm_pade13(a.mat))
 
 
+def retract_array(r: np.ndarray, omega: np.ndarray, step: float) -> np.ndarray:
+    """Unvalidated exp(step * omega) @ r; a zero step or generator returns `r` itself."""
+    if step == 0.0 or np.linalg.norm(omega) == 0.0:
+        return r
+    return _expm_pade13(step * omega) @ r
+
+
 def retract(r: OrthogonalMatrix, omega: AntisymmetricMatrix, step: float) -> OrthogonalMatrix:
     """Move R along the group: exp(step * omega) @ R.
 
@@ -173,10 +181,8 @@ def retract(r: OrthogonalMatrix, omega: AntisymmetricMatrix, step: float) -> Ort
     """
     if not np.isfinite(step):
         raise ValueError("step must be finite")
-    if step == 0.0 or omega.norm() == 0.0:
-        return r
-    scaled = AntisymmetricMatrix(step * omega.mat)
-    return OrthogonalMatrix(expm_antisym(scaled).mat @ r.mat)
+    out = retract_array(r.mat, omega.mat, step)
+    return r if out is r.mat else OrthogonalMatrix(out)
 
 
 def reproject(r: OrthogonalMatrix) -> OrthogonalMatrix:

@@ -112,29 +112,18 @@ def compute_moments(layer: LayerParams, cluster) -> Moments:
     n = z.shape[0]
     pos = z > 0.0
     j0 = pos.mean(axis=0)
-    j1: dict[SectorMask, np.ndarray] = {}
-    j2: dict[SectorMask, np.ndarray] = {}
-    for i in range(n):
-        key = SectorMask(tuple(bool(b) for b in pos[i]))
-        if key not in j1:
-            j1[key] = np.zeros(z.shape[1])
-            j2[key] = np.zeros((z.shape[1], z.shape[1]))
-        j1[key] += z[i] / n
-        j2[key] += np.outer(z[i], z[i]) / n
+    # rows grouped by mask; for a few points a dict is ~3x faster than np.unique(pos, axis=0)
+    rows: dict[tuple[bool, ...], list[int]] = {}
+    for i, bits in enumerate(map(tuple, pos.tolist())):
+        rows.setdefault(bits, []).append(i)
     return Moments(
         i0=1.0,
         i1=z.mean(axis=0),
         j0=j0,
         j0_perp=1.0 - j0,
-        j1_by_sector=j1,
-        j2_by_sector=j2,
+        j1_by_sector={SectorMask(bits): z[idx].sum(axis=0) / n for bits, idx in rows.items()},
+        j2_by_sector={SectorMask(bits): (z[idx].T @ z[idx]) / n for bits, idx in rows.items()},
     )
-
-
-def truncated_counts(layer: LayerParams, cluster) -> np.ndarray:
-    """Integer vector n_r: how many points have coordinate r truncated."""
-    z = pushforward_points(layer, cluster)
-    return np.sum(z <= 0.0, axis=0)
 
 
 def check_cluster_separation(state: ModelState, data: TrainingSet):

@@ -9,10 +9,15 @@ i.e. the coordinatewise ReLU pulled back through the affine map
 a(x) = R (x + beta).  A coordinate with a(x)_r <= 0 counts as truncated
 (the activation derivative convention h(0) = 0); all sector logic below
 uses strict `> 0` so the measure-zero boundary is deterministic.
+
+Invariants are checked at the public constructors (:class:`LayerParams`,
+:class:`ModelState`); states derived from a validated one, such as
+integration stages and finite-difference stencils, check only shapes.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,7 @@ class SectorMask:
 
     @classmethod
     def from_vector(cls, x) -> "SectorMask":
+        """Bit r set iff x_r > 0 strictly; x_r = 0 counts as truncated."""
         x = np.asarray(x, dtype=float)
         return cls(tuple(bool(b) for b in x > 0.0))
 
@@ -52,11 +58,6 @@ class SectorMask:
 
     def as_float(self) -> np.ndarray:
         return np.array(self.bits, dtype=float)
-
-
-def heaviside_mask(x) -> SectorMask:
-    """Mask with bit r set iff x_r > 0 strictly; x_r = 0 counts as truncated."""
-    return SectorMask.from_vector(x)
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,19 @@ class LayerParams:
 class ModelState:
     """All flow variables plus the fixed output map and labels.
 
-    `output_map` is the full-rank linear map from input space to output
-    space; `labels[l]` is the l-th reference output and `pulled_labels[l]`
-    its preimage under the output map, cached at construction by a linear
-    solve.
+    The layers are held as read-only stacked arrays, `rotations` (L, Q, Q)
+    and `betas` (L, Q).  `output_map` is the full-rank linear map from input
+    space to output space; `labels[l]` is the l-th reference output and
+    `pulled_labels[l]` its preimage under the output map.
+
+    The constructor takes validated LayerParams, checks the output map and
+    labels, and solves the pulled labels.  States derived from it share those
+    and check only their shapes.  `layers`, the read-only view of validated
+    LayerParams, is built on first read, which checks every rotation.
     """
 
     def __init__(self, layers, output_map, labels):
-        layers = list(layers)
+        layers = tuple(layers)
         if not layers:
             raise ValueError("need at least one layer")
         q = layers[0].dim
@@ -114,82 +120,97 @@ class ModelState:
         scale = np.maximum(np.linalg.norm(y, axis=1), 1e-300)
         if np.any(resid > 1e-10 * np.maximum(scale, 1.0)):
             raise ValueError("pulled labels failed the reconstruction check")
-        w.setflags(write=False)
-        y.setflags(write=False)
-        ytil.setflags(write=False)
-        self.layers = layers
-        self.output_map = w
-        self.labels = y
-        self.pulled_labels = ytil
+        for a in (w, y, ytil):
+            a.setflags(write=False)
+        self.output_map, self.labels, self.pulled_labels = w, y, ytil
+        self._set_layers(np.array([lp.rotation.mat for lp in layers]),
+                         np.array([lp.beta for lp in layers]))
+        self._layers = layers
+
+    def _set_layers(self, rotations: np.ndarray, betas: np.ndarray) -> None:
+        rotations.setflags(write=False)
+        betas.setflags(write=False)
+        self.rotations = rotations
+        self.betas = betas
+        self._layers = None
+
+    def checked(self) -> "ModelState":
+        """This state, after building `layers`; a rotation off the group raises ValueError."""
+        if self._layers is None:
+            self._layers = tuple(
+                LayerParams(OrthogonalMatrix(r), b) for r, b in zip(self.rotations, self.betas)
+            )
+        return self
+
+    @property
+    def layers(self) -> tuple[LayerParams, ...]:
+        return self.checked()._layers
 
     @property
     def dim(self) -> int:
-        return self.layers[0].dim
+        return self.rotations.shape[1]
 
     @property
     def depth(self) -> int:
-        return len(self.layers)
+        return self.rotations.shape[0]
 
-    def copy(self) -> "ModelState":
-        return ModelState(list(self.layers), self.output_map, self.labels)
+    def derive(self, rotations: np.ndarray, betas: np.ndarray) -> "ModelState":
+        """This state with new layer arrays, which become read-only; checks shapes only."""
+        if rotations.shape != self.rotations.shape or betas.shape != self.betas.shape:
+            raise ValueError(f"layer arrays of shapes {rotations.shape}, {betas.shape} do not "
+                             f"match {self.rotations.shape}, {self.betas.shape}")
+        out = copy.copy(self)  # shares output map, labels and pulled labels; skips __init__
+        out._set_layers(rotations, betas)
+        return out
 
     def with_layer(self, index: int, layer: LayerParams) -> "ModelState":
-        layers = list(self.layers)
-        layers[index] = layer
-        return ModelState(layers, self.output_map, self.labels)
-
-
-def truncation_map(layer: LayerParams, x) -> np.ndarray:
-    """Apply one layer's ReLU pullback: R^T relu(R(x + beta)) - beta."""
-    x = np.asarray(x, dtype=float)
-    r = layer.rotation.mat
-    z = r @ (x + layer.beta)
-    return r.T @ np.maximum(z, 0.0) - layer.beta
-
-
-def truncation_map_batch(layer: LayerParams, pts: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`truncation_map` over rows of `pts`."""
-    r = layer.rotation.mat
-    z = (pts + layer.beta) @ r.T
-    return np.maximum(z, 0.0) @ r - layer.beta
-
-
-def classify_sector(layer: LayerParams, x) -> SectorMask:
-    """Sign pattern of R(x + beta); all-true means the point is fixed by the layer."""
-    x = np.asarray(x, dtype=float)
-    return heaviside_mask(layer.rotation.mat @ (x + layer.beta))
-
-
-def _check_range(lo: int, hi: int, depth: int) -> None:
-    """Validate a half-open layer range [lo, hi); empty ranges are allowed."""
-    if not (0 <= lo <= hi <= depth):
-        raise IndexRange(f"invalid layer range [{lo}, {hi}) for {depth} layers")
+        if layer.dim != self.dim:
+            raise ValueError(f"layer has dimension {layer.dim}, expected {self.dim}")
+        rotations, betas = self.rotations.copy(), self.betas.copy()
+        rotations[index] = layer.rotation.mat
+        betas[index] = layer.beta
+        out = self.derive(rotations, betas)
+        if self._layers is not None:  # keep the validated view
+            layers = list(self._layers)
+            layers[index] = layer
+            out._layers = tuple(layers)
+        return out
 
 
 def chained_truncation(layers, x, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Compose truncation maps of layers lo..hi-1 in ascending order.
 
-    The range is half-open and 0-based; an empty range returns x unchanged.
+    `layers` is a ModelState or a sequence of LayerParams; `x` is one point
+    (Q,) or rows of points (N, Q).  The range is half-open and 0-based; an
+    empty range returns x unchanged.
     """
-    layers = list(layers)
+    if isinstance(layers, ModelState):
+        params = list(zip(layers.rotations, layers.betas))
+    else:
+        params = [(lp.rotation.mat, lp.beta) for lp in layers]
     if hi is None:
-        hi = len(layers)
-    _check_range(lo, hi, len(layers))
+        hi = len(params)
+    if not (0 <= lo <= hi <= len(params)):
+        raise IndexRange(f"invalid layer range [{lo}, {hi}) for {len(params)} layers")
     out = np.asarray(x, dtype=float)
-    for k in range(lo, hi):
-        out = truncation_map(layers[k], out)
+    for r, beta in params[lo:hi]:
+        out = np.maximum((out + beta) @ r.T, 0.0) @ r - beta
     return out
 
 
-def chained_truncation_batch(layers, pts: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    layers = list(layers)
-    if hi is None:
-        hi = len(layers)
-    _check_range(lo, hi, len(layers))
-    out = np.asarray(pts, dtype=float)
-    for k in range(lo, hi):
-        out = truncation_map_batch(layers[k], out)
-    return out
+# Second name of the same function; perfbench/tracing.py times the cost's chain under it.
+chained_truncation_batch = chained_truncation
+
+
+def truncation_map(layer: LayerParams, x) -> np.ndarray:
+    """Apply one layer's ReLU pullback R^T relu(R(x + beta)) - beta to a point or rows."""
+    return chained_truncation((layer,), x)
+
+
+def classify_sector(layer: LayerParams, x) -> SectorMask:
+    """Sign pattern of R(x + beta); all-true means the point is fixed by the layer."""
+    x = np.asarray(x, dtype=float)
+    return SectorMask.from_vector(layer.rotation.mat @ (x + layer.beta))
 
 
 def _residuals(state: ModelState, data) -> list[np.ndarray]:
@@ -198,7 +219,7 @@ def _residuals(state: ModelState, data) -> list[np.ndarray]:
         raise EmptyCluster("every cluster must contain at least one point")
     out = []
     for l, pts in enumerate(data.clusters):
-        final = chained_truncation_batch(state.layers, pts)
+        final = chained_truncation(state, pts)
         out.append(final - state.pulled_labels[l])
     return out
 

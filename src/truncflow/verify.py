@@ -4,9 +4,6 @@ family of analytic claims at desk scale and reports worst discrepancies.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .flows import (
@@ -21,33 +18,20 @@ from .errors import NearKink, StepUnderflow
 from .integrate import fit_phase_exponents, integrate_collapsed, integrate_effective, integrate_general
 from .manifold import random_orthogonal
 from .measures import TrainingSet
-from .model import ModelState, chained_truncation, euclidean_cost
+from .model import chained_truncation, euclidean_cost
 from .oracle import FDSettings, fd_grad_beta, fd_grad_rotation, reference_integrate
 from .scenarios import make_one_dim_state, make_separated_config, state_from_arrays
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TRUNCFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_cases(fn, args_list):
-    workers = _threads()
-    if workers == 1:
-        return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
-
-
-def _prop(name: str, worst: float, tol: float, cases: int) -> dict:
+def _prop(name: str, worst: float, tol: float, cases: int, skipped: int = 0) -> dict:
+    """One property's verdict; `cases` counts the checked cases only."""
     return {
         "name": name,
         "passed": bool(worst <= tol),
         "worst": float(worst),
         "tolerance": float(tol),
         "cases": int(cases),
+        "skipped": int(skipped),
     }
 
 
@@ -111,7 +95,7 @@ def gradients_suite(seed: int = 0, cases: int = 100,
                 fd_b = fd_grad_beta(state, data, layer, settings)
                 fd_o = fd_grad_rotation(state, data, layer, settings=settings)
             except NearKink:
-                return 0.0  # kink-adjacent draw; skipped, not forced
+                return None  # kink-adjacent draw; skipped, not forced
             beta_dot, omega = slopes[layer]
             worst = max(worst, rel(np.linalg.norm(beta_dot + fd_b),
                                    np.linalg.norm(fd_b), np.linalg.norm(beta_dot)))
@@ -121,11 +105,11 @@ def gradients_suite(seed: int = 0, cases: int = 100,
 
     n_eff = max(1, cases // 2)
     n_gen = max(1, cases - n_eff)
-    eff_worst = max(_map_cases(effective_case, range(n_eff)))
-    gen_worst = max(_map_cases(general_case, range(n_gen)))
+    eff_worst = max(effective_case(i) for i in range(n_eff))
+    gen = [w for w in (general_case(i) for i in range(n_gen)) if w is not None]
     return _suite("gradients", [
         _prop("effective_rhs_vs_fd", eff_worst, tol, n_eff),
-        _prop("general_rhs_vs_fd", gen_worst, tol, n_gen),
+        _prop("general_rhs_vs_fd", max(gen, default=0.0), tol, len(gen), n_gen - len(gen)),
     ])
 
 
@@ -154,7 +138,8 @@ def monotonicity_suite(seed: int = 0, cases: int = 12) -> dict:
     slack_worst = 0.0
     ortho_worst = 0.0
     descent_worst = 0.0
-    checked = 0
+    finished = 0  # trajectories _integrate_transversal did not give up on
+    checked = 0  # descent-identity probes checked; two are tried per trajectory
     for i in range(cases):
         rng = np.random.default_rng((seed, 2, i))
         q = int(rng.integers(2, 4))
@@ -163,15 +148,12 @@ def monotonicity_suite(seed: int = 0, cases: int = 12) -> dict:
             traj = _integrate_transversal(integrate_effective, state, data, 1.0)
             rhs_fn = lambda st: [effective_rhs(st, data, k) for k in range(st.depth)]
         else:
-            layers = [
-                lp.with_updates(beta=lp.beta + 0.05 * rng.normal(size=q))
-                for lp in state.layers
-            ]
-            state = ModelState(layers, state.output_map, state.labels)
+            state = state.derive(state.rotations, state.betas + 0.05 * rng.normal(size=state.betas.shape))
             traj = _integrate_transversal(integrate_general, state, data, 1.0)
             rhs_fn = lambda st: general_rhs(st, data)
         if traj is None:
             continue
+        finished += 1
 
         costs = traj.costs
         rises = np.diff(costs) - 1e-8 * (1.0 + costs[:-1])
@@ -200,9 +182,9 @@ def monotonicity_suite(seed: int = 0, cases: int = 12) -> dict:
                 descent_worst = max(descent_worst, abs(fd_rate - analytic) / abs(analytic))
                 checked += 1
     return _suite("monotonicity", [
-        _prop("cost_non_increasing", slack_worst, 0.0, cases),
-        _prop("orthogonality_drift", ortho_worst, 1e-8, cases),
-        _prop("descent_identity", descent_worst, 1e-4, checked),
+        _prop("cost_non_increasing", slack_worst, 0.0, finished, cases - finished),
+        _prop("orthogonality_drift", ortho_worst, 1e-8, finished, cases - finished),
+        _prop("descent_identity", descent_worst, 1e-4, checked, 2 * cases - checked),
     ])
 
 
@@ -290,6 +272,7 @@ def oned_suite(seed: int = 0, cases: int = 10) -> dict:
         rate_worst = max(rate_worst, abs(-slope - rate) / rate if slope is not None else np.inf)
 
     closed_worst = 0.0
+    closed_checked = 0
     rng = np.random.default_rng((seed, 5))
     for _ in range(cases):
         n = int(rng.integers(2, 7))
@@ -306,11 +289,12 @@ def oned_suite(seed: int = 0, cases: int = 10) -> dict:
         for smp in tr.samples[:: max(1, len(tr.samples) // 20)]:
             err = abs(smp.per_layer[0].beta_gap - flow.gap(smp.s))
             closed_worst = max(closed_worst, err / (1.0 + flow.gap(smp.s)))
+        closed_checked += 1
 
     return _suite("oned", [
         _prop("ladder_crossing_gap", gap_err, 1e-6, 1),
         _prop("segment_rates_vs_n_over_N", rate_worst, 0.01, len(phases)),
-        _prop("closed_form_vs_integrated", closed_worst, 1e-6, cases),
+        _prop("closed_form_vs_integrated", closed_worst, 1e-6, closed_checked, cases - closed_checked),
     ])
 
 

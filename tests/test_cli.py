@@ -186,6 +186,7 @@ class TestVerifyCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "[PASS] conservation/invariant_drift" in out
+        assert "10 cases, 0 skipped)" in out
         report = json.loads(report_path.read_text())
         assert report["passed"] and report["seed"] == 1
 
@@ -200,19 +201,3 @@ class TestVerifyCommand:
         report = gradients_suite(seed=0, cases=6, effective_fn=flipped)
         assert not report["passed"]
 
-
-class TestThreadControl:
-    def test_thread_env_respected(self, monkeypatch):
-        from truncflow.verify import _threads
-
-        monkeypatch.setenv("TRUNCFLOW_THREADS", "3")
-        assert _threads() == 3
-        monkeypatch.setenv("TRUNCFLOW_THREADS", "junk")
-        assert _threads() == 1
-
-    def test_threaded_suite_deterministic(self, monkeypatch):
-        r1 = gradients_suite(seed=2, cases=6)
-        monkeypatch.setenv("TRUNCFLOW_THREADS", "4")
-        r2 = gradients_suite(seed=2, cases=6)
-        assert r1["properties"][0]["worst"] == r2["properties"][0]["worst"]
-        assert r1["properties"][1]["worst"] == r2["properties"][1]["worst"]

@@ -14,7 +14,9 @@ from truncflow.integrate import (
     write_events_csv,
     write_trajectory_csv,
 )
+from truncflow.manifold import OrthogonalMatrix
 from truncflow.measures import TrainingSet
+from truncflow.model import ModelState
 from truncflow.scenarios import make_separated_config, named_initial_state, make_equilibrium_data
 from truncflow.scenarios import make_one_dim_state
 
@@ -148,6 +150,45 @@ class TestTrajectoryInvariants:
         assert traj is not None and traj.final_state.depth == depth
         cs = traj.costs
         assert np.all(np.diff(cs) <= 1e-8 * (1.0 + cs[:-1]))
+
+
+class TestBoundaryValidation:
+    """RK stages and bisection probes build no validated objects; each
+    accepted sample checks its rotations once."""
+
+    @staticmethod
+    def count_inits(monkeypatch, cls) -> dict:
+        counter = {"n": 0}
+        init = cls.__init__
+
+        def counting(self, *args, **kwargs):
+            counter["n"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+        return counter
+
+    @pytest.mark.parametrize("integrator, q, n_per, seed", [
+        (integrate_effective, 3, 20, 0),
+        (integrate_general, 2, 4, 10),
+    ])
+    def test_constructions_bounded_by_samples(self, monkeypatch, integrator, q, n_per, seed):
+        state, data = make_separated_config(q, n_per=n_per, seed=seed)
+        states = self.count_inits(monkeypatch, ModelState)
+        rotations = self.count_inits(monkeypatch, OrthogonalMatrix)
+        traj = integrator(state, data, 1.0)
+        assert traj.events  # the bisection ran
+        # depth x (accepted samples + 1): each accepted sample checks its
+        # rotations once, and each 100th retraction adds one re-projection
+        bound = state.depth * len(traj.samples)
+        assert states["n"] <= bound
+        assert rotations["n"] <= bound
+
+    def test_rotation_off_the_group_rejected_at_entry(self):
+        state, data = make_separated_config(2, n_per=4, seed=0)
+        drifted = state.derive(state.rotations * (1.0 + 1e-6), state.betas)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            integrate_effective(drifted, data, 0.1)
 
 
 class TestCollapsedIntegration:

@@ -10,7 +10,6 @@ from truncflow.measures import (
     check_cluster_separation,
     compute_moments,
     pushforward_points,
-    truncated_counts,
 )
 from truncflow.model import LayerParams, SectorMask
 from truncflow.scenarios import make_separated_config
@@ -88,15 +87,26 @@ class TestComputeMoments:
             )
             assert len(mom.j1_by_sector) <= n  # only occupied sectors stored
 
+    def test_sector_sums_match_per_point_loop(self):
+        for _ in range(50):
+            q = int(RNG.integers(1, 5))
+            n = int(RNG.integers(1, 12))
+            layer = LayerParams(random_orthogonal(q, RNG), RNG.normal(size=q))
+            pts = RNG.normal(size=(n, q)) * 2
+            mom = compute_moments(layer, pts)
+            j1, j2 = {}, {}
+            for z in pushforward_points(layer, pts):
+                key = SectorMask.from_vector(z)
+                j1[key] = j1.get(key, 0.0) + z / n
+                j2[key] = j2.get(key, 0.0) + np.outer(z, z) / n
+            assert set(mom.j1_by_sector) == set(j1) == set(mom.j2_by_sector)
+            for key in j1:
+                np.testing.assert_allclose(mom.j1_by_sector[key], j1[key], rtol=0, atol=1e-13)
+                np.testing.assert_allclose(mom.j2_by_sector[key], j2[key], rtol=0, atol=1e-13)
+
     def test_empty_raises(self):
         with pytest.raises(EmptyCluster):
             compute_moments(identity_layer(2), np.zeros((0, 2)))
-
-
-class TestTruncatedCounts:
-    def test_counts(self):
-        pts = np.array([[-1.0, 1.0], [0.5, -0.5], [0.0, 2.0]])
-        np.testing.assert_array_equal(truncated_counts(identity_layer(2), pts), [2, 1])
 
 
 class TestClusterSeparation:

@@ -7,10 +7,10 @@ from truncflow.measures import TrainingSet
 from truncflow.model import (
     LayerParams,
     ModelState,
+    SectorMask,
     chained_truncation,
     classify_sector,
     euclidean_cost,
-    heaviside_mask,
     standard_cost,
     truncation_map,
 )
@@ -25,15 +25,15 @@ def identity_layer(q, beta=None):
 
 class TestHeavisideMask:
     def test_signs(self):
-        assert heaviside_mask([1.0, -1.0]).bits == (True, False)
+        assert SectorMask.from_vector([1.0, -1.0]).bits == (True, False)
 
     def test_zero_counts_as_truncated(self):
-        assert heaviside_mask([0.0, 5.0]).bits == (False, True)
+        assert SectorMask.from_vector([0.0, 5.0]).bits == (False, True)
 
     def test_all_cases(self):
-        assert heaviside_mask([-2.0, -0.1]).all_false()
-        assert heaviside_mask([2.0, 0.1]).all_true()
-        assert heaviside_mask([2.0, -0.1]).is_off_diagonal()
+        assert SectorMask.from_vector([-2.0, -0.1]).all_false()
+        assert SectorMask.from_vector([2.0, 0.1]).all_true()
+        assert SectorMask.from_vector([2.0, -0.1]).is_off_diagonal()
 
 
 class TestTruncationMap:
@@ -73,6 +73,13 @@ class TestTruncationMap:
             via_w = np.linalg.solve(w, np.maximum(w @ (x + beta), 0.0)) - beta
             via_r = truncation_map(LayerParams(r, beta), x)
             np.testing.assert_allclose(via_w, via_r, atol=1e-12)
+
+    def test_rows_match_points(self):
+        layer = LayerParams(random_orthogonal(3, RNG), RNG.normal(size=3))
+        pts = RNG.normal(size=(5, 3)) * 2
+        rows = truncation_map(layer, pts)
+        for x, row in zip(pts, rows):
+            np.testing.assert_allclose(truncation_map(layer, x), row, rtol=0, atol=1e-14)
 
     def test_fixed_point_set_exact(self):
         layer = LayerParams(random_orthogonal(3, RNG), RNG.normal(size=3))
@@ -218,3 +225,23 @@ class TestModelState:
         q = 3
         state = state_from_arrays([np.eye(q)] * 2, [np.zeros(q)] * 2, np.eye(q), np.zeros((q, q)))
         assert state.depth == 2 and state.dim == 3
+
+    def test_derived_state_checks_rotations_in_its_layers_view(self):
+        state, _ = random_state_and_set(3)
+        derived = state.derive(state.rotations * 1.001, state.betas + 1.0)
+        assert derived.pulled_labels is state.pulled_labels
+        np.testing.assert_array_equal(derived.betas, state.betas + 1.0)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            derived.layers
+        with pytest.raises(ValueError):
+            state.derive(state.rotations[:1], state.betas)
+
+    def test_with_layer_replaces_one_layer(self):
+        state, _ = random_state_and_set(3)
+        layer = LayerParams(random_orthogonal(3, RNG), RNG.normal(size=3))
+        out = state.with_layer(1, layer)
+        assert out.layers[1] is layer
+        np.testing.assert_array_equal(out.rotations[1], layer.rotation.mat)
+        np.testing.assert_array_equal(out.betas[[0, 2]], state.betas[[0, 2]])
+        with pytest.raises(ValueError):
+            state.with_layer(0, identity_layer(2))
