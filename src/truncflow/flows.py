@@ -13,6 +13,15 @@ commutator
 which vanishes on the fully positive and fully truncated sectors.  The
 quadratic term z z^T / 2 is required for the commutator to equal the true
 o(Q)-restricted gradient; central finite differences confirm it.
+
+Field contract.  The layered flows move all layers together, so their
+velocity is one tangent vector shaped like the state:
+``rhs(state, data, frozen_masks=None) -> (beta_dots, omegas)`` with plain
+arrays beta_dots (L, Q) and omegas (L, Q, Q), each omegas[k] exactly
+antisymmetric.  `frozen_masks` maps (layer, cluster) to boolean (N, Q)
+activity patterns that replace the computed ones.  Generators are
+validated as :class:`~truncflow.manifold.AntisymmetricMatrix` only where
+they cross the public boundary (`retract`, the finite-difference oracle).
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from .errors import (
     LabelInsideData,
     SingularGram,
 )
-from .manifold import AntisymmetricMatrix
 from .measures import TrainingSet, compute_moments
 from .model import ModelState
 
@@ -54,83 +62,82 @@ def _summed_commutators(nu: np.ndarray, a: np.ndarray, c: np.ndarray, quad=None)
     return out
 
 
-def effective_rhs(state: ModelState, data: TrainingSet, layer: int, frozen_masks=None):
-    """Descent velocities (beta_dot, Omega) of one layer under cluster separation.
+def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
+    """Descent velocities of every layer under cluster separation, stacked like the state.
 
-    Only the layer's own cluster enters: beta_dot = -R^T J0perp R (beta + ytilde)
-    with J0perp the diagonal of truncated fractions, and Omega accumulates the
-    per-point commutators of points in mixed (off-diagonal) sectors.
+    Layer k is driven by its own cluster k only: beta_dot_k =
+    -R_k^T J0perp R_k (beta_k + ytilde_k) with J0perp the diagonal of truncated
+    fractions, and Omega_k accumulates the per-point commutators of points in
+    mixed (off-diagonal) sectors.  Returns (beta_dots (L, Q), omegas (L, Q, Q)).
 
-    `frozen_masks` (boolean (N, Q)) overrides the activity patterns, which
+    `frozen_masks` maps (layer, cluster) to boolean (N, Q) activity patterns
+    (only the (k, k) entries are read) and overrides the computed ones, which
     evaluates the smooth extension of one sector configuration; integrators
     use this so that no stage of a step samples the field across a boundary.
     """
-    if not (0 <= layer < state.depth):
-        raise IndexRange(f"layer {layer} out of range for depth {state.depth}")
-    pts = data.clusters[layer]
-    if len(pts) == 0:
-        raise EmptyCluster(f"cluster {layer} is empty")
-    r, beta = state.rotations[layer], state.betas[layer]
-    gap = beta + state.pulled_labels[layer]
-    v = r @ gap
-    z = (pts + beta) @ r.T
-    n = z.shape[0]
-    pos = (z > 0.0) if frozen_masks is None else frozen_masks
-    j0_perp = 1.0 - pos.mean(axis=0)
-    beta_dot = -(r.T @ (j0_perp * v))
-    npos = pos.sum(axis=1)
-    mixed = (npos > 0) & (npos < state.dim)
-    zm = z[mixed]
-    cm = np.broadcast_to(v, zm.shape)
-    omega = _summed_commutators(pos[mixed].astype(float), zm, cm, zm) / n
-    return beta_dot, AntisymmetricMatrix(omega)
+    if state.depth > data.q:
+        raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
+    beta_dots = np.empty(state.betas.shape)
+    omegas = np.empty(state.rotations.shape)
+    for k, (r, beta) in enumerate(zip(state.rotations, state.betas)):
+        pts = data.clusters[k]
+        if len(pts) == 0:
+            raise EmptyCluster(f"cluster {k} is empty")
+        v = r @ (beta + state.pulled_labels[k])
+        z = (pts + beta) @ r.T
+        pos = (z > 0.0) if frozen_masks is None else frozen_masks[(k, k)]
+        j0_perp = 1.0 - pos.mean(axis=0)
+        beta_dots[k] = -(r.T @ (j0_perp * v))
+        npos = pos.sum(axis=1)
+        mixed = (npos > 0) & (npos < state.dim)
+        zm = z[mixed]
+        cm = np.broadcast_to(v, zm.shape)
+        omegas[k] = _summed_commutators(pos[mixed].astype(float), zm, cm, zm) / z.shape[0]
+    return beta_dots, omegas
 
 
-def moment_form_rhs(state: ModelState, data: TrainingSet, layer: int):
+def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     """Same contract as :func:`effective_rhs`, computed through cluster moments.
 
     Omega_ij = sum over occupied mixed sectors nu of
     (nu_i - nu_j) * ( (J1_i v_j + v_i J1_j) / 2 - J2_ij / 2 ).
     """
-    if not (0 <= layer < state.depth):
-        raise IndexRange(f"layer {layer} out of range for depth {state.depth}")
-    pts = data.clusters[layer]
-    if len(pts) == 0:
-        raise EmptyCluster(f"cluster {layer} is empty")
-    lp = state.layers[layer]
-    r = lp.rotation.mat
-    gap = lp.beta + state.pulled_labels[layer]
-    v = r @ gap
-    mom = compute_moments(lp, pts)
-    beta_dot = -(r.T @ (mom.j0_perp * v))
-    omega = np.zeros((state.dim, state.dim))
-    for mask, j1 in mom.j1_by_sector.items():
-        if not mask.is_off_diagonal():
-            continue
-        j2 = mom.j2_by_sector[mask]
-        sym = 0.5 * (np.outer(j1, v) + np.outer(v, j1)) - 0.5 * j2
-        omega += _commutator_with_mask(mask.as_float(), sym)
-    return beta_dot, AntisymmetricMatrix(omega)
+    if state.depth > data.q:
+        raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
+    beta_dots = np.empty(state.betas.shape)
+    omegas = np.zeros(state.rotations.shape)
+    for k, lp in enumerate(state.layers):
+        pts = data.clusters[k]
+        if len(pts) == 0:
+            raise EmptyCluster(f"cluster {k} is empty")
+        r = lp.rotation.mat
+        v = r @ (lp.beta + state.pulled_labels[k])
+        mom = compute_moments(lp, pts, None if frozen_masks is None else frozen_masks[(k, k)])
+        beta_dots[k] = -(r.T @ (mom.j0_perp * v))
+        for mask, j1 in mom.j1_by_sector.items():
+            if not mask.is_off_diagonal():
+                continue
+            j2 = mom.j2_by_sector[mask]
+            sym = 0.5 * (np.outer(j1, v) + np.outer(v, j1)) - 0.5 * j2
+            omegas[k] += _commutator_with_mask(mask.as_float(), sym)
+    return beta_dots, omegas
 
 
 def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     """Descent velocities for every layer without any separation assumption.
 
-    Every cluster contributes to every layer through the chained truncation:
-    for each point, beta_dot_l picks up R_l^T Hperp_l R_l S_{l+1}^T resid and
-    Omega_l the commutator -[H_l, (a c^T + c a^T)/2] with a = R_l(t + beta_l),
-    c = R_l S_{l+1}^T resid, where t is the point's image after l layers,
-    resid its final mismatch to the cluster's pulled label, and S_{l+1} the
-    product of the downstream truncation Jacobians.  All points of a cluster
-    are processed as a batch.
-
-    `frozen_masks` maps (layer, cluster) to boolean (N, Q) activity patterns;
-    when given, the chain is evaluated with those patterns held fixed (see
-    :func:`effective_rhs`).
+    Same contract as :func:`effective_rhs`, but every cluster contributes to
+    every layer through the chained truncation: for each point, beta_dot_l
+    picks up R_l^T Hperp_l R_l S_{l+1}^T resid and Omega_l the commutator
+    -[H_l, (a c^T + c a^T)/2] with a = R_l(t + beta_l), c = R_l S_{l+1}^T resid,
+    where t is the point's image after l layers, resid its final mismatch to
+    the cluster's pulled label, and S_{l+1} the product of the downstream
+    truncation Jacobians.  All points of a cluster are processed as a batch,
+    and `frozen_masks` needs an entry for every (layer, cluster) pair.
     """
     depth, q = state.depth, state.dim
-    beta_dots = [np.zeros(q) for _ in range(depth)]
-    omegas = [np.zeros((q, q)) for _ in range(depth)]
+    beta_dots = np.zeros(state.betas.shape)
+    omegas = np.zeros(state.rotations.shape)
     eye = np.eye(q)
     for l_cl, pts in enumerate(data.clusters):
         n = len(pts)
@@ -163,7 +170,7 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
             c = pulled @ r.T
             beta_dots[l] += weight * np.sum(((1.0 - masks[l]) * c) @ r, axis=0)
             omegas[l] -= weight * _summed_commutators(masks[l], pushed[l], c)
-    return [(bd, AntisymmetricMatrix(om)) for bd, om in zip(beta_dots, omegas)]
+    return beta_dots, omegas
 
 
 def chained_projectors(state: ModelState, point, lo: int = 0, hi: int | None = None):

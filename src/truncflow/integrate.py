@@ -8,9 +8,12 @@ event is recorded.  Rotations are advanced by retraction (exponential of
 the averaged generator), so orthogonality is preserved to round-off;
 every 100th retraction the rotation is re-projected onto the group.
 
-RK stages and bisection probes step the state's stacked arrays and build no
-validated objects.  Rotations are checked against the orthogonality bound at
-integrator entry and once per accepted step (`ModelState.checked`).
+A right-hand side is called as ``rhs(state, data, frozen_masks=None)`` and
+returns the velocities stacked like the state: beta_dots (L, Q) and the
+generators omegas (L, Q, Q), as plain arrays.  RK stages and bisection probes
+step the state's stacked arrays with them and build no validated objects.
+Rotations are checked against the orthogonality bound at integrator entry
+and once per accepted step (`ModelState.checked`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .flows import (
     effective_rhs,
     general_rhs,
 )
-from .manifold import REPOLAR_EVERY, reproject, retract_array
+from .manifold import REPOLAR_EVERY, polar_decompose, retract_array
 from .measures import TrainingSet, warn_if_not_separated
 from .model import ModelState, chained_truncation, euclidean_cost
 
@@ -92,88 +95,82 @@ class Trajectory:
         return self.samples[-1].state
 
 
-def _stacked(slopes) -> tuple[np.ndarray, np.ndarray]:
-    """One (beta_dot, Omega) pair per layer as stacked (L, Q) and (L, Q, Q) arrays."""
-    return np.array([bd for bd, _ in slopes]), np.array([om.mat for _, om in slopes])
-
-
 def _apply(state: ModelState, beta_dots: np.ndarray, omegas: np.ndarray, dt: float) -> ModelState:
     """Advance every layer: beta by dt * beta_dot, R by retraction of dt * Omega."""
     rotations = np.array([retract_array(r, om, dt) for r, om in zip(state.rotations, omegas)])
     return state.derive(rotations, state.betas + dt * beta_dots)
 
 
-def _rk4_step(state: ModelState, rhs_fn, h: float) -> tuple[ModelState, np.ndarray]:
-    """Classical 4-stage step retracting by the averaged generators; returns both."""
-    b1, o1 = _stacked(rhs_fn(state))
-    b2, o2 = _stacked(rhs_fn(_apply(state, b1, o1, 0.5 * h)))
-    b3, o3 = _stacked(rhs_fn(_apply(state, b2, o2, 0.5 * h)))
-    b4, o4 = _stacked(rhs_fn(_apply(state, b3, o3, h)))
+def _rk4_step(state: ModelState, data: TrainingSet, rhs, masks, h: float) -> tuple[ModelState, np.ndarray]:
+    """Classical 4-stage step of `rhs` frozen at `masks`, retracting by the averaged
+    generators; returns the new state and those generators."""
+    b1, o1 = rhs(state, data, masks)
+    b2, o2 = rhs(_apply(state, b1, o1, 0.5 * h), data, masks)
+    b3, o3 = rhs(_apply(state, b2, o2, 0.5 * h), data, masks)
+    b4, o4 = rhs(_apply(state, b3, o3, h), data, masks)
     beta_dots = (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
     omegas = (o1 + 2.0 * o2 + 2.0 * o3 + o4) / 6.0
     return _apply(state, beta_dots, omegas, h), omegas
 
 
-def _sector_masks(state: ModelState, data: TrainingSet, pairs) -> list[np.ndarray]:
-    """Boolean (N, Q) activity patterns of chained cluster images, one per pair.
+def _sector_masks(state: ModelState, data: TrainingSet, pairs) -> dict:
+    """Boolean (N, Q) activity patterns of chained cluster images, keyed by pair.
 
     `pairs` lists the tracked (layer, cluster) combinations; the cluster's
     points are pushed through layers 0..layer-1 and classified at `layer`.
     """
-    out = []
+    out = {}
     for layer, cluster in pairs:
         images = chained_truncation(state, data.clusters[cluster], 0, layer)
         z = (images + state.betas[layer]) @ state.rotations[layer].T
-        out.append(z > 0.0)
+        out[(layer, cluster)] = z > 0.0
     return out
 
 
-def _masks_equal(a, b) -> bool:
-    return all(np.array_equal(ma, mb) for ma, mb in zip(a, b))
+def _masks_equal(a: dict, b: dict) -> bool:
+    return all(np.array_equal(ma, b[pair]) for pair, ma in a.items())
 
 
-def _diff_events(s: float, pairs, before, after) -> list[Event]:
+def _diff_events(s: float, before: dict, after: dict) -> list[Event]:
     events = []
-    for (layer, cluster), ma, mb in zip(pairs, before, after):
-        for point, coord in np.argwhere(ma != mb):
+    for (layer, cluster), ma in before.items():
+        for point, coord in np.argwhere(ma != after[(layer, cluster)]):
             direction = "entering" if ma[point, coord] else "leaving"
             events.append(Event(s, layer, cluster, int(point), int(coord), direction))
     return events
 
 
-def _diagnostics(state: ModelState, slopes, own_masks) -> tuple[LayerDiagnostics, ...]:
+def _diagnostics(state: ModelState, omegas: np.ndarray, masks: dict) -> tuple[LayerDiagnostics, ...]:
     """Per-layer Omega norm, distance of beta to its attractor, truncation counts."""
-    diags = []
-    for k, (beta_dot, omega) in enumerate(slopes):
-        gap = float(np.linalg.norm(state.betas[k] + state.pulled_labels[k]))
-        counts = np.sum(~own_masks[k], axis=0)
-        diags.append(LayerDiagnostics(omega_norm=omega.norm(), beta_gap=gap, truncated_counts=counts))
-    return tuple(diags)
+    return tuple(
+        LayerDiagnostics(
+            omega_norm=float(np.linalg.norm(omegas[k])),
+            beta_gap=float(np.linalg.norm(state.betas[k] + state.pulled_labels[k])),
+            truncated_counts=np.sum(~masks[(k, k)], axis=0),
+        )
+        for k in range(state.depth)
+    )
 
 
-def _integrate_layered(state0, data, make_rhs, pairs, s_end, opts) -> Trajectory:
+def _integrate_layered(state0, data, rhs, pairs, s_end, opts) -> Trajectory:
     """Event-splitting integration loop.
 
-    `make_rhs(masks)` builds the right-hand side: with `masks` (aligned with
-    `pairs`) it evaluates the smooth extension of that sector configuration,
-    so no stage of a step ever samples the field across a boundary; with
-    None it evaluates the true piecewise field (used for diagnostics).
+    `rhs(state, data, masks)` returns the velocities stacked like the state.
+    Every stage passes the step's `masks` (keyed by the tracked `pairs`), so
+    it evaluates the smooth extension of that sector configuration and no
+    stage ever samples the field across a boundary; the diagnostics call
+    `rhs(state, data)`, the true piecewise field.
     """
     if s_end <= 0:
         raise ValueError("s_end must be positive")
     if state0.depth > data.q:
         raise ValueError("need one cluster (and label) per layer: depth <= q")
-    own_index = {pair: i for i, pair in enumerate(pairs)}
-    own = [own_index[(k, k)] for k in range(state0.depth)]
-    fresh_rhs = make_rhs(None)
 
     state = state0.checked()
     s = 0.0
     masks = _sector_masks(state, data, pairs)
     cost = euclidean_cost(state, data)
-    samples = [
-        FlowSample(s, state, cost, _diagnostics(state, fresh_rhs(state), [masks[i] for i in own]))
-    ]
+    samples = [FlowSample(s, state, cost, _diagnostics(state, rhs(state, data)[1], masks))]
     events: list[Event] = []
     retractions = [0] * state.depth
     h_nominal = opts.step
@@ -181,28 +178,24 @@ def _integrate_layered(state0, data, make_rhs, pairs, s_end, opts) -> Trajectory
 
     while s < s_end - 1e-13:
         h = min(h_nominal, s_end - s)
-        rhs_step = make_rhs(masks)
         while True:
             if h < opts.min_step:
                 raise StepUnderflow(f"step underflow at s = {s:.6g}")
-            trial, generators = _rk4_step(state, rhs_step, h)
-            trial_masks = _sector_masks(trial, data, pairs)
-            if _masks_equal(masks, trial_masks):
-                advanced, new_masks, dt = trial, trial_masks, h
-                pending_events = []
-            else:
-                lo, hi = 0.0, h
-                while hi - lo > opts.bisect_tol:
-                    mid = 0.5 * (lo + hi)
-                    probe, _ = _rk4_step(state, rhs_step, mid)
-                    if _masks_equal(masks, _sector_masks(probe, data, pairs)):
+            advanced, generators = _rk4_step(state, data, rhs, masks, h)
+            new_masks = _sector_masks(advanced, data, pairs)
+            dt, pending_events = h, []
+            if not _masks_equal(masks, new_masks):
+                # bisect for the crossing; the step kept is the one at the upper end
+                lo = 0.0
+                while dt - lo > opts.bisect_tol:
+                    mid = 0.5 * (lo + dt)
+                    probe, probe_generators = _rk4_step(state, data, rhs, masks, mid)
+                    probe_masks = _sector_masks(probe, data, pairs)
+                    if _masks_equal(masks, probe_masks):
                         lo = mid
                     else:
-                        hi = mid
-                advanced, generators = _rk4_step(state, rhs_step, hi)
-                new_masks = _sector_masks(advanced, data, pairs)
-                pending_events = _diff_events(s + hi, pairs, masks, new_masks)
-                dt = hi
+                        dt, advanced, generators, new_masks = mid, probe, probe_generators, probe_masks
+                pending_events = _diff_events(s + dt, masks, new_masks)
             advanced_cost = euclidean_cost(advanced, data)
             if advanced_cost > cost + opts.cost_slack * (1.0 + cost):
                 h *= 0.5
@@ -220,18 +213,19 @@ def _integrate_layered(state0, data, make_rhs, pairs, s_end, opts) -> Trajectory
             crawl_steps = 0
         events.extend(pending_events)
 
+        reprojected = False
         for k in range(state.depth):
             if np.linalg.norm(generators[k]) != 0.0:  # retract_array moved this rotation
                 retractions[k] += 1
                 if retractions[k] % REPOLAR_EVERY == 0:
-                    lp = advanced.layers[k]
-                    advanced = advanced.with_layer(k, lp.with_updates(rotation=reproject(lp.rotation)))
+                    rotations = advanced.rotations.copy()
+                    rotations[k] = polar_decompose(rotations[k])[1].mat
+                    advanced = advanced.derive(rotations, advanced.betas)
+                    reprojected = True
         state, masks = advanced.checked(), new_masks
-        cost = euclidean_cost(state, data)
+        cost = euclidean_cost(state, data) if reprojected else advanced_cost
         s += dt
-        samples.append(
-            FlowSample(s, state, cost, _diagnostics(state, fresh_rhs(state), [masks[i] for i in own]))
-        )
+        samples.append(FlowSample(s, state, cost, _diagnostics(state, rhs(state, data)[1], masks)))
 
     return Trajectory(samples=samples, events=events)
 
@@ -244,30 +238,15 @@ def integrate_effective(state0: ModelState, data: TrainingSet, s_end: float,
     per-layer equations assume it; integration proceeds regardless.
     """
     warn_if_not_separated(state0, data)
-
-    def make_rhs(masks):
-        if masks is None:
-            return lambda st: [effective_rhs(st, data, k) for k in range(st.depth)]
-        return lambda st: [
-            effective_rhs(st, data, k, frozen_masks=masks[k]) for k in range(st.depth)
-        ]
-
     pairs = [(k, k) for k in range(state0.depth)]
-    return _integrate_layered(state0, data, make_rhs, pairs, s_end, opts or IntegratorOptions())
+    return _integrate_layered(state0, data, effective_rhs, pairs, s_end, opts or IntegratorOptions())
 
 
 def integrate_general(state0: ModelState, data: TrainingSet, s_end: float,
                       opts: IntegratorOptions | None = None) -> Trajectory:
     """Integrate the unrestricted flow; every cluster drives every layer."""
     pairs = [(k, l) for k in range(state0.depth) for l in range(data.q)]
-
-    def make_rhs(masks):
-        if masks is None:
-            return lambda st: general_rhs(st, data)
-        lookup = {pair: masks[i] for i, pair in enumerate(pairs)}
-        return lambda st: general_rhs(st, data, frozen_masks=lookup)
-
-    return _integrate_layered(state0, data, make_rhs, pairs, s_end, opts or IntegratorOptions())
+    return _integrate_layered(state0, data, general_rhs, pairs, s_end, opts or IntegratorOptions())
 
 
 @dataclass(frozen=True)

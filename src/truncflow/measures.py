@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyCluster
-from .model import LayerParams, ModelState, SectorMask, classify_sector
+from .model import LayerParams, ModelState, SectorMask
 
 logger = logging.getLogger(__name__)
 
@@ -103,14 +103,18 @@ def pushforward_points(layer: LayerParams, cluster) -> np.ndarray:
     return (pts + layer.beta) @ layer.rotation.mat.T
 
 
-def compute_moments(layer: LayerParams, cluster) -> Moments:
-    """Moments of the pushed-forward empirical measure of one cluster."""
+def compute_moments(layer: LayerParams, cluster, mask=None) -> Moments:
+    """Moments of the pushed-forward empirical measure of one cluster.
+
+    `mask` (boolean (N, Q)) overrides the sign patterns z > 0 that assign
+    points to sectors, as the right-hand sides' `frozen_masks` do.
+    """
     pts = np.asarray(cluster, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise EmptyCluster("cluster must contain at least one point")
     z = pushforward_points(layer, pts)
     n = z.shape[0]
-    pos = z > 0.0
+    pos = (z > 0.0) if mask is None else mask
     j0 = pos.mean(axis=0)
     # rows grouped by mask; for a few points a dict is ~3x faster than np.unique(pos, axis=0)
     rows: dict[tuple[bool, ...], list[int]] = {}
@@ -133,13 +137,12 @@ def check_cluster_separation(state: ModelState, data: TrainingSet):
     triples whose point is not strictly inside the layer's positive sector.
     """
     violations = []
-    for k, layer in enumerate(state.layers):
+    for k, (r, beta) in enumerate(zip(state.rotations, state.betas)):
         for l, pts in enumerate(data.clusters):
             if l == k:
                 continue
-            for i, x in enumerate(pts):
-                if not classify_sector(layer, x).all_true():
-                    violations.append((k, l, i))
+            outside = ~np.all((pts + beta) @ r.T > 0.0, axis=1)
+            violations.extend((k, l, int(i)) for i in np.flatnonzero(outside))
     return (not violations), violations
 
 

@@ -137,19 +137,22 @@ def rk4_array(f, y0: np.ndarray, s_end: float, step: float = 1e-4) -> np.ndarray
     return y
 
 
-def reference_integrate(rhs_fn, state0: ModelState, s_end: float, step: float = 1e-4) -> ModelState:
+def reference_integrate(rhs, state0: ModelState, data: TrainingSet, s_end: float,
+                        step: float = 1e-4) -> ModelState:
     """Fixed-step 4th-order integration of a layered flow, with retraction.
 
-    `rhs_fn(state)` must return one (beta_dot, Omega) pair per layer.  Used
+    `rhs(state, data)` returns the velocities stacked like the state,
+    beta_dots (L, Q) and omegas (L, Q, Q).  Every stage validates each
+    generator and rebuilds the state through the public constructors.  Used
     as a high-accuracy cross-check of the adaptive integrator and of closed
     forms; it carries no event logic and no step control.
     """
 
-    def advance(state, slopes, dt):
+    def advance(state, beta_dots, omegas, dt):
         layers = []
-        for lp, (beta_dot, omega) in zip(state.layers, slopes):
+        for lp, beta_dot, omega in zip(state.layers, beta_dots, omegas):
             layers.append(lp.with_updates(
-                rotation=retract(lp.rotation, omega, dt),
+                rotation=retract(lp.rotation, AntisymmetricMatrix(omega), dt),
                 beta=lp.beta + dt * beta_dot,
             ))
         return ModelState(layers, state.output_map, state.labels)
@@ -158,17 +161,10 @@ def reference_integrate(rhs_fn, state0: ModelState, s_end: float, step: float = 
     s = 0.0
     while s < s_end - 1e-13:
         h = min(step, s_end - s)
-        k1 = rhs_fn(state)
-        k2 = rhs_fn(advance(state, k1, 0.5 * h))
-        k3 = rhs_fn(advance(state, k2, 0.5 * h))
-        k4 = rhs_fn(advance(state, k3, h))
-        combined = [
-            (
-                (b1 + 2 * b2 + 2 * b3 + b4) / 6.0,
-                AntisymmetricMatrix((o1.mat + 2 * o2.mat + 2 * o3.mat + o4.mat) / 6.0),
-            )
-            for (b1, o1), (b2, o2), (b3, o3), (b4, o4) in zip(k1, k2, k3, k4)
-        ]
-        state = advance(state, combined, h)
+        b1, o1 = rhs(state, data)
+        b2, o2 = rhs(advance(state, b1, o1, 0.5 * h), data)
+        b3, o3 = rhs(advance(state, b2, o2, 0.5 * h), data)
+        b4, o4 = rhs(advance(state, b3, o3, h), data)
+        state = advance(state, (b1 + 2 * b2 + 2 * b3 + b4) / 6.0, (o1 + 2 * o2 + 2 * o3 + o4) / 6.0, h)
         s += h
     return state

@@ -73,22 +73,23 @@ def gradients_suite(seed: int = 0, cases: int = 100,
         rng = np.random.default_rng((seed, 0, i))
         q = int(rng.integers(2, 5))
         state, data = make_separated_config(q, n_per=int(rng.integers(2, 9)), seed=int(rng.integers(2**31)))
+        beta_dots, omegas = effective_fn(state, data)
         worst = 0.0
         for layer in range(state.depth):
-            beta_dot, omega = effective_fn(state, data, layer)
+            beta_dot, omega = beta_dots[layer], omegas[layer]
             fd_b = fd_grad_beta(state, data, layer, settings)
             worst = max(worst, rel(np.linalg.norm(beta_dot + fd_b),
                                    np.linalg.norm(fd_b), np.linalg.norm(beta_dot)))
             fd_o = fd_grad_rotation(state, data, layer, settings=settings)
-            worst = max(worst, rel(np.linalg.norm(omega.mat - fd_o.mat),
-                                   np.linalg.norm(fd_o.mat), np.linalg.norm(omega.mat)))
+            worst = max(worst, rel(np.linalg.norm(omega - fd_o.mat),
+                                   np.linalg.norm(fd_o.mat), np.linalg.norm(omega)))
         return worst
 
     def general_case(i):
         rng = np.random.default_rng((seed, 1, i))
         q = int(rng.integers(2, 5))
         state, data = _random_state_and_data(q, 8, rng)
-        slopes = general_fn(state, data)
+        beta_dots, omegas = general_fn(state, data)
         worst = 0.0
         for layer in range(state.depth):
             try:
@@ -96,11 +97,11 @@ def gradients_suite(seed: int = 0, cases: int = 100,
                 fd_o = fd_grad_rotation(state, data, layer, settings=settings)
             except NearKink:
                 return None  # kink-adjacent draw; skipped, not forced
-            beta_dot, omega = slopes[layer]
+            beta_dot, omega = beta_dots[layer], omegas[layer]
             worst = max(worst, rel(np.linalg.norm(beta_dot + fd_b),
                                    np.linalg.norm(fd_b), np.linalg.norm(beta_dot)))
-            worst = max(worst, rel(np.linalg.norm(omega.mat - fd_o.mat),
-                                   np.linalg.norm(fd_o.mat), np.linalg.norm(omega.mat)))
+            worst = max(worst, rel(np.linalg.norm(omega - fd_o.mat),
+                                   np.linalg.norm(fd_o.mat), np.linalg.norm(omega)))
         return worst
 
     n_eff = max(1, cases // 2)
@@ -146,11 +147,11 @@ def monotonicity_suite(seed: int = 0, cases: int = 12) -> dict:
         state, data = make_separated_config(q, n_per=4, seed=int(rng.integers(2**31)))
         if i % 2 == 0:
             traj = _integrate_transversal(integrate_effective, state, data, 1.0)
-            rhs_fn = lambda st: [effective_rhs(st, data, k) for k in range(st.depth)]
+            rhs = effective_rhs
         else:
             state = state.derive(state.rotations, state.betas + 0.05 * rng.normal(size=state.betas.shape))
             traj = _integrate_transversal(integrate_general, state, data, 1.0)
-            rhs_fn = lambda st: general_rhs(st, data)
+            rhs = general_rhs
         if traj is None:
             continue
         finished += 1
@@ -168,14 +169,13 @@ def monotonicity_suite(seed: int = 0, cases: int = 12) -> dict:
             smp = traj.samples[idx]
             if event_times and min(abs(smp.s - t) for t in event_times) < 1e-3:
                 continue
-            slopes = rhs_fn(smp.state)
             analytic = -sum(
-                float(np.dot(bd, bd)) + float(np.sum(om.mat * om.mat)) for bd, om in slopes
+                float(np.dot(bd, bd)) + float(np.sum(om * om)) for bd, om in zip(*rhs(smp.state, data))
             )
             h = 1e-5
-            fwd = reference_integrate(rhs_fn, smp.state, h, step=h)
+            fwd = reference_integrate(rhs, smp.state, data, h, step=h)
             back = reference_integrate(
-                lambda st: [(-bd, type(om)(-om.mat)) for bd, om in rhs_fn(st)], smp.state, h, step=h
+                lambda st, d: tuple(-v for v in rhs(st, d)), smp.state, data, h, step=h
             )
             fd_rate = (euclidean_cost(fwd, data) - euclidean_cost(back, data)) / (2 * h)
             if abs(analytic) > 1e-8 and abs(fd_rate) > 1e-8:
@@ -211,28 +211,17 @@ def equivalence_suite(seed: int = 0) -> dict:
     for _ in range(500):
         q = int(rng.integers(2, 5))
         state, data = _random_state_and_data(q, 8, rng)
-        for layer in range(state.depth):
-            b1, o1 = effective_rhs(state, data, layer)
-            b2, o2 = moment_form_rhs(state, data, layer)
-            moment_worst = max(
-                moment_worst,
-                float(np.max(np.abs(b1 - b2))),
-                float(np.max(np.abs(o1.mat - o2.mat))),
-            )
+        b1, o1 = effective_rhs(state, data)
+        b2, o2 = moment_form_rhs(state, data)
+        moment_worst = max(moment_worst, float(np.max(np.abs(b1 - b2))), float(np.max(np.abs(o1 - o2))))
 
     general_worst = 0.0
     for i in range(50):
         q = int(rng.integers(2, 5))
         state, data = make_separated_config(q, n_per=4, seed=int(rng.integers(2**31)))
-        slopes = general_rhs(state, data)
-        for layer in range(state.depth):
-            b1, o1 = effective_rhs(state, data, layer)
-            b2, o2 = slopes[layer]
-            general_worst = max(
-                general_worst,
-                float(np.max(np.abs(b1 - b2))),
-                float(np.max(np.abs(o1.mat - o2.mat))),
-            )
+        b1, o1 = effective_rhs(state, data)
+        b2, o2 = general_rhs(state, data)
+        general_worst = max(general_worst, float(np.max(np.abs(b1 - b2))), float(np.max(np.abs(o1 - o2))))
 
     proj_worst = 0.0
     for _ in range(200):

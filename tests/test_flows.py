@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from truncflow.errors import BadOrdering, EmptyCluster, LabelInsideData, SingularGram
+from truncflow.errors import BadOrdering, EmptyCluster, IndexRange, LabelInsideData, SingularGram
 from truncflow.flows import (
     CollapsedState,
     chained_projectors,
@@ -29,9 +29,10 @@ class TestEffectiveRhs:
         q = 2
         state = state_from_arrays([np.eye(q)] * q, [10.0 * np.ones(q)] * q, np.eye(q), RNG.normal(size=(q, q)))
         data = TrainingSet([np.abs(RNG.normal(size=(4, q))) for _ in range(q)])
+        beta_dots, omegas = effective_rhs(state, data)
         for layer in range(q):
-            bd, om = effective_rhs(state, data, layer)
-            assert np.all(bd == 0.0) and om.norm() == 0.0
+            bd, om = beta_dots[layer], omegas[layer]
+            assert np.all(bd == 0.0) and np.linalg.norm(om) == 0.0
 
     def test_fully_truncated_rate(self):
         # all points truncated: beta_dot = -(beta + ytilde), Omega = 0
@@ -40,10 +41,11 @@ class TestEffectiveRhs:
         betas = [RNG.normal(size=q) for _ in range(q)]
         state = state_from_arrays([np.eye(q)] * q, betas, np.eye(q), labels)
         data = TrainingSet([-np.abs(RNG.normal(size=(4, q))) - 20.0 for _ in range(q)])
+        beta_dots, omegas = effective_rhs(state, data)
         for layer in range(q):
-            bd, om = effective_rhs(state, data, layer)
+            bd, om = beta_dots[layer], omegas[layer]
             np.testing.assert_allclose(bd, -(betas[layer] + state.pulled_labels[layer]), atol=1e-12)
-            assert om.norm() == 0.0
+            assert np.linalg.norm(om) == 0.0
 
     def test_zero_gap_annihilates_bias_velocity(self):
         # beta = -ytilde kills the bias equation for any truncation pattern;
@@ -55,11 +57,12 @@ class TestEffectiveRhs:
         w = base.output_map
         labels = np.vstack([w @ (-lp.beta) for lp in base.layers])
         state = ModelState(base.layers, w, labels)
+        beta_dots, omegas = effective_rhs(state, data)
         for layer in range(state.depth):
-            bd, om = effective_rhs(state, data, layer)
+            bd, om = beta_dots[layer], omegas[layer]
             np.testing.assert_allclose(bd, np.zeros(state.dim), atol=1e-10)
             fd_o = fd_grad_rotation(state, data, layer, settings=FDSettings(step=1e-5))
-            assert np.linalg.norm(om.mat - fd_o.mat) <= 1e-5 * max(np.linalg.norm(fd_o.mat), 1e-3)
+            assert np.linalg.norm(om - fd_o.mat) <= 1e-5 * max(np.linalg.norm(fd_o.mat), 1e-3)
 
     def test_hand_expanded_two_by_two(self):
         # single point z = (0.5, -0.3) in sector (1, 0), v = (1, 2):
@@ -68,20 +71,21 @@ class TestEffectiveRhs:
         labels = np.array([[1.0, 2.0], [5.0, 5.0]])
         state = state_from_arrays([np.eye(q)] * q, [np.zeros(q)] * q, np.eye(q), labels)
         data = TrainingSet([np.array([[0.5, -0.3]]), np.array([[1.0, 1.0]])])
-        bd, om = effective_rhs(state, data, 0)
-        np.testing.assert_allclose(om.mat, [[0.0, 0.425], [-0.425, 0.0]], atol=1e-15)
-        np.testing.assert_allclose(bd, [0.0, -2.0], atol=1e-15)
+        beta_dots, omegas = effective_rhs(state, data)
+        np.testing.assert_allclose(omegas[0], [[0.0, 0.425], [-0.425, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(beta_dots[0], [0.0, -2.0], atol=1e-15)
 
     def test_matches_fd_oracle(self):
         settings = FDSettings(step=1e-5)
         for seed in range(5):
             state, data = make_separated_config(int(RNG.integers(2, 4)), n_per=5, seed=seed)
+            beta_dots, omegas = effective_rhs(state, data)
             for layer in range(state.depth):
-                bd, om = effective_rhs(state, data, layer)
+                bd, om = beta_dots[layer], omegas[layer]
                 fd_b = fd_grad_beta(state, data, layer, settings)
                 fd_o = fd_grad_rotation(state, data, layer, settings=settings)
                 assert np.linalg.norm(bd + fd_b) <= 1e-5 * max(np.linalg.norm(fd_b), 1e-4)
-                assert np.linalg.norm(om.mat - fd_o.mat) <= 1e-5 * max(np.linalg.norm(fd_o.mat), 1e-4)
+                assert np.linalg.norm(om - fd_o.mat) <= 1e-5 * max(np.linalg.norm(fd_o.mat), 1e-4)
 
     def test_empty_cluster(self):
         q = 2
@@ -96,11 +100,11 @@ class TestMomentFormRhs:
         for _ in range(500):
             q = int(rng.integers(2, 5))
             state, data = _random_state_and_data(q, 8, rng)
+            b1, o1 = effective_rhs(state, data)
+            b2, o2 = moment_form_rhs(state, data)
             for layer in range(state.depth):
-                b1, o1 = effective_rhs(state, data, layer)
-                b2, o2 = moment_form_rhs(state, data, layer)
-                assert np.max(np.abs(b1 - b2)) <= 1e-12
-                assert np.max(np.abs(o1.mat - o2.mat)) <= 1e-12
+                assert np.max(np.abs(b1[layer] - b2[layer])) <= 1e-12
+                assert np.max(np.abs(o1[layer] - o2[layer])) <= 1e-12
 
     def test_pure_sectors_give_zero_rotation(self):
         q = 2
@@ -108,39 +112,73 @@ class TestMomentFormRhs:
         up = np.abs(RNG.normal(size=(3, q))) + 0.1
         down = -np.abs(RNG.normal(size=(3, q))) - 0.1
         data = TrainingSet([np.vstack([up, down]), up])
-        _, om = moment_form_rhs(state, data, 0)
-        assert om.norm() == 0.0
+        _, omegas = moment_form_rhs(state, data)
+        assert np.linalg.norm(omegas[0]) == 0.0
+
+
+class TestFieldContract:
+    """Every layered RHS returns plain arrays stacked like the state, with
+    exactly antisymmetric generators."""
+
+    @pytest.mark.parametrize("rhs", [effective_rhs, general_rhs, moment_form_rhs])
+    def test_stacked_antisymmetric(self, rhs):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            state, data = _random_state_and_data(int(rng.integers(1, 5)), 6, rng)
+            beta_dots, omegas = rhs(state, data)
+            assert beta_dots.shape == state.betas.shape
+            assert omegas.shape == state.rotations.shape
+            assert np.array_equal(omegas, -omegas.swapaxes(1, 2))
+
+    def test_frozen_masks_agree_across_forms(self):
+        # frozen sign patterns, here unrelated to the points, override the
+        # computed ones in the per-point and the moment form alike
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            state, data = _random_state_and_data(int(rng.integers(2, 5)), 6, rng)
+            masks = {(k, k): rng.random(data.clusters[k].shape) < 0.5 for k in range(state.depth)}
+            b1, o1 = effective_rhs(state, data, masks)
+            b2, o2 = moment_form_rhs(state, data, masks)
+            assert np.max(np.abs(b1 - b2)) <= 1e-12
+            assert np.max(np.abs(o1 - o2)) <= 1e-12
+
+    def test_depth_beyond_clusters_rejected(self):
+        q = 2
+        state = state_from_arrays([np.eye(q)] * 3, [np.zeros(q)] * 3, np.eye(q), np.zeros((q, q)))
+        data = TrainingSet([np.ones((2, q)), np.ones((2, q))])
+        for rhs in (effective_rhs, moment_form_rhs):
+            with pytest.raises(IndexRange):
+                rhs(state, data)
 
 
 class TestGeneralRhs:
     def test_reduces_to_effective_on_separated(self):
         for seed in range(10):
             state, data = make_separated_config(int(RNG.integers(2, 4)), n_per=4, seed=100 + seed)
-            slopes = general_rhs(state, data)
+            b1, o1 = effective_rhs(state, data)
+            b2, o2 = general_rhs(state, data)
             for layer in range(state.depth):
-                bd, om = effective_rhs(state, data, layer)
-                b2, o2 = slopes[layer]
-                assert np.max(np.abs(bd - b2)) <= 1e-10
-                assert np.max(np.abs(om.mat - o2.mat)) <= 1e-10
+                assert np.max(np.abs(b1[layer] - b2[layer])) <= 1e-10
+                assert np.max(np.abs(o1[layer] - o2[layer])) <= 1e-10
 
     def test_all_positive_is_flat(self):
         q = 3
         state = state_from_arrays([np.eye(q)] * q, [20.0 * np.ones(q)] * q, np.eye(q), RNG.normal(size=(q, q)))
         data = TrainingSet([np.abs(RNG.normal(size=(3, q))) for _ in range(q)])
-        for bd, om in general_rhs(state, data):
-            assert np.all(bd == 0.0) and om.norm() == 0.0
+        for bd, om in zip(*general_rhs(state, data)):
+            assert np.all(bd == 0.0) and np.linalg.norm(om) == 0.0
 
     def test_matches_fd_on_mixed_data(self):
         settings = FDSettings(step=1e-5)
         rng = np.random.default_rng(17)
         state, data = _random_state_and_data(3, 5, rng)
-        slopes = general_rhs(state, data)
+        beta_dots, omegas = general_rhs(state, data)
         for layer in range(state.depth):
             fd_b = fd_grad_beta(state, data, layer, settings)
             fd_o = fd_grad_rotation(state, data, layer, settings=settings)
-            bd, om = slopes[layer]
+            bd, om = beta_dots[layer], omegas[layer]
             assert np.linalg.norm(bd + fd_b) <= 1e-5 * max(np.linalg.norm(fd_b), 1e-3)
-            assert np.linalg.norm(om.mat - fd_o.mat) <= 1e-5 * max(np.linalg.norm(fd_o.mat), 1e-3)
+            assert np.linalg.norm(om - fd_o.mat) <= 1e-5 * max(np.linalg.norm(fd_o.mat), 1e-3)
 
 
 def test_directional_derivative_pairing():
@@ -152,7 +190,7 @@ def test_directional_derivative_pairing():
     for seed in range(6):
         state, data = make_separated_config(int(rng.integers(2, 4)), n_per=4, seed=900 + seed)
         layer = int(rng.integers(0, state.depth))
-        _, om = effective_rhs(state, data, layer)
+        om = effective_rhs(state, data)[1][layer]
         g = rng.normal(size=(state.dim, state.dim))
         w = AntisymmetricMatrix(0.5 * (g - g.T))
         eps = 1e-6
@@ -160,7 +198,7 @@ def test_directional_derivative_pairing():
         c_plus = euclidean_cost(state.with_layer(layer, lp.with_updates(rotation=retract(lp.rotation, w, eps))), data)
         c_minus = euclidean_cost(state.with_layer(layer, lp.with_updates(rotation=retract(lp.rotation, w, -eps))), data)
         fd = (c_plus - c_minus) / (2 * eps)
-        analytic = float(np.trace(w.mat @ om.mat))
+        analytic = float(np.trace(w.mat @ om))
         assert abs(fd - analytic) <= 1e-5 * max(abs(analytic), 1e-3)
 
 

@@ -14,7 +14,7 @@ from truncflow.integrate import (
     write_events_csv,
     write_trajectory_csv,
 )
-from truncflow.manifold import OrthogonalMatrix
+from truncflow.manifold import AntisymmetricMatrix, OrthogonalMatrix
 from truncflow.measures import TrainingSet
 from truncflow.model import ModelState
 from truncflow.scenarios import make_separated_config, named_initial_state, make_equilibrium_data
@@ -92,10 +92,7 @@ class TestTrajectoryInvariants:
         traj = integrate_effective(state, data, 0.1)
         assert not traj.events
 
-        def rhs(st):
-            return [effective_rhs(st, data, k) for k in range(st.depth)]
-
-        ref = reference_integrate(rhs, state, 0.1, step=1e-4)
+        ref = reference_integrate(effective_rhs, state, data, 0.1, step=1e-4)
         final = traj.final_state
         for k in range(2):
             assert np.max(np.abs(final.layers[k].beta - ref.layers[k].beta)) <= 1e-8
@@ -154,7 +151,7 @@ class TestTrajectoryInvariants:
 
 class TestBoundaryValidation:
     """RK stages and bisection probes build no validated objects; each
-    accepted sample checks its rotations once."""
+    accepted sample checks its rotations once, and no generator is wrapped."""
 
     @staticmethod
     def count_inits(monkeypatch, cls) -> dict:
@@ -176,6 +173,7 @@ class TestBoundaryValidation:
         state, data = make_separated_config(q, n_per=n_per, seed=seed)
         states = self.count_inits(monkeypatch, ModelState)
         rotations = self.count_inits(monkeypatch, OrthogonalMatrix)
+        generators = self.count_inits(monkeypatch, AntisymmetricMatrix)
         traj = integrator(state, data, 1.0)
         assert traj.events  # the bisection ran
         # depth x (accepted samples + 1): each accepted sample checks its
@@ -183,6 +181,7 @@ class TestBoundaryValidation:
         bound = state.depth * len(traj.samples)
         assert states["n"] <= bound
         assert rotations["n"] <= bound
+        assert generators["n"] == 0
 
     def test_rotation_off_the_group_rejected_at_entry(self):
         state, data = make_separated_config(2, n_per=4, seed=0)

@@ -134,6 +134,26 @@ class TestClusterSeparation:
         assert not ok
         assert (0, 1, 0) in violations
 
+    def test_many_violations_match_per_point_loop(self):
+        # overlapping clusters violate separation at many points; the
+        # vectorized check must list the same triples in the same order
+        from truncflow.model import classify_sector
+        from truncflow.verify import _random_state_and_data
+
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            state, data = _random_state_and_data(int(rng.integers(2, 5)), 8, rng)
+            expected = [
+                (k, l, i)
+                for k, layer in enumerate(state.layers)
+                for l, pts in enumerate(data.clusters) if l != k
+                for i, x in enumerate(pts) if not classify_sector(layer, x).all_true()
+            ]
+            ok, violations = check_cluster_separation(state, data)
+            assert len(expected) > 1
+            assert not ok and violations == expected
+            assert all(type(v) is int for triple in violations for v in triple)
+
 
 class TestTrainingSetIO:
     def test_round_trip(self, tmp_path):
