@@ -90,8 +90,8 @@ class ScenarioConfig:
             raise ConfigError(f"field 'q' must be a positive integer, got {self.q!r}")
         if self.mode not in MODES:
             raise ConfigError(f"field 'mode' must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.s_end, (int, float)) or self.s_end <= 0:
-            raise ConfigError(f"field 's_end' must be positive, got {self.s_end!r}")
+        if not isinstance(self.s_end, (int, float)) or not 0 < self.s_end < np.inf:
+            raise ConfigError(f"field 's_end' must be positive and finite, got {self.s_end!r}")
         if self.l is not None and (not isinstance(self.l, int) or self.l < 1):
             raise ConfigError(f"field 'l' must be a positive integer, got {self.l!r}")
         if self.mode in ("effective", "general", "oned", "clustered") and self.data is None:
@@ -114,7 +114,17 @@ class ScenarioConfig:
         unknown = set(self.tolerances) - known
         if unknown:
             raise ConfigError(f"unknown tolerance field(s) {sorted(unknown)}")
-        return IntegratorOptions(**{k: float(v) for k, v in self.tolerances.items()})
+        values = {}
+        for name, value in self.tolerances.items():
+            try:
+                values[name] = float(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"field 'tolerances.{name}' must be a number, got {value!r}") from None
+        try:
+            return IntegratorOptions(**values)
+        except ValueError as exc:  # the message is "<field> <reason>"
+            name, _, reason = str(exc).partition(" ")
+            raise ConfigError(f"field 'tolerances.{name}' {reason}") from exc
 
 
 def _load_data(cfg: ScenarioConfig):

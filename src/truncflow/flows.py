@@ -127,24 +127,22 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     """Descent velocities for every layer without any separation assumption.
 
     Same contract as :func:`effective_rhs`, but every cluster contributes to
-    every layer through the chained truncation: for each point, beta_dot_l
-    picks up R_l^T Hperp_l R_l S_{l+1}^T resid and Omega_l the commutator
-    -[H_l, (a c^T + c a^T)/2] with a = R_l(t + beta_l), c = R_l S_{l+1}^T resid,
-    where t is the point's image after l layers, resid its final mismatch to
-    the cluster's pulled label, and S_{l+1} the product of the downstream
-    truncation Jacobians.  All points of a cluster are processed as a batch,
-    and `frozen_masks` needs an entry for every (layer, cluster) pair.
+    every layer through the chained truncation.  A forward sweep pushes each
+    point through the layers; an adjoint sweep then pulls its final mismatch
+    g = t_L - ytilde back one layer at a time: with c = R_l g (as rows,
+    g @ R_l^T), layer l picks up beta_dot_l += R_l^T Hperp_l c and
+    Omega_l -= [H_l, (a c^T + c a^T)/2] with a = R_l(t_l + beta_l) its pushed
+    coordinates, and g becomes R_l^T H_l c, the mismatch pulled back through
+    layer l's truncation Jacobian.  All points of a cluster are processed as
+    a batch, and `frozen_masks` needs an entry for every (layer, cluster) pair.
     """
-    depth, q = state.depth, state.dim
     beta_dots = np.zeros(state.betas.shape)
     omegas = np.zeros(state.rotations.shape)
-    eye = np.eye(q)
     for l_cl, pts in enumerate(data.clusters):
         n = len(pts)
         if n == 0:
             raise EmptyCluster(f"cluster {l_cl} is empty")
         weight = 1.0 / n
-        ytil = state.pulled_labels[l_cl]
         # forward sweep: pushed coordinates and activity masks per layer
         t = np.asarray(pts, dtype=float)
         pushed, masks = [], []
@@ -155,21 +153,14 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
             pushed.append(z)
             masks.append(nu)
             t = (nu * z) @ r - beta
-        resid = t - ytil
-        # backward sweep: suffix[k][i] = D_{depth-1,i} ... D_{k,i}
-        suffix = np.broadcast_to(eye, (n, q, q))
-        suffixes = [None] * (depth + 1)
-        suffixes[depth] = suffix
-        for k in range(depth - 1, -1, -1):
-            r = state.rotations[k]
-            d = (r.T[None, :, :] * masks[k][:, None, :]) @ r
-            suffixes[k] = suffixes[k + 1] @ d
-        for l in range(depth):
+        # adjoint sweep: g is the mismatch pulled back through the layers above l
+        g = t - state.pulled_labels[l_cl]
+        for l in range(state.depth - 1, -1, -1):
             r = state.rotations[l]
-            pulled = np.einsum("nqp,nq->np", suffixes[l + 1], resid)
-            c = pulled @ r.T
+            c = g @ r.T
             beta_dots[l] += weight * np.sum(((1.0 - masks[l]) * c) @ r, axis=0)
             omegas[l] -= weight * _summed_commutators(masks[l], pushed[l], c)
+            g = (masks[l] * c) @ r
     return beta_dots, omegas
 
 

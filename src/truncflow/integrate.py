@@ -13,13 +13,15 @@ returns the velocities stacked like the state: beta_dots (L, Q) and the
 generators omegas (L, Q, Q), as plain arrays.  RK stages and bisection probes
 step the state's stacked arrays with them and build no validated objects.
 Rotations are checked against the orthogonality bound at integrator entry
-and once per accepted step (`ModelState.checked`).
+and once per accepted step (`ModelState.checked`).  The field is evaluated
+once per accepted state, at that state's masks: a sample reports the field
+its next step starts from, and that step reuses it as its first stage.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,6 +50,19 @@ class IntegratorOptions:
     bisect_tol: float = 1e-9    # crossing-time localization in s
     atol: float = 1e-9          # collapsed-flow state tolerance, absolute
     rtol: float = 1e-7          # collapsed-flow state tolerance, relative
+
+    def __post_init__(self):
+        """Reject values no step control can honour; the message names the field."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.name in ("step", "min_step", "bisect_tol") and value <= 0:
+                raise ValueError(f"{f.name} must be positive, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{f.name} must be non-negative, got {value!r}")
+        if self.min_step > self.step:
+            raise ValueError(f"min_step must not exceed step {self.step!r}, got {self.min_step!r}")
 
 
 @dataclass(frozen=True)
@@ -101,10 +116,10 @@ def _apply(state: ModelState, beta_dots: np.ndarray, omegas: np.ndarray, dt: flo
     return state.derive(rotations, state.betas + dt * beta_dots)
 
 
-def _rk4_step(state: ModelState, data: TrainingSet, rhs, masks, h: float) -> tuple[ModelState, np.ndarray]:
+def _rk4_step(state: ModelState, k1, data: TrainingSet, rhs, masks, h: float) -> tuple[ModelState, np.ndarray]:
     """Classical 4-stage step of `rhs` frozen at `masks`, retracting by the averaged
-    generators; returns the new state and those generators."""
-    b1, o1 = rhs(state, data, masks)
+    generators; `k1` is the field at `state`.  Returns the new state and those generators."""
+    b1, o1 = k1
     b2, o2 = rhs(_apply(state, b1, o1, 0.5 * h), data, masks)
     b3, o3 = rhs(_apply(state, b2, o2, 0.5 * h), data, masks)
     b4, o4 = rhs(_apply(state, b3, o3, h), data, masks)
@@ -158,19 +173,19 @@ def _integrate_layered(state0, data, rhs, pairs, s_end, opts) -> Trajectory:
     `rhs(state, data, masks)` returns the velocities stacked like the state.
     Every stage passes the step's `masks` (keyed by the tracked `pairs`), so
     it evaluates the smooth extension of that sector configuration and no
-    stage ever samples the field across a boundary; the diagnostics call
-    `rhs(state, data)`, the true piecewise field.
+    stage ever samples the field across a boundary.
     """
-    if s_end <= 0:
-        raise ValueError("s_end must be positive")
+    if not 0 < s_end < np.inf:
+        raise ValueError(f"s_end must be positive and finite, got {s_end!r}")
     if state0.depth > data.q:
         raise ValueError("need one cluster (and label) per layer: depth <= q")
 
     state = state0.checked()
     s = 0.0
     masks = _sector_masks(state, data, pairs)
+    k1 = rhs(state, data, masks)
     cost = euclidean_cost(state, data)
-    samples = [FlowSample(s, state, cost, _diagnostics(state, rhs(state, data)[1], masks))]
+    samples = [FlowSample(s, state, cost, _diagnostics(state, k1[1], masks))]
     events: list[Event] = []
     retractions = [0] * state.depth
     h_nominal = opts.step
@@ -181,7 +196,7 @@ def _integrate_layered(state0, data, rhs, pairs, s_end, opts) -> Trajectory:
         while True:
             if h < opts.min_step:
                 raise StepUnderflow(f"step underflow at s = {s:.6g}")
-            advanced, generators = _rk4_step(state, data, rhs, masks, h)
+            advanced, generators = _rk4_step(state, k1, data, rhs, masks, h)
             new_masks = _sector_masks(advanced, data, pairs)
             dt, pending_events = h, []
             if not _masks_equal(masks, new_masks):
@@ -189,7 +204,9 @@ def _integrate_layered(state0, data, rhs, pairs, s_end, opts) -> Trajectory:
                 lo = 0.0
                 while dt - lo > opts.bisect_tol:
                     mid = 0.5 * (lo + dt)
-                    probe, probe_generators = _rk4_step(state, data, rhs, masks, mid)
+                    if s + mid in (s + lo, s + dt):  # no representable time between them
+                        break
+                    probe, probe_generators = _rk4_step(state, k1, data, rhs, masks, mid)
                     probe_masks = _sector_masks(probe, data, pairs)
                     if _masks_equal(masks, probe_masks):
                         lo = mid
@@ -225,7 +242,8 @@ def _integrate_layered(state0, data, rhs, pairs, s_end, opts) -> Trajectory:
         state, masks = advanced.checked(), new_masks
         cost = euclidean_cost(state, data) if reprojected else advanced_cost
         s += dt
-        samples.append(FlowSample(s, state, cost, _diagnostics(state, rhs(state, data)[1], masks)))
+        k1 = rhs(state, data, masks)
+        samples.append(FlowSample(s, state, cost, _diagnostics(state, k1[1], masks)))
 
     return Trajectory(samples=samples, events=events)
 
@@ -301,8 +319,8 @@ def integrate_collapsed(cs0: CollapsedState, s_end: float,
     between one full step and two half steps meets atol/rtol.  Each sample
     logs the drift of B B^T - W^T W from its initial value.
     """
-    if s_end <= 0:
-        raise ValueError("s_end must be positive")
+    if not 0 < s_end < np.inf:
+        raise ValueError(f"s_end must be positive and finite, got {s_end!r}")
     opts = opts or IntegratorOptions()
     inv0 = conserved_quantity(cs0)
     scale0 = 1.0 + float(np.linalg.norm(inv0))
@@ -394,11 +412,11 @@ def _fit_log_slope(ts: np.ndarray, values: np.ndarray) -> float | None:
     return float(slope)
 
 
-def fit_phase_exponents(traj: Trajectory, trailing: float = 0.5) -> list[dict]:
+def fit_phase_exponents(traj: Trajectory) -> list[dict]:
     """Per inter-event phase, fitted log slopes of cost and of each beta gap.
 
-    Fits use the trailing fraction of each phase (default: trailing half),
-    matching the piecewise-exponential structure of the flow.
+    Fits use the trailing half of each phase, matching the
+    piecewise-exponential structure of the flow.
     """
     ts = traj.times
     edges = [ts[0]] + sorted({ev.s for ev in traj.events}) + [ts[-1]]
@@ -407,7 +425,7 @@ def fit_phase_exponents(traj: Trajectory, trailing: float = 0.5) -> list[dict]:
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi - lo <= 0:
             continue
-        cut = hi - trailing * (hi - lo)
+        cut = hi - 0.5 * (hi - lo)
         sel = (ts >= cut - 1e-12) & (ts <= hi + 1e-12)
         sub = [smp for smp, keep in zip(traj.samples, sel) if keep]
         if len(sub) < 3:

@@ -29,6 +29,13 @@ def as_square(a) -> np.ndarray:
     return m
 
 
+def check_orthogonal(m: np.ndarray) -> None:
+    """Raise ValueError unless the square array m has ||m^T m - I||_F <= 1e-10."""
+    err = np.linalg.norm(m.T @ m - np.eye(m.shape[0]))
+    if err > ORTHO_TOL:
+        raise ValueError(f"matrix is not orthogonal: ||R^T R - I|| = {err:.3e}")
+
+
 class OrthogonalMatrix:
     """A Q x Q matrix R with ||R^T R - I||_F <= 1e-10, immutable."""
 
@@ -36,9 +43,7 @@ class OrthogonalMatrix:
 
     def __init__(self, mat):
         m = as_square(mat)
-        err = np.linalg.norm(m.T @ m - np.eye(m.shape[0]))
-        if err > ORTHO_TOL:
-            raise ValueError(f"matrix is not orthogonal: ||R^T R - I|| = {err:.3e}")
+        check_orthogonal(m)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 

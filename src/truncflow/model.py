@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCluster, IndexRange
-from .manifold import OrthogonalMatrix
+from .manifold import OrthogonalMatrix, check_orthogonal
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,9 @@ class ModelState:
 
     The constructor takes validated LayerParams, checks the output map and
     labels, and solves the pulled labels.  States derived from it share those
-    and check only their shapes.  `layers`, the read-only view of validated
-    LayerParams, is built on first read, which checks every rotation.
+    and check only their shapes.  `checked()` applies the orthogonality bound
+    to the stacked rotations; `layers`, the read-only view of validated
+    LayerParams, is built on first read, which checks every rotation too.
     """
 
     def __init__(self, layers, output_map, labels):
@@ -135,16 +136,19 @@ class ModelState:
         self._layers = None
 
     def checked(self) -> "ModelState":
-        """This state, after building `layers`; a rotation off the group raises ValueError."""
-        if self._layers is None:
-            self._layers = tuple(
-                LayerParams(OrthogonalMatrix(r), b) for r, b in zip(self.rotations, self.betas)
-            )
+        """This state, after checking every rotation; one off the group raises ValueError."""
+        if self._layers is None:  # a built view holds validated rotations
+            for r in self.rotations:
+                check_orthogonal(r)
         return self
 
     @property
     def layers(self) -> tuple[LayerParams, ...]:
-        return self.checked()._layers
+        if self._layers is None:
+            self._layers = tuple(
+                LayerParams(OrthogonalMatrix(r), b) for r, b in zip(self.rotations, self.betas)
+            )
+        return self._layers
 
     @property
     def dim(self) -> int:

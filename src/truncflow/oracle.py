@@ -23,13 +23,10 @@ class FDSettings:
     """Central-difference increment; only the central scheme is offered."""
 
     step: float = 1e-5
-    scheme: str = "central"
 
     def __post_init__(self):
         if not (1e-9 <= self.step <= 1e-2):
             raise ValueError(f"step {self.step} outside [1e-9, 1e-2]")
-        if self.scheme != "central":
-            raise ValueError("only the central scheme is supported")
 
 
 def assert_kink_free(state: ModelState, data: TrainingSet, step: float) -> None:

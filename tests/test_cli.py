@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import truncflow
 from truncflow.cli import ConfigError, ScenarioConfig, main, run_scenario
 from truncflow.flows import effective_rhs
 from truncflow.verify import gradients_suite
@@ -190,6 +193,30 @@ class TestRunCommand:
             got = {csv: hashlib.sha256((tmp_path / Path(name).stem / csv).read_bytes()).hexdigest()
                    for csv in expected}
             assert got == expected, name
+
+    @pytest.mark.parametrize("change, code, named", [
+        ({"s_end": float("inf")}, 2, "'s_end'"),
+        ({"s_end": float("nan")}, 2, "'s_end'"),
+        ({"tolerances": {"bisect_tol": 0}}, 2, "'tolerances.bisect_tol'"),
+        ({"tolerances": {"step": float("nan")}}, 2, "'tolerances.step'"),
+        ({"tolerances": {"step": -0.01}}, 2, "'tolerances.step'"),
+        ({"tolerances": {"step": None}}, 2, "'tolerances.step'"),
+        ({"tolerances": {"bisect_tol": 1e-300}}, 0, None),
+    ])
+    def test_degenerate_numbers_end_fast(self, tmp_path, change, code, named):
+        # in a subprocess with a timeout, so an input that never ends fails the test
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "oned_ladder.json").read_text())
+        doc.update(change, output=str(tmp_path / "out"))
+        env = dict(os.environ, PYTHONPATH=str(Path(truncflow.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "truncflow.cli", "run", write_config(tmp_path, doc)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert done.returncode == code, done.stderr
+        if named:
+            assert named in done.stderr
+        else:
+            assert (tmp_path / "out" / "summary.json").is_file()
 
     def test_random_orthogonal_init_seeded(self, tmp_path):
         doc = all_positive_config(tmp_path, out_name="s")

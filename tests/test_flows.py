@@ -168,6 +168,32 @@ class TestGeneralRhs:
         for bd, om in zip(*general_rhs(state, data)):
             assert np.all(bd == 0.0) and np.linalg.norm(om) == 0.0
 
+    def test_matches_per_point_suffix_products(self):
+        # reference: each point's residual pulled back through the product of
+        # the truncation Jacobians of layers l+1..L (chained_projectors)
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            state, data = _random_state_and_data(int(rng.integers(2, 5)), 6, rng)
+            depth = state.depth
+            want_b = np.zeros(state.betas.shape)
+            want_o = np.zeros(state.rotations.shape)
+            for l_cl, pts in enumerate(data.clusters):
+                for x in pts:
+                    images = [chained_truncation(state, x, 0, k) for k in range(depth + 1)]
+                    resid = images[depth] - state.pulled_labels[l_cl]
+                    for l in range(depth):
+                        r, beta = state.rotations[l], state.betas[l]
+                        suffix = chained_projectors(state, images[l + 1], l + 1, depth)[0]
+                        c = r @ (suffix.T @ resid)
+                        a = r @ (images[l] + beta)
+                        nu = np.diag((a > 0.0).astype(float))
+                        sym = 0.5 * (np.outer(a, c) + np.outer(c, a))
+                        want_b[l] += r.T @ (np.diag(1.0 - np.diag(nu)) @ c) / len(pts)
+                        want_o[l] -= (nu @ sym - sym @ nu) / len(pts)
+            beta_dots, omegas = general_rhs(state, data)
+            assert np.max(np.abs(beta_dots - want_b)) <= 1e-12
+            assert np.max(np.abs(omegas - want_o)) <= 1e-12
+
     def test_matches_fd_on_mixed_data(self):
         settings = FDSettings(step=1e-5)
         rng = np.random.default_rng(17)

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from truncflow.integrate import (
     write_events_csv,
     write_trajectory_csv,
 )
-from truncflow.manifold import AntisymmetricMatrix, OrthogonalMatrix
+import truncflow.integrate
+from truncflow.flows import effective_rhs, general_rhs
+from truncflow.manifold import REPOLAR_EVERY, AntisymmetricMatrix, OrthogonalMatrix
 from truncflow.measures import TrainingSet
 from truncflow.model import ModelState
 from truncflow.scenarios import make_separated_config, named_initial_state, make_equilibrium_data
@@ -113,6 +117,34 @@ class TestTrajectoryInvariants:
         with pytest.raises(StepUnderflow):
             integrate_effective(state, data, 4.0, opts)
 
+    @pytest.mark.parametrize("field, value", [
+        ("step", np.nan), ("step", np.inf), ("step", 0.0), ("step", -0.01),
+        ("min_step", 0.0), ("min_step", 0.02), ("bisect_tol", 0.0), ("bisect_tol", -np.inf),
+        ("cost_slack", -1e-8), ("atol", np.nan), ("rtol", -1e-7),
+    ])
+    def test_options_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            IntegratorOptions(**{field: value})
+
+    def test_non_finite_horizon_rejected(self):
+        state, data = make_one_dim_state([1.0, 2.0], 5.0, 1.0)
+        for s_end in (np.inf, np.nan, 0.0):
+            with pytest.raises(ValueError, match="s_end"):
+                integrate_effective(state, data, s_end)
+            with pytest.raises(ValueError, match="s_end"):
+                integrate_collapsed(CollapsedState(np.eye(2), np.eye(2), np.eye(2)), s_end)
+
+    def test_bisection_stops_at_float_spacing(self):
+        # a tolerance below the spacing of floats near the crossing cannot be
+        # met; the bisection ends when no float lies between its brackets
+        state, data = make_one_dim_state([1.0, 2.0], 5.0, 1.0)
+        loose = integrate_effective(state, data, 3.0)
+        tight = integrate_effective(state, data, 3.0, IntegratorOptions(bisect_tol=1e-300))
+        assert [ev[1:] for ev in map(astuple, tight.events)] == [ev[1:] for ev in map(astuple, loose.events)]
+        for a, b in zip(tight.events, loose.events):
+            assert abs(a.s - b.s) <= 1e-9
+        assert tight.times[-1] == pytest.approx(3.0)
+
     def test_general_flow_on_overlapping_clusters(self):
         # no separation, no closed form: cost decrease is the only claim
         from truncflow.scenarios import state_from_arrays
@@ -176,12 +208,50 @@ class TestBoundaryValidation:
         generators = self.count_inits(monkeypatch, AntisymmetricMatrix)
         traj = integrator(state, data, 1.0)
         assert traj.events  # the bisection ran
-        # depth x (accepted samples + 1): each accepted sample checks its
-        # rotations once, and each 100th retraction adds one re-projection
-        bound = state.depth * len(traj.samples)
-        assert states["n"] <= bound
-        assert rotations["n"] <= bound
+        # accepted samples check their rotations without building objects;
+        # only a re-projection (each 100th retraction of a layer) builds one
+        assert states["n"] == 0
+        assert rotations["n"] <= state.depth * (len(traj.samples) // REPOLAR_EVERY + 1)
         assert generators["n"] == 0
+
+    @pytest.mark.parametrize("integrator, rhs_name, q, n_per, seed", [
+        (integrate_effective, "effective_rhs", 3, 20, 0),
+        (integrate_general, "general_rhs", 2, 4, 10),
+    ])
+    def test_one_field_evaluation_per_accepted_state(self, monkeypatch, integrator, rhs_name,
+                                                     q, n_per, seed):
+        # each accepted state's field is the first stage of every step tried
+        # from it (trial, cost-halving retries, bisection probes) and its diagnostics
+        calls = {"rhs": 0, "rk4": 0}
+        rhs, rk4 = getattr(truncflow.integrate, rhs_name), truncflow.integrate._rk4_step
+
+        def counting_rhs(*args):
+            calls["rhs"] += 1
+            return rhs(*args)
+
+        def counting_rk4(*args):
+            calls["rk4"] += 1
+            return rk4(*args)
+
+        monkeypatch.setattr(truncflow.integrate, rhs_name, counting_rhs)
+        monkeypatch.setattr(truncflow.integrate, "_rk4_step", counting_rk4)
+        state, data = make_separated_config(q, n_per=n_per, seed=seed)
+        traj = integrator(state, data, 1.0)
+        assert traj.events
+        assert calls["rhs"] == len(traj.samples) + 3 * calls["rk4"]
+
+    @pytest.mark.parametrize("integrator, rhs, q, n_per, seed", [
+        (integrate_effective, effective_rhs, 3, 20, 0),
+        (integrate_general, general_rhs, 2, 4, 10),
+    ])
+    def test_diagnostics_report_the_true_field(self, integrator, rhs, q, n_per, seed):
+        # the field evaluated at a sample's own masks is the unfrozen field there
+        state, data = make_separated_config(q, n_per=n_per, seed=seed)
+        traj = integrator(state, data, 1.0)
+        for smp in traj.samples:
+            omegas = rhs(smp.state, data)[1]
+            for k, diag in enumerate(smp.per_layer):
+                assert diag.omega_norm == float(np.linalg.norm(omegas[k]))
 
     def test_rotation_off_the_group_rejected_at_entry(self):
         state, data = make_separated_config(2, n_per=4, seed=0)

@@ -24,7 +24,7 @@ class TestFDSettings:
             FDSettings(step=1e-10)
         with pytest.raises(ValueError):
             FDSettings(step=0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # central differences only: no scheme knob
             FDSettings(scheme="forward")
 
 
