@@ -1,7 +1,9 @@
 """Command-line front end: run a scenario from a JSON config, or verify
 property suites.
 
-Exit codes: 0 success, 2 config/validation failure, 3 step underflow.
+Exit codes: 0 success, 2 config/validation failure, 3 step underflow or a
+trajectory stopped at a sliding configuration (its files cover the run up to
+the stop, and summary.json names the reason).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .integrate import (
     write_events_csv,
     write_trajectory_csv,
 )
+from .manifold import orthogonality_error
 from .measures import TrainingSet
 from .oracle import rk4_array
 from .scenarios import make_one_dim_state, named_initial_state, state_from_arrays
@@ -38,6 +41,15 @@ MODES = ("effective", "general", "collapsed", "clustered", "oned")
 
 class ConfigError(TruncflowError):
     """Invalid scenario configuration; the message names the offending field."""
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; booleans are ints to Python but not numbers in a config."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
 
 
 @dataclass
@@ -86,13 +98,13 @@ class ScenarioConfig:
         return doc
 
     def validate(self) -> None:
-        if not isinstance(self.q, int) or self.q < 1:
+        if not _is_int(self.q) or self.q < 1:
             raise ConfigError(f"field 'q' must be a positive integer, got {self.q!r}")
         if self.mode not in MODES:
             raise ConfigError(f"field 'mode' must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.s_end, (int, float)) or not 0 < self.s_end < np.inf:
+        if not _is_number(self.s_end) or not 0 < self.s_end < np.inf:
             raise ConfigError(f"field 's_end' must be positive and finite, got {self.s_end!r}")
-        if self.l is not None and (not isinstance(self.l, int) or self.l < 1):
+        if self.l is not None and (not _is_int(self.l) or self.l < 1):
             raise ConfigError(f"field 'l' must be a positive integer, got {self.l!r}")
         if self.mode in ("effective", "general", "oned", "clustered") and self.data is None:
             raise ConfigError(f"field 'data' is required for mode '{self.mode}'")
@@ -116,10 +128,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown tolerance field(s) {sorted(unknown)}")
         values = {}
         for name, value in self.tolerances.items():
-            try:
-                values[name] = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"field 'tolerances.{name}' must be a number, got {value!r}") from None
+            if not _is_number(value):
+                raise ConfigError(f"field 'tolerances.{name}' must be a number, got {value!r}")
+            values[name] = float(value)
         try:
             return IntegratorOptions(**values)
         except ValueError as exc:  # the message is "<field> <reason>"
@@ -190,16 +201,14 @@ def _run_layered(cfg: ScenarioConfig, out: Path) -> dict:
         "mode": cfg.mode,
         "final_cost": traj.costs[-1],
         "initial_cost": traj.costs[0],
-        "final_state": {
-            "rotations": [lp.rotation.mat for lp in final.layers],
-            "betas": [lp.beta for lp in final.layers],
-        },
+        "final_state": {"rotations": final.rotations, "betas": final.betas},
         "n_events": len(traj.events),
         "phases": fit_phase_exponents(traj),
         "rotation_freeze_s": freeze_time(traj),
         "max_orthogonality_error": max(
-            lp.rotation.orthogonality_error() for smp in traj.samples for lp in smp.state.layers
+            orthogonality_error(r) for smp in traj.samples for r in smp.state.rotations
         ),
+        "stopped_reason": traj.stopped_reason,
     }
 
 
@@ -293,6 +302,7 @@ def _run_oned(cfg: ScenarioConfig, out: Path) -> dict:
         "closed_form_frozen": flow.frozen,
         "phases": fit_phase_exponents(traj),
         "n_events": len(traj.events),
+        "stopped_reason": traj.stopped_reason,
     }
 
 
@@ -329,6 +339,9 @@ def _cmd_run(args) -> int:
         return 2
     print(f"wrote {cfg.output}/trajectory.csv, events.csv, summary.json "
           f"(final cost {summary['final_cost']:.6g})")
+    if summary.get("stopped_reason"):
+        print(f"error: {summary['stopped_reason']}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -16,6 +16,10 @@ Rotations are checked against the orthogonality bound at integrator entry
 and once per accepted step (`ModelState.checked`).  The field is evaluated
 once per accepted state, at that state's masks: a sample reports the field
 its next step starts from, and that step reuses it as its first stage.
+
+Crossings are taken to be transversal.  If an event's coordinate is driven back
+across its hyperplane by the field of its new sector, the field on both sides points
+into it (Filippov's sliding condition), and the trajectory ends with a `stopped_reason`.
 """
 
 from __future__ import annotations
@@ -96,6 +100,7 @@ class Event:
 class Trajectory:
     samples: list[FlowSample]
     events: list[Event]
+    stopped_reason: str | None = None  # why it ended before s_end (sliding), else None
 
     @property
     def times(self) -> np.ndarray:
@@ -155,6 +160,22 @@ def _diff_events(s: float, before: dict, after: dict) -> list[Event]:
     return events
 
 
+def _normal_speed(state: ModelState, data: TrainingSet, field, ev: Event) -> float:
+    """d/ds of the event's pushed coordinate under `field`, forward mode through layers 0..ev.layer:
+    z' = Omega_k z + R_k (t' + beta_dot_k), then t' = R_k^T (nu z' + Omega_k^T (nu z)) - beta_dot_k."""
+    beta_dots, omegas = field
+    t = data.clusters[ev.cluster][ev.point]
+    t_dot = np.zeros_like(t)
+    for k in range(ev.layer + 1):
+        r, om, beta = state.rotations[k], omegas[k], state.betas[k]
+        z = r @ (t + beta)
+        z_dot = om @ z + r @ (t_dot + beta_dots[k])
+        nu = z > 0.0
+        t = r.T @ (nu * z) - beta
+        t_dot = r.T @ (nu * z_dot + om.T @ (nu * z)) - beta_dots[k]
+    return float(z_dot[ev.coordinate])
+
+
 def _diagnostics(state: ModelState, omegas: np.ndarray, masks: dict) -> tuple[LayerDiagnostics, ...]:
     """Per-layer Omega norm, distance of beta to its attractor, truncation counts."""
     return tuple(
@@ -189,7 +210,6 @@ def _integrate_layered(state0, data, rhs, pairs, s_end, opts) -> Trajectory:
     events: list[Event] = []
     retractions = [0] * state.depth
     h_nominal = opts.step
-    crawl_steps = 0  # consecutive event steps that barely advanced
 
     while s < s_end - 1e-13:
         h = min(h_nominal, s_end - s)
@@ -219,15 +239,6 @@ def _integrate_layered(state0, data, rhs, pairs, s_end, opts) -> Trajectory:
                 continue
             break
 
-        if pending_events and dt <= 100.0 * opts.bisect_tol:
-            crawl_steps += 1
-            if crawl_steps > 50:
-                raise StepUnderflow(
-                    f"chattering at s = {s:.6g}: a point is pinned to an activation "
-                    "boundary (sliding configuration, outside the transversal-crossing regime)"
-                )
-        else:
-            crawl_steps = 0
         events.extend(pending_events)
 
         reprojected = False
@@ -244,6 +255,11 @@ def _integrate_layered(state0, data, rhs, pairs, s_end, opts) -> Trajectory:
         s += dt
         k1 = rhs(state, data, masks)
         samples.append(FlowSample(s, state, cost, _diagnostics(state, k1[1], masks)))
+        for ev in pending_events:
+            if _normal_speed(state, data, k1, ev) * (1.0 if ev.direction == "entering" else -1.0) > 0.0:
+                return Trajectory(samples, events, stopped_reason=(
+                    f"sliding at s = {s:.6g}: layer {ev.layer}, cluster {ev.cluster}, point {ev.point}, "
+                    f"coordinate {ev.coordinate} ({ev.direction}): the field on both sides points into it"))
 
     return Trajectory(samples=samples, events=events)
 

@@ -29,9 +29,14 @@ def as_square(a) -> np.ndarray:
     return m
 
 
+def orthogonality_error(m: np.ndarray) -> float:
+    """||m^T m - I||_F of the square array m."""
+    return float(np.linalg.norm(m.T @ m - np.eye(m.shape[0])))
+
+
 def check_orthogonal(m: np.ndarray) -> None:
     """Raise ValueError unless the square array m has ||m^T m - I||_F <= 1e-10."""
-    err = np.linalg.norm(m.T @ m - np.eye(m.shape[0]))
+    err = orthogonality_error(m)
     if err > ORTHO_TOL:
         raise ValueError(f"matrix is not orthogonal: ||R^T R - I|| = {err:.3e}")
 
@@ -59,7 +64,7 @@ class OrthogonalMatrix:
         return cls(np.eye(dim))
 
     def orthogonality_error(self) -> float:
-        return float(np.linalg.norm(self.mat.T @ self.mat - np.eye(self.dim)))
+        return orthogonality_error(self.mat)
 
     def __repr__(self):
         return f"OrthogonalMatrix(dim={self.dim})"

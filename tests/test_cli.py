@@ -12,7 +12,7 @@ import pytest
 import truncflow
 from truncflow.cli import ConfigError, ScenarioConfig, main, run_scenario
 from truncflow.flows import effective_rhs
-from truncflow.verify import gradients_suite
+from truncflow.verify import _monotonicity_case, gradients_suite
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -66,6 +66,14 @@ class TestConfigParsing:
                 {"q": 2, "mode": "collapsed", "s_end": 1.0, "output": "x", "banana": 1}
             )
 
+    @pytest.mark.parametrize("name", ["step", "min_step", "cost_slack", "bisect_tol", "atol", "rtol"])
+    def test_boolean_tolerance_rejected(self, name):
+        cfg = ScenarioConfig.from_dict({"q": 1, "mode": "collapsed", "s_end": 1.0, "output": "x",
+                                        "init": {"b": [[1.0]], "w": [[1.0]], "y": [[1.0]]},
+                                        "tolerances": {name: False}})
+        with pytest.raises(ConfigError, match=f"'tolerances.{name}'"):
+            cfg.integrator_options()
+
     def test_mode_specific_requirements(self):
         with pytest.raises(ConfigError, match="init.b"):
             ScenarioConfig.from_dict({"q": 2, "mode": "collapsed", "s_end": 1.0, "output": "x"})
@@ -84,6 +92,7 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_events"] == 0
         assert summary["final_cost"] == summary["initial_cost"]
+        assert summary["stopped_reason"] is None
         assert (out / "trajectory.csv").exists() and (out / "events.csv").exists()
 
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
@@ -106,6 +115,29 @@ class TestRunCommand:
         }
         cfg = write_config(tmp_path, doc)
         assert main(["run", cfg]) == 3
+
+    def test_exit_3_on_sliding_writes_the_run_so_far(self, tmp_path, capsys):
+        # the monotonicity suite's sliding case (seed 0, case 5) as an explicit config
+        state, data, _, _ = _monotonicity_case(0, 5)
+        doc = {
+            "q": data.q,
+            "mode": "general",
+            "s_end": 1.0,
+            "output": str(tmp_path / "slide"),
+            "data": {"q": data.q, "clusters": [c.tolist() for c in data.clusters],
+                     "labels": state.labels.tolist()},
+            "init": {"kind": "explicit", "rotations": state.rotations.tolist(),
+                     "betas": state.betas.tolist(), "output_map": state.output_map.tolist()},
+        }
+        assert main(["run", write_config(tmp_path, doc)]) == 3
+        out = tmp_path / "slide"
+        summary = json.loads((out / "summary.json").read_text())
+        assert "layer 0, cluster 0, point 0, coordinate 0 " in summary["stopped_reason"]
+        assert summary["stopped_reason"] in capsys.readouterr().err
+        rows = (out / "trajectory.csv").read_text().strip().split("\n")[1:]
+        assert 0.25527 <= float(rows[-1].split(",")[0]) <= 0.25528
+        events = (out / "events.csv").read_text().strip().split("\n")[1:]
+        assert events and events[-1].split(",")[0] == rows[-1].split(",")[0]
 
     def test_collapsed_scenario(self, tmp_path):
         doc = {
@@ -202,6 +234,10 @@ class TestRunCommand:
         ({"tolerances": {"step": -0.01}}, 2, "'tolerances.step'"),
         ({"tolerances": {"step": None}}, 2, "'tolerances.step'"),
         ({"tolerances": {"bisect_tol": 1e-300}}, 0, None),
+        ({"q": True}, 2, "'q'"),
+        ({"l": True}, 2, "'l'"),
+        ({"s_end": True}, 2, "'s_end'"),
+        ({"tolerances": {"step": True}}, 2, "'tolerances.step'"),
     ])
     def test_degenerate_numbers_end_fast(self, tmp_path, change, code, named):
         # in a subprocess with a timeout, so an input that never ends fails the test

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from truncflow.integrate import (
     write_events_csv,
     write_trajectory_csv,
 )
+import truncflow
 import truncflow.integrate
 from truncflow.flows import effective_rhs, general_rhs
 from truncflow.manifold import REPOLAR_EVERY, AntisymmetricMatrix, OrthogonalMatrix
@@ -23,6 +28,7 @@ from truncflow.measures import TrainingSet
 from truncflow.model import ModelState
 from truncflow.scenarios import make_separated_config, named_initial_state, make_equilibrium_data
 from truncflow.scenarios import make_one_dim_state
+from truncflow.verify import _monotonicity_case
 
 RNG = np.random.default_rng(7)
 
@@ -148,7 +154,6 @@ class TestTrajectoryInvariants:
     def test_general_flow_on_overlapping_clusters(self):
         # no separation, no closed form: cost decrease is the only claim
         from truncflow.scenarios import state_from_arrays
-        from truncflow.verify import _integrate_transversal
 
         rng = np.random.default_rng(23)
         q = 2
@@ -158,7 +163,7 @@ class TestTrajectoryInvariants:
         )
         clusters = [rng.normal(size=(4, q)), rng.normal(size=(4, q)) + 0.2]
         data = TrainingSet(clusters)
-        traj = _integrate_transversal(integrate_general, state, data, 0.5)
+        traj = integrate_general(state, data, 0.5)
         assert traj is not None and len(traj.samples) > 5
         cs = traj.costs
         assert np.all(np.diff(cs) <= 1e-8 * (1.0 + cs[:-1]))
@@ -166,7 +171,6 @@ class TestTrajectoryInvariants:
     def test_general_flow_with_short_stack(self):
         # fewer layers than clusters: every cluster still drives every layer
         from truncflow.scenarios import state_from_arrays
-        from truncflow.verify import _integrate_transversal
 
         rng = np.random.default_rng(31)
         q, depth = 3, 2
@@ -175,10 +179,80 @@ class TestTrajectoryInvariants:
             np.eye(q), rng.normal(size=(q, q)),
         )
         data = TrainingSet([rng.normal(size=(3, q)) for _ in range(q)])
-        traj = _integrate_transversal(integrate_general, state, data, 0.2)
+        traj = integrate_general(state, data, 0.2)
         assert traj is not None and traj.final_state.depth == depth
         cs = traj.costs
         assert np.all(np.diff(cs) <= 1e-8 * (1.0 + cs[:-1]))
+
+
+class TestSliding:
+    """An event whose coordinate the field of its new sector drives back across
+    the hyperplane is sliding (Filippov's condition): the trajectory ends there."""
+
+    @pytest.mark.parametrize("seed, case, s_lo, s_hi, where", [
+        (0, 5, 0.25527, 0.25528, (0, 0, 0, 0)),          # general flow
+        (1, 0, 0.3462485, 0.3462505, (2, 2, 0, 1)),      # effective flow
+    ])
+    def test_stops_at_the_first_sliding_event(self, seed, case, s_lo, s_hi, where):
+        state, data, integrator, _ = _monotonicity_case(seed, case)
+        traj = integrator(state, data, 1.0)
+        s_stop = traj.times[-1]
+        assert s_lo <= s_stop <= s_hi
+        layer, cluster, point, coordinate = where
+        assert (f"s = {s_stop:.6g}: layer {layer}, cluster {cluster}, point {point}, "
+                f"coordinate {coordinate} ") in traj.stopped_reason
+        assert any((ev.s, ev.layer, ev.cluster, ev.point, ev.coordinate) == (s_stop, *where)
+                   for ev in traj.events)
+
+    def test_transversal_trajectory_reaches_s_end(self):
+        state, data, integrator, _ = _monotonicity_case(0, 3)
+        traj = integrator(state, data, 1.0)
+        assert traj.events and traj.stopped_reason is None
+        assert traj.times[-1] == pytest.approx(1.0)
+
+    def test_tight_bisection_still_stops(self):
+        # the test does not depend on the bisection tolerance; in a subprocess
+        # with a timeout, so a check that a tolerance switches off fails, not hangs
+        code = (
+            "from truncflow.integrate import IntegratorOptions\n"
+            "from truncflow.verify import _monotonicity_case\n"
+            "state, data, integrate, _ = _monotonicity_case(0, 5)\n"
+            "traj = integrate(state, data, 1.0, IntegratorOptions(bisect_tol=1e-300))\n"
+            "print(repr(float(traj.times[-1])))\n"
+            "print(traj.stopped_reason)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(truncflow.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        s_stop, reason = done.stdout.splitlines()
+        assert 0.25527 <= float(s_stop) <= 0.25528
+        assert "layer 0, cluster 0, point 0, coordinate 0 " in reason
+
+    def test_normal_speed_matches_central_difference(self):
+        from truncflow.integrate import Event, _apply, _masks_equal, _normal_speed, _sector_masks
+        from truncflow.model import chained_truncation
+        from truncflow.verify import _random_state_and_data
+
+        rng = np.random.default_rng(41)
+        h, checked = 1e-6, 0
+        for _ in range(100):
+            state, data = _random_state_and_data(int(rng.integers(2, 5)), 6, rng)
+            field = general_rhs(state, data)
+            layer, cluster = int(rng.integers(state.depth)), int(rng.integers(data.q))
+            point, coordinate = int(rng.integers(len(data.clusters[cluster]))), int(rng.integers(state.dim))
+            below = [(k, cluster) for k in range(layer)]
+            moved = [_apply(state, *field, step) for step in (-h, h)]
+            if not all(_masks_equal(_sector_masks(state, data, below), _sector_masks(st, data, below))
+                       for st in moved):
+                continue  # a layer below changes sector inside the stencil
+            z = [(st.rotations[layer] @ (chained_truncation(st, data.clusters[cluster][point], 0, layer)
+                                         + st.betas[layer]))[coordinate] for st in moved]
+            fd = (z[1] - z[0]) / (2 * h)
+            ev = Event(0.0, layer, cluster, point, coordinate, "entering")
+            assert abs(_normal_speed(state, data, field, ev) - fd) <= 1e-7 * (1.0 + abs(fd))
+            checked += 1
+        assert checked >= 90
 
 
 class TestBoundaryValidation:

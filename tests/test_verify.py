@@ -1,5 +1,6 @@
 import numpy as np
 
+import truncflow.verify
 from truncflow.verify import (
     conservation_suite,
     equivalence_suite,
@@ -22,6 +23,23 @@ def test_monotonicity_suite_small():
     assert names == ["cost_non_increasing", "orthogonality_drift", "descent_identity"]
     descent = result["properties"][2]
     assert descent["cases"] > 0  # the identity was actually exercised
+
+
+def test_monotonicity_suite_integrates_each_case_once(monkeypatch):
+    # a sliding trajectory stops and is checked as it is; nothing is re-run
+    calls = []
+    for name in ("integrate_effective", "integrate_general"):
+        integrator = getattr(truncflow.verify, name)
+
+        def counting(*args, integrator=integrator):
+            calls.append(args)
+            return integrator(*args)
+
+        monkeypatch.setattr(truncflow.verify, name, counting)
+    result = monotonicity_suite(seed=0)
+    assert len(calls) == 12
+    assert result["passed"], result
+    assert [(p["cases"], p["skipped"]) for p in result["properties"][:2]] == [(12, 0), (12, 0)]
 
 
 def test_run_suites_aggregation():
