@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import StepUnderflow, TruncflowError
+from .errors import EmptyCluster, StepUnderflow, TruncflowError
 from .flows import clustered_explicit, clustered_rhs, one_dim_flow, CollapsedState
 from .integrate import (
     IntegratorOptions,
@@ -33,7 +33,7 @@ from .integrate import (
 from .manifold import orthogonality_error
 from .measures import TrainingSet
 from .oracle import rk4_array
-from .scenarios import make_one_dim_state, named_initial_state, state_from_arrays
+from .scenarios import INITIAL_STATES, make_one_dim_state, named_initial_state, state_from_arrays
 from .verify import SUITES, run_suites
 
 MODES = ("effective", "general", "collapsed", "clustered", "oned")
@@ -50,6 +50,23 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
+
+
+def _field_error(prefix: str, exc: Exception) -> ConfigError:
+    """A library error whose message reads "<key> <reason>", as a ConfigError naming field prefix + key."""
+    key, _, reason = str(exc).partition(" ")
+    return ConfigError(f"field '{prefix}{key}' {reason}")
+
+
+def _floats(name: str, value) -> np.ndarray:
+    """Config field `name` as a float array; anything else, or a non-finite entry, is a ConfigError naming it."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field '{name}' must be an array of numbers: {exc}") from exc
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"field '{name}' must be finite")
+    return out
 
 
 @dataclass
@@ -114,8 +131,19 @@ class ScenarioConfig:
                     raise ConfigError(f"field 'init.{key}' is required for mode 'collapsed'")
         if self.mode == "clustered" and "w0" not in self.init:
             raise ConfigError("field 'init.w0' is required for mode 'clustered'")
-        if self.mode == "oned" and "b0" not in self.init:
-            raise ConfigError("field 'init.b0' is required for mode 'oned'")
+        if self.mode == "oned":
+            if "b0" not in self.init:
+                raise ConfigError("field 'init.b0' is required for mode 'oned'")
+            b0 = self.init["b0"]
+            if not _is_number(b0) or not -np.inf < b0 < np.inf:
+                raise ConfigError(f"field 'init.b0' must be a finite number, got {b0!r}")
+        if self.mode in ("effective", "general"):
+            kind, kinds = self.init.get("kind", "identity"), INITIAL_STATES + ("explicit",)
+            if kind not in kinds:
+                raise ConfigError(f"field 'init.kind' must be one of {kinds}, got {kind!r}")
+            seed = self.init.get("seed", 0)
+            if not _is_int(seed) or seed < 0:
+                raise ConfigError(f"field 'init.seed' must be a non-negative integer, got {seed!r}")
 
     @property
     def depth(self) -> int:
@@ -125,7 +153,7 @@ class ScenarioConfig:
         known = {"step", "min_step", "cost_slack", "bisect_tol", "atol", "rtol"}
         unknown = set(self.tolerances) - known
         if unknown:
-            raise ConfigError(f"unknown tolerance field(s) {sorted(unknown)}")
+            raise ConfigError(f"unknown field(s) {sorted('tolerances.' + name for name in unknown)}")
         values = {}
         for name, value in self.tolerances.items():
             if not _is_number(value):
@@ -133,17 +161,18 @@ class ScenarioConfig:
             values[name] = float(value)
         try:
             return IntegratorOptions(**values)
-        except ValueError as exc:  # the message is "<field> <reason>"
-            name, _, reason = str(exc).partition(" ")
-            raise ConfigError(f"field 'tolerances.{name}' {reason}") from exc
+        except ValueError as exc:
+            raise _field_error("tolerances.", exc) from exc
 
 
 def _load_data(cfg: ScenarioConfig):
     doc = cfg.data
-    if "path" in doc:
-        data, labels = TrainingSet.load(doc["path"])
-    else:
-        data, labels = TrainingSet.from_dict(doc)
+    try:
+        data, labels = TrainingSet.load(doc["path"]) if "path" in doc else TrainingSet.from_dict(doc)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"field 'data.path': {exc}") from exc
+    except (ValueError, EmptyCluster) as exc:
+        raise _field_error("data.", exc) from exc
     if data.q != cfg.q:
         raise ConfigError(f"field 'data' has {data.q} clusters but q = {cfg.q}")
     if labels is None:
@@ -154,24 +183,22 @@ def _load_data(cfg: ScenarioConfig):
 def _build_state(cfg: ScenarioConfig, data, labels):
     init = cfg.init
     kind = init.get("kind", "identity")
-    output_map = np.asarray(init["output_map"], dtype=float) if "output_map" in init else None
-    if kind == "explicit":
-        for key in ("rotations", "betas"):
-            if key not in init:
-                raise ConfigError(f"field 'init.{key}' is required for explicit init")
-        return state_from_arrays(
-            [np.asarray(r, dtype=float) for r in init["rotations"]],
-            [np.asarray(b, dtype=float) for b in init["betas"]],
-            output_map if output_map is not None else np.eye(cfg.q),
-            labels,
-        )
+    output_map = _floats("init.output_map", init["output_map"]) if "output_map" in init else None
     try:
-        return named_initial_state(
-            kind, data, labels, output_map=output_map,
-            depth=cfg.depth, seed=int(init.get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"field 'init.kind': {exc}") from exc
+        if kind == "explicit":
+            for key in ("rotations", "betas"):
+                if key not in init:
+                    raise ConfigError(f"field 'init.{key}' is required for explicit init")
+            return state_from_arrays(
+                _floats("init.rotations", init["rotations"]),
+                _floats("init.betas", init["betas"]),
+                output_map if output_map is not None else np.eye(cfg.q),
+                labels,
+            )
+        return named_initial_state(kind, data, labels, output_map=output_map,
+                                   depth=cfg.depth, seed=init.get("seed", 0))
+    except ValueError as exc:  # the layers and the output map are checked together
+        raise ConfigError(f"field 'init': {exc}") from exc
 
 
 def _json_default(obj):
@@ -188,10 +215,9 @@ def _write_summary(path: Path, summary: dict) -> None:
         fh.write("\n")
 
 
-def _run_layered(cfg: ScenarioConfig, out: Path) -> dict:
+def _run_layered(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
     data, labels = _load_data(cfg)
     state = _build_state(cfg, data, labels)
-    opts = cfg.integrator_options()
     integrate = integrate_effective if cfg.mode == "effective" else integrate_general
     traj = integrate(state, data, cfg.s_end, opts)
     write_trajectory_csv(traj, out / "trajectory.csv")
@@ -212,13 +238,9 @@ def _run_layered(cfg: ScenarioConfig, out: Path) -> dict:
     }
 
 
-def _run_collapsed(cfg: ScenarioConfig, out: Path) -> dict:
-    cs = CollapsedState(
-        np.asarray(cfg.init["b"], dtype=float),
-        np.asarray(cfg.init["w"], dtype=float),
-        np.asarray(cfg.init["y"], dtype=float),
-    )
-    traj = integrate_collapsed(cs, cfg.s_end, cfg.integrator_options())
+def _run_collapsed(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
+    cs = CollapsedState(*(_floats(f"init.{key}", cfg.init[key]) for key in ("b", "w", "y")))
+    traj = integrate_collapsed(cs, cfg.s_end, opts)
     write_collapsed_csv(traj, out / "trajectory.csv")
     (out / "events.csv").write_text("s,layer,cluster,point,coordinate,direction\n")
     ts, costs = traj.times, traj.costs
@@ -234,9 +256,10 @@ def _run_collapsed(cfg: ScenarioConfig, out: Path) -> dict:
     }
 
 
-def _run_clustered(cfg: ScenarioConfig, out: Path) -> dict:
+def _run_clustered(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
+    """Closed form against a fixed-step ODE solve; neither takes step control from `opts`."""
     data, labels = _load_data(cfg)
-    w0 = np.asarray(cfg.init["w0"], dtype=float)
+    w0 = _floats("init.w0", cfg.init["w0"])
     x0 = np.vstack(data.clusters).T
     y_ext = np.column_stack([
         np.repeat(labels[l][:, None], data.counts[l], axis=1) for l in range(data.q)
@@ -281,7 +304,7 @@ def _run_clustered(cfg: ScenarioConfig, out: Path) -> dict:
     }
 
 
-def _run_oned(cfg: ScenarioConfig, out: Path) -> dict:
+def _run_oned(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
     data, labels = _load_data(cfg)
     if cfg.q != 1:
         raise ConfigError("field 'q' must be 1 for mode 'oned'")
@@ -290,7 +313,7 @@ def _run_oned(cfg: ScenarioConfig, out: Path) -> dict:
     b0 = float(cfg.init["b0"])
     flow = one_dim_flow(points, y, b0, len(points))
     state, dset = make_one_dim_state(points, y, b0)
-    traj = integrate_effective(state, dset, cfg.s_end, cfg.integrator_options())
+    traj = integrate_effective(state, dset, cfg.s_end, opts)
     write_trajectory_csv(traj, out / "trajectory.csv")
     write_events_csv(traj.events, out / "events.csv")
     return {
@@ -316,7 +339,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         "clustered": _run_clustered,
         "oned": _run_oned,
     }[cfg.mode]
-    summary = runner(cfg, out)
+    summary = runner(cfg, out, cfg.integrator_options())
     _write_summary(out / "summary.json", summary)
     return summary
 
@@ -357,6 +380,8 @@ def _cmd_verify(args) -> int:
             print(f"[{status}] {suite['suite']}/{prop['name']}: "
                   f"worst {prop['worst']:.3e} (tol {prop['tolerance']:.3e}, "
                   f"{prop['cases']} cases, {prop['skipped']} skipped)")
+        for stop in suite.get("stopped", []):
+            print(f"[STOP] {suite['suite']}/case {stop['case']}: {stop['reason']}")
     if args.out:
         try:
             with open(args.out, "w") as fh:

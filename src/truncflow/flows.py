@@ -22,6 +22,8 @@ antisymmetric.  `frozen_masks` maps (layer, cluster) to boolean (N, Q)
 activity patterns that replace the computed ones.  Generators are
 validated as :class:`~truncflow.manifold.AntisymmetricMatrix` only where
 they cross the public boundary (`retract`, the finite-difference oracle).
+The collapsed field takes and returns plain arrays too,
+``collapsed_rhs(b, w, y) -> (b_dot, w_dot)``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import numpy as np
 
 from .errors import (
     BadOrdering,
-    EmptyCluster,
     IndexRange,
     LabelInsideData,
     SingularGram,
@@ -81,8 +82,6 @@ def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     omegas = np.empty(state.rotations.shape)
     for k, (r, beta) in enumerate(zip(state.rotations, state.betas)):
         pts = data.clusters[k]
-        if len(pts) == 0:
-            raise EmptyCluster(f"cluster {k} is empty")
         v = r @ (beta + state.pulled_labels[k])
         z = (pts + beta) @ r.T
         pos = (z > 0.0) if frozen_masks is None else frozen_masks[(k, k)]
@@ -108,8 +107,6 @@ def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     omegas = np.zeros(state.rotations.shape)
     for k, lp in enumerate(state.layers):
         pts = data.clusters[k]
-        if len(pts) == 0:
-            raise EmptyCluster(f"cluster {k} is empty")
         r = lp.rotation.mat
         v = r @ (lp.beta + state.pulled_labels[k])
         mom = compute_moments(lp, pts, None if frozen_masks is None else frozen_masks[(k, k)])
@@ -139,12 +136,9 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     beta_dots = np.zeros(state.betas.shape)
     omegas = np.zeros(state.rotations.shape)
     for l_cl, pts in enumerate(data.clusters):
-        n = len(pts)
-        if n == 0:
-            raise EmptyCluster(f"cluster {l_cl} is empty")
-        weight = 1.0 / n
+        weight = 1.0 / len(pts)
         # forward sweep: pushed coordinates and activity masks per layer
-        t = np.asarray(pts, dtype=float)
+        t = pts
         pushed, masks = [], []
         for k, (r, beta) in enumerate(zip(state.rotations, state.betas)):
             z = (t + beta) @ r.T
@@ -208,6 +202,8 @@ class CollapsedState:
         for name, m in (("b_matrix", b), ("w_out", w), ("y_matrix", y)):
             if m.shape != (q, q):
                 raise ValueError(f"{name} has shape {m.shape}, expected ({q}, {q})")
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"{name} has a non-finite entry")
             m.setflags(write=False)
         object.__setattr__(self, "b_matrix", b)
         object.__setattr__(self, "w_out", w)
@@ -223,12 +219,10 @@ class CollapsedState:
         return 0.5 * float(np.sum(e * e))
 
 
-def collapsed_rhs(cs: CollapsedState):
-    """Gradient-descent velocities of (B, W) for the collapsed standard cost."""
-    e = cs.w_out @ cs.b_matrix + cs.y_matrix
-    b_dot = -(cs.w_out.T @ e)
-    w_dot = -(e @ cs.b_matrix.T)
-    return b_dot, w_dot
+def collapsed_rhs(b: np.ndarray, w: np.ndarray, y: np.ndarray):
+    """Gradient-descent velocities (B_dot, W_dot) of the collapsed standard cost at the arrays (B, W, Y)."""
+    e = w @ b + y
+    return -(w.T @ e), -(e @ b.T)
 
 
 def conserved_quantity(cs: CollapsedState) -> np.ndarray:
@@ -255,6 +249,9 @@ def clustered_explicit(w0, x0, y_ext, s: float) -> np.ndarray:
     q, n = x0.shape
     if w0.shape != (q, q) or y_ext.shape != (q, n):
         raise ValueError("shape mismatch: need W0 (Q,Q), X (Q,N), Y_ext (Q,N)")
+    for name, m in (("W0", w0), ("X", x0), ("Y_ext", y_ext)):
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"{name} has a non-finite entry")
     gram = x0 @ x0.T
     vals = np.linalg.eigvalsh(gram)
     if vals[0] <= 1e-10 * vals[-1]:

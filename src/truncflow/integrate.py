@@ -39,7 +39,7 @@ from .flows import (
 )
 from .manifold import REPOLAR_EVERY, polar_decompose, retract_array
 from .measures import TrainingSet, warn_if_not_separated
-from .model import ModelState, chained_truncation, euclidean_cost
+from .model import ModelState, euclidean_cost
 
 logger = logging.getLogger(__name__)
 
@@ -134,17 +134,20 @@ def _rk4_step(state: ModelState, k1, data: TrainingSet, rhs, masks, h: float) ->
 
 
 def _sector_masks(state: ModelState, data: TrainingSet, pairs) -> dict:
-    """Boolean (N, Q) activity patterns of chained cluster images, keyed by pair.
+    """Boolean (N, Q) activity patterns of chained cluster images, keyed by pair in `pairs` order.
 
-    `pairs` lists the tracked (layer, cluster) combinations; the cluster's
-    points are pushed through layers 0..layer-1 and classified at `layer`.
+    `pairs` lists the tracked (layer, cluster) combinations.  Each cluster is
+    pushed once through the layers below its deepest tracked one, and its
+    pushed coordinates z are classified at every layer on the way.
     """
-    out = {}
-    for layer, cluster in pairs:
-        images = chained_truncation(state, data.clusters[cluster], 0, layer)
-        z = (images + state.betas[layer]) @ state.rotations[layer].T
-        out[(layer, cluster)] = z > 0.0
-    return out
+    z = {}
+    for cluster in {c for _, c in pairs}:
+        t = data.clusters[cluster]
+        for k in range(max(layer for layer, c in pairs if c == cluster) + 1):
+            if k:  # images after layer k - 1, by the truncation map's own arithmetic
+                t = np.maximum(z[(k - 1, cluster)], 0.0) @ state.rotations[k - 1] - state.betas[k - 1]
+            z[(k, cluster)] = (t + state.betas[k]) @ state.rotations[k].T
+    return {pair: z[pair] > 0.0 for pair in pairs}
 
 
 def _masks_equal(a: dict, b: dict) -> bool:
@@ -314,14 +317,10 @@ class CollapsedTrajectory:
 
 
 def _collapsed_rk4(b, w, y, h):
-    def f(bb, ww):
-        cs = CollapsedState(bb, w_out=ww, y_matrix=y)
-        return collapsed_rhs(cs)
-
-    kb1, kw1 = f(b, w)
-    kb2, kw2 = f(b + 0.5 * h * kb1, w + 0.5 * h * kw1)
-    kb3, kw3 = f(b + 0.5 * h * kb2, w + 0.5 * h * kw2)
-    kb4, kw4 = f(b + h * kb3, w + h * kw3)
+    kb1, kw1 = collapsed_rhs(b, w, y)
+    kb2, kw2 = collapsed_rhs(b + 0.5 * h * kb1, w + 0.5 * h * kw1, y)
+    kb3, kw3 = collapsed_rhs(b + 0.5 * h * kb2, w + 0.5 * h * kw2, y)
+    kb4, kw4 = collapsed_rhs(b + h * kb3, w + h * kw3, y)
     bn = b + (h / 6.0) * (kb1 + 2 * kb2 + 2 * kb3 + kb4)
     wn = w + (h / 6.0) * (kw1 + 2 * kw2 + 2 * kw3 + kw4)
     return bn, wn

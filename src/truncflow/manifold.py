@@ -35,9 +35,9 @@ def orthogonality_error(m: np.ndarray) -> float:
 
 
 def check_orthogonal(m: np.ndarray) -> None:
-    """Raise ValueError unless the square array m has ||m^T m - I||_F <= 1e-10."""
+    """Raise ValueError unless the square array m has ||m^T m - I||_F <= 1e-10 (NaN fails)."""
     err = orthogonality_error(m)
-    if err > ORTHO_TOL:
+    if not err <= ORTHO_TOL:
         raise ValueError(f"matrix is not orthogonal: ||R^T R - I|| = {err:.3e}")
 
 
@@ -78,7 +78,7 @@ class AntisymmetricMatrix:
     def __init__(self, mat):
         m = as_square(mat)
         err = np.linalg.norm(m + m.T)
-        if err > ANTISYM_TOL * max(1.0, np.linalg.norm(m)):
+        if not err <= ANTISYM_TOL * max(1.0, np.linalg.norm(m)):  # NaN fails
             raise ValueError(f"matrix is not antisymmetric: ||A + A^T|| = {err:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)

@@ -20,10 +20,10 @@ logger = logging.getLogger(__name__)
 
 
 class TrainingSet:
-    """Q clusters of length-Q points; cluster l carries label index l."""
+    """Q clusters of length-Q points, a tuple of read-only, non-empty, finite arrays; cluster l carries label l."""
 
     def __init__(self, clusters):
-        cl = [np.asarray(c, dtype=float) for c in clusters]
+        cl = tuple(np.asarray(c, dtype=float) for c in clusters)
         if not cl:
             raise ValueError("need at least one cluster")
         q = len(cl)
@@ -34,6 +34,10 @@ class TrainingSet:
                 )
             if c.shape[0] < 1:
                 raise EmptyCluster(f"cluster {i} is empty")
+            bad = np.argwhere(~np.isfinite(c))
+            if len(bad):
+                point, coord = bad[0]
+                raise ValueError(f"cluster {i} point {point} coordinate {coord} is {c[point, coord]}, not finite")
             c.setflags(write=False)
         self.clusters = cl
 
@@ -57,17 +61,31 @@ class TrainingSet:
 
     @classmethod
     def from_dict(cls, doc: dict) -> tuple["TrainingSet", np.ndarray | None]:
-        """Parse {"q": int, "clusters": [[[x...]...]...], "labels": [[y...]...]}."""
+        """Parse {"q": int, "clusters": [[[x...]...]...], "labels": [[y...]...]}.
+
+        A rejected document raises ValueError, or EmptyCluster for an empty
+        cluster, whose message starts with the key at fault: "clusters",
+        "q" or "labels".
+        """
         if "clusters" not in doc:
-            raise ValueError("training-set document is missing 'clusters'")
-        ts = cls(doc["clusters"])
-        if "q" in doc and int(doc["q"]) != ts.q:
-            raise ValueError(f"declared q={doc['q']} but found {ts.q} clusters")
-        labels = None
-        if doc.get("labels") is not None:
-            labels = np.asarray(doc["labels"], dtype=float)
-            if labels.shape != (ts.q, ts.clusters[0].shape[1]):
-                raise ValueError(f"labels have shape {labels.shape}, expected ({ts.q}, {ts.clusters[0].shape[1]})")
+            raise ValueError("clusters is missing from the training-set document")
+        try:
+            ts = cls(doc["clusters"])
+        except (ValueError, EmptyCluster) as exc:
+            raise type(exc)(f"clusters rejected: {exc}") from exc
+        q = doc.get("q", ts.q)
+        if not isinstance(q, int) or isinstance(q, bool) or q != ts.q:
+            raise ValueError(f"q must be the number of clusters, {ts.q}, got {q!r}")
+        labels = doc.get("labels")
+        if labels is not None:
+            try:
+                labels = np.asarray(labels, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"labels must be numbers: {exc}") from exc
+            if labels.shape != (ts.q, ts.q):
+                raise ValueError(f"labels must have shape ({ts.q}, {ts.q}), got {labels.shape}")
+            if not np.all(np.isfinite(labels)):
+                raise ValueError("labels must be finite")
         return ts, labels
 
     @classmethod

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCluster, IndexRange
+from .errors import IndexRange
 from .manifold import OrthogonalMatrix, check_orthogonal
 
 
@@ -71,6 +71,8 @@ class LayerParams:
         b = np.asarray(self.beta, dtype=float)
         if b.shape != (self.rotation.dim,):
             raise ValueError(f"beta has shape {b.shape}, expected ({self.rotation.dim},)")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("beta has a non-finite entry")
         b.setflags(write=False)
         object.__setattr__(self, "beta", b)
 
@@ -110,9 +112,13 @@ class ModelState:
         w = np.asarray(output_map, dtype=float)
         if w.shape != (q, q):
             raise ValueError(f"output_map has shape {w.shape}, expected ({q}, {q})")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("output_map has a non-finite entry")
         y = np.asarray(labels, dtype=float)
         if y.shape != (q, q):
             raise ValueError(f"labels have shape {y.shape}, expected ({q}, {q}) (one row per cluster)")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("labels have a non-finite entry")
         sv = np.linalg.svd(w, compute_uv=False)
         if sv[-1] <= 1e-12 * sv[0]:
             raise ValueError("output_map is numerically singular")
@@ -219,8 +225,6 @@ def classify_sector(layer: LayerParams, x) -> SectorMask:
 
 def _residuals(state: ModelState, data) -> list[np.ndarray]:
     """Per-cluster residual matrices tau^(L..1)(x) - ytilde, rows are points."""
-    if any(len(c) == 0 for c in data.clusters):
-        raise EmptyCluster("every cluster must contain at least one point")
     out = []
     for l, pts in enumerate(data.clusters):
         final = chained_truncation(state, pts)

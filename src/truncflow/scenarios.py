@@ -11,6 +11,9 @@ from .measures import TrainingSet
 from .model import LayerParams, ModelState
 
 
+INITIAL_STATES = ("identity", "random-orthogonal", "all-positive", "fully-truncated")
+
+
 def state_from_arrays(rotations, betas, output_map, labels) -> ModelState:
     layers = [
         LayerParams(rotation=OrthogonalMatrix(r), beta=np.asarray(b, dtype=float))
@@ -52,7 +55,7 @@ def named_initial_state(kind: str, data: TrainingSet, labels, output_map=None,
         rots = [np.eye(q)] * depth
         betas = [-ytil[k] for k in range(depth)]
     else:
-        raise ValueError(f"unknown initial-state generator {kind!r}")
+        raise ValueError(f"unknown initial-state generator {kind!r}; choose from {INITIAL_STATES}")
     return state_from_arrays(rots, betas, w, y)
 
 

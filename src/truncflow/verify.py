@@ -130,15 +130,19 @@ def monotonicity_suite(seed: int = 0, cases: int = 12) -> dict:
 
     Runs on separated configurations (lightly perturbed for the general
     flow), where sector crossings are transversal.  A trajectory that reaches
-    a sliding configuration stops there, and is checked over the part it covers.
+    a sliding configuration stops there, and is checked over the part it covers;
+    the report's "stopped" list names each such case, where it stopped and why.
     """
     slack_worst = 0.0
     ortho_worst = 0.0
     descent_worst = 0.0
     checked = 0  # descent-identity probes checked; two are tried per trajectory
+    stopped = []
     for i in range(cases):
         state, data, integrator, rhs = _monotonicity_case(seed, i)
         traj = integrator(state, data, 1.0)
+        if traj.stopped_reason is not None:
+            stopped.append({"case": i, "s": float(traj.times[-1]), "reason": traj.stopped_reason})
         costs = traj.costs
         rises = np.diff(costs) - 1e-8 * (1.0 + costs[:-1])
         slack_worst = max(slack_worst, float(np.max(rises, initial=-np.inf)))
@@ -164,11 +168,11 @@ def monotonicity_suite(seed: int = 0, cases: int = 12) -> dict:
             if abs(analytic) > 1e-8 and abs(fd_rate) > 1e-8:
                 descent_worst = max(descent_worst, abs(fd_rate - analytic) / abs(analytic))
                 checked += 1
-    return _suite("monotonicity", [
+    return dict(_suite("monotonicity", [
         _prop("cost_non_increasing", slack_worst, 0.0, cases),
         _prop("orthogonality_drift", ortho_worst, 1e-8, cases),
         _prop("descent_identity", descent_worst, 1e-4, checked, 2 * cases - checked),
-    ])
+    ]), stopped=stopped)
 
 
 def conservation_suite(seed: int = 0, cases: int = 10, s_end: float = 5.0) -> dict:

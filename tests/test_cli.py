@@ -15,6 +15,9 @@ from truncflow.flows import effective_rhs
 from truncflow.verify import _monotonicity_case, gradients_suite
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -238,6 +241,28 @@ class TestRunCommand:
         ({"l": True}, 2, "'l'"),
         ({"s_end": True}, 2, "'s_end'"),
         ({"tolerances": {"step": True}}, 2, "'tolerances.step'"),
+        # non-finite input, rejected where it enters the library and named by its field
+        ({"mode": "effective", "data": {"q": 1, "clusters": [[[1.0], [2.0]]], "labels": [[NAN]]}},
+         2, "'data.labels'"),
+        ({"mode": "effective", "data": {"q": 1, "clusters": [[[1.0], [NAN]]], "labels": [[5.0]]}},
+         2, "'data.clusters'"),
+        ({"mode": "effective", "data": {"q": 1, "clusters": [[[INF], [2.0]]], "labels": [[5.0]]}},
+         2, "'data.clusters'"),
+        ({"mode": "collapsed", "init": {"b": [[NAN]], "w": [[1.0]], "y": [[1.0]]}}, 2, "'init.b'"),
+        ({"mode": "clustered", "init": {"w0": [[NAN]]}}, 2, "'init.w0'"),
+        ({"init": {"b0": NAN}}, 2, "'init.b0'"),
+        ({"mode": "effective", "init": {"output_map": [[NAN]]}}, 2, "'init.output_map'"),
+        # numbers of the wrong JSON type
+        ({"data": {"q": 2.7, "clusters": [[[1.0], [2.0]]], "labels": [[5.0]]}}, 2, "'data.q'"),
+        ({"data": {"q": True, "clusters": [[[1.0], [2.0]]], "labels": [[5.0]]}}, 2, "'data.q'"),
+        ({"mode": "effective", "init": {"kind": "random-orthogonal", "seed": 2.5}}, 2, "'init.seed'"),
+        ({"mode": "effective", "init": {"kind": "random-orthogonal", "seed": True}}, 2, "'init.seed'"),
+        ({"init": {"b0": True}}, 2, "'init.b0'"),
+        ({"init": {"b0": "1.0"}}, 2, "'init.b0'"),
+        ({"init": {"b0": None}}, 2, "'init.b0'"),
+        # every mode validates its tolerances, the clustered closed form too
+        ({"mode": "clustered", "init": {"w0": [[1.0]]}, "tolerances": {"step": -1}}, 2, "'tolerances.step'"),
+        ({"mode": "clustered", "init": {"w0": [[1.0]]}, "tolerances": {"bogus": 1}}, 2, "'tolerances.bogus'"),
     ])
     def test_degenerate_numbers_end_fast(self, tmp_path, change, code, named):
         # in a subprocess with a timeout, so an input that never ends fails the test
@@ -271,6 +296,18 @@ class TestVerifyCommand:
         assert "10 cases, 0 skipped)" in out
         report = json.loads(report_path.read_text())
         assert report["passed"] and report["seed"] == 1
+
+    def test_monotonicity_report_names_its_stops(self, tmp_path, capsys):
+        # four of the twelve trajectories at seed 0 end at a sliding configuration
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "monotonicity", "--seed", "0", "--out", str(report_path)]) == 0
+        stopped = json.loads(report_path.read_text())["suites"][0]["stopped"]
+        assert [stop["case"] for stop in stopped] == [1, 5, 7, 9]
+        for stop, s in zip(stopped, (0.988244, 0.255279, 0.962544, 0.812095)):
+            assert abs(stop["s"] - s) <= 1e-6
+            assert stop["reason"].startswith(f"sliding at s = {s:.6g}: ")
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[STOP]")]
+        assert lines == [f"[STOP] monotonicity/case {stop['case']}: {stop['reason']}" for stop in stopped]
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "bogus"]) == 2

@@ -266,14 +266,14 @@ class TestCollapsed:
         w = RNG.normal(size=(q, q)) + 2 * np.eye(q)
         b = RNG.normal(size=(q, q))
         cs = CollapsedState(b, w, -(w @ b))
-        b_dot, w_dot = collapsed_rhs(cs)
+        b_dot, w_dot = collapsed_rhs(cs.b_matrix, cs.w_out, cs.y_matrix)
         assert np.all(b_dot == 0.0) and np.all(w_dot == 0.0)
 
     def test_zero_output_map(self):
         q = 2
         b, y = RNG.normal(size=(q, q)), RNG.normal(size=(q, q))
         cs = CollapsedState(b, np.zeros((q, q)), y)
-        b_dot, w_dot = collapsed_rhs(cs)
+        b_dot, w_dot = collapsed_rhs(cs.b_matrix, cs.w_out, cs.y_matrix)
         np.testing.assert_array_equal(b_dot, np.zeros((q, q)))
         np.testing.assert_allclose(w_dot, -(y @ b.T), atol=1e-15)
 
@@ -281,7 +281,7 @@ class TestCollapsed:
         for _ in range(5):
             cs = CollapsedState(RNG.normal(size=(3, 3)), RNG.normal(size=(3, 3)), RNG.normal(size=(3, 3)))
             b_grad, w_grad = fd_grad_collapsed(cs, FDSettings(step=1e-5))
-            b_dot, w_dot = collapsed_rhs(cs)
+            b_dot, w_dot = collapsed_rhs(cs.b_matrix, cs.w_out, cs.y_matrix)
             assert np.linalg.norm(b_dot + b_grad) <= 1e-6 * max(1.0, np.linalg.norm(b_grad))
             assert np.linalg.norm(w_dot + w_grad) <= 1e-6 * max(1.0, np.linalg.norm(w_grad))
 
@@ -303,6 +303,13 @@ class TestCollapsed:
         cs3 = CollapsedState(RNG.normal(size=(3, 3)), RNG.normal(size=(3, 3)), np.zeros((3, 3)))
         inv = conserved_quantity(cs3)
         assert np.max(np.abs(inv - inv.T)) == 0.0
+
+    def test_non_finite_state_rejected(self):
+        for name, args in (("b_matrix", ([[np.nan]], [[1.0]], [[0.0]])),
+                           ("w_out", ([[1.0]], [[np.inf]], [[0.0]])),
+                           ("y_matrix", ([[1.0]], [[1.0]], [[np.nan]]))):
+            with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
+                CollapsedState(*args)
 
 
 class TestClusteredExplicit:
@@ -338,6 +345,14 @@ class TestClusteredExplicit:
                 )
                 s_prev = s
             assert np.linalg.norm(got - w_flat.reshape(q, q)) <= 1e-6
+
+    def test_non_finite_input_rejected(self):
+        x, y = RNG.normal(size=(2, 3)), RNG.normal(size=(2, 3))
+        with pytest.raises(ValueError, match="^W0 has a non-finite entry"):
+            clustered_explicit([[np.nan, 0.0], [0.0, 1.0]], x, y, 1.0)
+        x[1, 2] = np.inf
+        with pytest.raises(ValueError, match="^X has a non-finite entry"):
+            clustered_explicit(np.eye(2), x, y, 1.0)
 
     def test_singular_gram(self):
         x = np.zeros((2, 3))

@@ -11,6 +11,7 @@ from truncflow.errors import StepUnderflow
 from truncflow.flows import CollapsedState, conserved_quantity
 from truncflow.integrate import (
     IntegratorOptions,
+    _sector_masks,
     fit_phase_exponents,
     freeze_time,
     integrate_collapsed,
@@ -25,10 +26,10 @@ import truncflow.integrate
 from truncflow.flows import effective_rhs, general_rhs
 from truncflow.manifold import REPOLAR_EVERY, AntisymmetricMatrix, OrthogonalMatrix
 from truncflow.measures import TrainingSet
-from truncflow.model import ModelState
+from truncflow.model import ModelState, chained_truncation
 from truncflow.scenarios import make_separated_config, named_initial_state, make_equilibrium_data
 from truncflow.scenarios import make_one_dim_state
-from truncflow.verify import _monotonicity_case
+from truncflow.verify import _monotonicity_case, _random_state_and_data
 
 RNG = np.random.default_rng(7)
 
@@ -230,9 +231,7 @@ class TestSliding:
         assert "layer 0, cluster 0, point 0, coordinate 0 " in reason
 
     def test_normal_speed_matches_central_difference(self):
-        from truncflow.integrate import Event, _apply, _masks_equal, _normal_speed, _sector_masks
-        from truncflow.model import chained_truncation
-        from truncflow.verify import _random_state_and_data
+        from truncflow.integrate import Event, _apply, _masks_equal, _normal_speed
 
         rng = np.random.default_rng(41)
         h, checked = 1e-6, 0
@@ -253,6 +252,28 @@ class TestSliding:
             assert abs(_normal_speed(state, data, field, ev) - fd) <= 1e-7 * (1.0 + abs(fd))
             checked += 1
         assert checked >= 90
+
+
+class TestSectorMasks:
+    @staticmethod
+    def per_pair_chains(state, data, pairs) -> dict:
+        """Reference: each pair's cluster pushed from layer 0 through its own chain."""
+        out = {}
+        for layer, cluster in pairs:
+            images = chained_truncation(state, data.clusters[cluster], 0, layer)
+            z = (images + state.betas[layer]) @ state.rotations[layer].T
+            out[(layer, cluster)] = z > 0.0
+        return out
+
+    def test_one_sweep_matches_per_pair_chains(self):
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            state, data = _random_state_and_data(int(rng.integers(1, 5)), 6, rng)
+            for pairs in ([(k, k) for k in range(state.depth)],
+                          [(k, l) for k in range(state.depth) for l in range(data.q)]):
+                got, want = _sector_masks(state, data, pairs), self.per_pair_chains(state, data, pairs)
+                assert list(got) == list(want) == pairs
+                assert all(np.array_equal(got[pair], want[pair]) for pair in pairs)
 
 
 class TestBoundaryValidation:
@@ -326,6 +347,13 @@ class TestBoundaryValidation:
             omegas = rhs(smp.state, data)[1]
             for k, diag in enumerate(smp.per_layer):
                 assert diag.omega_norm == float(np.linalg.norm(omegas[k]))
+
+    def test_one_collapsed_state_per_sample(self, monkeypatch):
+        # RK stages step plain arrays; only the accepted samples are validated states
+        cs = CollapsedState(RNG.normal(size=(3, 3)), RNG.normal(size=(3, 3)), RNG.normal(size=(3, 3)))
+        states = self.count_inits(monkeypatch, CollapsedState)
+        traj = integrate_collapsed(cs, 5.0)
+        assert states["n"] == len(traj.samples)
 
     def test_rotation_off_the_group_rejected_at_entry(self):
         state, data = make_separated_config(2, n_per=4, seed=0)

@@ -153,6 +153,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             AntisymmetricMatrix([[0.0, 1.0], [-1.0 + 1e-9, 0.0]])
 
+    def test_nan_rejected(self):
+        # NaN compares false with any bound, so the bounds are tested as "not err <= tol"
+        with pytest.raises(ValueError, match="not orthogonal"):
+            OrthogonalMatrix([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            AntisymmetricMatrix([[0.0, np.nan], [np.nan, 0.0]])
+
     def test_immutability(self):
         r = OrthogonalMatrix(np.eye(2))
         with pytest.raises(AttributeError):

@@ -155,6 +155,19 @@ class TestClusterSeparation:
             assert all(type(v) is int for triple in violations for v in triple)
 
 
+class TestTrainingSet:
+    def test_non_finite_point_rejected_naming_it(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^cluster 1 point 2 coordinate 0 is .*, not finite"):
+                TrainingSet([np.ones((2, 2)), [[0.0, 1.0], [1.0, 0.0], [bad, 1.0]]])
+
+    def test_clusters_are_a_read_only_tuple(self):
+        data = TrainingSet([RNG.normal(size=(3, 2)), RNG.normal(size=(1, 2))])
+        assert isinstance(data.clusters, tuple)
+        with pytest.raises(ValueError):
+            data.clusters[0][0, 0] = 1.0
+
+
 class TestTrainingSetIO:
     def test_round_trip(self, tmp_path):
         data = TrainingSet([RNG.normal(size=(3, 2)), RNG.normal(size=(4, 2))])
@@ -173,3 +186,15 @@ class TestTrainingSetIO:
             TrainingSet.from_dict({"q": 3, "clusters": [[[0.0, 1.0]], [[2.0, 3.0]]]})
         with pytest.raises(ValueError):
             TrainingSet.from_dict({"clusters": [[[0.0, 1.0]]], "labels": [[1.0]]})
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"q": 1}, "clusters"),
+        ({"clusters": [[[0.0], [np.nan]]]}, "clusters"),
+        ({"q": 1.0, "clusters": [[[0.0]]]}, "q"),
+        ({"q": True, "clusters": [[[0.0]]]}, "q"),
+        ({"clusters": [[[0.0]]], "labels": [[np.nan]]}, "labels"),
+        ({"clusters": [[[0.0]]], "labels": [["one"]]}, "labels"),
+    ])
+    def test_schema_errors_start_with_their_key(self, doc, key):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            TrainingSet.from_dict(doc)

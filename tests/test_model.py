@@ -221,6 +221,15 @@ class TestModelState:
         with pytest.raises(ValueError):
             state_from_arrays([np.eye(q)], [np.zeros(q)], np.zeros((q, q)), np.zeros((q, q)))
 
+    def test_non_finite_inputs_rejected(self):
+        q = 2
+        with pytest.raises(ValueError, match="^output_map has a non-finite entry"):
+            state_from_arrays([np.eye(q)], [np.zeros(q)], [[np.nan, 0.0], [0.0, 1.0]], np.zeros((q, q)))
+        with pytest.raises(ValueError, match="^labels have a non-finite entry"):
+            state_from_arrays([np.eye(q)], [np.zeros(q)], np.eye(q), [[0.0, 1.0], [np.inf, 0.0]])
+        with pytest.raises(ValueError, match="^beta has a non-finite entry"):
+            state_from_arrays([np.eye(q)], [[0.0, np.nan]], np.eye(q), np.zeros((q, q)))
+
     def test_depth_can_differ_from_q(self):
         q = 3
         state = state_from_arrays([np.eye(q)] * 2, [np.zeros(q)] * 2, np.eye(q), np.zeros((q, q)))
