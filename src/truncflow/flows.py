@@ -39,7 +39,7 @@ from .errors import (
     SingularGram,
 )
 from .measures import TrainingSet, compute_moments
-from .model import ModelState
+from .model import ModelState, push
 
 
 def _commutator_with_mask(nu: np.ndarray, sym: np.ndarray) -> np.ndarray:
@@ -124,8 +124,8 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     """Descent velocities for every layer without any separation assumption.
 
     Same contract as :func:`effective_rhs`, but every cluster contributes to
-    every layer through the chained truncation.  A forward sweep pushes each
-    point through the layers; an adjoint sweep then pulls its final mismatch
+    every layer through the chained truncation.  `push` carries each point
+    up through the layers; an adjoint sweep then pulls its final mismatch
     g = t_L - ytilde back one layer at a time: with c = R_l g (as rows,
     g @ R_l^T), layer l picks up beta_dot_l += R_l^T Hperp_l c and
     Omega_l -= [H_l, (a c^T + c a^T)/2] with a = R_l(t_l + beta_l) its pushed
@@ -137,24 +137,16 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     omegas = np.zeros(state.rotations.shape)
     for l_cl, pts in enumerate(data.clusters):
         weight = 1.0 / len(pts)
-        # forward sweep: pushed coordinates and activity masks per layer
-        t = pts
-        pushed, masks = [], []
-        for k, (r, beta) in enumerate(zip(state.rotations, state.betas)):
-            z = (t + beta) @ r.T
-            nu = (z > 0.0) if frozen_masks is None else frozen_masks[(k, l_cl)]
-            nu = nu.astype(float)
-            pushed.append(z)
-            masks.append(nu)
-            t = (nu * z) @ r - beta
+        frozen = None if frozen_masks is None else [frozen_masks[(k, l_cl)] for k in range(state.depth)]
+        pushed, masks, t, _ = push(state.rotations, state.betas, pts, frozen)
         # adjoint sweep: g is the mismatch pulled back through the layers above l
         g = t - state.pulled_labels[l_cl]
         for l in range(state.depth - 1, -1, -1):
-            r = state.rotations[l]
+            r, nu = state.rotations[l], masks[l].astype(float)  # one cast, not one per product
             c = g @ r.T
-            beta_dots[l] += weight * np.sum(((1.0 - masks[l]) * c) @ r, axis=0)
-            omegas[l] -= weight * _summed_commutators(masks[l], pushed[l], c)
-            g = (masks[l] * c) @ r
+            beta_dots[l] += weight * np.sum(((1.0 - nu) * c) @ r, axis=0)
+            omegas[l] -= weight * _summed_commutators(nu, pushed[l], c)
+            g = (nu * c) @ r
     return beta_dots, omegas
 
 
@@ -319,6 +311,9 @@ def one_dim_flow(points, y: float, b0: float, n: int) -> OneDimFlow:
     y > max(points).
     """
     xs = [float(p) for p in points]
+    for name, value in (("points", xs), ("y", y), ("b0", b0)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if len(xs) != n:
         raise ValueError(f"n = {n} does not match {len(xs)} points")
     if any(b >= a for a, b in zip(xs[1:], xs[:-1])):

@@ -39,7 +39,7 @@ from .flows import (
 )
 from .manifold import REPOLAR_EVERY, polar_decompose, retract_array
 from .measures import TrainingSet, warn_if_not_separated
-from .model import ModelState, euclidean_cost
+from .model import ModelState, euclidean_cost, push
 
 logger = logging.getLogger(__name__)
 
@@ -134,20 +134,11 @@ def _rk4_step(state: ModelState, k1, data: TrainingSet, rhs, masks, h: float) ->
 
 
 def _sector_masks(state: ModelState, data: TrainingSet, pairs) -> dict:
-    """Boolean (N, Q) activity patterns of chained cluster images, keyed by pair in `pairs` order.
-
-    `pairs` lists the tracked (layer, cluster) combinations.  Each cluster is
-    pushed once through the layers below its deepest tracked one, and its
-    pushed coordinates z are classified at every layer on the way.
-    """
-    z = {}
-    for cluster in {c for _, c in pairs}:
-        t = data.clusters[cluster]
-        for k in range(max(layer for layer, c in pairs if c == cluster) + 1):
-            if k:  # images after layer k - 1, by the truncation map's own arithmetic
-                t = np.maximum(z[(k - 1, cluster)], 0.0) @ state.rotations[k - 1] - state.betas[k - 1]
-            z[(k, cluster)] = (t + state.betas[k]) @ state.rotations[k].T
-    return {pair: z[pair] > 0.0 for pair in pairs}
+    """Boolean (N, Q) activity patterns of chained cluster images, keyed by the tracked (layer, cluster)
+    `pairs` in their ascending layer order; each cluster is pushed once, up to its deepest tracked layer."""
+    tops = {c: layer + 1 for layer, c in pairs}  # the last, deepest, pair of a cluster wins
+    nus = {c: push(state.rotations[:top], state.betas[:top], data.clusters[c])[1] for c, top in tops.items()}
+    return {(layer, c): nus[c][layer] for layer, c in pairs}
 
 
 def _masks_equal(a: dict, b: dict) -> bool:
@@ -164,19 +155,9 @@ def _diff_events(s: float, before: dict, after: dict) -> list[Event]:
 
 
 def _normal_speed(state: ModelState, data: TrainingSet, field, ev: Event) -> float:
-    """d/ds of the event's pushed coordinate under `field`, forward mode through layers 0..ev.layer:
-    z' = Omega_k z + R_k (t' + beta_dot_k), then t' = R_k^T (nu z' + Omega_k^T (nu z)) - beta_dot_k."""
-    beta_dots, omegas = field
-    t = data.clusters[ev.cluster][ev.point]
-    t_dot = np.zeros_like(t)
-    for k in range(ev.layer + 1):
-        r, om, beta = state.rotations[k], omegas[k], state.betas[k]
-        z = r @ (t + beta)
-        z_dot = om @ z + r @ (t_dot + beta_dots[k])
-        nu = z > 0.0
-        t = r.T @ (nu * z) - beta
-        t_dot = r.T @ (nu * z_dot + om.T @ (nu * z)) - beta_dots[k]
-    return float(z_dot[ev.coordinate])
+    """d/ds of the event's pushed coordinate under `field`, by forward mode through the layers."""
+    z_dots = push(state.rotations, state.betas, data.clusters[ev.cluster], field=field)[3]
+    return float(z_dots[ev.layer][ev.point, ev.coordinate])
 
 
 def _diagnostics(state: ModelState, omegas: np.ndarray, masks: dict) -> tuple[LayerDiagnostics, ...]:

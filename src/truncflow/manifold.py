@@ -77,8 +77,10 @@ class AntisymmetricMatrix:
 
     def __init__(self, mat):
         m = as_square(mat)
+        if not np.all(np.isfinite(m)):  # before m + m.T, where inf - inf would warn
+            raise ValueError("matrix is not antisymmetric: it has a non-finite entry")
         err = np.linalg.norm(m + m.T)
-        if not err <= ANTISYM_TOL * max(1.0, np.linalg.norm(m)):  # NaN fails
+        if not err <= ANTISYM_TOL * max(1.0, np.linalg.norm(m)):
             raise ValueError(f"matrix is not antisymmetric: ||A + A^T|| = {err:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)

@@ -187,6 +187,35 @@ class ModelState:
         return out
 
 
+def push(rotations, betas, pts, masks=None, field=None):
+    """Push a point (Q,) or rows of points (N, Q) up through the layers (R_k, beta_k).
+
+    Layer k maps its input t to z_k = R_k (t + beta_k), takes nu_k = z_k > 0
+    (or `masks[k]`, the smooth extension of a sector configuration) as its
+    activity, and hands t = R_k^T (nu_k z_k) - beta_k on.  Returns (zs, nus,
+    t, z_dots): per-layer coordinates and activities, the final images, and
+    the forward-mode rates d(z_k)/ds under `field` = (beta_dots, omegas), the
+    velocities of beta_k and generators of R_k (None without a field).
+    """
+    t = np.asarray(pts, dtype=float)
+    zs, nus, z_dots = [], [], []
+    if field is not None:
+        beta_dots, omegas = field
+        t_dot = np.zeros_like(t)
+    for k, (r, beta) in enumerate(zip(rotations, betas)):
+        z = (t + beta) @ r.T
+        nu = z > 0.0 if masks is None else masks[k]
+        active = nu * z
+        if field is not None:  # z' = Omega z + R (t' + beta'), then t' = R^T (nu z' + Omega^T nu z) - beta'
+            z_dot = z @ omegas[k].T + (t_dot + beta_dots[k]) @ r.T
+            t_dot = (nu * z_dot + active @ omegas[k]) @ r - beta_dots[k]
+            z_dots.append(z_dot)
+        t = active @ r - beta
+        zs.append(z)
+        nus.append(nu)
+    return zs, nus, t, z_dots if field is not None else None
+
+
 def chained_truncation(layers, x, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Compose truncation maps of layers lo..hi-1 in ascending order.
 
@@ -195,17 +224,14 @@ def chained_truncation(layers, x, lo: int = 0, hi: int | None = None) -> np.ndar
     empty range returns x unchanged.
     """
     if isinstance(layers, ModelState):
-        params = list(zip(layers.rotations, layers.betas))
+        rotations, betas = layers.rotations, layers.betas
     else:
-        params = [(lp.rotation.mat, lp.beta) for lp in layers]
+        rotations, betas = [lp.rotation.mat for lp in layers], [lp.beta for lp in layers]
     if hi is None:
-        hi = len(params)
-    if not (0 <= lo <= hi <= len(params)):
-        raise IndexRange(f"invalid layer range [{lo}, {hi}) for {len(params)} layers")
-    out = np.asarray(x, dtype=float)
-    for r, beta in params[lo:hi]:
-        out = np.maximum((out + beta) @ r.T, 0.0) @ r - beta
-    return out
+        hi = len(rotations)
+    if not (0 <= lo <= hi <= len(rotations)):
+        raise IndexRange(f"invalid layer range [{lo}, {hi}) for {len(rotations)} layers")
+    return push(rotations[lo:hi], betas[lo:hi], x)[2]
 
 
 # Second name of the same function; perfbench/tracing.py times the cost's chain under it.

@@ -15,6 +15,8 @@ INITIAL_STATES = ("identity", "random-orthogonal", "all-positive", "fully-trunca
 
 
 def state_from_arrays(rotations, betas, output_map, labels) -> ModelState:
+    if len(rotations) != len(betas):
+        raise ValueError(f"{len(rotations)} rotations but {len(betas)} betas: need one beta per rotation")
     layers = [
         LayerParams(rotation=OrthogonalMatrix(r), beta=np.asarray(b, dtype=float))
         for r, b in zip(rotations, betas)

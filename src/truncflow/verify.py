@@ -56,8 +56,7 @@ def _random_state_and_data(q: int, n_max: int, rng: np.random.Generator):
     return state, TrainingSet(clusters)
 
 
-def gradients_suite(seed: int = 0, cases: int = 100,
-                    effective_fn=effective_rhs, general_fn=general_rhs) -> dict:
+def gradients_suite(seed: int = 0, cases: int = 100) -> dict:
     """Analytic velocities against central finite differences of the cost."""
     tol = 1e-5
     settings = FDSettings(step=1e-5)
@@ -73,7 +72,7 @@ def gradients_suite(seed: int = 0, cases: int = 100,
         rng = np.random.default_rng((seed, 0, i))
         q = int(rng.integers(2, 5))
         state, data = make_separated_config(q, n_per=int(rng.integers(2, 9)), seed=int(rng.integers(2**31)))
-        beta_dots, omegas = effective_fn(state, data)
+        beta_dots, omegas = effective_rhs(state, data)
         worst = 0.0
         for layer in range(state.depth):
             beta_dot, omega = beta_dots[layer], omegas[layer]
@@ -89,7 +88,7 @@ def gradients_suite(seed: int = 0, cases: int = 100,
         rng = np.random.default_rng((seed, 1, i))
         q = int(rng.integers(2, 5))
         state, data = _random_state_and_data(q, 8, rng)
-        beta_dots, omegas = general_fn(state, data)
+        beta_dots, omegas = general_rhs(state, data)
         worst = 0.0
         for layer in range(state.depth):
             try:

@@ -263,6 +263,9 @@ class TestRunCommand:
         # every mode validates its tolerances, the clustered closed form too
         ({"mode": "clustered", "init": {"w0": [[1.0]]}, "tolerances": {"step": -1}}, 2, "'tolerances.step'"),
         ({"mode": "clustered", "init": {"w0": [[1.0]]}, "tolerances": {"bogus": 1}}, 2, "'tolerances.bogus'"),
+        # an explicit init needs one beta per rotation
+        ({"mode": "effective", "init": {"kind": "explicit", "rotations": [[[1.0]], [[1.0]]], "betas": [[0.0]]}},
+         2, "'init'"),
     ])
     def test_degenerate_numbers_end_fast(self, tmp_path, change, code, named):
         # in a subprocess with a timeout, so an input that never ends fails the test
@@ -312,11 +315,12 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         assert main(["verify", "bogus"]) == 2
 
-    def test_mutation_sanity_gradient_flip_fails(self):
+    def test_mutation_sanity_gradient_flip_fails(self, monkeypatch):
         def flipped(state, data):
             beta_dots, omegas = effective_rhs(state, data)
             return beta_dots, -omegas
 
-        report = gradients_suite(seed=0, cases=6, effective_fn=flipped)
+        monkeypatch.setattr("truncflow.verify.effective_rhs", flipped)
+        report = gradients_suite(seed=0, cases=6)
         assert not report["passed"]
 

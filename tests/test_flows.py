@@ -394,6 +394,15 @@ class TestOneDimFlow:
         with pytest.raises(ValueError):
             one_dim_flow([1.0, 2.0], 5.0, 0.0, 3)
 
+    @pytest.mark.parametrize("args, name", [
+        (([1.0, np.nan], 5.0, 1.0, 2), "points"),
+        (([1.0, 2.0], np.nan, 1.0, 2), "y"),
+        (([0.0, 1.0], 3.0, np.nan, 2), "b0"),
+    ])
+    def test_non_finite_inputs_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            one_dim_flow(*args)
+
     def test_matches_ode(self):
         # cross-check the recursion against direct integration of the
         # piecewise rate equation d(gap)/ds = -(n(b)/N) gap

@@ -26,7 +26,7 @@ import truncflow.integrate
 from truncflow.flows import effective_rhs, general_rhs
 from truncflow.manifold import REPOLAR_EVERY, AntisymmetricMatrix, OrthogonalMatrix
 from truncflow.measures import TrainingSet
-from truncflow.model import ModelState, chained_truncation
+from truncflow.model import ModelState, chained_truncation, push
 from truncflow.scenarios import make_separated_config, named_initial_state, make_equilibrium_data
 from truncflow.scenarios import make_one_dim_state
 from truncflow.verify import _monotonicity_case, _random_state_and_data
@@ -231,25 +231,28 @@ class TestSliding:
         assert "layer 0, cluster 0, point 0, coordinate 0 " in reason
 
     def test_normal_speed_matches_central_difference(self):
-        from truncflow.integrate import Event, _apply, _masks_equal, _normal_speed
+        from truncflow.integrate import Event, _apply, _normal_speed
 
         rng = np.random.default_rng(41)
         h, checked = 1e-6, 0
         for _ in range(100):
             state, data = _random_state_and_data(int(rng.integers(2, 5)), 6, rng)
             field = general_rhs(state, data)
-            layer, cluster = int(rng.integers(state.depth)), int(rng.integers(data.q))
-            point, coordinate = int(rng.integers(len(data.clusters[cluster]))), int(rng.integers(state.dim))
-            below = [(k, cluster) for k in range(layer)]
-            moved = [_apply(state, *field, step) for step in (-h, h)]
-            if not all(_masks_equal(_sector_masks(state, data, below), _sector_masks(st, data, below))
-                       for st in moved):
-                continue  # a layer below changes sector inside the stencil
-            z = [(st.rotations[layer] @ (chained_truncation(st, data.clusters[cluster][point], 0, layer)
-                                         + st.betas[layer]))[coordinate] for st in moved]
-            fd = (z[1] - z[0]) / (2 * h)
+            cluster = int(rng.integers(data.q))
+            pts = data.clusters[cluster]
+            _, nus, _, z_dots = push(state.rotations, state.betas, pts, field=field)
+            moved = [push(st.rotations, st.betas, pts) for st in (_apply(state, *field, step) for step in (-h, h))]
+            if not all(np.array_equal(a, b) for m in moved for a, b in zip(nus[:-1], m[1][:-1])):
+                continue  # a point changes sector below the top layer inside the stencil
+            fd = [(zp - zm) / (2 * h) for zm, zp in zip(moved[0][0], moved[1][0])]
+            assert len(z_dots) == len(fd) == state.depth
+            for z_dot, want in zip(z_dots, fd):
+                assert np.all(np.abs(z_dot - want) <= 1e-7 * (1.0 + np.abs(want)))
+            layer, point = int(rng.integers(state.depth)), int(rng.integers(len(pts)))
+            coordinate = int(rng.integers(state.dim))
             ev = Event(0.0, layer, cluster, point, coordinate, "entering")
-            assert abs(_normal_speed(state, data, field, ev) - fd) <= 1e-7 * (1.0 + abs(fd))
+            want = fd[layer][point, coordinate]
+            assert abs(_normal_speed(state, data, field, ev) - want) <= 1e-7 * (1.0 + abs(want))
             checked += 1
         assert checked >= 90
 

@@ -160,6 +160,12 @@ class TestTypes:
         with pytest.raises(ValueError, match="not antisymmetric"):
             AntisymmetricMatrix([[0.0, np.nan], [np.nan, 0.0]])
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_entries_rejected_without_warning(self):
+        for m in ([[0.0, np.inf], [-np.inf, 0.0]], [[np.inf, 0.0], [0.0, -np.inf]]):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                AntisymmetricMatrix(m)
+
     def test_immutability(self):
         r = OrthogonalMatrix(np.eye(2))
         with pytest.raises(AttributeError):

@@ -11,6 +11,7 @@ from truncflow.model import (
     chained_truncation,
     classify_sector,
     euclidean_cost,
+    push,
     standard_cost,
     truncation_map,
 )
@@ -124,6 +125,27 @@ class TestChainedTruncation:
             chained_truncation(layers, [0.0, 0.0], -1, 1)
 
 
+class TestPush:
+    def test_matches_a_per_point_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            q, depth = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            rotations = np.array([random_orthogonal(q, rng).mat for _ in range(depth)])
+            betas = rng.normal(size=(depth, q))
+            pts = 1.5 * rng.normal(size=(int(rng.integers(1, 7)), q))
+            zs, nus, t, z_dots = push(rotations, betas, pts)
+            assert z_dots is None and len(zs) == len(nus) == depth
+            for i, x in enumerate(pts):
+                for k in range(depth):
+                    z = rotations[k] @ (x + betas[k])
+                    np.testing.assert_allclose(zs[k][i], z, rtol=0, atol=1e-12)
+                    x = rotations[k].T @ np.maximum(z, 0.0) - betas[k]
+                np.testing.assert_allclose(t[i], x, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(push(rotations, betas, pts[i])[2], x, rtol=0, atol=1e-12)
+            for z, nu in zip(zs, nus):
+                np.testing.assert_array_equal(nu, z > 0.0)
+
+
 def random_state_and_set(q, n_per=3, depth=None, rng=RNG):
     depth = q if depth is None else depth
     rots = [random_orthogonal(q, rng).mat for _ in range(depth)]
@@ -229,6 +251,10 @@ class TestModelState:
             state_from_arrays([np.eye(q)], [np.zeros(q)], np.eye(q), [[0.0, 1.0], [np.inf, 0.0]])
         with pytest.raises(ValueError, match="^beta has a non-finite entry"):
             state_from_arrays([np.eye(q)], [[0.0, np.nan]], np.eye(q), np.zeros((q, q)))
+
+    def test_one_beta_per_rotation(self):
+        with pytest.raises(ValueError, match="^2 rotations but 1 betas"):
+            state_from_arrays([np.eye(2)] * 2, [np.zeros(2)], np.eye(2), np.zeros((2, 2)))
 
     def test_depth_can_differ_from_q(self):
         q = 3
