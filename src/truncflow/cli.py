@@ -2,8 +2,8 @@
 property suites.
 
 Exit codes: 0 success, 2 config/validation failure, 3 step underflow or a
-trajectory stopped at a sliding configuration (its files cover the run up to
-the stop, and summary.json names the reason).
+trajectory stopped at a sliding configuration or at lost cluster separation
+(its files cover the run up to the stop, and summary.json names the reason).
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def _run_collapsed(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> d
     cs = CollapsedState(*(_floats(f"init.{key}", cfg.init[key]) for key in ("b", "w", "y")))
     traj = integrate_collapsed(cs, cfg.s_end, opts)
     write_collapsed_csv(traj, out / "trajectory.csv")
-    (out / "events.csv").write_text("s,layer,cluster,point,coordinate,direction\n")
+    write_events_csv([], out / "events.csv")
     ts, costs = traj.times, traj.costs
     tail = ts >= 0.5 * cfg.s_end
     slope = _fit_log_slope(ts[tail], costs[tail])
@@ -290,7 +290,7 @@ def _run_clustered(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> d
         ",".join(format(v, ".17g") for v in row) for row in rows
     ]
     (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
-    (out / "events.csv").write_text("s,layer,cluster,point,coordinate,direction\n")
+    write_events_csv([], out / "events.csv")
     gram = x0 @ x0.T
     limit = (y_ext @ x0.T) @ np.linalg.inv(gram)
     w_end = clustered_explicit(w0, x0, y_ext, cfg.s_end)

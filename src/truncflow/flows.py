@@ -298,9 +298,6 @@ class OneDimFlow:
                 return float(np.exp(-seg.rate * (s - seg.s_start)) * seg.gap_start)
         raise AssertionError("unreachable: final segment is unbounded")
 
-    def bias(self, s: float) -> float:
-        return self.label - self.gap(s)
-
 
 def one_dim_flow(points, y: float, b0: float, n: int) -> OneDimFlow:
     """Piecewise-exponential solution of the single-coordinate bias flow.

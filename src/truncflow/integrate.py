@@ -20,6 +20,10 @@ its next step starts from, and that step reuses it as its first stage.
 Crossings are taken to be transversal.  If an event's coordinate is driven back
 across its hyperplane by the field of its new sector, the field on both sides points
 into it (Filippov's sliding condition), and the trajectory ends with a `stopped_reason`.
+Each state is swept once: one push per cluster gives every (layer, cluster) pair's
+activities and the cost.  The cluster-separated field reads only the (k, k) pairs and stops
+being a descent direction of the full cost once a layer truncates a point of another
+cluster, so a crossing into truncation in such a pair ends its trajectory too.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from .flows import (
     general_rhs,
 )
 from .manifold import REPOLAR_EVERY, polar_decompose, retract_array
-from .measures import TrainingSet, warn_if_not_separated
-from .model import ModelState, euclidean_cost, push
+from .measures import TrainingSet, check_cluster_separation
+from .model import ModelState, cluster_cost, push
 
 logger = logging.getLogger(__name__)
 
@@ -100,7 +104,7 @@ class Event:
 class Trajectory:
     samples: list[FlowSample]
     events: list[Event]
-    stopped_reason: str | None = None  # why it ended before s_end (sliding), else None
+    stopped_reason: str | None = None  # why it ended before s_end (sliding, separation lost), else None
 
     @property
     def times(self) -> np.ndarray:
@@ -133,16 +137,20 @@ def _rk4_step(state: ModelState, k1, data: TrainingSet, rhs, masks, h: float) ->
     return _apply(state, beta_dots, omegas, h), omegas
 
 
-def _sector_masks(state: ModelState, data: TrainingSet, pairs) -> dict:
-    """Boolean (N, Q) activity patterns of chained cluster images, keyed by the tracked (layer, cluster)
-    `pairs` in their ascending layer order; each cluster is pushed once, up to its deepest tracked layer."""
-    tops = {c: layer + 1 for layer, c in pairs}  # the last, deepest, pair of a cluster wins
-    nus = {c: push(state.rotations[:top], state.betas[:top], data.clusters[c])[1] for c, top in tops.items()}
-    return {(layer, c): nus[c][layer] for layer, c in pairs}
+def _sweep(state: ModelState, data: TrainingSet) -> tuple[dict, float]:
+    """Push each cluster once through every layer: the boolean (N, Q) activities of every (layer,
+    cluster) pair, keyed in layer-major order, and the Euclidean cost of the final images."""
+    nus, cost = [], 0.0
+    for l, pts in enumerate(data.clusters):
+        _, nu, t, _ = push(state.rotations, state.betas, pts)
+        nus.append(nu)
+        cost += cluster_cost(t - state.pulled_labels[l])
+    return {(k, l): nus[l][k] for k in range(state.depth) for l in range(data.q)}, cost
 
 
 def _masks_equal(a: dict, b: dict) -> bool:
-    return all(np.array_equal(ma, b[pair]) for pair, ma in a.items())
+    # a pair's masks share shape and dtype, so equal bytes are equal masks; cheaper than np.array_equal
+    return all(ma.tobytes() == b[pair].tobytes() for pair, ma in a.items())
 
 
 def _diff_events(s: float, before: dict, after: dict) -> list[Event]:
@@ -172,13 +180,14 @@ def _diagnostics(state: ModelState, omegas: np.ndarray, masks: dict) -> tuple[La
     )
 
 
-def _integrate_layered(state0, data, rhs, pairs, s_end, opts) -> Trajectory:
+def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Trajectory:
     """Event-splitting integration loop.
 
     `rhs(state, data, masks)` returns the velocities stacked like the state.
-    Every stage passes the step's `masks` (keyed by the tracked `pairs`), so
-    it evaluates the smooth extension of that sector configuration and no
-    stage ever samples the field across a boundary.
+    Every stage passes the step's `masks` (keyed by every (layer, cluster)
+    pair), so it evaluates the smooth extension of that sector configuration
+    and no stage ever samples the field across a boundary.  `separated`: the
+    field reads only the (k, k) pairs (see `integrate_effective`).
     """
     if not 0 < s_end < np.inf:
         raise ValueError(f"s_end must be positive and finite, got {s_end!r}")
@@ -187,9 +196,12 @@ def _integrate_layered(state0, data, rhs, pairs, s_end, opts) -> Trajectory:
 
     state = state0.checked()
     s = 0.0
-    masks = _sector_masks(state, data, pairs)
+    masks, cost = _sweep(state, data)
+    violations = check_cluster_separation(state, data)[1] if separated else []
+    if violations:
+        logger.warning("cluster separation violated at %d (layer, cluster, point) triples; "
+                       "the cluster-separated flow equations are approximations here", len(violations))
     k1 = rhs(state, data, masks)
-    cost = euclidean_cost(state, data)
     samples = [FlowSample(s, state, cost, _diagnostics(state, k1[1], masks))]
     events: list[Event] = []
     retractions = [0] * state.depth
@@ -201,7 +213,7 @@ def _integrate_layered(state0, data, rhs, pairs, s_end, opts) -> Trajectory:
             if h < opts.min_step:
                 raise StepUnderflow(f"step underflow at s = {s:.6g}")
             advanced, generators = _rk4_step(state, k1, data, rhs, masks, h)
-            new_masks = _sector_masks(advanced, data, pairs)
+            new_masks, advanced_cost = _sweep(advanced, data)
             dt, pending_events = h, []
             if not _masks_equal(masks, new_masks):
                 # bisect for the crossing; the step kept is the one at the upper end
@@ -211,13 +223,13 @@ def _integrate_layered(state0, data, rhs, pairs, s_end, opts) -> Trajectory:
                     if s + mid in (s + lo, s + dt):  # no representable time between them
                         break
                     probe, probe_generators = _rk4_step(state, k1, data, rhs, masks, mid)
-                    probe_masks = _sector_masks(probe, data, pairs)
+                    probe_masks, probe_cost = _sweep(probe, data)
                     if _masks_equal(masks, probe_masks):
                         lo = mid
                     else:
-                        dt, advanced, generators, new_masks = mid, probe, probe_generators, probe_masks
+                        dt, advanced, generators = mid, probe, probe_generators
+                        new_masks, advanced_cost = probe_masks, probe_cost
                 pending_events = _diff_events(s + dt, masks, new_masks)
-            advanced_cost = euclidean_cost(advanced, data)
             if advanced_cost > cost + opts.cost_slack * (1.0 + cost):
                 h *= 0.5
                 continue
@@ -235,15 +247,22 @@ def _integrate_layered(state0, data, rhs, pairs, s_end, opts) -> Trajectory:
                     advanced = advanced.derive(rotations, advanced.betas)
                     reprojected = True
         state, masks = advanced.checked(), new_masks
-        cost = euclidean_cost(state, data) if reprojected else advanced_cost
+        cost = _sweep(state, data)[1] if reprojected else advanced_cost
         s += dt
         k1 = rhs(state, data, masks)
         samples.append(FlowSample(s, state, cost, _diagnostics(state, k1[1], masks)))
         for ev in pending_events:
-            if _normal_speed(state, data, k1, ev) * (1.0 if ev.direction == "entering" else -1.0) > 0.0:
-                return Trajectory(samples, events, stopped_reason=(
-                    f"sliding at s = {s:.6g}: layer {ev.layer}, cluster {ev.cluster}, point {ev.point}, "
-                    f"coordinate {ev.coordinate} ({ev.direction}): the field on both sides points into it"))
+            if separated and ev.layer != ev.cluster:
+                if ev.direction == "leaving":  # the ignored pair moves towards separation
+                    continue
+                stop, why = "separation lost", "the layer truncates a point of a cluster its field ignores"
+            elif _normal_speed(state, data, k1, ev) * (1.0 if ev.direction == "entering" else -1.0) > 0.0:
+                stop, why = "sliding", "the field on both sides points into it"
+            else:
+                continue
+            return Trajectory(samples, events, stopped_reason=(
+                f"{stop} at s = {s:.6g}: layer {ev.layer}, cluster {ev.cluster}, point {ev.point}, "
+                f"coordinate {ev.coordinate} ({ev.direction}): {why}"))
 
     return Trajectory(samples=samples, events=events)
 
@@ -252,19 +271,17 @@ def integrate_effective(state0: ModelState, data: TrainingSet, s_end: float,
                         opts: IntegratorOptions | None = None) -> Trajectory:
     """Integrate the cluster-separated flow: layer k is driven by cluster k only.
 
-    Logs a warning when cluster separation does not hold, since the
-    per-layer equations assume it; integration proceeds regardless.
+    A start where layer k is not the identity on the chained images of another cluster l
+    logs a warning.  The first crossing at which a layer k starts truncating a point of a
+    cluster l != k ends the run (`stopped_reason`); one back out of truncation is an event.
     """
-    warn_if_not_separated(state0, data)
-    pairs = [(k, k) for k in range(state0.depth)]
-    return _integrate_layered(state0, data, effective_rhs, pairs, s_end, opts or IntegratorOptions())
+    return _integrate_layered(state0, data, effective_rhs, s_end, opts or IntegratorOptions(), separated=True)
 
 
 def integrate_general(state0: ModelState, data: TrainingSet, s_end: float,
                       opts: IntegratorOptions | None = None) -> Trajectory:
     """Integrate the unrestricted flow; every cluster drives every layer."""
-    pairs = [(k, l) for k in range(state0.depth) for l in range(data.q)]
-    return _integrate_layered(state0, data, general_rhs, pairs, s_end, opts or IntegratorOptions())
+    return _integrate_layered(state0, data, general_rhs, s_end, opts or IntegratorOptions(), separated=False)
 
 
 @dataclass(frozen=True)

@@ -92,10 +92,6 @@ class AntisymmetricMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @classmethod
-    def zero(cls, dim: int) -> "AntisymmetricMatrix":
-        return cls(np.zeros((dim, dim)))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.mat))
 

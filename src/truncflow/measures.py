@@ -8,15 +8,12 @@ measure, i.e. of the points z = R(x + beta) in the layer's rotated frame.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyCluster
-from .model import LayerParams, ModelState, SectorMask
-
-logger = logging.getLogger(__name__)
+from .model import LayerParams, ModelState, SectorMask, push
 
 
 class TrainingSet:
@@ -149,27 +146,15 @@ def compute_moments(layer: LayerParams, cluster, mask=None) -> Moments:
 
 
 def check_cluster_separation(state: ModelState, data: TrainingSet):
-    """Does every layer act as the identity on every other cluster?
+    """Does every layer act as the identity on the chained images of every other cluster?
 
-    Returns (ok, violations) where violations lists (layer, cluster, point)
-    triples whose point is not strictly inside the layer's positive sector.
+    Returns (ok, violations) where violations lists, in ascending order, the (layer, cluster,
+    point) triples whose image, pushed through the layers before it, is not strictly inside the
+    layer's positive sector.
     """
     violations = []
-    for k, (r, beta) in enumerate(zip(state.rotations, state.betas)):
-        for l, pts in enumerate(data.clusters):
-            if l == k:
-                continue
-            outside = ~np.all((pts + beta) @ r.T > 0.0, axis=1)
-            violations.extend((k, l, int(i)) for i in np.flatnonzero(outside))
-    return (not violations), violations
-
-
-def warn_if_not_separated(state: ModelState, data: TrainingSet) -> bool:
-    ok, violations = check_cluster_separation(state, data)
-    if not ok:
-        logger.warning(
-            "cluster separation violated at %d (layer, cluster, point) triples; "
-            "the cluster-separated flow equations are approximations here",
-            len(violations),
-        )
-    return ok
+    for l, pts in enumerate(data.clusters):
+        nus = push(state.rotations, state.betas, pts)[1]
+        violations.extend((k, l, int(i)) for k, nu in enumerate(nus) if k != l
+                          for i in np.flatnonzero(~np.all(nu, axis=1)))
+    return (not violations), sorted(violations)

@@ -258,6 +258,11 @@ def _residuals(state: ModelState, data) -> list[np.ndarray]:
     return out
 
 
+def cluster_cost(resid: np.ndarray) -> float:
+    """One cluster's share (1/2)(1/N_l) sum_i |r_i|^2 of the cost, from its residual rows."""
+    return 0.5 * float(np.sum(resid * resid)) / resid.shape[0]
+
+
 def euclidean_cost(state: ModelState, data) -> float:
     """Mean squared input-space mismatch of fully truncated data to pulled labels.
 
@@ -265,7 +270,7 @@ def euclidean_cost(state: ModelState, data) -> float:
     """
     total = 0.0
     for resid in _residuals(state, data):
-        total += 0.5 * float(np.sum(resid * resid)) / resid.shape[0]
+        total += cluster_cost(resid)
     return total
 
 
@@ -274,6 +279,5 @@ def standard_cost(state: ModelState, data) -> float:
     w = state.output_map
     total = 0.0
     for resid in _residuals(state, data):
-        mapped = resid @ w.T
-        total += 0.5 * float(np.sum(mapped * mapped)) / mapped.shape[0]
+        total += cluster_cost(resid @ w.T)
     return total

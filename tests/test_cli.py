@@ -12,6 +12,7 @@ import pytest
 import truncflow
 from truncflow.cli import ConfigError, ScenarioConfig, main, run_scenario
 from truncflow.flows import effective_rhs
+from truncflow.scenarios import make_separated_config
 from truncflow.verify import _monotonicity_case, gradients_suite
 
 
@@ -120,27 +121,35 @@ class TestRunCommand:
         assert main(["run", cfg]) == 3
 
     def test_exit_3_on_sliding_writes_the_run_so_far(self, tmp_path, capsys):
-        # the monotonicity suite's sliding case (seed 0, case 5) as an explicit config
-        state, data, _, _ = _monotonicity_case(0, 5)
-        doc = {
-            "q": data.q,
-            "mode": "general",
-            "s_end": 1.0,
-            "output": str(tmp_path / "slide"),
-            "data": {"q": data.q, "clusters": [c.tolist() for c in data.clusters],
-                     "labels": state.labels.tolist()},
-            "init": {"kind": "explicit", "rotations": state.rotations.tolist(),
-                     "betas": state.betas.tolist(), "output_map": state.output_map.tolist()},
-        }
-        assert main(["run", write_config(tmp_path, doc)]) == 3
-        out = tmp_path / "slide"
-        summary = json.loads((out / "summary.json").read_text())
-        assert "layer 0, cluster 0, point 0, coordinate 0 " in summary["stopped_reason"]
-        assert summary["stopped_reason"] in capsys.readouterr().err
-        rows = (out / "trajectory.csv").read_text().strip().split("\n")[1:]
-        assert 0.25527 <= float(rows[-1].split(",")[0]) <= 0.25528
-        events = (out / "events.csv").read_text().strip().split("\n")[1:]
-        assert events and events[-1].split(",")[0] == rows[-1].split(",")[0]
+        # each stopping trajectory as an explicit config
+        stops = [
+            # the monotonicity suite's sliding case (seed 0, case 5)
+            ("general", _monotonicity_case(0, 5)[:2], 0.25527, 0.25528,
+             "layer 0, cluster 0, point 0, coordinate 0 "),
+            # layer 1 of the cluster-separated flow starts truncating cluster 2: separation lost
+            ("effective", make_separated_config(4, n_per=10, seed=1), 0.640843, 0.640844,
+             "layer 1, cluster 2, point 0, coordinate 2 "),
+        ]
+        for mode, (state, data), s_lo, s_hi, where in stops:
+            out = tmp_path / mode
+            doc = {
+                "q": data.q,
+                "mode": mode,
+                "s_end": 1.0,
+                "output": str(out),
+                "data": {"q": data.q, "clusters": [c.tolist() for c in data.clusters],
+                         "labels": state.labels.tolist()},
+                "init": {"kind": "explicit", "rotations": state.rotations.tolist(),
+                         "betas": state.betas.tolist(), "output_map": state.output_map.tolist()},
+            }
+            assert main(["run", write_config(tmp_path, doc, f"{mode}.json")]) == 3
+            summary = json.loads((out / "summary.json").read_text())
+            assert where in summary["stopped_reason"]
+            assert summary["stopped_reason"] in capsys.readouterr().err
+            rows = (out / "trajectory.csv").read_text().strip().split("\n")[1:]
+            assert s_lo <= float(rows[-1].split(",")[0]) <= s_hi
+            events = (out / "events.csv").read_text().strip().split("\n")[1:]
+            assert events and events[-1].split(",")[0] == rows[-1].split(",")[0]
 
     def test_collapsed_scenario(self, tmp_path):
         doc = {

@@ -11,7 +11,7 @@ from truncflow.errors import StepUnderflow
 from truncflow.flows import CollapsedState, conserved_quantity
 from truncflow.integrate import (
     IntegratorOptions,
-    _sector_masks,
+    _sweep,
     fit_phase_exponents,
     freeze_time,
     integrate_collapsed,
@@ -26,7 +26,7 @@ import truncflow.integrate
 from truncflow.flows import effective_rhs, general_rhs
 from truncflow.manifold import REPOLAR_EVERY, AntisymmetricMatrix, OrthogonalMatrix
 from truncflow.measures import TrainingSet
-from truncflow.model import ModelState, chained_truncation, push
+from truncflow.model import ModelState, chained_truncation, euclidean_cost, push
 from truncflow.scenarios import make_separated_config, named_initial_state, make_equilibrium_data
 from truncflow.scenarios import make_one_dim_state
 from truncflow.verify import _monotonicity_case, _random_state_and_data
@@ -257,6 +257,59 @@ class TestSliding:
         assert checked >= 90
 
 
+class TestSeparationLoss:
+    """The cluster-separated flow reads only the (k, k) pairs; losing separation ends it."""
+
+    def test_first_truncation_in_an_ignored_pair_stops_the_run(self):
+        # layer 1 starts truncating cluster 2, where the effective field is no longer a
+        # descent direction; in a subprocess with a timeout, so a run that stalls fails
+        code = (
+            "from truncflow.integrate import integrate_effective\n"
+            "from truncflow.scenarios import make_separated_config\n"
+            "traj = integrate_effective(*make_separated_config(4, n_per=10, seed=1), 1.0)\n"
+            "print(repr(float(traj.times[-1])))\n"
+            "print(traj.stopped_reason)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(truncflow.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        s_stop, reason = done.stdout.splitlines()
+        assert 0.640843 <= float(s_stop) <= 0.640844
+        assert "layer 1, cluster 2, point 0, coordinate 2" in reason
+
+    @staticmethod
+    def separation_warnings(caplog) -> list:
+        return [rec for rec in caplog.records if "cluster separation violated" in rec.getMessage()]
+
+    def test_non_separated_start_warns_once_and_stops_only_on_entering(self, caplog):
+        # random rotations on separated data violate separation from the start; a crossing out of
+        # truncation in an ignored pair is recorded and the run goes on, the first one into it stops it
+        state, data = make_separated_config(3, n_per=5, seed=0)
+        outcomes = []
+        for seed in range(3):
+            start = named_initial_state("random-orthogonal", data, state.labels, seed=seed)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="truncflow.integrate"):
+                traj = integrate_effective(start, data, 0.2)
+            assert len(self.separation_warnings(caplog)) == 1
+            ignored = [ev.direction for ev in traj.events if ev.layer != ev.cluster]
+            if traj.stopped_reason is None:
+                assert traj.times[-1] == pytest.approx(0.2)
+            else:
+                assert traj.stopped_reason.startswith("separation lost") and "(entering)" in traj.stopped_reason
+                assert traj.events[-1].layer != traj.events[-1].cluster and ignored.pop() == "entering"
+            assert set(ignored) <= {"leaving"}
+            outcomes.append((traj.stopped_reason is None, len(ignored)))
+        # seed 0 reaches s_end; seed 1 runs on past four crossings out of truncation, then stops
+        assert outcomes == [(True, 0), (False, 4), (False, 0)]
+
+    def test_separated_start_does_not_warn(self, caplog):
+        with caplog.at_level("WARNING", logger="truncflow.integrate"):
+            integrate_effective(*make_separated_config(3, n_per=5, seed=0), 0.2)
+        assert not self.separation_warnings(caplog)
+
+
 class TestSectorMasks:
     @staticmethod
     def per_pair_chains(state, data, pairs) -> dict:
@@ -272,11 +325,11 @@ class TestSectorMasks:
         rng = np.random.default_rng(43)
         for _ in range(40):
             state, data = _random_state_and_data(int(rng.integers(1, 5)), 6, rng)
-            for pairs in ([(k, k) for k in range(state.depth)],
-                          [(k, l) for k in range(state.depth) for l in range(data.q)]):
-                got, want = _sector_masks(state, data, pairs), self.per_pair_chains(state, data, pairs)
-                assert list(got) == list(want) == pairs
-                assert all(np.array_equal(got[pair], want[pair]) for pair in pairs)
+            pairs = [(k, l) for k in range(state.depth) for l in range(data.q)]
+            (got, cost), want = _sweep(state, data), self.per_pair_chains(state, data, pairs)
+            assert list(got) == list(want) == pairs
+            assert all(np.array_equal(got[pair], want[pair]) for pair in pairs)
+            assert cost == euclidean_cost(state, data)
 
 
 class TestBoundaryValidation:

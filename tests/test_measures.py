@@ -136,8 +136,9 @@ class TestClusterSeparation:
 
     def test_many_violations_match_per_point_loop(self):
         # overlapping clusters violate separation at many points; the
-        # vectorized check must list the same triples in the same order
-        from truncflow.model import classify_sector
+        # vectorized check must list the same triples in the same order,
+        # each point chained through the layers before the one it is tested at
+        from truncflow.model import chained_truncation, classify_sector
         from truncflow.verify import _random_state_and_data
 
         rng = np.random.default_rng(13)
@@ -147,7 +148,8 @@ class TestClusterSeparation:
                 (k, l, i)
                 for k, layer in enumerate(state.layers)
                 for l, pts in enumerate(data.clusters) if l != k
-                for i, x in enumerate(pts) if not classify_sector(layer, x).all_true()
+                for i, x in enumerate(pts)
+                if not classify_sector(layer, chained_truncation(state, x, 0, k)).all_true()
             ]
             ok, violations = check_cluster_separation(state, data)
             assert len(expected) > 1
