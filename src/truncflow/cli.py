@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +235,7 @@ def _run_layered(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dic
             orthogonality_error(r) for smp in traj.samples for r in smp.state.rotations
         ),
         "stopped_reason": traj.stopped_reason,
+        "integrator": asdict(traj.stats),
     }
 
 

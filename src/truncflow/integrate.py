@@ -3,14 +3,19 @@
 The vector fields are piecewise smooth: they jump whenever a training
 point crosses an activation hyperplane.  A step is accepted only if the
 set of truncated coordinates is unchanged across it; otherwise the
-crossing time is localized by bisection, the step is split there, and an
-event is recorded.  Rotations are advanced by retraction (exponential of
-the averaged generator), so orthogonality is preserved to round-off;
-every 100th retraction the rotation is re-projected onto the group.
+crossing time is localized, the step is split there, and an event is
+recorded.  Localization predicts the crossing from a cubic Hermite
+interpolant of every pushed coordinate over the step, replays bisection's
+walk on that prediction without probing, and confirms the leaf it reaches
+with two RK4 probes; a miss finishes with bisection inside the bracket the
+probes narrowed.  Either way the step kept is the one bisection keeps.
+Rotations are advanced by retraction (exponential of the averaged
+generator), so orthogonality is preserved to round-off; every 100th
+retraction the rotation is re-projected onto the group.
 
 A right-hand side is called as ``rhs(state, data, frozen_masks=None)`` and
 returns the velocities stacked like the state: beta_dots (L, Q) and the
-generators omegas (L, Q, Q), as plain arrays.  RK stages and bisection probes
+generators omegas (L, Q, Q), as plain arrays.  RK stages and localization probes
 step the state's stacked arrays with them and build no validated objects.
 Rotations are checked against the orthogonality bound at integrator entry
 and once per accepted step (`ModelState.checked`).  The field is evaluated
@@ -21,15 +26,16 @@ Crossings are taken to be transversal.  If an event's coordinate is driven back
 across its hyperplane by the field of its new sector, the field on both sides points
 into it (Filippov's sliding condition), and the trajectory ends with a `stopped_reason`.
 Each state is swept once: one push per cluster gives every (layer, cluster) pair's
-activities and the cost.  The cluster-separated field reads only the (k, k) pairs and stops
-being a descent direction of the full cost once a layer truncates a point of another
-cluster, so a crossing into truncation in such a pair ends its trajectory too.
+activities and the final images; only the step kept turns its images into a cost.
+The cluster-separated field reads only the (k, k) pairs and stops being a descent
+direction of the full cost once a layer truncates a point of another cluster, so a
+crossing into truncation in such a pair ends its trajectory too.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,7 +61,7 @@ class IntegratorOptions:
     step: float = 1e-2          # nominal step, halved on rejection
     min_step: float = 1e-14     # below this, raise StepUnderflow
     cost_slack: float = 1e-8    # allowed cost increase: slack * (1 + cost)
-    bisect_tol: float = 1e-9    # crossing-time localization in s
+    bisect_tol: float = 1e-9    # bracket width at which crossing localization stops, in s
     atol: float = 1e-9          # collapsed-flow state tolerance, absolute
     rtol: float = 1e-7          # collapsed-flow state tolerance, relative
 
@@ -101,10 +107,21 @@ class Event:
 
 
 @dataclass
+class IntegratorStats:
+    """The work a layered integration did."""
+
+    rk4_steps: int = 0          # trial steps, cost-halving retries and localization probes
+    rhs_calls: int = 0          # field evaluations, the RK4 stages' and the predictions' included
+    localizations: int = 0      # trial steps that changed the masks
+    prediction_misses: int = 0  # localizations whose predicted crossing failed confirmation
+
+
+@dataclass
 class Trajectory:
     samples: list[FlowSample]
     events: list[Event]
     stopped_reason: str | None = None  # why it ended before s_end (sliding, separation lost), else None
+    stats: IntegratorStats = field(default_factory=IntegratorStats)
 
     @property
     def times(self) -> np.ndarray:
@@ -137,15 +154,23 @@ def _rk4_step(state: ModelState, k1, data: TrainingSet, rhs, masks, h: float) ->
     return _apply(state, beta_dots, omegas, h), omegas
 
 
-def _sweep(state: ModelState, data: TrainingSet) -> tuple[dict, float]:
+def _sweep(state: ModelState, data: TrainingSet) -> tuple[dict, list[np.ndarray]]:
     """Push each cluster once through every layer: the boolean (N, Q) activities of every (layer,
-    cluster) pair, keyed in layer-major order, and the Euclidean cost of the final images."""
-    nus, cost = [], 0.0
-    for l, pts in enumerate(data.clusters):
+    cluster) pair, keyed in layer-major order, and each cluster's final images."""
+    nus, images = [], []
+    for pts in data.clusters:
         _, nu, t, _ = push(state.rotations, state.betas, pts)
         nus.append(nu)
+        images.append(t)
+    return {(k, l): nus[l][k] for k in range(state.depth) for l in range(data.q)}, images
+
+
+def _cost(state: ModelState, images: list[np.ndarray]) -> float:
+    """The Euclidean cost, from each cluster's final images."""
+    cost = 0.0
+    for l, t in enumerate(images):
         cost += cluster_cost(t - state.pulled_labels[l])
-    return {(k, l): nus[l][k] for k in range(state.depth) for l in range(data.q)}, cost
+    return cost
 
 
 def _masks_equal(a: dict, b: dict) -> bool:
@@ -180,6 +205,107 @@ def _diagnostics(state: ModelState, omegas: np.ndarray, masks: dict) -> tuple[La
     )
 
 
+def _predict_crossing(state: ModelState, k1, trial: ModelState, data: TrainingSet, rhs, masks,
+                      h: float) -> float | None:
+    """Predicted time in (0, h] of the first crossing in a step of `h` from `state` to `trial`, or
+    None: the earliest sign change of any pushed coordinate's cubic Hermite interpolant.
+
+    One push per cluster at each end, frozen at the step's `masks`, gives every (layer, cluster)
+    pair's z and, under the field there (`k1` at the start, one more evaluation at `trial`), dz/ds.
+    """
+    ends = []
+    for st, velocities in ((state, k1), (trial, rhs(trial, data, masks))):
+        zs, z_dots = [], []
+        for l, pts in enumerate(data.clusters):
+            z, _, _, z_dot = push(st.rotations, st.betas, pts, [masks[(k, l)] for k in range(st.depth)],
+                                  velocities)
+            zs += z
+            z_dots += z_dot
+        ends.append((np.concatenate(zs, axis=None), np.concatenate(z_dots, axis=None)))
+    (z0, d0), (z1, d1) = ends
+    # p(u) = ((a u + b) u + c) u + z0 on u = t / h matches z and dz/dt at both ends
+    c = h * d0
+    a = 2.0 * (z0 - z1) + c + h * d1
+    b = 3.0 * (z1 - z0) - 2.0 * c - h * d1
+    side = z0 > 0.0
+    crosses = (z1 > 0.0) != side
+    with np.errstate(all="ignore"):  # a complex or missing extremum is NaN or inf, never inside (0, 1)
+        q = -(b + np.copysign(np.sqrt(b * b - 3.0 * a * c), b))
+        extrema = (q / (3.0 * a), c / q)  # the roots of p' = 3a u^2 + 2b u + c, free of cancellation
+        for u in extrema:
+            crosses |= (u > 0.0) & (u < 1.0) & (((((a * u + b) * u + c) * u + z0) > 0.0) != side)
+    first = np.inf
+    for ai, bi, ci, di, *us in zip(*(x[crosses].tolist() for x in (a, b, c, z0, *extrema))):
+        def flips(u):
+            return (((ai * u + bi) * u + ci) * u + di > 0.0) != (di > 0.0)
+
+        # p is monotone between its extrema: bisect the first piece whose end has flipped
+        lo = 0.0
+        for hi in sorted(u for u in us if 0.0 < u < 1.0) + [1.0]:
+            if flips(hi):
+                break
+            lo = hi
+        else:
+            continue
+        for _ in range(60):  # to 2^-60 of the step, far inside any bisection leaf
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if flips(mid) else (mid, hi)
+        first = min(first, hi)
+    return h * first if first < np.inf else None
+
+
+def _bisect(s: float, h: float, tol: float, changed) -> list[tuple[float, float]]:
+    """Bisection's walk down the step [0, h] from s: the brackets (lo, dt) it passes, from
+    (0, h) to the leaf it ends on, where `changed(mid)` says whether a step of `mid` changes
+    the masks."""
+    lo, dt = 0.0, h
+    path = [(lo, dt)]
+    while dt - lo > tol:
+        mid = 0.5 * (lo + dt)
+        if s + mid in (s + lo, s + dt):  # no representable time between them
+            break
+        if changed(mid):
+            dt = mid
+        else:
+            lo = mid
+        path.append((lo, dt))
+    return path
+
+
+def _localize(s: float, h: float, tol: float, masks: dict, trial: tuple, step,
+              t_star: float | None) -> tuple[float, tuple, bool]:
+    """The step bisection keeps when the `trial` step of `h` changed the `masks`: its length, the
+    `step(dt)` result there, and whether the predicted crossing `t_star` was confirmed.
+
+    Bisection's walk is replayed on the prediction (masks unchanged exactly where mid < t_star)
+    and the leaf it reaches is confirmed by two probes: unchanged at its lower end, changed at
+    its upper end.  A miss climbs the replayed brackets 1, 2, 4, ... levels up, one new probe
+    per level, to the first that the probes confirm.  Bisection assumes the masks change once
+    in the step, so every probe decides all midpoints on one side of it; the walk re-run on
+    what the probes showed reaches bisection's leaf, probing only inside the confirmed bracket.
+    """
+    a, b, kept = 0.0, h, trial  # masks unchanged at a, changed at b, where `kept` stepped to
+
+    def changed(mid: float) -> bool:
+        nonlocal a, b, kept
+        if a < mid < b:
+            probe = step(mid)
+            if _masks_equal(masks, probe[2]):
+                a = mid
+            else:
+                b, kept = mid, probe
+        return mid >= b
+
+    hit = False
+    if t_star is not None:
+        path = _bisect(s, h, tol, lambda mid: mid >= t_star)
+        # the predicted leaf, else its ancestors 1, 2, 4, ... levels up until the probes confirm
+        # one; (0, h) always is
+        levels = [0] + [min(2 ** j, len(path) - 1) for j in range(len(path).bit_length() + 1)]
+        hit = next(i for i in levels if not changed(path[-1 - i][0]) and changed(path[-1 - i][1])) == 0
+    return _bisect(s, h, tol, changed)[-1][1], kept, hit
+
+
 def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Trajectory:
     """Event-splitting integration loop.
 
@@ -196,12 +322,26 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
 
     state = state0.checked()
     s = 0.0
-    masks, cost = _sweep(state, data)
+    masks, images = _sweep(state, data)
+    cost = _cost(state, images)
     violations = check_cluster_separation(state, data)[1] if separated else []
     if violations:
         logger.warning("cluster separation violated at %d (layer, cluster, point) triples; "
                        "the cluster-separated flow equations are approximations here", len(violations))
-    k1 = rhs(state, data, masks)
+    stats = IntegratorStats()
+
+    def counted_rhs(*args):
+        stats.rhs_calls += 1
+        return rhs(*args)
+
+    def step(h: float) -> tuple:
+        """RK4 step of `h` from the current state at its masks: the new state, the generators
+        that moved it, and its masks and final images."""
+        stats.rk4_steps += 1
+        advanced, generators = _rk4_step(state, k1, data, counted_rhs, masks, h)
+        return (advanced, generators, *_sweep(advanced, data))
+
+    k1 = counted_rhs(state, data, masks)
     samples = [FlowSample(s, state, cost, _diagnostics(state, k1[1], masks))]
     events: list[Event] = []
     retractions = [0] * state.depth
@@ -212,24 +352,16 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
         while True:
             if h < opts.min_step:
                 raise StepUnderflow(f"step underflow at s = {s:.6g}")
-            advanced, generators = _rk4_step(state, k1, data, rhs, masks, h)
-            new_masks, advanced_cost = _sweep(advanced, data)
+            kept = step(h)
             dt, pending_events = h, []
-            if not _masks_equal(masks, new_masks):
-                # bisect for the crossing; the step kept is the one at the upper end
-                lo = 0.0
-                while dt - lo > opts.bisect_tol:
-                    mid = 0.5 * (lo + dt)
-                    if s + mid in (s + lo, s + dt):  # no representable time between them
-                        break
-                    probe, probe_generators = _rk4_step(state, k1, data, rhs, masks, mid)
-                    probe_masks, probe_cost = _sweep(probe, data)
-                    if _masks_equal(masks, probe_masks):
-                        lo = mid
-                    else:
-                        dt, advanced, generators = mid, probe, probe_generators
-                        new_masks, advanced_cost = probe_masks, probe_cost
-                pending_events = _diff_events(s + dt, masks, new_masks)
+            if not _masks_equal(masks, kept[2]):
+                stats.localizations += 1
+                t_star = _predict_crossing(state, k1, kept[0], data, counted_rhs, masks, h)
+                dt, kept, hit = _localize(s, h, opts.bisect_tol, masks, kept, step, t_star)
+                stats.prediction_misses += not hit
+                pending_events = _diff_events(s + dt, masks, kept[2])
+            advanced, generators, new_masks, images = kept
+            advanced_cost = _cost(advanced, images)
             if advanced_cost > cost + opts.cost_slack * (1.0 + cost):
                 h *= 0.5
                 continue
@@ -247,9 +379,9 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
                     advanced = advanced.derive(rotations, advanced.betas)
                     reprojected = True
         state, masks = advanced.checked(), new_masks
-        cost = _sweep(state, data)[1] if reprojected else advanced_cost
+        cost = _cost(state, _sweep(state, data)[1]) if reprojected else advanced_cost
         s += dt
-        k1 = rhs(state, data, masks)
+        k1 = counted_rhs(state, data, masks)
         samples.append(FlowSample(s, state, cost, _diagnostics(state, k1[1], masks)))
         for ev in pending_events:
             if separated and ev.layer != ev.cluster:
@@ -262,9 +394,9 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
                 continue
             return Trajectory(samples, events, stopped_reason=(
                 f"{stop} at s = {s:.6g}: layer {ev.layer}, cluster {ev.cluster}, point {ev.point}, "
-                f"coordinate {ev.coordinate} ({ev.direction}): {why}"))
+                f"coordinate {ev.coordinate} ({ev.direction}): {why}"), stats=stats)
 
-    return Trajectory(samples=samples, events=events)
+    return Trajectory(samples=samples, events=events, stats=stats)
 
 
 def integrate_effective(state0: ModelState, data: TrainingSet, s_end: float,

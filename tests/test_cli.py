@@ -97,6 +97,9 @@ class TestRunCommand:
         assert summary["n_events"] == 0
         assert summary["final_cost"] == summary["initial_cost"]
         assert summary["stopped_reason"] is None
+        steps = len((out / "trajectory.csv").read_text().strip().split("\n")) - 2
+        assert summary["integrator"] == {"rk4_steps": steps, "rhs_calls": 4 * steps + 1,
+                                         "localizations": 0, "prediction_misses": 0}
         assert (out / "trajectory.csv").exists() and (out / "events.csv").exists()
 
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
@@ -150,6 +153,9 @@ class TestRunCommand:
             assert s_lo <= float(rows[-1].split(",")[0]) <= s_hi
             events = (out / "events.csv").read_text().strip().split("\n")[1:]
             assert events and events[-1].split(",")[0] == rows[-1].split(",")[0]
+            work = summary["integrator"]
+            assert work["localizations"] >= len({ev.split(",")[0] for ev in events})
+            assert work["rhs_calls"] == len(rows) + 3 * work["rk4_steps"] + work["localizations"]
 
     def test_collapsed_scenario(self, tmp_path):
         doc = {

@@ -11,6 +11,7 @@ from truncflow.errors import StepUnderflow
 from truncflow.flows import CollapsedState, conserved_quantity
 from truncflow.integrate import (
     IntegratorOptions,
+    _cost,
     _sweep,
     fit_phase_exponents,
     freeze_time,
@@ -257,6 +258,90 @@ class TestSliding:
         assert checked >= 90
 
 
+def _trajectory_bits(traj) -> tuple:
+    """Everything a trajectory reports, as exactly comparable values."""
+    samples = [(smp.s, smp.state.rotations.tobytes(), smp.state.betas.tobytes(), smp.cost,
+                [(d.omega_norm, d.beta_gap, d.truncated_counts.tobytes()) for d in smp.per_layer])
+               for smp in traj.samples]
+    return samples, [astuple(ev) for ev in traj.events], traj.stopped_reason
+
+
+# (q, points per cluster, seed) of make_separated_config, and (seed, case) of the
+# monotonicity suite's integrate_general cases: the benchmark's base configurations
+EFFECTIVE_BASES = ((2, 20, 0), (2, 20, 1), (2, 40, 0), (2, 40, 1),
+                   (3, 20, 0), (3, 20, 1), (3, 20, 2), (4, 10, 0))
+GENERAL_BASES = ((0, 3), (0, 11), (1, 1), (1, 3))
+
+
+def _base_run(base):
+    if len(base) == 3:
+        q, n_per, seed = base
+        return integrate_effective, make_separated_config(q, n_per=n_per, seed=seed)
+    state, data, integrator, _ = _monotonicity_case(*base)
+    return integrator, (state, data)
+
+
+_PREDICT = truncflow.integrate._predict_crossing
+
+
+def _half_the_prediction(*args):
+    t_star = _PREDICT(*args)
+    return None if t_star is None else 0.5 * t_star
+
+
+WRONG_PREDICTIONS = {
+    "none": lambda *args: None,  # nothing predicted: plain bisection
+    "early": _half_the_prediction,
+    "step end": lambda *args: args[-1],
+}
+
+
+class TestCrossingPrediction:
+    """A localization predicts the crossing, replays bisection's walk on it and confirms the
+    leaf with two probes; whatever the prediction, the step kept is the one bisection keeps."""
+
+    @pytest.mark.parametrize("base", EFFECTIVE_BASES + GENERAL_BASES, ids=lambda base: "-".join(map(str, base)))
+    def test_any_prediction_keeps_the_trajectory(self, monkeypatch, base):
+        integrator, (state, data) = _base_run(base)
+        want = integrator(state, data, 1.0)
+        assert want.stats.localizations > 0
+        for how, predict in WRONG_PREDICTIONS.items():
+            monkeypatch.setattr(truncflow.integrate, "_predict_crossing", predict)
+            got = integrator(state, data, 1.0)
+            assert _trajectory_bits(got) == _trajectory_bits(want), how
+            assert got.stats.localizations == want.stats.localizations, how
+            assert got.stats.prediction_misses > want.stats.prediction_misses, how
+            assert got.stats.rk4_steps > want.stats.rk4_steps, how
+
+    @pytest.mark.parametrize("make", [
+        lambda: (integrate_effective, make_one_dim_state([1.0, 2.0], 5.0, 1.0), 3.0),
+        lambda: (_monotonicity_case(0, 5)[2], _monotonicity_case(0, 5)[:2], 1.0),
+    ], ids=["oned ladder", "sliding"])
+    def test_replay_stops_at_float_spacing(self, monkeypatch, make):
+        # below the spacing of floats near the crossing the replayed walk ends
+        # where bisection's does, and the confirmed leaf is bisection's leaf
+        integrator, (state, data), s_end = make()
+        opts = IntegratorOptions(bisect_tol=1e-300)
+        predicted = integrator(state, data, s_end, opts)
+        monkeypatch.setattr(truncflow.integrate, "_predict_crossing", WRONG_PREDICTIONS["none"])
+        bisected = integrator(state, data, s_end, opts)
+        assert _trajectory_bits(predicted) == _trajectory_bits(bisected)
+        assert predicted.events and predicted.stats.rk4_steps < bisected.stats.rk4_steps
+
+    def test_at_most_two_rk4_steps_per_accepted_step(self, monkeypatch):
+        calls = {"rk4": 0}
+        rk4 = truncflow.integrate._rk4_step
+
+        def counting_rk4(*args):
+            calls["rk4"] += 1
+            return rk4(*args)
+
+        monkeypatch.setattr(truncflow.integrate, "_rk4_step", counting_rk4)
+        traj = integrate_effective(*make_separated_config(3, n_per=20, seed=1), 1.0)
+        assert len(traj.events) >= 30
+        assert calls["rk4"] == traj.stats.rk4_steps <= 2 * (len(traj.samples) - 1)
+
+
 class TestSeparationLoss:
     """The cluster-separated flow reads only the (k, k) pairs; losing separation ends it."""
 
@@ -326,14 +411,14 @@ class TestSectorMasks:
         for _ in range(40):
             state, data = _random_state_and_data(int(rng.integers(1, 5)), 6, rng)
             pairs = [(k, l) for k in range(state.depth) for l in range(data.q)]
-            (got, cost), want = _sweep(state, data), self.per_pair_chains(state, data, pairs)
+            (got, images), want = _sweep(state, data), self.per_pair_chains(state, data, pairs)
             assert list(got) == list(want) == pairs
             assert all(np.array_equal(got[pair], want[pair]) for pair in pairs)
-            assert cost == euclidean_cost(state, data)
+            assert _cost(state, images) == euclidean_cost(state, data)
 
 
 class TestBoundaryValidation:
-    """RK stages and bisection probes build no validated objects; each
+    """RK stages and localization probes build no validated objects; each
     accepted sample checks its rotations once, and no generator is wrapped."""
 
     @staticmethod
@@ -358,7 +443,7 @@ class TestBoundaryValidation:
         rotations = self.count_inits(monkeypatch, OrthogonalMatrix)
         generators = self.count_inits(monkeypatch, AntisymmetricMatrix)
         traj = integrator(state, data, 1.0)
-        assert traj.events  # the bisection ran
+        assert traj.events  # the localization ran
         # accepted samples check their rotations without building objects;
         # only a re-projection (each 100th retraction of a layer) builds one
         assert states["n"] == 0
@@ -372,7 +457,8 @@ class TestBoundaryValidation:
     def test_one_field_evaluation_per_accepted_state(self, monkeypatch, integrator, rhs_name,
                                                      q, n_per, seed):
         # each accepted state's field is the first stage of every step tried
-        # from it (trial, cost-halving retries, bisection probes) and its diagnostics
+        # from it (trial, cost-halving retries, localization probes) and its
+        # diagnostics; each localization's prediction adds the field at the trial end
         calls = {"rhs": 0, "rk4": 0}
         rhs, rk4 = getattr(truncflow.integrate, rhs_name), truncflow.integrate._rk4_step
 
@@ -389,7 +475,8 @@ class TestBoundaryValidation:
         state, data = make_separated_config(q, n_per=n_per, seed=seed)
         traj = integrator(state, data, 1.0)
         assert traj.events
-        assert calls["rhs"] == len(traj.samples) + 3 * calls["rk4"]
+        assert traj.stats.rk4_steps == calls["rk4"] and traj.stats.rhs_calls == calls["rhs"]
+        assert calls["rhs"] == len(traj.samples) + 3 * calls["rk4"] + traj.stats.localizations
 
     @pytest.mark.parametrize("integrator, rhs, q, n_per, seed", [
         (integrate_effective, effective_rhs, 3, 20, 0),
