@@ -56,17 +56,13 @@ from .measures import (
     TrainingSet,
     check_cluster_separation,
     compute_moments,
-    pushforward_points,
 )
 from .model import (
     LayerParams,
     ModelState,
-    SectorMask,
     chained_truncation,
-    classify_sector,
     euclidean_cost,
     standard_cost,
-    truncation_map,
 )
 from .oracle import FDSettings, fd_grad_beta, fd_grad_collapsed, fd_grad_rotation, reference_integrate
 

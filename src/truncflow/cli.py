@@ -327,6 +327,7 @@ def _run_oned(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
         "phases": fit_phase_exponents(traj),
         "n_events": len(traj.events),
         "stopped_reason": traj.stopped_reason,
+        "integrator": asdict(traj.stats),
     }
 
 

@@ -18,10 +18,12 @@ Field contract.  The layered flows move all layers together, so their
 velocity is one tangent vector shaped like the state:
 ``rhs(state, data, frozen_masks=None) -> (beta_dots, omegas)`` with plain
 arrays beta_dots (L, Q) and omegas (L, Q, Q), each omegas[k] exactly
-antisymmetric.  `frozen_masks` maps (layer, cluster) to boolean (N, Q)
-activity patterns that replace the computed ones.  Generators are
-validated as :class:`~truncflow.manifold.AntisymmetricMatrix` only where
-they cross the public boundary (`retract`, the finite-difference oracle).
+antisymmetric.  `frozen_masks[l][k]` is cluster l's boolean (N_l, Q)
+activity pattern at layer k: `frozen_masks[l]` is the `nus` list that
+`model.push` returns for cluster l, and goes straight back into `push`.
+The patterns replace the computed ones.  Generators are validated as
+:class:`~truncflow.manifold.AntisymmetricMatrix` only where they cross the
+public boundary (`retract`, the finite-difference oracle).
 The collapsed field takes and returns plain arrays too,
 ``collapsed_rhs(b, w, y) -> (b_dot, w_dot)``.
 """
@@ -71,10 +73,10 @@ def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     fractions, and Omega_k accumulates the per-point commutators of points in
     mixed (off-diagonal) sectors.  Returns (beta_dots (L, Q), omegas (L, Q, Q)).
 
-    `frozen_masks` maps (layer, cluster) to boolean (N, Q) activity patterns
-    (only the (k, k) entries are read) and overrides the computed ones, which
-    evaluates the smooth extension of one sector configuration; integrators
-    use this so that no stage of a step samples the field across a boundary.
+    `frozen_masks[l][k]` (cluster l at layer k; only the [k][k] entries are
+    read) overrides the computed activity patterns, which evaluates the smooth
+    extension of one sector configuration; integrators use this so that no
+    stage of a step samples the field across a boundary.
     """
     if state.depth > data.q:
         raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
@@ -84,7 +86,7 @@ def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
         pts = data.clusters[k]
         v = r @ (beta + state.pulled_labels[k])
         z = (pts + beta) @ r.T
-        pos = (z > 0.0) if frozen_masks is None else frozen_masks[(k, k)]
+        pos = (z > 0.0) if frozen_masks is None else frozen_masks[k][k]
         j0_perp = 1.0 - pos.mean(axis=0)
         beta_dots[k] = -(r.T @ (j0_perp * v))
         npos = pos.sum(axis=1)
@@ -105,18 +107,16 @@ def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
         raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
     beta_dots = np.empty(state.betas.shape)
     omegas = np.zeros(state.rotations.shape)
-    for k, lp in enumerate(state.layers):
-        pts = data.clusters[k]
-        r = lp.rotation.mat
-        v = r @ (lp.beta + state.pulled_labels[k])
-        mom = compute_moments(lp, pts, None if frozen_masks is None else frozen_masks[(k, k)])
+    for k, (r, beta) in enumerate(zip(state.rotations, state.betas)):
+        v = r @ (beta + state.pulled_labels[k])
+        mom = compute_moments(r, beta, data.clusters[k], None if frozen_masks is None else frozen_masks[k][k])
         beta_dots[k] = -(r.T @ (mom.j0_perp * v))
-        for mask, j1 in mom.j1_by_sector.items():
-            if not mask.is_off_diagonal():
+        for bits, j1 in mom.j1_by_sector.items():
+            if all(bits) or not any(bits):  # the pure sectors contribute nothing
                 continue
-            j2 = mom.j2_by_sector[mask]
+            j2 = mom.j2_by_sector[bits]
             sym = 0.5 * (np.outer(j1, v) + np.outer(v, j1)) - 0.5 * j2
-            omegas[k] += _commutator_with_mask(mask.as_float(), sym)
+            omegas[k] += _commutator_with_mask(np.array(bits, dtype=float), sym)
     return beta_dots, omegas
 
 
@@ -131,13 +131,13 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     Omega_l -= [H_l, (a c^T + c a^T)/2] with a = R_l(t_l + beta_l) its pushed
     coordinates, and g becomes R_l^T H_l c, the mismatch pulled back through
     layer l's truncation Jacobian.  All points of a cluster are processed as
-    a batch, and `frozen_masks` needs an entry for every (layer, cluster) pair.
+    a batch, and `frozen_masks` needs every cluster's full list.
     """
     beta_dots = np.zeros(state.betas.shape)
     omegas = np.zeros(state.rotations.shape)
     for l_cl, pts in enumerate(data.clusters):
         weight = 1.0 / len(pts)
-        frozen = None if frozen_masks is None else [frozen_masks[(k, l_cl)] for k in range(state.depth)]
+        frozen = None if frozen_masks is None else frozen_masks[l_cl]
         pushed, masks, t, _ = push(state.rotations, state.betas, pts, frozen)
         # adjoint sweep: g is the mismatch pulled back through the layers above l
         g = t - state.pulled_labels[l_cl]

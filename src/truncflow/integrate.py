@@ -25,11 +25,15 @@ its next step starts from, and that step reuses it as its first stage.
 Crossings are taken to be transversal.  If an event's coordinate is driven back
 across its hyperplane by the field of its new sector, the field on both sides points
 into it (Filippov's sliding condition), and the trajectory ends with a `stopped_reason`.
-Each state is swept once: one push per cluster gives every (layer, cluster) pair's
-activities and the final images; only the step kept turns its images into a cost.
-The cluster-separated field reads only the (k, k) pairs and stops being a descent
+Each state is swept once: one push per cluster gives that cluster's activities at
+every layer and its final images; only the step kept turns its images into a cost.
+The masks are push's lists as they are, `masks[l][k]` for cluster l at layer k, and
+go straight back into `push` and the right-hand sides as their `frozen_masks`.
+The cluster-separated field reads only the [k][k] entries and stops being a descent
 direction of the full cost once a layer truncates a point of another cluster, so a
-crossing into truncation in such a pair ends its trajectory too.
+crossing into truncation in such a pair ends its trajectory too.  From a start that
+is not separated, every accepted state also pairs its field with the full descent
+field (`general_rhs`), and the trajectory ends where the field ascends the full cost.
 """
 
 from __future__ import annotations
@@ -154,15 +158,15 @@ def _rk4_step(state: ModelState, k1, data: TrainingSet, rhs, masks, h: float) ->
     return _apply(state, beta_dots, omegas, h), omegas
 
 
-def _sweep(state: ModelState, data: TrainingSet) -> tuple[dict, list[np.ndarray]]:
-    """Push each cluster once through every layer: the boolean (N, Q) activities of every (layer,
-    cluster) pair, keyed in layer-major order, and each cluster's final images."""
+def _sweep(state: ModelState, data: TrainingSet) -> tuple[list, list[np.ndarray]]:
+    """Push each cluster once through every layer: the boolean (N, Q) activities, `[l][k]` for
+    cluster l at layer k, and each cluster's final images."""
     nus, images = [], []
     for pts in data.clusters:
         _, nu, t, _ = push(state.rotations, state.betas, pts)
         nus.append(nu)
         images.append(t)
-    return {(k, l): nus[l][k] for k in range(state.depth) for l in range(data.q)}, images
+    return nus, images
 
 
 def _cost(state: ModelState, images: list[np.ndarray]) -> float:
@@ -173,17 +177,19 @@ def _cost(state: ModelState, images: list[np.ndarray]) -> float:
     return cost
 
 
-def _masks_equal(a: dict, b: dict) -> bool:
+def _masks_equal(a: list, b: list) -> bool:
     # a pair's masks share shape and dtype, so equal bytes are equal masks; cheaper than np.array_equal
-    return all(ma.tobytes() == b[pair].tobytes() for pair, ma in a.items())
+    return all(x.tobytes() == y.tobytes() for la, lb in zip(a, b) for x, y in zip(la, lb))
 
 
-def _diff_events(s: float, before: dict, after: dict) -> list[Event]:
+def _diff_events(s: float, before: list, after: list) -> list[Event]:
+    """The crossings between two mask lists, layer-major: by layer, then cluster, point, coordinate."""
     events = []
-    for (layer, cluster), ma in before.items():
-        for point, coord in np.argwhere(ma != after[(layer, cluster)]):
-            direction = "entering" if ma[point, coord] else "leaving"
-            events.append(Event(s, layer, cluster, int(point), int(coord), direction))
+    for layer in range(len(before[0])):
+        for cluster, (nb, na) in enumerate(zip(before, after)):
+            for point, coord in np.argwhere(nb[layer] != na[layer]):
+                direction = "entering" if nb[layer][point, coord] else "leaving"
+                events.append(Event(s, layer, cluster, int(point), int(coord), direction))
     return events
 
 
@@ -193,16 +199,22 @@ def _normal_speed(state: ModelState, data: TrainingSet, field, ev: Event) -> flo
     return float(z_dots[ev.layer][ev.point, ev.coordinate])
 
 
-def _diagnostics(state: ModelState, omegas: np.ndarray, masks: dict) -> tuple[LayerDiagnostics, ...]:
+def _diagnostics(state: ModelState, omegas: np.ndarray, masks: list) -> tuple[LayerDiagnostics, ...]:
     """Per-layer Omega norm, distance of beta to its attractor, truncation counts."""
     return tuple(
         LayerDiagnostics(
             omega_norm=float(np.linalg.norm(omegas[k])),
             beta_gap=float(np.linalg.norm(state.betas[k] + state.pulled_labels[k])),
-            truncated_counts=np.sum(~masks[(k, k)], axis=0),
+            truncated_counts=np.sum(~masks[k][k], axis=0),
         )
         for k in range(state.depth)
     )
+
+
+def _full_cost_rate(state: ModelState, data: TrainingSet, masks: list, field) -> float:
+    """d/ds of the full cost along `field`: minus its pairing with the full descent field there."""
+    beta_dots, omegas = general_rhs(state, data, masks)
+    return -(float(np.sum(beta_dots * field[0])) + float(np.sum(omegas * field[1])))
 
 
 def _predict_crossing(state: ModelState, k1, trial: ModelState, data: TrainingSet, rhs, masks,
@@ -210,15 +222,14 @@ def _predict_crossing(state: ModelState, k1, trial: ModelState, data: TrainingSe
     """Predicted time in (0, h] of the first crossing in a step of `h` from `state` to `trial`, or
     None: the earliest sign change of any pushed coordinate's cubic Hermite interpolant.
 
-    One push per cluster at each end, frozen at the step's `masks`, gives every (layer, cluster)
-    pair's z and, under the field there (`k1` at the start, one more evaluation at `trial`), dz/ds.
+    One push per cluster at each end, frozen at the step's `masks`, gives that cluster's z at every
+    layer and, under the field there (`k1` at the start, one more evaluation at `trial`), dz/ds.
     """
     ends = []
     for st, velocities in ((state, k1), (trial, rhs(trial, data, masks))):
         zs, z_dots = [], []
         for l, pts in enumerate(data.clusters):
-            z, _, _, z_dot = push(st.rotations, st.betas, pts, [masks[(k, l)] for k in range(st.depth)],
-                                  velocities)
+            z, _, _, z_dot = push(st.rotations, st.betas, pts, masks[l], velocities)
             zs += z
             z_dots += z_dot
         ends.append((np.concatenate(zs, axis=None), np.concatenate(z_dots, axis=None)))
@@ -272,7 +283,7 @@ def _bisect(s: float, h: float, tol: float, changed) -> list[tuple[float, float]
     return path
 
 
-def _localize(s: float, h: float, tol: float, masks: dict, trial: tuple, step,
+def _localize(s: float, h: float, tol: float, masks: list, trial: tuple, step,
               t_star: float | None) -> tuple[float, tuple, bool]:
     """The step bisection keeps when the `trial` step of `h` changed the `masks`: its length, the
     `step(dt)` result there, and whether the predicted crossing `t_star` was confirmed.
@@ -310,10 +321,10 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
     """Event-splitting integration loop.
 
     `rhs(state, data, masks)` returns the velocities stacked like the state.
-    Every stage passes the step's `masks` (keyed by every (layer, cluster)
-    pair), so it evaluates the smooth extension of that sector configuration
-    and no stage ever samples the field across a boundary.  `separated`: the
-    field reads only the (k, k) pairs (see `integrate_effective`).
+    Every stage passes the step's `masks` (push's lists, `[l][k]` for cluster
+    l at layer k), so it evaluates the smooth extension of that sector
+    configuration and no stage ever samples the field across a boundary.
+    `separated`: the field reads only the [k][k] entries (`integrate_effective`).
     """
     if not 0 < s_end < np.inf:
         raise ValueError(f"s_end must be positive and finite, got {s_end!r}")
@@ -348,6 +359,12 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
     h_nominal = opts.step
 
     while s < s_end - 1e-13:
+        if violations:  # the field need not descend the full cost: stop where it ascends it
+            rate = _full_cost_rate(state, data, masks, k1)
+            if rate > 0.0:
+                return Trajectory(samples, events, stopped_reason=(
+                    f"separation lost at s = {s:.6g}: the effective field ascends the full cost "
+                    f"at rate {rate:.3g}"), stats=stats)
         h = min(h_nominal, s_end - s)
         while True:
             if h < opts.min_step:
@@ -404,8 +421,10 @@ def integrate_effective(state0: ModelState, data: TrainingSet, s_end: float,
     """Integrate the cluster-separated flow: layer k is driven by cluster k only.
 
     A start where layer k is not the identity on the chained images of another cluster l
-    logs a warning.  The first crossing at which a layer k starts truncating a point of a
-    cluster l != k ends the run (`stopped_reason`); one back out of truncation is an event.
+    logs a warning, and from such a start the run ends at the first accepted state where
+    the field ascends the full cost.  The first crossing at which a layer k starts truncating
+    a point of a cluster l != k ends the run (`stopped_reason`); one back out of truncation
+    is an event.
     """
     return _integrate_layered(state0, data, effective_rhs, s_end, opts or IntegratorOptions(), separated=True)
 

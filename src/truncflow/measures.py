@@ -2,7 +2,8 @@
 
 Every cluster is a finite set of points, so every moment is a finite sum;
 no quadrature appears anywhere.  Moments are taken of the pushed-forward
-measure, i.e. of the points z = R(x + beta) in the layer's rotated frame.
+measure, i.e. of the points z = R(x + beta) in the layer's rotated frame,
+and sectors are keyed by their activity pattern, a tuple of Q booleans.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyCluster
-from .model import LayerParams, ModelState, SectorMask, push
+from .model import ModelState, push
 
 
 class TrainingSet:
@@ -99,35 +100,29 @@ class Moments:
     pushed points; j0[r] / j0_perp[r] the fraction of points with coordinate
     r positive / truncated; j1_by_sector[nu] the per-sector first moment
     (1/N) sum z and j2_by_sector[nu] the per-sector second moment
-    (1/N) sum z z^T, keyed only by occupied sectors.
+    (1/N) sum z z^T, keyed only by occupied sectors; a sector nu is the
+    tuple of Q booleans `z > 0` of its points.
     """
 
     i0: float
     i1: np.ndarray
     j0: np.ndarray
     j0_perp: np.ndarray
-    j1_by_sector: dict[SectorMask, np.ndarray] = field(default_factory=dict)
-    j2_by_sector: dict[SectorMask, np.ndarray] = field(default_factory=dict)
+    j1_by_sector: dict[tuple[bool, ...], np.ndarray] = field(default_factory=dict)
+    j2_by_sector: dict[tuple[bool, ...], np.ndarray] = field(default_factory=dict)
 
 
-def pushforward_points(layer: LayerParams, cluster) -> np.ndarray:
-    """Map cluster points into the layer's frame: rows z_i = R(x_i + beta)."""
-    pts = np.asarray(cluster, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("cluster must be a 2-D array of points")
-    return (pts + layer.beta) @ layer.rotation.mat.T
+def compute_moments(rotation, beta, cluster, mask=None) -> Moments:
+    """Moments of one cluster pushed forward by the layer (R, beta), as arrays (Q, Q) and (Q,).
 
-
-def compute_moments(layer: LayerParams, cluster, mask=None) -> Moments:
-    """Moments of the pushed-forward empirical measure of one cluster.
-
-    `mask` (boolean (N, Q)) overrides the sign patterns z > 0 that assign
-    points to sectors, as the right-hand sides' `frozen_masks` do.
+    The pushed points are the rows z_i = R(x_i + beta).  `mask` (boolean
+    (N, Q)) overrides the sign patterns z > 0 that assign points to sectors,
+    as the right-hand sides' `frozen_masks` do.
     """
     pts = np.asarray(cluster, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise EmptyCluster("cluster must contain at least one point")
-    z = pushforward_points(layer, pts)
+    z = (pts + beta) @ rotation.T
     n = z.shape[0]
     pos = (z > 0.0) if mask is None else mask
     j0 = pos.mean(axis=0)
@@ -140,8 +135,8 @@ def compute_moments(layer: LayerParams, cluster, mask=None) -> Moments:
         i1=z.mean(axis=0),
         j0=j0,
         j0_perp=1.0 - j0,
-        j1_by_sector={SectorMask(bits): z[idx].sum(axis=0) / n for bits, idx in rows.items()},
-        j2_by_sector={SectorMask(bits): (z[idx].T @ z[idx]) / n for bits, idx in rows.items()},
+        j1_by_sector={bits: z[idx].sum(axis=0) / n for bits, idx in rows.items()},
+        j2_by_sector={bits: (z[idx].T @ z[idx]) / n for bits, idx in rows.items()},
     )
 
 

@@ -1,4 +1,4 @@
-"""Network data model: per-layer parameters, truncation maps, sectors, costs.
+"""Network data model: per-layer parameters, the layer sweep, costs.
 
 A layer is the pair (R, beta) with R in O(Q) and beta in R^Q.  Its
 truncation map acts on input-space points as
@@ -7,8 +7,9 @@ truncation map acts on input-space points as
 
 i.e. the coordinatewise ReLU pulled back through the affine map
 a(x) = R (x + beta).  A coordinate with a(x)_r <= 0 counts as truncated
-(the activation derivative convention h(0) = 0); all sector logic below
-uses strict `> 0` so the measure-zero boundary is deterministic.
+(the activation derivative convention h(0) = 0); a point's sector is its
+activity row `z > 0`, strict so the measure-zero boundary is deterministic.
+:func:`push` is the one loop that carries points up through the layers.
 
 Invariants are checked at the public constructors (:class:`LayerParams`,
 :class:`ModelState`); states derived from a validated one, such as
@@ -24,40 +25,6 @@ import numpy as np
 
 from .errors import IndexRange
 from .manifold import OrthogonalMatrix, check_orthogonal
-
-
-@dataclass(frozen=True)
-class SectorMask:
-    """Sign pattern of a point in a layer's rotated frame, one bit per coordinate."""
-
-    bits: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.bits) < 1:
-            raise ValueError("SectorMask needs at least one coordinate")
-
-    @classmethod
-    def from_vector(cls, x) -> "SectorMask":
-        """Bit r set iff x_r > 0 strictly; x_r = 0 counts as truncated."""
-        x = np.asarray(x, dtype=float)
-        return cls(tuple(bool(b) for b in x > 0.0))
-
-    @property
-    def dim(self) -> int:
-        return len(self.bits)
-
-    def all_true(self) -> bool:
-        return all(self.bits)
-
-    def all_false(self) -> bool:
-        return not any(self.bits)
-
-    def is_off_diagonal(self) -> bool:
-        """Neither fully positive nor fully truncated."""
-        return not (self.all_true() or self.all_false())
-
-    def as_float(self) -> np.ndarray:
-        return np.array(self.bits, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -98,8 +65,8 @@ class ModelState:
     The constructor takes validated LayerParams, checks the output map and
     labels, and solves the pulled labels.  States derived from it share those
     and check only their shapes.  `checked()` applies the orthogonality bound
-    to the stacked rotations; `layers`, the read-only view of validated
-    LayerParams, is built on first read, which checks every rotation too.
+    to the stacked rotations; `layers` builds a fresh validated LayerParams
+    view on each read, which checks every rotation too.
     """
 
     def __init__(self, layers, output_map, labels):
@@ -132,29 +99,22 @@ class ModelState:
         self.output_map, self.labels, self.pulled_labels = w, y, ytil
         self._set_layers(np.array([lp.rotation.mat for lp in layers]),
                          np.array([lp.beta for lp in layers]))
-        self._layers = layers
 
     def _set_layers(self, rotations: np.ndarray, betas: np.ndarray) -> None:
         rotations.setflags(write=False)
         betas.setflags(write=False)
         self.rotations = rotations
         self.betas = betas
-        self._layers = None
 
     def checked(self) -> "ModelState":
         """This state, after checking every rotation; one off the group raises ValueError."""
-        if self._layers is None:  # a built view holds validated rotations
-            for r in self.rotations:
-                check_orthogonal(r)
+        for r in self.rotations:
+            check_orthogonal(r)
         return self
 
     @property
     def layers(self) -> tuple[LayerParams, ...]:
-        if self._layers is None:
-            self._layers = tuple(
-                LayerParams(OrthogonalMatrix(r), b) for r, b in zip(self.rotations, self.betas)
-            )
-        return self._layers
+        return tuple(LayerParams(OrthogonalMatrix(r), b) for r, b in zip(self.rotations, self.betas))
 
     @property
     def dim(self) -> int:
@@ -171,19 +131,6 @@ class ModelState:
                              f"match {self.rotations.shape}, {self.betas.shape}")
         out = copy.copy(self)  # shares output map, labels and pulled labels; skips __init__
         out._set_layers(rotations, betas)
-        return out
-
-    def with_layer(self, index: int, layer: LayerParams) -> "ModelState":
-        if layer.dim != self.dim:
-            raise ValueError(f"layer has dimension {layer.dim}, expected {self.dim}")
-        rotations, betas = self.rotations.copy(), self.betas.copy()
-        rotations[index] = layer.rotation.mat
-        betas[index] = layer.beta
-        out = self.derive(rotations, betas)
-        if self._layers is not None:  # keep the validated view
-            layers = list(self._layers)
-            layers[index] = layer
-            out._layers = tuple(layers)
         return out
 
 
@@ -216,37 +163,22 @@ def push(rotations, betas, pts, masks=None, field=None):
     return zs, nus, t, z_dots if field is not None else None
 
 
-def chained_truncation(layers, x, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Compose truncation maps of layers lo..hi-1 in ascending order.
+def chained_truncation(state: ModelState, x, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Compose the truncation maps of the state's layers lo..hi-1 in ascending order.
 
-    `layers` is a ModelState or a sequence of LayerParams; `x` is one point
-    (Q,) or rows of points (N, Q).  The range is half-open and 0-based; an
-    empty range returns x unchanged.
+    `x` is one point (Q,) or rows of points (N, Q).  The range is half-open
+    and 0-based; an empty range returns x unchanged, and (k, k + 1) is layer
+    k's own truncation map.
     """
-    if isinstance(layers, ModelState):
-        rotations, betas = layers.rotations, layers.betas
-    else:
-        rotations, betas = [lp.rotation.mat for lp in layers], [lp.beta for lp in layers]
     if hi is None:
-        hi = len(rotations)
-    if not (0 <= lo <= hi <= len(rotations)):
-        raise IndexRange(f"invalid layer range [{lo}, {hi}) for {len(rotations)} layers")
-    return push(rotations[lo:hi], betas[lo:hi], x)[2]
+        hi = state.depth
+    if not (0 <= lo <= hi <= state.depth):
+        raise IndexRange(f"invalid layer range [{lo}, {hi}) for {state.depth} layers")
+    return push(state.rotations[lo:hi], state.betas[lo:hi], x)[2]
 
 
-# Second name of the same function; perfbench/tracing.py times the cost's chain under it.
+# Kept only because perfbench/tracing.py looks the chain up under this name; same function.
 chained_truncation_batch = chained_truncation
-
-
-def truncation_map(layer: LayerParams, x) -> np.ndarray:
-    """Apply one layer's ReLU pullback R^T relu(R(x + beta)) - beta to a point or rows."""
-    return chained_truncation((layer,), x)
-
-
-def classify_sector(layer: LayerParams, x) -> SectorMask:
-    """Sign pattern of R(x + beta); all-true means the point is fixed by the layer."""
-    x = np.asarray(x, dtype=float)
-    return SectorMask.from_vector(layer.rotation.mat @ (x + layer.beta))
 
 
 def _residuals(state: ModelState, data) -> list[np.ndarray]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NearKink
 from .flows import CollapsedState
-from .manifold import AntisymmetricMatrix, retract
+from .manifold import AntisymmetricMatrix, OrthogonalMatrix, retract
 from .measures import TrainingSet
 from .model import ModelState, euclidean_cost
 
@@ -41,8 +41,8 @@ def assert_kink_free(state: ModelState, data: TrainingSet, step: float) -> None:
     """
     for pts in data.clusters:
         images = np.asarray(pts, dtype=float)
-        for lp in state.layers:
-            z = (images + lp.beta) @ lp.rotation.mat.T
+        for r, beta in zip(state.rotations, state.betas):
+            z = (images + beta) @ r.T
             margin = 10.0 * step * np.maximum(1.0, np.linalg.norm(z, axis=1, keepdims=True))
             if np.any(np.abs(z) < margin):
                 gap = float(np.min(np.abs(z) / margin))
@@ -50,7 +50,7 @@ def assert_kink_free(state: ModelState, data: TrainingSet, step: float) -> None:
                     f"a pushed-forward coordinate sits at {gap:.3f} of the "
                     f"required clearance 10 * step * max(1, |z|) from an activation boundary"
                 )
-            images = np.maximum(z, 0.0) @ lp.rotation.mat - lp.beta
+            images = np.maximum(z, 0.0) @ r - beta
 
 
 def fd_grad_beta(state: ModelState, data: TrainingSet, layer: int,
@@ -60,13 +60,14 @@ def fd_grad_beta(state: ModelState, data: TrainingSet, layer: int,
     assert_kink_free(state, data, settings.step)
     q = state.dim
     grad = np.zeros(q)
-    lp = state.layers[layer]
     for r in range(q):
         delta = np.zeros(q)
         delta[r] = settings.step
-        plus = state.with_layer(layer, lp.with_updates(beta=lp.beta + delta))
-        minus = state.with_layer(layer, lp.with_updates(beta=lp.beta - delta))
-        grad[r] = (euclidean_cost(plus, data) - euclidean_cost(minus, data)) / (2 * settings.step)
+        plus, minus = state.betas.copy(), state.betas.copy()
+        plus[layer] += delta
+        minus[layer] -= delta
+        grad[r] = (euclidean_cost(state.derive(state.rotations, plus), data)
+                   - euclidean_cost(state.derive(state.rotations, minus), data)) / (2 * settings.step)
     return grad
 
 
@@ -84,15 +85,17 @@ def fd_grad_rotation(state: ModelState, data: TrainingSet, layer: int,
     q = state.dim
     if omega_basis is None:
         omega_basis = [(i, j) for i in range(q) for j in range(i + 1, q)]
-    lp = state.layers[layer]
+    rotation = OrthogonalMatrix(state.rotations[layer])
     g = np.zeros((q, q))
     for i, j in omega_basis:
         gen = np.zeros((q, q))
         gen[i, j], gen[j, i] = 1.0, -1.0
         omega = AntisymmetricMatrix(gen)
-        plus = state.with_layer(layer, lp.with_updates(rotation=retract(lp.rotation, omega, settings.step)))
-        minus = state.with_layer(layer, lp.with_updates(rotation=retract(lp.rotation, omega, -settings.step)))
-        d = (euclidean_cost(plus, data) - euclidean_cost(minus, data)) / (2 * settings.step)
+        plus, minus = state.rotations.copy(), state.rotations.copy()
+        plus[layer] = retract(rotation, omega, settings.step).mat
+        minus[layer] = retract(rotation, omega, -settings.step).mat
+        d = (euclidean_cost(state.derive(plus, state.betas), data)
+             - euclidean_cost(state.derive(minus, state.betas), data)) / (2 * settings.step)
         g[i, j], g[j, i] = -0.5 * d, 0.5 * d
     return AntisymmetricMatrix(g)
 
@@ -145,23 +148,23 @@ def reference_integrate(rhs, state0: ModelState, data: TrainingSet, s_end: float
     forms; it carries no event logic and no step control.
     """
 
-    def advance(state, beta_dots, omegas, dt):
-        layers = []
-        for lp, beta_dot, omega in zip(state.layers, beta_dots, omegas):
-            layers.append(lp.with_updates(
-                rotation=retract(lp.rotation, AntisymmetricMatrix(omega), dt),
-                beta=lp.beta + dt * beta_dot,
-            ))
-        return ModelState(layers, state.output_map, state.labels)
+    def advance(layers, beta_dots, omegas, dt):
+        return [lp.with_updates(rotation=retract(lp.rotation, AntisymmetricMatrix(omega), dt),
+                                beta=lp.beta + dt * beta_dot)
+                for lp, beta_dot, omega in zip(layers, beta_dots, omegas)]
 
-    state = state0
+    def build(layers):
+        return ModelState(layers, state0.output_map, state0.labels)
+
+    state, layers = state0, state0.layers  # the validated layers are carried from step to step
     s = 0.0
     while s < s_end - 1e-13:
         h = min(step, s_end - s)
         b1, o1 = rhs(state, data)
-        b2, o2 = rhs(advance(state, b1, o1, 0.5 * h), data)
-        b3, o3 = rhs(advance(state, b2, o2, 0.5 * h), data)
-        b4, o4 = rhs(advance(state, b3, o3, h), data)
-        state = advance(state, (b1 + 2 * b2 + 2 * b3 + b4) / 6.0, (o1 + 2 * o2 + 2 * o3 + o4) / 6.0, h)
+        b2, o2 = rhs(build(advance(layers, b1, o1, 0.5 * h)), data)
+        b3, o3 = rhs(build(advance(layers, b2, o2, 0.5 * h)), data)
+        b4, o4 = rhs(build(advance(layers, b3, o3, h)), data)
+        layers = advance(layers, (b1 + 2 * b2 + 2 * b3 + b4) / 6.0, (o1 + 2 * o2 + 2 * o3 + o4) / 6.0, h)
+        state = build(layers)
         s += h
     return state

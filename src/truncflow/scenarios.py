@@ -224,12 +224,11 @@ def check_collapse_hypotheses(state: ModelState, data: TrainingSet, layer: int,
     if not (0 < eta0 < 0.1 and 0 < eta1 < 0.1 and 0 < gamma < 0.1):
         raise ValueError("constants must lie in (0, 1/10)")
     rng = np.random.default_rng(seed)
-    lp = state.layers[layer]
     ytil = state.pulled_labels[layer]
     pts = data.clusters[layer]
     n = len(pts)
-    r_init = lp.rotation.mat
-    gap_norm0 = float(np.linalg.norm(lp.beta + ytil))
+    r_init = state.rotations[layer]
+    gap_norm0 = float(np.linalg.norm(state.betas[layer] + ytil))
     eta1p = 1.1 * gap_norm0 * eta1
     denom_a = 1.0 - eta0 - eta1p
     denom_b = 1.0 - eta0 - eta1
@@ -254,8 +253,8 @@ def check_collapse_hypotheses(state: ModelState, data: TrainingSet, layer: int,
         gen = 0.5 * (gen - gen.T)
         op = np.linalg.norm(gen, 2)
         angle = rng.random() * 2.0 * np.arcsin(min(1.0, 0.5 * eta2))
-        wiggle = expm_antisym(AntisymmetricMatrix(gen / op * angle)) if op > 0 else lp.rotation
-        r_new = wiggle.mat @ r_init
+        wiggle = expm_antisym(AntisymmetricMatrix(gen / op * angle)).mat if op > 0 else np.eye(q)
+        r_new = wiggle @ r_init
         if np.linalg.norm(r_new - r_init, 2) > eta2:
             continue
         z = (pts + beta) @ r_new.T

@@ -219,8 +219,8 @@ def equivalence_suite(seed: int = 0) -> dict:
         p_plus, p_minus = chained_projectors(state, x, lo, hi)
         recon = p_plus @ x
         for k, pm in zip(range(lo, hi), p_minus):
-            recon = recon - pm @ state.layers[k].beta
-        direct = chained_truncation(state.layers, x, lo, hi)
+            recon = recon - pm @ state.betas[k]
+        direct = chained_truncation(state, x, lo, hi)
         proj_worst = max(proj_worst, float(np.max(np.abs(recon - direct))))
 
     return _suite("equivalence", [

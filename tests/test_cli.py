@@ -190,6 +190,12 @@ class TestRunCommand:
         assert abs(s_cross - 2 * np.log(4.0 / 3.0)) <= 1e-6
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["closed_form_breakpoints"][0] == pytest.approx(2 * np.log(4.0 / 3.0))
+        # the integrator block, as in the effective and general modes
+        work = summary["integrator"]
+        rows = (tmp_path / "o" / "trajectory.csv").read_text().strip().split("\n")[1:]
+        assert set(work) == {"rk4_steps", "rhs_calls", "localizations", "prediction_misses"}
+        assert work["localizations"] >= 1
+        assert work["rhs_calls"] == len(rows) + 3 * work["rk4_steps"] + work["localizations"]
 
     def test_clustered_scenario(self, tmp_path):
         doc = {

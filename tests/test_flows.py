@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from truncflow.errors import BadOrdering, EmptyCluster, IndexRange, LabelInsideData, SingularGram
 from truncflow.flows import (
@@ -14,14 +16,31 @@ from truncflow.flows import (
     moment_form_rhs,
     one_dim_flow,
 )
-from truncflow.manifold import AntisymmetricMatrix, random_orthogonal
+from truncflow.manifold import AntisymmetricMatrix, antisym_project, expm_antisym, random_orthogonal
 from truncflow.measures import TrainingSet
-from truncflow.model import chained_truncation
+from truncflow.model import chained_truncation, push
 from truncflow.oracle import FDSettings, fd_grad_beta, fd_grad_collapsed, fd_grad_rotation, rk4_array
 from truncflow.scenarios import make_separated_config, state_from_arrays
 from truncflow.verify import _random_state_and_data
 
 RNG = np.random.default_rng(2024)
+
+# derandomized: the same examples on every run, and no example database
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+ENTRIES = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@st.composite
+def states_and_data(draw):
+    """Q = 2-4 clusters of 1-6 points, L <= Q layers (rotations exp(A) of drawn generators)."""
+    q = draw(st.integers(2, 4))
+    depth = draw(st.integers(1, q))
+    gens = draw(arrays(float, (depth, q, q), elements=ENTRIES))
+    betas = draw(arrays(float, (depth, q), elements=ENTRIES))
+    labels = draw(arrays(float, (q, q), elements=ENTRIES))
+    clusters = [draw(arrays(float, (draw(st.integers(1, 6)), q), elements=ENTRIES)) for _ in range(q)]
+    rotations = [expm_antisym(antisym_project(g)).mat for g in gens]
+    return state_from_arrays(rotations, betas, np.eye(q), labels), TrainingSet(clusters)
 
 
 class TestEffectiveRhs:
@@ -130,17 +149,33 @@ class TestFieldContract:
             assert omegas.shape == state.rotations.shape
             assert np.array_equal(omegas, -omegas.swapaxes(1, 2))
 
-    def test_frozen_masks_agree_across_forms(self):
-        # frozen sign patterns, here unrelated to the points, override the
-        # computed ones in the per-point and the moment form alike
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            state, data = _random_state_and_data(int(rng.integers(2, 5)), 6, rng)
-            masks = {(k, k): rng.random(data.clusters[k].shape) < 0.5 for k in range(state.depth)}
-            b1, o1 = effective_rhs(state, data, masks)
-            b2, o2 = moment_form_rhs(state, data, masks)
-            assert np.max(np.abs(b1 - b2)) <= 1e-12
-            assert np.max(np.abs(o1 - o2)) <= 1e-12
+    @PROPERTY
+    @given(states_and_data(), st.data())
+    def test_frozen_masks_agree_across_forms(self, drawn, draw):
+        # frozen sign patterns, here unrelated to the points, override the computed
+        # ones in the per-point and the moment form alike; masks[l][k] is cluster l
+        # at layer k, and both forms read the [k][k] entries
+        state, data = drawn
+        masks = [[draw.draw(arrays(bool, pts.shape)) for _ in range(state.depth)] for pts in data.clusters]
+        b1, o1 = effective_rhs(state, data, masks)
+        b2, o2 = moment_form_rhs(state, data, masks)
+        scale = 1.0 + max(np.max(np.abs(b1)), np.max(np.abs(o1)))
+        assert np.max(np.abs(b1 - b2)) <= 1e-12 * scale
+        assert np.max(np.abs(o1 - o2)) <= 1e-12 * scale
+
+    def test_masks_from_push_go_straight_back(self):
+        # frozen at push's own activity lists, a field is its unfrozen self bit for bit: the
+        # general one anywhere, the separated forms where earlier layers fix cluster k
+        rng = np.random.default_rng(47)
+        for i in range(20):
+            for rhs, (state, data) in [
+                (general_rhs, _random_state_and_data(int(rng.integers(2, 5)), 6, rng)),
+                (effective_rhs, make_separated_config(int(rng.integers(2, 5)), n_per=4, seed=i)),
+                (moment_form_rhs, make_separated_config(int(rng.integers(2, 5)), n_per=4, seed=50 + i)),
+            ]:
+                masks = [push(state.rotations, state.betas, pts)[1] for pts in data.clusters]
+                frozen, free = rhs(state, data, masks), rhs(state, data)
+                assert all(np.array_equal(a, b) for a, b in zip(frozen, free)), rhs.__name__
 
     def test_depth_beyond_clusters_rejected(self):
         q = 2
@@ -220,10 +255,12 @@ def test_directional_derivative_pairing():
         g = rng.normal(size=(state.dim, state.dim))
         w = AntisymmetricMatrix(0.5 * (g - g.T))
         eps = 1e-6
-        lp = state.layers[layer]
-        c_plus = euclidean_cost(state.with_layer(layer, lp.with_updates(rotation=retract(lp.rotation, w, eps))), data)
-        c_minus = euclidean_cost(state.with_layer(layer, lp.with_updates(rotation=retract(lp.rotation, w, -eps))), data)
-        fd = (c_plus - c_minus) / (2 * eps)
+        costs = []
+        for step in (eps, -eps):
+            rotations = state.rotations.copy()
+            rotations[layer] = retract(state.layers[layer].rotation, w, step).mat
+            costs.append(euclidean_cost(state.derive(rotations, state.betas), data))
+        fd = (costs[0] - costs[1]) / (2 * eps)
         analytic = float(np.trace(w.mat @ om))
         assert abs(fd - analytic) <= 1e-5 * max(abs(analytic), 1e-3)
 
@@ -244,20 +281,19 @@ class TestChainedProjectors:
         np.testing.assert_allclose(p_plus, np.zeros((q, q)), atol=1e-12)
         np.testing.assert_allclose(p_minus[0], np.eye(q), atol=1e-12)
 
-    def test_reconstruction_identity(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            q = int(rng.integers(2, 5))
-            state, _ = _random_state_and_data(q, 3, rng)
-            x = rng.normal(size=q) * 2
-            lo = int(rng.integers(0, state.depth))
-            hi = int(rng.integers(lo, state.depth + 1))
-            p_plus, p_minus = chained_projectors(state, x, lo, hi)
-            recon = p_plus @ x
-            for k, pm in zip(range(lo, hi), p_minus):
-                recon = recon - pm @ state.layers[k].beta
-            direct = chained_truncation(state.layers, x, lo, hi)
-            assert np.max(np.abs(recon - direct)) <= 1e-10
+    @PROPERTY
+    @given(states_and_data(), st.data())
+    def test_reconstruction_identity(self, drawn, draw):
+        # the chain over [lo, hi) equals its projector expansion p_plus x - sum_k p_minus_k beta_k
+        state, _ = drawn
+        x = draw.draw(arrays(float, state.dim, elements=st.floats(-5.0, 5.0, allow_subnormal=False)))
+        lo = draw.draw(st.integers(0, state.depth))
+        hi = draw.draw(st.integers(lo, state.depth))
+        p_plus, p_minus = chained_projectors(state, x, lo, hi)
+        recon = p_plus @ x
+        for k, pm in zip(range(lo, hi), p_minus):
+            recon = recon - pm @ state.betas[k]
+        assert np.max(np.abs(recon - chained_truncation(state, x, lo, hi))) <= 1e-10
 
 
 class TestCollapsed:

@@ -12,6 +12,7 @@ from truncflow.flows import CollapsedState, conserved_quantity
 from truncflow.integrate import (
     IntegratorOptions,
     _cost,
+    _diff_events,
     _sweep,
     fit_phase_exponents,
     freeze_time,
@@ -363,6 +364,35 @@ class TestSeparationLoss:
         assert 0.640843 <= float(s_stop) <= 0.640844
         assert "layer 1, cluster 2, point 0, coordinate 2" in reason
 
+    def test_non_separated_start_stops_where_its_field_ascends_the_full_cost(self):
+        # random rotations on Q=4 data: the effective field soon stops descending the full cost;
+        # in a subprocess with a timeout, so a run that crawls fails instead of hanging
+        code = (
+            "from truncflow.integrate import integrate_effective\n"
+            "from truncflow.scenarios import make_separated_config, named_initial_state\n"
+            "state, data = make_separated_config(4, n_per=5, seed=0)\n"
+            "start = named_initial_state('random-orthogonal', data, state.labels, seed=0)\n"
+            "traj = integrate_effective(start, data, 0.2)\n"
+            "print(repr(float(traj.times[-1])))\n"
+            "print(traj.stopped_reason)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(truncflow.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        s_stop, reason = done.stdout.splitlines()
+        assert 0.0028913 <= float(s_stop) <= 0.0028914
+        assert reason.startswith(f"separation lost at s = {float(s_stop):.6g}: ")
+        assert "ascends the full cost at rate" in reason and float(reason.split()[-1]) > 0.0
+
+    def test_separated_start_never_pairs_with_the_full_field(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the full descent field was evaluated from a separated start")
+
+        monkeypatch.setattr(truncflow.integrate, "_full_cost_rate", forbidden)
+        traj = integrate_effective(*make_separated_config(3, n_per=5, seed=0), 0.2)
+        assert traj.stopped_reason is None and traj.events
+
     @staticmethod
     def separation_warnings(caplog) -> list:
         return [rec for rec in caplog.records if "cluster separation violated" in rec.getMessage()]
@@ -397,24 +427,37 @@ class TestSeparationLoss:
 
 class TestSectorMasks:
     @staticmethod
-    def per_pair_chains(state, data, pairs) -> dict:
-        """Reference: each pair's cluster pushed from layer 0 through its own chain."""
-        out = {}
-        for layer, cluster in pairs:
-            images = chained_truncation(state, data.clusters[cluster], 0, layer)
-            z = (images + state.betas[layer]) @ state.rotations[layer].T
-            out[(layer, cluster)] = z > 0.0
+    def per_pair_chains(state, data) -> list:
+        """Reference: cluster l pushed from layer 0 through its own chain up to each layer k, [l][k]."""
+        out = []
+        for pts in data.clusters:
+            row = []
+            for layer in range(state.depth):
+                images = chained_truncation(state, pts, 0, layer)
+                row.append((images + state.betas[layer]) @ state.rotations[layer].T > 0.0)
+            out.append(row)
         return out
 
     def test_one_sweep_matches_per_pair_chains(self):
         rng = np.random.default_rng(43)
         for _ in range(40):
             state, data = _random_state_and_data(int(rng.integers(1, 5)), 6, rng)
-            pairs = [(k, l) for k in range(state.depth) for l in range(data.q)]
-            (got, images), want = _sweep(state, data), self.per_pair_chains(state, data, pairs)
-            assert list(got) == list(want) == pairs
-            assert all(np.array_equal(got[pair], want[pair]) for pair in pairs)
+            (got, images), want = _sweep(state, data), self.per_pair_chains(state, data)
+            assert len(got) == len(want) == data.q
+            assert all(len(g) == state.depth for g in got)
+            assert all(np.array_equal(g, w) for gl, wl in zip(got, want) for g, w in zip(gl, wl))
             assert _cost(state, images) == euclidean_cost(state, data)
+
+    def test_events_are_listed_layer_major(self):
+        # events.csv lists crossings by layer, then cluster, point and coordinate
+        before = [[np.array([[True, True]]), np.array([[True, False]])],
+                  [np.array([[False, True]]), np.array([[True, True]])]]
+        after = [[np.array([[False, True]]), np.array([[True, True]])],
+                 [np.array([[True, True]]), np.array([[False, True]])]]
+        got = [(ev.layer, ev.cluster, ev.point, ev.coordinate, ev.direction)
+               for ev in _diff_events(0.5, before, after)]
+        assert got == [(0, 0, 0, 0, "entering"), (0, 1, 0, 0, "leaving"),
+                       (1, 0, 0, 1, "leaving"), (1, 1, 0, 0, "entering")]
 
 
 class TestBoundaryValidation:

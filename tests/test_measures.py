@@ -4,61 +4,67 @@ import numpy as np
 import pytest
 
 from truncflow.errors import EmptyCluster
-from truncflow.manifold import OrthogonalMatrix, random_orthogonal
+from truncflow.manifold import random_orthogonal
 from truncflow.measures import (
     TrainingSet,
     check_cluster_separation,
     compute_moments,
-    pushforward_points,
 )
-from truncflow.model import LayerParams, SectorMask
+from truncflow.model import push
 from truncflow.scenarios import make_separated_config
 
 RNG = np.random.default_rng(99)
+EYE3, ZERO3 = np.eye(3), np.zeros(3)
 
 
-def identity_layer(q, beta=None):
-    return LayerParams(OrthogonalMatrix(np.eye(q)), np.zeros(q) if beta is None else np.asarray(beta, float))
+def pushed(rotation, beta, pts):
+    """The rows z_i = R(x_i + beta) that `push` reports for one layer."""
+    return push(rotation[None], beta[None], pts)[0][0]
 
 
 class TestPushforward:
+    """Moments are taken of the pushed points z = R(x + beta)."""
+
     def test_identity(self):
         pts = RNG.normal(size=(4, 3))
-        np.testing.assert_array_equal(pushforward_points(identity_layer(3), pts), pts)
+        np.testing.assert_array_equal(pushed(EYE3, ZERO3, pts), pts)
+        np.testing.assert_array_equal(compute_moments(EYE3, ZERO3, pts).i1, pts.mean(axis=0))
 
     def test_beta_cancels_single_point(self):
         x = RNG.normal(size=3)
-        layer = LayerParams(random_orthogonal(3, RNG), -x)
-        out = pushforward_points(layer, x[None, :])
-        np.testing.assert_allclose(out, np.zeros((1, 3)), atol=1e-12)
+        r = random_orthogonal(3, RNG).mat
+        np.testing.assert_allclose(pushed(r, -x, x[None, :]), np.zeros((1, 3)), atol=1e-12)
+        np.testing.assert_allclose(compute_moments(r, -x, x[None, :]).i1, np.zeros(3), atol=1e-12)
 
     def test_isometry(self):
-        layer = LayerParams(random_orthogonal(4, RNG), RNG.normal(size=4))
+        r, beta = random_orthogonal(4, RNG).mat, RNG.normal(size=4)
         pts = RNG.normal(size=(6, 4))
-        z = pushforward_points(layer, pts)
+        z = pushed(r, beta, pts)
         np.testing.assert_allclose(
-            np.linalg.norm(z, axis=1), np.linalg.norm(pts + layer.beta, axis=1), rtol=1e-12
+            np.linalg.norm(z, axis=1), np.linalg.norm(pts + beta, axis=1), rtol=1e-12
         )
+        np.testing.assert_allclose(compute_moments(r, beta, pts).i1, z.mean(axis=0), rtol=0, atol=1e-14)
 
 
 class TestComputeMoments:
     def test_all_positive(self):
         pts = np.abs(RNG.normal(size=(5, 3))) + 0.5
-        mom = compute_moments(identity_layer(3), pts)
+        mom = compute_moments(EYE3, ZERO3, pts)
         np.testing.assert_array_equal(mom.j0, np.ones(3))
         np.testing.assert_array_equal(mom.j0_perp, np.zeros(3))
-        assert list(mom.j1_by_sector) == [SectorMask((True, True, True))]
-        np.testing.assert_allclose(mom.j1_by_sector[SectorMask((True, True, True))], mom.i1, rtol=1e-12)
+        assert list(mom.j1_by_sector) == [(True, True, True)]
+        np.testing.assert_allclose(mom.j1_by_sector[(True, True, True)], mom.i1, rtol=1e-12)
 
     def test_all_negative(self):
         pts = -np.abs(RNG.normal(size=(5, 3))) - 0.5
-        mom = compute_moments(identity_layer(3), pts)
+        mom = compute_moments(EYE3, ZERO3, pts)
         np.testing.assert_array_equal(mom.j0_perp, np.ones(3))
+        assert list(mom.j1_by_sector) == [(False, False, False)]
 
     def test_truncated_fraction_counts(self):
         # 4 points, 3 of them with first coordinate <= 0
         pts = np.array([[-1.0, 1.0], [-2.0, 1.0], [0.0, 1.0], [3.0, 1.0]])
-        mom = compute_moments(identity_layer(2), pts)
+        mom = compute_moments(np.eye(2), np.zeros(2), pts)
         assert mom.j0_perp[0] == pytest.approx(3.0 / 4.0)
         assert mom.j0_perp[1] == 0.0
 
@@ -66,9 +72,9 @@ class TestComputeMoments:
         for _ in range(200):
             q = int(RNG.integers(1, 5))
             n = int(RNG.integers(1, 9))
-            layer = LayerParams(random_orthogonal(q, RNG), RNG.normal(size=q))
+            r, beta = random_orthogonal(q, RNG).mat, RNG.normal(size=q)
             pts = RNG.normal(size=(n, q)) * 2
-            mom = compute_moments(layer, pts)
+            mom = compute_moments(r, beta, pts)
             assert mom.i0 == 1.0
             np.testing.assert_allclose(mom.j0 + mom.j0_perp, np.ones(q), atol=1e-15)
             assert np.all(mom.j0 >= 0) and np.all(mom.j0 <= 1)
@@ -81,7 +87,7 @@ class TestComputeMoments:
             total = sum(mom.j1_by_sector.values())
             np.testing.assert_allclose(total, mom.i1, atol=1e-12)
             # second moments sum to the full second moment
-            z = pushforward_points(layer, pts)
+            z = pushed(r, beta, pts)
             np.testing.assert_allclose(
                 sum(mom.j2_by_sector.values()), z.T @ z / n, atol=1e-12
             )
@@ -91,12 +97,12 @@ class TestComputeMoments:
         for _ in range(50):
             q = int(RNG.integers(1, 5))
             n = int(RNG.integers(1, 12))
-            layer = LayerParams(random_orthogonal(q, RNG), RNG.normal(size=q))
+            r, beta = random_orthogonal(q, RNG).mat, RNG.normal(size=q)
             pts = RNG.normal(size=(n, q)) * 2
-            mom = compute_moments(layer, pts)
+            mom = compute_moments(r, beta, pts)
             j1, j2 = {}, {}
-            for z in pushforward_points(layer, pts):
-                key = SectorMask.from_vector(z)
+            for z in pushed(r, beta, pts):
+                key = tuple(bool(b) for b in z > 0.0)
                 j1[key] = j1.get(key, 0.0) + z / n
                 j2[key] = j2.get(key, 0.0) + np.outer(z, z) / n
             assert set(mom.j1_by_sector) == set(j1) == set(mom.j2_by_sector)
@@ -106,7 +112,7 @@ class TestComputeMoments:
 
     def test_empty_raises(self):
         with pytest.raises(EmptyCluster):
-            compute_moments(identity_layer(2), np.zeros((0, 2)))
+            compute_moments(np.eye(2), np.zeros(2), np.zeros((0, 2)))
 
 
 class TestClusterSeparation:
@@ -127,7 +133,7 @@ class TestClusterSeparation:
         state, data = make_separated_config(2, n_per=3, seed=12)
         clusters = [c.copy() for c in data.clusters]
         # drag one point of cluster 1 into layer 0's truncation region
-        corner = -state.layers[0].beta
+        corner = -state.betas[0]
         clusters[1][0] = corner - 1.0
         bad = TrainingSet(clusters)
         ok, violations = check_cluster_separation(state, bad)
@@ -138,7 +144,7 @@ class TestClusterSeparation:
         # overlapping clusters violate separation at many points; the
         # vectorized check must list the same triples in the same order,
         # each point chained through the layers before the one it is tested at
-        from truncflow.model import chained_truncation, classify_sector
+        from truncflow.model import chained_truncation
         from truncflow.verify import _random_state_and_data
 
         rng = np.random.default_rng(13)
@@ -146,10 +152,10 @@ class TestClusterSeparation:
             state, data = _random_state_and_data(int(rng.integers(2, 5)), 8, rng)
             expected = [
                 (k, l, i)
-                for k, layer in enumerate(state.layers)
+                for k, (r, beta) in enumerate(zip(state.rotations, state.betas))
                 for l, pts in enumerate(data.clusters) if l != k
                 for i, x in enumerate(pts)
-                if not classify_sector(layer, chained_truncation(state, x, 0, k)).all_true()
+                if not np.all(r @ (chained_truncation(state, x, 0, k) + beta) > 0.0)
             ]
             ok, violations = check_cluster_separation(state, data)
             assert len(expected) > 1

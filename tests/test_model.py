@@ -1,128 +1,171 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from truncflow.errors import EmptyCluster, IndexRange
-from truncflow.manifold import OrthogonalMatrix, random_orthogonal
+from truncflow.manifold import antisym_project, expm_antisym, random_orthogonal
 from truncflow.measures import TrainingSet
 from truncflow.model import (
-    LayerParams,
     ModelState,
-    SectorMask,
     chained_truncation,
-    classify_sector,
     euclidean_cost,
     push,
     standard_cost,
-    truncation_map,
 )
 from truncflow.scenarios import state_from_arrays
 
 RNG = np.random.default_rng(42)
 
+# derandomized: the same examples on every run, and no example database
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
-def identity_layer(q, beta=None):
-    return LayerParams(OrthogonalMatrix(np.eye(q)), np.zeros(q) if beta is None else np.asarray(beta, float))
+
+def layers_state(rotations, betas) -> ModelState:
+    """A state holding the given layers, with identity output map and zero labels."""
+    q = len(betas[0])
+    return state_from_arrays(rotations, betas, np.eye(q), np.zeros((q, q)))
+
+
+def identity_state(q, beta=None, depth=1):
+    beta = np.zeros(q) if beta is None else np.asarray(beta, float)
+    return layers_state([np.eye(q)] * depth, [beta] * depth)
+
+
+def one_layer_map(r, beta, x):
+    """Layer (r, beta)'s truncation map: the one-layer chain."""
+    return chained_truncation(layers_state([r], [beta]), x, 0, 1)
+
+
+def activities(x, q=None):
+    """The identity layer's activity rows for the point or rows x, as push reports them."""
+    x = np.asarray(x, dtype=float)
+    q = x.shape[-1] if q is None else q
+    return push(np.eye(q)[None], np.zeros((1, q)), x)[1][0]
+
+
+@st.composite
+def states_and_points(draw):
+    """A state of 1-3 layers in Q = 1-4 (rotations exp(A) of drawn generators) and two points."""
+    q, depth = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entries = st.floats(-3.0, 3.0, allow_subnormal=False)
+    gens = draw(arrays(float, (depth, q, q), elements=entries))
+    betas = draw(arrays(float, (depth, q), elements=entries))
+    points = draw(arrays(float, (2, q), elements=st.floats(-5.0, 5.0, allow_subnormal=False)))
+    state = layers_state([expm_antisym(antisym_project(g)).mat for g in gens], list(betas))
+    return state, points[0], points[1]
 
 
 class TestHeavisideMask:
+    """A coordinate is active iff its pushed value is strictly positive."""
+
     def test_signs(self):
-        assert SectorMask.from_vector([1.0, -1.0]).bits == (True, False)
+        np.testing.assert_array_equal(activities([1.0, -1.0]), [True, False])
 
     def test_zero_counts_as_truncated(self):
-        assert SectorMask.from_vector([0.0, 5.0]).bits == (False, True)
+        np.testing.assert_array_equal(activities([0.0, 5.0]), [False, True])
 
     def test_all_cases(self):
-        assert SectorMask.from_vector([-2.0, -0.1]).all_false()
-        assert SectorMask.from_vector([2.0, 0.1]).all_true()
-        assert SectorMask.from_vector([2.0, -0.1]).is_off_diagonal()
+        none, every, mixed = activities([[-2.0, -0.1], [2.0, 0.1], [2.0, -0.1]])
+        assert not any(none) and all(every) and any(mixed) and not all(mixed)
 
 
 class TestTruncationMap:
+    """Layer k's truncation map is the chain over the range (k, k + 1)."""
+
     def test_positive_fixed_point(self):
-        out = truncation_map(identity_layer(2), [2.0, 3.0])
+        out = chained_truncation(identity_state(2), [2.0, 3.0], 0, 1)
         np.testing.assert_array_equal(out, [2.0, 3.0])
 
     def test_negative_maps_to_minus_beta(self):
-        layer = identity_layer(2)
-        out = truncation_map(layer, [-1.0, -2.0])
-        np.testing.assert_array_equal(out, -layer.beta)
-        layer2 = identity_layer(2, beta=[0.5, -0.25])
-        out2 = truncation_map(layer2, [-1.0, -2.0])
+        out = chained_truncation(identity_state(2), [-1.0, -2.0], 0, 1)
+        np.testing.assert_array_equal(out, [0.0, 0.0])
+        out2 = chained_truncation(identity_state(2, beta=[0.5, -0.25]), [-1.0, -2.0], 0, 1)
         np.testing.assert_array_equal(out2, [-0.5, 0.25])
 
     def test_coordinatewise(self):
-        out = truncation_map(identity_layer(2), [2.0, -3.0])
+        out = chained_truncation(identity_state(2), [2.0, -3.0], 0, 1)
         np.testing.assert_array_equal(out, [2.0, 0.0])
 
-    def test_idempotent(self):
-        for _ in range(30):
-            q = int(RNG.integers(1, 6))
-            layer = LayerParams(random_orthogonal(q, RNG), RNG.normal(size=q))
-            x = RNG.normal(size=q) * 2
-            once = truncation_map(layer, x)
-            np.testing.assert_allclose(truncation_map(layer, once), once, atol=1e-12)
+    @PROPERTY
+    @given(states_and_points())
+    def test_idempotent(self, drawn):
+        # tau o tau = tau for every layer's map
+        state, x, _ = drawn
+        for k in range(state.depth):
+            once = chained_truncation(state, x, k, k + 1)
+            np.testing.assert_allclose(chained_truncation(state, once, k, k + 1), once, rtol=0, atol=1e-12)
+
+    @PROPERTY
+    @given(states_and_points())
+    def test_one_lipschitz(self, drawn):
+        # |tau(x) - tau(y)| <= |x - y|: R is an isometry and relu is 1-Lipschitz
+        state, x, y = drawn
+        for k in range(state.depth):
+            gap = np.linalg.norm(chained_truncation(state, x, k, k + 1) - chained_truncation(state, y, k, k + 1))
+            assert gap <= np.linalg.norm(x - y) * (1.0 + 1e-12) + 1e-12
 
     def test_diagonal_scale_invariance(self):
         # truncation through W = D R (D positive diagonal) equals the R-truncation
         for _ in range(100):
             q = int(RNG.integers(1, 5))
-            r = random_orthogonal(q, RNG)
+            r = random_orthogonal(q, RNG).mat
             beta = RNG.normal(size=q)
             d = np.exp(RNG.normal(size=q))
             x = RNG.normal(size=q) * 2
-            w = d[:, None] * r.mat
+            w = d[:, None] * r
             via_w = np.linalg.solve(w, np.maximum(w @ (x + beta), 0.0)) - beta
-            via_r = truncation_map(LayerParams(r, beta), x)
-            np.testing.assert_allclose(via_w, via_r, atol=1e-12)
+            np.testing.assert_allclose(via_w, one_layer_map(r, beta, x), atol=1e-12)
 
     def test_rows_match_points(self):
-        layer = LayerParams(random_orthogonal(3, RNG), RNG.normal(size=3))
+        r, beta = random_orthogonal(3, RNG).mat, RNG.normal(size=3)
         pts = RNG.normal(size=(5, 3)) * 2
-        rows = truncation_map(layer, pts)
+        rows = one_layer_map(r, beta, pts)
         for x, row in zip(pts, rows):
-            np.testing.assert_allclose(truncation_map(layer, x), row, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(one_layer_map(r, beta, x), row, rtol=0, atol=1e-14)
 
     def test_fixed_point_set_exact(self):
-        layer = LayerParams(random_orthogonal(3, RNG), RNG.normal(size=3))
+        # a point whose pushed coordinates are all positive is fixed, up to rounding
+        r = random_orthogonal(3, RNG).mat
         x = RNG.normal(size=3)
-        mask = classify_sector(layer, x)
-        if mask.all_true():
-            np.testing.assert_array_equal(truncation_map(layer, x), x)
+        beta = r.T @ np.array([0.5, 1.0, 2.0]) - x  # R(x + beta) = (0.5, 1, 2)
+        assert all(push(r[None], beta[None], x)[1][0])
+        np.testing.assert_allclose(one_layer_map(r, beta, x), x, rtol=0, atol=1e-14)
 
 
 class TestClassifySector:
+    """A point's sector in a layer is push's activity row z > 0."""
+
     def test_constructed_all_true(self):
-        layer = identity_layer(2, beta=[5.0, 5.0])
-        assert classify_sector(layer, [1.0, 1.0]).all_true()
+        assert all(push(np.eye(2)[None], np.full((1, 2), 5.0), [1.0, 1.0])[1][0])
 
     def test_mixed(self):
-        assert classify_sector(identity_layer(2), [-1.0, 1.0]).bits == (False, True)
+        np.testing.assert_array_equal(activities([-1.0, 1.0]), [False, True])
 
 
 class TestChainedTruncation:
     def test_single_layer_range(self):
-        layers = [identity_layer(2, beta=[0.3, -0.1]) for _ in range(3)]
+        state = identity_state(2, beta=[0.3, -0.1], depth=3)
         x = np.array([0.5, -0.7])
         np.testing.assert_array_equal(
-            chained_truncation(layers, x, 1, 2), truncation_map(layers[1], x)
+            chained_truncation(state, x, 1, 2),
+            np.eye(2).T @ np.maximum(np.eye(2) @ (x + state.betas[1]), 0.0) - state.betas[1],
         )
 
     def test_empty_range(self):
-        layers = [identity_layer(2)]
         x = np.array([1.0, -1.0])
-        np.testing.assert_array_equal(chained_truncation(layers, x, 1, 1), x)
+        np.testing.assert_array_equal(chained_truncation(identity_state(2), x, 1, 1), x)
 
     def test_identity_on_all_positive(self):
-        layers = [LayerParams(OrthogonalMatrix(np.eye(3)), 10.0 * np.ones(3)) for _ in range(3)]
+        state = identity_state(3, beta=10.0 * np.ones(3), depth=3)
         x = RNG.normal(size=3)
-        np.testing.assert_allclose(chained_truncation(layers, x), x, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(chained_truncation(state, x), x, rtol=0, atol=1e-14)
 
     def test_bad_range(self):
-        layers = [identity_layer(2)]
         with pytest.raises(IndexRange):
-            chained_truncation(layers, [0.0, 0.0], 0, 2)
+            chained_truncation(identity_state(2), [0.0, 0.0], 0, 2)
         with pytest.raises(IndexRange):
-            chained_truncation(layers, [0.0, 0.0], -1, 1)
+            chained_truncation(identity_state(2), [0.0, 0.0], -1, 1)
 
 
 class TestPush:
@@ -270,13 +313,3 @@ class TestModelState:
             derived.layers
         with pytest.raises(ValueError):
             state.derive(state.rotations[:1], state.betas)
-
-    def test_with_layer_replaces_one_layer(self):
-        state, _ = random_state_and_set(3)
-        layer = LayerParams(random_orthogonal(3, RNG), RNG.normal(size=3))
-        out = state.with_layer(1, layer)
-        assert out.layers[1] is layer
-        np.testing.assert_array_equal(out.rotations[1], layer.rotation.mat)
-        np.testing.assert_array_equal(out.betas[[0, 2]], state.betas[[0, 2]])
-        with pytest.raises(ValueError):
-            state.with_layer(0, identity_layer(2))
