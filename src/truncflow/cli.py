@@ -261,10 +261,8 @@ def _run_clustered(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> d
     """Closed form against a fixed-step ODE solve; neither takes step control from `opts`."""
     data, labels = _load_data(cfg)
     w0 = _floats("init.w0", cfg.init["w0"])
-    x0 = np.vstack(data.clusters).T
-    y_ext = np.column_stack([
-        np.repeat(labels[l][:, None], data.counts[l], axis=1) for l in range(data.q)
-    ])
+    x0 = data.points.T
+    y_ext = np.repeat(labels, data.counts, axis=0).T.copy()  # column i is point i's label
     n = x0.shape[1]
 
     def cost(w):

@@ -18,10 +18,10 @@ Field contract.  The layered flows move all layers together, so their
 velocity is one tangent vector shaped like the state:
 ``rhs(state, data, frozen_masks=None) -> (beta_dots, omegas)`` with plain
 arrays beta_dots (L, Q) and omegas (L, Q, Q), each omegas[k] exactly
-antisymmetric.  `frozen_masks[l][k]` is cluster l's boolean (N_l, Q)
-activity pattern at layer k: `frozen_masks[l]` is the `nus` list that
-`model.push` returns for cluster l, and goes straight back into `push`.
-The patterns replace the computed ones.  Generators are validated as
+antisymmetric.  `frozen_masks[k]` is layer k's boolean (N, Q) activity
+pattern over the rows of `data.points`: `frozen_masks` is the `nus` list
+that `model.push` returns for all points, and goes straight back into
+`push`.  The patterns replace the computed ones.  Generators are validated as
 :class:`~truncflow.manifold.AntisymmetricMatrix` only where they cross the
 public boundary (`retract`, the finite-difference oracle).
 The collapsed field takes and returns plain arrays too,
@@ -73,20 +73,19 @@ def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     fractions, and Omega_k accumulates the per-point commutators of points in
     mixed (off-diagonal) sectors.  Returns (beta_dots (L, Q), omegas (L, Q, Q)).
 
-    `frozen_masks[l][k]` (cluster l at layer k; only the [k][k] entries are
-    read) overrides the computed activity patterns, which evaluates the smooth
-    extension of one sector configuration; integrators use this so that no
-    stage of a step samples the field across a boundary.
+    `frozen_masks[k]` (layer k's (N, Q) rows over `data.points`; only cluster
+    k's rows are read) overrides the computed activity patterns, which
+    evaluates the smooth extension of one sector configuration; integrators
+    use this so that no stage of a step samples the field across a boundary.
     """
     if state.depth > data.q:
         raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
     beta_dots = np.empty(state.betas.shape)
     omegas = np.empty(state.rotations.shape)
     for k, (r, beta) in enumerate(zip(state.rotations, state.betas)):
-        pts = data.clusters[k]
         v = r @ (beta + state.pulled_labels[k])
-        z = (pts + beta) @ r.T
-        pos = (z > 0.0) if frozen_masks is None else frozen_masks[k][k]
+        z = (data.clusters[k] + beta) @ r.T
+        pos = (z > 0.0) if frozen_masks is None else frozen_masks[k][data.rows(k)]
         j0_perp = 1.0 - pos.mean(axis=0)
         beta_dots[k] = -(r.T @ (j0_perp * v))
         npos = pos.sum(axis=1)
@@ -109,7 +108,8 @@ def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     omegas = np.zeros(state.rotations.shape)
     for k, (r, beta) in enumerate(zip(state.rotations, state.betas)):
         v = r @ (beta + state.pulled_labels[k])
-        mom = compute_moments(r, beta, data.clusters[k], None if frozen_masks is None else frozen_masks[k][k])
+        mask = None if frozen_masks is None else frozen_masks[k][data.rows(k)]
+        mom = compute_moments(r, beta, data.clusters[k], mask)
         beta_dots[k] = -(r.T @ (mom.j0_perp * v))
         for bits, j1 in mom.j1_by_sector.items():
             if all(bits) or not any(bits):  # the pure sectors contribute nothing
@@ -130,22 +130,22 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     g @ R_l^T), layer l picks up beta_dot_l += R_l^T Hperp_l c and
     Omega_l -= [H_l, (a c^T + c a^T)/2] with a = R_l(t_l + beta_l) its pushed
     coordinates, and g becomes R_l^T H_l c, the mismatch pulled back through
-    layer l's truncation Jacobian.  All points of a cluster are processed as
-    a batch, and `frozen_masks` needs every cluster's full list.
+    layer l's truncation Jacobian.  One push carries all points, frozen at
+    `frozen_masks`; the adjoint sweep runs on each cluster's rows as a batch.
     """
     beta_dots = np.zeros(state.betas.shape)
     omegas = np.zeros(state.rotations.shape)
+    pushed, masks, t, _ = push(state.rotations, state.betas, data.points, frozen_masks)
+    nus = [m.astype(float) for m in masks]  # one cast per layer, not one per product
     for l_cl, pts in enumerate(data.clusters):
-        weight = 1.0 / len(pts)
-        frozen = None if frozen_masks is None else frozen_masks[l_cl]
-        pushed, masks, t, _ = push(state.rotations, state.betas, pts, frozen)
+        weight, rows = 1.0 / len(pts), data.rows(l_cl)
         # adjoint sweep: g is the mismatch pulled back through the layers above l
-        g = t - state.pulled_labels[l_cl]
+        g = t[rows] - state.pulled_labels[l_cl]
         for l in range(state.depth - 1, -1, -1):
-            r, nu = state.rotations[l], masks[l].astype(float)  # one cast, not one per product
+            r, nu = state.rotations[l], nus[l][rows]
             c = g @ r.T
             beta_dots[l] += weight * np.sum(((1.0 - nu) * c) @ r, axis=0)
-            omegas[l] -= weight * _summed_commutators(nu, pushed[l], c)
+            omegas[l] -= weight * _summed_commutators(nu, pushed[l][rows], c)
             g = (nu * c) @ r
     return beta_dots, omegas
 
@@ -187,9 +187,9 @@ class CollapsedState:
     y_matrix: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.b_matrix, dtype=float)
-        w = np.asarray(self.w_out, dtype=float)
-        y = np.asarray(self.y_matrix, dtype=float)
+        b = np.array(self.b_matrix, dtype=float)  # private copies: the caller's arrays stay theirs
+        w = np.array(self.w_out, dtype=float)
+        y = np.array(self.y_matrix, dtype=float)
         q = b.shape[0]
         for name, m in (("b_matrix", b), ("w_out", w), ("y_matrix", y)):
             if m.shape != (q, q):

@@ -25,12 +25,12 @@ its next step starts from, and that step reuses it as its first stage.
 Crossings are taken to be transversal.  If an event's coordinate is driven back
 across its hyperplane by the field of its new sector, the field on both sides points
 into it (Filippov's sliding condition), and the trajectory ends with a `stopped_reason`.
-Each state is swept once: one push per cluster gives that cluster's activities at
-every layer and its final images; only the step kept turns its images into a cost.
-The masks are push's lists as they are, `masks[l][k]` for cluster l at layer k, and
-go straight back into `push` and the right-hand sides as their `frozen_masks`.
-The cluster-separated field reads only the [k][k] entries and stops being a descent
-direction of the full cost once a layer truncates a point of another cluster, so a
+Each state is swept once: one push of all points (`data.points`) gives their activities
+at every layer and their final images; only the step kept turns its images into a cost.
+The masks are push's list as it is, `masks[k]` the (N, Q) activities at layer k, and go
+straight back into `push` and the right-hand sides as their `frozen_masks`.  The
+cluster-separated field reads only cluster k's rows of `masks[k]` and stops being a
+descent direction of the full cost once a layer truncates a point of another cluster, so a
 crossing into truncation in such a pair ends its trajectory too.  From a start that
 is not separated, every accepted state also pairs its field with the full descent
 field (`general_rhs`), and the trajectory ends where the field ascends the full cost.
@@ -53,7 +53,7 @@ from .flows import (
 )
 from .manifold import REPOLAR_EVERY, polar_decompose, retract_array
 from .measures import TrainingSet, check_cluster_separation
-from .model import ModelState, cluster_cost, push
+from .model import ModelState, euclidean_cost, images_cost, push
 
 logger = logging.getLogger(__name__)
 
@@ -158,54 +158,44 @@ def _rk4_step(state: ModelState, k1, data: TrainingSet, rhs, masks, h: float) ->
     return _apply(state, beta_dots, omegas, h), omegas
 
 
-def _sweep(state: ModelState, data: TrainingSet) -> tuple[list, list[np.ndarray]]:
-    """Push each cluster once through every layer: the boolean (N, Q) activities, `[l][k]` for
-    cluster l at layer k, and each cluster's final images."""
-    nus, images = [], []
-    for pts in data.clusters:
-        _, nu, t, _ = push(state.rotations, state.betas, pts)
-        nus.append(nu)
-        images.append(t)
+def _sweep(state: ModelState, data: TrainingSet) -> tuple[list[np.ndarray], np.ndarray]:
+    """Push all points once through every layer: the boolean (N, Q) activities, `[k]` for
+    layer k, and the final images."""
+    _, nus, images, _ = push(state.rotations, state.betas, data.points)
     return nus, images
-
-
-def _cost(state: ModelState, images: list[np.ndarray]) -> float:
-    """The Euclidean cost, from each cluster's final images."""
-    cost = 0.0
-    for l, t in enumerate(images):
-        cost += cluster_cost(t - state.pulled_labels[l])
-    return cost
 
 
 def _masks_equal(a: list, b: list) -> bool:
     # a pair's masks share shape and dtype, so equal bytes are equal masks; cheaper than np.array_equal
-    return all(x.tobytes() == y.tobytes() for la, lb in zip(a, b) for x, y in zip(la, lb))
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
-def _diff_events(s: float, before: list, after: list) -> list[Event]:
+def _diff_events(s: float, data: TrainingSet, before: list, after: list) -> list[Event]:
     """The crossings between two mask lists, layer-major: by layer, then cluster, point, coordinate."""
     events = []
-    for layer in range(len(before[0])):
-        for cluster, (nb, na) in enumerate(zip(before, after)):
-            for point, coord in np.argwhere(nb[layer] != na[layer]):
-                direction = "entering" if nb[layer][point, coord] else "leaving"
-                events.append(Event(s, layer, cluster, int(point), int(coord), direction))
+    for layer, (nb, na) in enumerate(zip(before, after)):
+        rows, coords = np.nonzero(nb != na)
+        clusters, points = data.locate(rows)
+        for row, cluster, point, coord in zip(*(x.tolist() for x in (rows, clusters, points, coords))):
+            direction = "entering" if nb[row, coord] else "leaving"
+            events.append(Event(s, layer, cluster, point, coord, direction))
     return events
 
 
 def _normal_speed(state: ModelState, data: TrainingSet, field, ev: Event) -> float:
     """d/ds of the event's pushed coordinate under `field`, by forward mode through the layers."""
-    z_dots = push(state.rotations, state.betas, data.clusters[ev.cluster], field=field)[3]
-    return float(z_dots[ev.layer][ev.point, ev.coordinate])
+    z_dots = push(state.rotations, state.betas, data.points, field=field)[3]
+    return float(z_dots[ev.layer][data.rows(ev.cluster)][ev.point, ev.coordinate])
 
 
-def _diagnostics(state: ModelState, omegas: np.ndarray, masks: list) -> tuple[LayerDiagnostics, ...]:
-    """Per-layer Omega norm, distance of beta to its attractor, truncation counts."""
+def _diagnostics(state: ModelState, data: TrainingSet, omegas: np.ndarray,
+                 masks: list) -> tuple[LayerDiagnostics, ...]:
+    """Per-layer Omega norm, distance of beta to its attractor, truncation counts of its cluster."""
     return tuple(
         LayerDiagnostics(
             omega_norm=float(np.linalg.norm(omegas[k])),
             beta_gap=float(np.linalg.norm(state.betas[k] + state.pulled_labels[k])),
-            truncated_counts=np.sum(~masks[k][k], axis=0),
+            truncated_counts=np.sum(~masks[k][data.rows(k)], axis=0),
         )
         for k in range(state.depth)
     )
@@ -222,16 +212,12 @@ def _predict_crossing(state: ModelState, k1, trial: ModelState, data: TrainingSe
     """Predicted time in (0, h] of the first crossing in a step of `h` from `state` to `trial`, or
     None: the earliest sign change of any pushed coordinate's cubic Hermite interpolant.
 
-    One push per cluster at each end, frozen at the step's `masks`, gives that cluster's z at every
-    layer and, under the field there (`k1` at the start, one more evaluation at `trial`), dz/ds.
+    One push of all points at each end, frozen at the step's `masks`, gives their z at every layer
+    and, under the field there (`k1` at the start, one more evaluation at `trial`), dz/ds.
     """
     ends = []
     for st, velocities in ((state, k1), (trial, rhs(trial, data, masks))):
-        zs, z_dots = [], []
-        for l, pts in enumerate(data.clusters):
-            z, _, _, z_dot = push(st.rotations, st.betas, pts, masks[l], velocities)
-            zs += z
-            z_dots += z_dot
+        zs, _, _, z_dots = push(st.rotations, st.betas, data.points, masks, velocities)
         ends.append((np.concatenate(zs, axis=None), np.concatenate(z_dots, axis=None)))
     (z0, d0), (z1, d1) = ends
     # p(u) = ((a u + b) u + c) u + z0 on u = t / h matches z and dz/dt at both ends
@@ -321,10 +307,10 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
     """Event-splitting integration loop.
 
     `rhs(state, data, masks)` returns the velocities stacked like the state.
-    Every stage passes the step's `masks` (push's lists, `[l][k]` for cluster
-    l at layer k), so it evaluates the smooth extension of that sector
+    Every stage passes the step's `masks` (push's list, `[k]` for all points
+    at layer k), so it evaluates the smooth extension of that sector
     configuration and no stage ever samples the field across a boundary.
-    `separated`: the field reads only the [k][k] entries (`integrate_effective`).
+    `separated`: the field reads only cluster k's rows of masks[k] (`integrate_effective`).
     """
     if not 0 < s_end < np.inf:
         raise ValueError(f"s_end must be positive and finite, got {s_end!r}")
@@ -334,7 +320,7 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
     state = state0.checked()
     s = 0.0
     masks, images = _sweep(state, data)
-    cost = _cost(state, images)
+    cost = images_cost(state, data, images)
     violations = check_cluster_separation(state, data)[1] if separated else []
     if violations:
         logger.warning("cluster separation violated at %d (layer, cluster, point) triples; "
@@ -353,7 +339,7 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
         return (advanced, generators, *_sweep(advanced, data))
 
     k1 = counted_rhs(state, data, masks)
-    samples = [FlowSample(s, state, cost, _diagnostics(state, k1[1], masks))]
+    samples = [FlowSample(s, state, cost, _diagnostics(state, data, k1[1], masks))]
     events: list[Event] = []
     retractions = [0] * state.depth
     h_nominal = opts.step
@@ -376,9 +362,9 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
                 t_star = _predict_crossing(state, k1, kept[0], data, counted_rhs, masks, h)
                 dt, kept, hit = _localize(s, h, opts.bisect_tol, masks, kept, step, t_star)
                 stats.prediction_misses += not hit
-                pending_events = _diff_events(s + dt, masks, kept[2])
+                pending_events = _diff_events(s + dt, data, masks, kept[2])
             advanced, generators, new_masks, images = kept
-            advanced_cost = _cost(advanced, images)
+            advanced_cost = images_cost(advanced, data, images)
             if advanced_cost > cost + opts.cost_slack * (1.0 + cost):
                 h *= 0.5
                 continue
@@ -396,10 +382,10 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
                     advanced = advanced.derive(rotations, advanced.betas)
                     reprojected = True
         state, masks = advanced.checked(), new_masks
-        cost = _cost(state, _sweep(state, data)[1]) if reprojected else advanced_cost
+        cost = euclidean_cost(state, data) if reprojected else advanced_cost
         s += dt
         k1 = counted_rhs(state, data, masks)
-        samples.append(FlowSample(s, state, cost, _diagnostics(state, k1[1], masks)))
+        samples.append(FlowSample(s, state, cost, _diagnostics(state, data, k1[1], masks)))
         for ev in pending_events:
             if separated and ev.layer != ev.cluster:
                 if ev.direction == "leaving":  # the ignored pair moves towards separation

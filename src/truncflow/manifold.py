@@ -22,8 +22,8 @@ REPOLAR_EVERY = 100
 
 
 def as_square(a) -> np.ndarray:
-    """Validate and return `a` as a float Q x Q array, Q >= 1."""
-    m = np.asarray(a, dtype=float)
+    """Validate `a` and return a float Q x Q copy of it, Q >= 1; the caller's array stays theirs."""
+    m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m

@@ -18,10 +18,14 @@ from .model import ModelState, push
 
 
 class TrainingSet:
-    """Q clusters of length-Q points, a tuple of read-only, non-empty, finite arrays; cluster l carries label l."""
+    """Q clusters of length-Q points, non-empty and finite; cluster l carries label l.
+
+    The constructor copies the points into one read-only array `points` (N, Q); cluster l's rows
+    are `points[offsets[l]:offsets[l + 1]]`, and `clusters[l]` is a read-only view of them.
+    """
 
     def __init__(self, clusters):
-        cl = tuple(np.asarray(c, dtype=float) for c in clusters)
+        cl = [np.asarray(c, dtype=float) for c in clusters]
         if not cl:
             raise ValueError("need at least one cluster")
         q = len(cl)
@@ -36,8 +40,20 @@ class TrainingSet:
             if len(bad):
                 point, coord = bad[0]
                 raise ValueError(f"cluster {i} point {point} coordinate {coord} is {c[point, coord]}, not finite")
-            c.setflags(write=False)
-        self.clusters = cl
+        self.points = np.concatenate(cl)
+        self.offsets = np.cumsum([0] + [len(c) for c in cl])
+        self.points.setflags(write=False)
+        self.offsets.setflags(write=False)
+        self.clusters = tuple(self.points[self.rows(l)] for l in range(q))
+
+    def rows(self, l: int) -> slice:
+        """Cluster l's rows of `points`, and of every (N, Q) array over them."""
+        return slice(int(self.offsets[l]), int(self.offsets[l + 1]))
+
+    def locate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (cluster, point) indices of the given rows of `points`."""
+        cluster = np.searchsorted(self.offsets, rows, side="right") - 1
+        return cluster, rows - self.offsets[cluster]
 
     @property
     def q(self) -> int:
@@ -45,11 +61,11 @@ class TrainingSet:
 
     @property
     def counts(self) -> list[int]:
-        return [c.shape[0] for c in self.clusters]
+        return np.diff(self.offsets).tolist()
 
     @property
     def total(self) -> int:
-        return sum(self.counts)
+        return int(self.offsets[-1])
 
     def to_dict(self, labels=None) -> dict:
         doc = {"q": self.q, "clusters": [c.tolist() for c in self.clusters]}
@@ -148,8 +164,7 @@ def check_cluster_separation(state: ModelState, data: TrainingSet):
     layer's positive sector.
     """
     violations = []
-    for l, pts in enumerate(data.clusters):
-        nus = push(state.rotations, state.betas, pts)[1]
-        violations.extend((k, l, int(i)) for k, nu in enumerate(nus) if k != l
-                          for i in np.flatnonzero(~np.all(nu, axis=1)))
-    return (not violations), sorted(violations)
+    for k, nu in enumerate(push(state.rotations, state.betas, data.points)[1]):
+        clusters, points = data.locate(np.flatnonzero(~np.all(nu, axis=1)))
+        violations.extend((k, l, i) for l, i in zip(clusters.tolist(), points.tolist()) if l != k)
+    return (not violations), violations

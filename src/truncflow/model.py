@@ -35,7 +35,7 @@ class LayerParams:
     beta: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.beta, dtype=float)
+        b = np.array(self.beta, dtype=float)  # a private copy: the caller's array stays theirs
         if b.shape != (self.rotation.dim,):
             raise ValueError(f"beta has shape {b.shape}, expected ({self.rotation.dim},)")
         if not np.all(np.isfinite(b)):
@@ -76,12 +76,12 @@ class ModelState:
         q = layers[0].dim
         if any(lp.dim != q for lp in layers):
             raise ValueError("all layers must share the same dimension")
-        w = np.asarray(output_map, dtype=float)
+        w = np.array(output_map, dtype=float)  # private copies: the caller's arrays stay theirs
         if w.shape != (q, q):
             raise ValueError(f"output_map has shape {w.shape}, expected ({q}, {q})")
         if not np.all(np.isfinite(w)):
             raise ValueError("output_map has a non-finite entry")
-        y = np.asarray(labels, dtype=float)
+        y = np.array(labels, dtype=float)
         if y.shape != (q, q):
             raise ValueError(f"labels have shape {y.shape}, expected ({q}, {q}) (one row per cluster)")
         if not np.all(np.isfinite(y)):
@@ -181,13 +181,9 @@ def chained_truncation(state: ModelState, x, lo: int = 0, hi: int | None = None)
 chained_truncation_batch = chained_truncation
 
 
-def _residuals(state: ModelState, data) -> list[np.ndarray]:
-    """Per-cluster residual matrices tau^(L..1)(x) - ytilde, rows are points."""
-    out = []
-    for l, pts in enumerate(data.clusters):
-        final = chained_truncation(state, pts)
-        out.append(final - state.pulled_labels[l])
-    return out
+def _residuals(state: ModelState, data, images: np.ndarray) -> list[np.ndarray]:
+    """Per-cluster residual rows tau^(L..1)(x) - ytilde, from the final `images` of `data.points`."""
+    return [images[data.rows(l)] - ytil for l, ytil in enumerate(state.pulled_labels)]
 
 
 def cluster_cost(resid: np.ndarray) -> float:
@@ -195,21 +191,26 @@ def cluster_cost(resid: np.ndarray) -> float:
     return 0.5 * float(np.sum(resid * resid)) / resid.shape[0]
 
 
+def images_cost(state: ModelState, data, images: np.ndarray) -> float:
+    """The Euclidean cost, from the final `images` of `data.points` under the state's layers."""
+    total = 0.0
+    for resid in _residuals(state, data, images):
+        total += cluster_cost(resid)
+    return total
+
+
 def euclidean_cost(state: ModelState, data) -> float:
     """Mean squared input-space mismatch of fully truncated data to pulled labels.
 
     (1/2) sum_l (1/N_l) sum_i |tau^(chain)(x_{l,i}) - ytilde_l|^2
     """
-    total = 0.0
-    for resid in _residuals(state, data):
-        total += cluster_cost(resid)
-    return total
+    return images_cost(state, data, chained_truncation(state, data.points))
 
 
 def standard_cost(state: ModelState, data) -> float:
     """Same mismatch measured after mapping residuals through the output map."""
     w = state.output_map
     total = 0.0
-    for resid in _residuals(state, data):
+    for resid in _residuals(state, data, chained_truncation(state, data.points)):
         total += cluster_cost(resid @ w.T)
     return total

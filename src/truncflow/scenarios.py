@@ -40,7 +40,6 @@ def named_initial_state(kind: str, data: TrainingSet, labels, output_map=None,
     depth = q if depth is None else depth
     w = np.eye(q) if output_map is None else np.asarray(output_map, dtype=float)
     y = np.asarray(labels, dtype=float)
-    allpts = np.vstack(data.clusters)
     if kind == "identity":
         betas = [np.zeros(q)] * depth
         rots = [np.eye(q)] * depth
@@ -49,7 +48,7 @@ def named_initial_state(kind: str, data: TrainingSet, labels, output_map=None,
         rots = [random_orthogonal(q, rng).mat for _ in range(depth)]
         betas = [np.zeros(q)] * depth
     elif kind == "all-positive":
-        shift = -allpts.min(axis=0) + 1.0
+        shift = -data.points.min(axis=0) + 1.0
         rots = [np.eye(q)] * depth
         betas = [shift] * depth
     elif kind == "fully-truncated":

@@ -153,10 +153,10 @@ class TestFieldContract:
     @given(states_and_data(), st.data())
     def test_frozen_masks_agree_across_forms(self, drawn, draw):
         # frozen sign patterns, here unrelated to the points, override the computed
-        # ones in the per-point and the moment form alike; masks[l][k] is cluster l
-        # at layer k, and both forms read the [k][k] entries
+        # ones in the per-point and the moment form alike; masks[k] is layer k over all
+        # points, and both forms read cluster k's rows of it
         state, data = drawn
-        masks = [[draw.draw(arrays(bool, pts.shape)) for _ in range(state.depth)] for pts in data.clusters]
+        masks = [draw.draw(arrays(bool, data.points.shape)) for _ in range(state.depth)]
         b1, o1 = effective_rhs(state, data, masks)
         b2, o2 = moment_form_rhs(state, data, masks)
         scale = 1.0 + max(np.max(np.abs(b1)), np.max(np.abs(o1)))
@@ -164,7 +164,7 @@ class TestFieldContract:
         assert np.max(np.abs(o1 - o2)) <= 1e-12 * scale
 
     def test_masks_from_push_go_straight_back(self):
-        # frozen at push's own activity lists, a field is its unfrozen self bit for bit: the
+        # frozen at push's own activity list, a field is its unfrozen self bit for bit: the
         # general one anywhere, the separated forms where earlier layers fix cluster k
         rng = np.random.default_rng(47)
         for i in range(20):
@@ -173,7 +173,7 @@ class TestFieldContract:
                 (effective_rhs, make_separated_config(int(rng.integers(2, 5)), n_per=4, seed=i)),
                 (moment_form_rhs, make_separated_config(int(rng.integers(2, 5)), n_per=4, seed=50 + i)),
             ]:
-                masks = [push(state.rotations, state.betas, pts)[1] for pts in data.clusters]
+                masks = push(state.rotations, state.betas, data.points)[1]
                 frozen, free = rhs(state, data, masks), rhs(state, data)
                 assert all(np.array_equal(a, b) for a, b in zip(frozen, free)), rhs.__name__
 
@@ -304,6 +304,15 @@ class TestCollapsed:
         cs = CollapsedState(b, w, -(w @ b))
         b_dot, w_dot = collapsed_rhs(cs.b_matrix, cs.w_out, cs.y_matrix)
         assert np.all(b_dot == 0.0) and np.all(w_dot == 0.0)
+
+    def test_constructor_copies_the_callers_arrays(self):
+        base = RNG.normal(size=(3, 2, 2))
+        kept = base.copy()
+        cs = CollapsedState(*base)
+        assert base.flags.writeable
+        base[:] = 0.0
+        for got, want in zip((cs.b_matrix, cs.w_out, cs.y_matrix), kept):
+            np.testing.assert_array_equal(got, want)
 
     def test_zero_output_map(self):
         q = 2

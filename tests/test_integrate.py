@@ -11,7 +11,6 @@ from truncflow.errors import StepUnderflow
 from truncflow.flows import CollapsedState, conserved_quantity
 from truncflow.integrate import (
     IntegratorOptions,
-    _cost,
     _diff_events,
     _sweep,
     fit_phase_exponents,
@@ -28,7 +27,7 @@ import truncflow.integrate
 from truncflow.flows import effective_rhs, general_rhs
 from truncflow.manifold import REPOLAR_EVERY, AntisymmetricMatrix, OrthogonalMatrix
 from truncflow.measures import TrainingSet
-from truncflow.model import ModelState, chained_truncation, euclidean_cost, push
+from truncflow.model import ModelState, chained_truncation, euclidean_cost, images_cost, push
 from truncflow.scenarios import make_separated_config, named_initial_state, make_equilibrium_data
 from truncflow.scenarios import make_one_dim_state
 from truncflow.verify import _monotonicity_case, _random_state_and_data
@@ -443,21 +442,24 @@ class TestSectorMasks:
         for _ in range(40):
             state, data = _random_state_and_data(int(rng.integers(1, 5)), 6, rng)
             (got, images), want = _sweep(state, data), self.per_pair_chains(state, data)
-            assert len(got) == len(want) == data.q
-            assert all(len(g) == state.depth for g in got)
-            assert all(np.array_equal(g, w) for gl, wl in zip(got, want) for g, w in zip(gl, wl))
-            assert _cost(state, images) == euclidean_cost(state, data)
+            # got[k] is layer k over all points; cluster l's rows of it are want[l][k]
+            assert len(got) == state.depth and len(want) == data.q
+            assert all(g.shape == data.points.shape for g in got)
+            assert all(np.array_equal(got[k][data.rows(l)], w) for l, wl in enumerate(want) for k, w in enumerate(wl))
+            assert images_cost(state, data, images) == euclidean_cost(state, data)
 
     def test_events_are_listed_layer_major(self):
-        # events.csv lists crossings by layer, then cluster, point and coordinate
-        before = [[np.array([[True, True]]), np.array([[True, False]])],
-                  [np.array([[False, True]]), np.array([[True, True]])]]
-        after = [[np.array([[False, True]]), np.array([[True, True]])],
-                 [np.array([[True, True]]), np.array([[False, True]])]]
+        # events.csv lists crossings by layer, then cluster, point and coordinate; rows 0-1
+        # of each layer's mask are cluster 0's two points, row 2 is cluster 1's one point
+        data = TrainingSet([np.zeros((2, 2)), np.zeros((1, 2))])
+        before = [np.array([[True, True], [True, True], [True, False]]),
+                  np.array([[True, False], [True, True], [True, True]])]
+        after = [np.array([[True, True], [False, True], [True, True]]),
+                 np.array([[True, True], [False, True], [False, True]])]
         got = [(ev.layer, ev.cluster, ev.point, ev.coordinate, ev.direction)
-               for ev in _diff_events(0.5, before, after)]
-        assert got == [(0, 0, 0, 0, "entering"), (0, 1, 0, 0, "leaving"),
-                       (1, 0, 0, 1, "leaving"), (1, 1, 0, 0, "entering")]
+               for ev in _diff_events(0.5, data, before, after)]
+        assert got == [(0, 0, 1, 0, "entering"), (0, 1, 0, 1, "leaving"),
+                       (1, 0, 0, 1, "leaving"), (1, 0, 1, 0, "entering"), (1, 1, 0, 0, "entering")]
 
 
 class TestBoundaryValidation:

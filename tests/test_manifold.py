@@ -173,6 +173,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             r.mat[0, 0] = 5.0
 
+    def test_constructors_copy_the_callers_array(self):
+        # a view passed in stays writeable, and writing through its base later leaves
+        # the validated matrix as it was checked
+        big = np.zeros((5, 5))
+        big[:3, :3] = random_orthogonal(3, RNG).mat
+        big[3:, 3:] = random_antisym(2).mat
+        rot, gen = OrthogonalMatrix(big[:3, :3]), AntisymmetricMatrix(big[3:, 3:])
+        kept = rot.mat.copy(), gen.mat.copy()
+        assert big.flags.writeable
+        big[:] = 7.0
+        np.testing.assert_array_equal(rot.mat, kept[0])
+        np.testing.assert_array_equal(gen.mat, kept[1])
+        assert rot.orthogonality_error() <= 1e-10
+
     def test_reproject_cleans_drift(self):
         r = random_orthogonal(4, RNG)
         dirty = r.mat + 1e-11 * RNG.normal(size=(4, 4))

@@ -143,7 +143,8 @@ class TestClusterSeparation:
     def test_many_violations_match_per_point_loop(self):
         # overlapping clusters violate separation at many points; the
         # vectorized check must list the same triples in the same order,
-        # each point chained through the layers before the one it is tested at
+        # each point chained through the layers before the one it is tested at,
+        # and one push of all points must find what one push per cluster finds
         from truncflow.model import chained_truncation
         from truncflow.verify import _random_state_and_data
 
@@ -157,9 +158,15 @@ class TestClusterSeparation:
                 for i, x in enumerate(pts)
                 if not np.all(r @ (chained_truncation(state, x, 0, k) + beta) > 0.0)
             ]
+            per_cluster = sorted(
+                (k, l, i)
+                for l, pts in enumerate(data.clusters)
+                for k, nu in enumerate(push(state.rotations, state.betas, pts)[1]) if k != l
+                for i in np.flatnonzero(~np.all(nu, axis=1)).tolist()
+            )
             ok, violations = check_cluster_separation(state, data)
             assert len(expected) > 1
-            assert not ok and violations == expected
+            assert not ok and violations == expected == per_cluster
             assert all(type(v) is int for triple in violations for v in triple)
 
 
@@ -174,6 +181,26 @@ class TestTrainingSet:
         assert isinstance(data.clusters, tuple)
         with pytest.raises(ValueError):
             data.clusters[0][0, 0] = 1.0
+
+    def test_clusters_are_read_only_views_of_points(self):
+        data = TrainingSet([RNG.normal(size=(3, 2)), RNG.normal(size=(1, 2))])
+        assert data.points.shape == (4, 2) and data.counts == [3, 1] and data.total == 4
+        for l, c in enumerate(data.clusters):
+            assert np.shares_memory(c, data.points) and not c.flags.writeable
+            np.testing.assert_array_equal(c, data.points[data.offsets[l]:data.offsets[l + 1]])
+        assert not data.points.flags.writeable
+        clusters, points = data.locate(np.arange(4))
+        assert clusters.tolist() == [0, 0, 0, 1] and points.tolist() == [0, 1, 2, 0]
+
+    def test_the_callers_arrays_stay_theirs(self):
+        # writing through the base of the views passed in leaves the validated points as they were
+        base = RNG.normal(size=(5, 2))
+        kept = base.copy()
+        data = TrainingSet([base[:3], base[3:]])
+        assert base.flags.writeable
+        base[0, 0] = np.nan
+        np.testing.assert_array_equal(data.points, kept)
+        np.testing.assert_array_equal(data.clusters[0], kept[:3])
 
 
 class TestTrainingSetIO:

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from truncflow.errors import EmptyCluster, IndexRange
-from truncflow.manifold import antisym_project, expm_antisym, random_orthogonal
+from truncflow.manifold import OrthogonalMatrix, antisym_project, expm_antisym, random_orthogonal
 from truncflow.measures import TrainingSet
 from truncflow.model import (
+    LayerParams,
     ModelState,
     chained_truncation,
     euclidean_cost,
@@ -298,6 +299,20 @@ class TestModelState:
     def test_one_beta_per_rotation(self):
         with pytest.raises(ValueError, match="^2 rotations but 1 betas"):
             state_from_arrays([np.eye(2)] * 2, [np.zeros(2)], np.eye(2), np.zeros((2, 2)))
+
+    def test_constructors_copy_the_callers_arrays(self):
+        q = 2
+        base = np.vstack([np.eye(q) + 0.1, 1.0 + np.arange(2.0 * q).reshape(q, q), [0.5, -0.5]])
+        w, labels, beta = base[:q], base[q:2 * q], base[2 * q]
+        state = ModelState([LayerParams(OrthogonalMatrix(np.eye(q)), beta)], w, labels)
+        lp = LayerParams(OrthogonalMatrix(np.eye(q)), beta)
+        kept = base.copy()
+        assert base.flags.writeable and w.flags.writeable and beta.flags.writeable
+        base[:] = np.nan
+        np.testing.assert_array_equal(state.output_map, kept[:q])
+        np.testing.assert_array_equal(state.labels, kept[q:2 * q])
+        np.testing.assert_array_equal(state.betas[0], kept[2 * q])
+        np.testing.assert_array_equal(lp.beta, kept[2 * q])
 
     def test_depth_can_differ_from_q(self):
         q = 3
