@@ -144,6 +144,9 @@ class ScenarioConfig:
             seed = self.init.get("seed", 0)
             if not _is_int(seed) or seed < 0:
                 raise ConfigError(f"field 'init.seed' must be a non-negative integer, got {seed!r}")
+            if self.l is not None and self.l > self.q:
+                raise ConfigError(f"field 'l' must not exceed q = {self.q} (one cluster and label "
+                                  f"per layer), got {self.l!r}")
 
     @property
     def depth(self) -> int:
@@ -189,12 +192,18 @@ def _build_state(cfg: ScenarioConfig, data, labels):
             for key in ("rotations", "betas"):
                 if key not in init:
                     raise ConfigError(f"field 'init.{key}' is required for explicit init")
-            return state_from_arrays(
+            state = state_from_arrays(
                 _floats("init.rotations", init["rotations"]),
                 _floats("init.betas", init["betas"]),
                 output_map if output_map is not None else np.eye(cfg.q),
                 labels,
             )
+            if state.depth > cfg.q:
+                raise ConfigError(f"field 'init.rotations' has {state.depth} layers but q = {cfg.q} "
+                                  "(one cluster and label per layer)")
+            if cfg.l is not None and state.depth != cfg.l:
+                raise ConfigError(f"field 'init.rotations' has {state.depth} layers but l = {cfg.l}")
+            return state
         return named_initial_state(kind, data, labels, output_map=output_map,
                                    depth=cfg.depth, seed=init.get("seed", 0))
     except ValueError as exc:  # the layers and the output map are checked together
@@ -307,10 +316,10 @@ def _run_oned(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
     data, labels = _load_data(cfg)
     if cfg.q != 1:
         raise ConfigError("field 'q' must be 1 for mode 'oned'")
-    points = np.sort(data.clusters[0].reshape(-1))
+    points = data.clusters[0].reshape(-1)  # integrated in config order, so events name config indices
     y = float(np.asarray(labels, dtype=float).reshape(-1)[0])
     b0 = float(cfg.init["b0"])
-    flow = one_dim_flow(points, y, b0, len(points))
+    flow = one_dim_flow(np.sort(points), y, b0)
     state, dset = make_one_dim_state(points, y, b0)
     traj = integrate_effective(state, dset, cfg.s_end, opts)
     write_trajectory_csv(traj, out / "trajectory.csv")

@@ -299,20 +299,19 @@ class OneDimFlow:
         raise AssertionError("unreachable: final segment is unbounded")
 
 
-def one_dim_flow(points, y: float, b0: float, n: int) -> OneDimFlow:
+def one_dim_flow(points, y: float, b0: float) -> OneDimFlow:
     """Piecewise-exponential solution of the single-coordinate bias flow.
 
     The moving threshold b starts at b0 and is attracted to the label y at
-    rate (number of points <= b)/n; each time b reaches the next data point
-    the rate steps up by 1/n.  Requires strictly increasing points and
-    y > max(points).
+    rate (number of points <= b)/n, n = len(points); each time b reaches the
+    next data point the rate steps up by 1/n.  Requires strictly increasing
+    points and y > max(points).
     """
     xs = [float(p) for p in points]
     for name, value in (("points", xs), ("y", y), ("b0", b0)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    if len(xs) != n:
-        raise ValueError(f"n = {n} does not match {len(xs)} points")
+    n = len(xs)
     if any(b >= a for a, b in zip(xs[1:], xs[:-1])):
         raise BadOrdering("points must be strictly increasing")
     if y <= xs[-1]:

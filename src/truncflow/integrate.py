@@ -4,11 +4,13 @@ The vector fields are piecewise smooth: they jump whenever a training
 point crosses an activation hyperplane.  A step is accepted only if the
 set of truncated coordinates is unchanged across it; otherwise the
 crossing time is localized, the step is split there, and an event is
-recorded.  Localization predicts the crossing from a cubic Hermite
-interpolant of every pushed coordinate over the step, replays bisection's
-walk on that prediction without probing, and confirms the leaf it reaches
-with two RK4 probes; a miss finishes with bisection inside the bracket the
-probes narrowed.  Either way the step kept is the one bisection keeps.
+recorded.  Localization predicts the answer to bisection's one question,
+"has a step of dt changed the masks?", from the cubic Hermite interpolants
+of the pushed coordinates whose sign differs at the step's two ends,
+replays bisection's walk on that predicate without probing, and confirms
+the leaf it reaches with two RK4 probes; a miss finishes with bisection
+inside the bracket the probes narrowed.  Either way the step kept is the
+one bisection keeps.
 Rotations are advanced by retraction (exponential of the averaged
 generator), so orthogonality is preserved to round-off; every 100th
 retraction the rotation is re-projected onto the group.
@@ -208,9 +210,10 @@ def _full_cost_rate(state: ModelState, data: TrainingSet, masks: list, field) ->
 
 
 def _predict_crossing(state: ModelState, k1, trial: ModelState, data: TrainingSet, rhs, masks,
-                      h: float) -> float | None:
-    """Predicted time in (0, h] of the first crossing in a step of `h` from `state` to `trial`, or
-    None: the earliest sign change of any pushed coordinate's cubic Hermite interpolant.
+                      h: float):
+    """The predicted answer to bisection's question about a step of `h` from `state` to `trial`:
+    a function `changed(dt)`, true where some pushed coordinate whose sign differs at the step's
+    two ends is on its far side at dt on its cubic Hermite interpolant; None if no sign differs.
 
     One push of all points at each end, frozen at the step's `masks`, gives their z at every layer
     and, under the field there (`k1` at the start, one more evaluation at `trial`), dz/ds.
@@ -220,35 +223,20 @@ def _predict_crossing(state: ModelState, k1, trial: ModelState, data: TrainingSe
         zs, _, _, z_dots = push(st.rotations, st.betas, data.points, masks, velocities)
         ends.append((np.concatenate(zs, axis=None), np.concatenate(z_dots, axis=None)))
     (z0, d0), (z1, d1) = ends
-    # p(u) = ((a u + b) u + c) u + z0 on u = t / h matches z and dz/dt at both ends
-    c = h * d0
-    a = 2.0 * (z0 - z1) + c + h * d1
-    b = 3.0 * (z1 - z0) - 2.0 * c - h * d1
     side = z0 > 0.0
     crosses = (z1 > 0.0) != side
-    with np.errstate(all="ignore"):  # a complex or missing extremum is NaN or inf, never inside (0, 1)
-        q = -(b + np.copysign(np.sqrt(b * b - 3.0 * a * c), b))
-        extrema = (q / (3.0 * a), c / q)  # the roots of p' = 3a u^2 + 2b u + c, free of cancellation
-        for u in extrema:
-            crosses |= (u > 0.0) & (u < 1.0) & (((((a * u + b) * u + c) * u + z0) > 0.0) != side)
-    first = np.inf
-    for ai, bi, ci, di, *us in zip(*(x[crosses].tolist() for x in (a, b, c, z0, *extrema))):
-        def flips(u):
-            return (((ai * u + bi) * u + ci) * u + di > 0.0) != (di > 0.0)
+    if not crosses.any():
+        return None
+    z0, z1, c, d1, side = (x[crosses] for x in (z0, z1, h * d0, h * d1, side))
+    # p(u) = ((a u + b) u + c) u + z0 on u = t / h matches z and dz/dt at both ends
+    a = 2.0 * (z0 - z1) + c + d1
+    b = 3.0 * (z1 - z0) - 2.0 * c - d1
 
-        # p is monotone between its extrema: bisect the first piece whose end has flipped
-        lo = 0.0
-        for hi in sorted(u for u in us if 0.0 < u < 1.0) + [1.0]:
-            if flips(hi):
-                break
-            lo = hi
-        else:
-            continue
-        for _ in range(60):  # to 2^-60 of the step, far inside any bisection leaf
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if flips(mid) else (mid, hi)
-        first = min(first, hi)
-    return h * first if first < np.inf else None
+    def changed(dt: float) -> bool:
+        u = dt / h
+        return bool(np.any(((((a * u + b) * u + c) * u + z0) > 0.0) != side))
+
+    return changed
 
 
 def _bisect(s: float, h: float, tol: float, changed) -> list[tuple[float, float]]:
@@ -270,16 +258,17 @@ def _bisect(s: float, h: float, tol: float, changed) -> list[tuple[float, float]
 
 
 def _localize(s: float, h: float, tol: float, masks: list, trial: tuple, step,
-              t_star: float | None) -> tuple[float, tuple, bool]:
+              predicted) -> tuple[float, tuple, bool]:
     """The step bisection keeps when the `trial` step of `h` changed the `masks`: its length, the
-    `step(dt)` result there, and whether the predicted crossing `t_star` was confirmed.
+    `step(dt)` result there, and whether the `predicted(dt)` walk's leaf was confirmed.
 
-    Bisection's walk is replayed on the prediction (masks unchanged exactly where mid < t_star)
-    and the leaf it reaches is confirmed by two probes: unchanged at its lower end, changed at
-    its upper end.  A miss climbs the replayed brackets 1, 2, 4, ... levels up, one new probe
-    per level, to the first that the probes confirm.  Bisection assumes the masks change once
-    in the step, so every probe decides all midpoints on one side of it; the walk re-run on
-    what the probes showed reaches bisection's leaf, probing only inside the confirmed bracket.
+    Bisection's walk is replayed on the prediction, a `changed(dt)` predicate from
+    `_predict_crossing` (None: nothing predicted), and the leaf it reaches is confirmed by two
+    probes: unchanged at its lower end, changed at its upper end.  A miss climbs the replayed
+    brackets 1, 2, 4, ... levels up, one new probe per level, to the first that the probes
+    confirm.  Bisection assumes the masks change once in the step, so every probe decides all
+    midpoints on one side of it; the walk re-run on what the probes showed reaches bisection's
+    leaf, probing only inside the confirmed bracket.
     """
     a, b, kept = 0.0, h, trial  # masks unchanged at a, changed at b, where `kept` stepped to
 
@@ -294,8 +283,8 @@ def _localize(s: float, h: float, tol: float, masks: list, trial: tuple, step,
         return mid >= b
 
     hit = False
-    if t_star is not None:
-        path = _bisect(s, h, tol, lambda mid: mid >= t_star)
+    if predicted is not None:
+        path = _bisect(s, h, tol, predicted)
         # the predicted leaf, else its ancestors 1, 2, 4, ... levels up until the probes confirm
         # one; (0, h) always is
         levels = [0] + [min(2 ** j, len(path) - 1) for j in range(len(path).bit_length() + 1)]
@@ -359,8 +348,8 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
             dt, pending_events = h, []
             if not _masks_equal(masks, kept[2]):
                 stats.localizations += 1
-                t_star = _predict_crossing(state, k1, kept[0], data, counted_rhs, masks, h)
-                dt, kept, hit = _localize(s, h, opts.bisect_tol, masks, kept, step, t_star)
+                predicted = _predict_crossing(state, k1, kept[0], data, counted_rhs, masks, h)
+                dt, kept, hit = _localize(s, h, opts.bisect_tol, masks, kept, step, predicted)
                 stats.prediction_misses += not hit
                 pending_events = _diff_events(s + dt, data, masks, kept[2])
             advanced, generators, new_masks, images = kept

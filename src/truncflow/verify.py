@@ -258,7 +258,7 @@ def oned_suite(seed: int = 0, cases: int = 10) -> dict:
         b0 = rng.uniform(points[0], points[-1])
         if min(abs(b0 - p) for p in points) < 1e-6:
             continue
-        flow = one_dim_flow(points, y, b0, n)
+        flow = one_dim_flow(points, y, b0)
         st, dt = make_one_dim_state(points, y, b0)
         tr = integrate_effective(st, dt, s_end=2.5)
         for smp in tr.samples[:: max(1, len(tr.samples) // 20)]:

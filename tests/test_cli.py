@@ -197,6 +197,39 @@ class TestRunCommand:
         assert work["localizations"] >= 1
         assert work["rhs_calls"] == len(rows) + 3 * work["rk4_steps"] + work["localizations"]
 
+    def test_oned_events_name_config_points(self, tmp_path):
+        # the points are integrated in config order: the crossing of 2.0 is point 0
+        doc = {
+            "q": 1,
+            "mode": "oned",
+            "s_end": 2.0,
+            "output": str(tmp_path / "o"),
+            "data": {"q": 1, "clusters": [[[2.0], [1.0]]], "labels": [[5.0]]},
+            "init": {"b0": 1.0},
+        }
+        assert main(["run", write_config(tmp_path, doc)]) == 0
+        events = (tmp_path / "o" / "events.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[1:] for row in events] == [["0", "0", "0", "0", "entering"]]
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["closed_form_breakpoints"][0] == pytest.approx(2 * np.log(4.0 / 3.0))
+
+    @pytest.mark.parametrize("l, layers, named", [
+        (3, None, "'l'"),               # deeper than q = 2
+        (1, 2, "'init.rotations'"),     # an explicit init does not override l
+        (None, 3, "'init.rotations'"),  # an explicit init deeper than q = 2
+    ])
+    def test_depth_checked_against_the_config(self, tmp_path, capsys, l, layers, named):
+        for mode in ("effective", "general"):
+            doc = all_positive_config(tmp_path)
+            doc["mode"] = mode
+            if l is not None:
+                doc["l"] = l
+            if layers is not None:
+                doc["init"] = {"kind": "explicit", "rotations": [np.eye(2).tolist()] * layers,
+                               "betas": [[0.0, 0.0]] * layers}
+            assert main(["run", write_config(tmp_path, doc)]) == 2
+            assert named in capsys.readouterr().err
+
     def test_clustered_scenario(self, tmp_path):
         doc = {
             "q": 2,

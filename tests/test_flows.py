@@ -407,42 +407,40 @@ class TestClusteredExplicit:
 
 class TestOneDimFlow:
     def test_canonical_gap(self):
-        flow = one_dim_flow([1.0, 2.0], 5.0, 1.0, 2)
+        flow = one_dim_flow([1.0, 2.0], 5.0, 1.0)
         assert flow.initial_truncated == 1
         assert flow.breakpoints[0] == pytest.approx(2.0 * np.log(4.0 / 3.0), rel=1e-15)
 
     def test_frozen_below_data(self):
-        flow = one_dim_flow([1.0, 2.0], 5.0, 0.0, 2)
+        flow = one_dim_flow([1.0, 2.0], 5.0, 0.0)
         assert flow.frozen
         assert flow.gap(10.0) == pytest.approx(5.0)
 
     def test_final_rate_is_one(self):
-        flow = one_dim_flow([1.0, 2.0], 5.0, 1.0, 2)
+        flow = one_dim_flow([1.0, 2.0], 5.0, 1.0)
         s_last = flow.breakpoints[-1]
         for ds in (0.5, 1.0, 2.0):
             expected = np.exp(-ds) * (5.0 - 2.0)
             assert flow.gap(s_last + ds) == pytest.approx(expected, rel=1e-12)
 
     def test_segment_structure(self):
-        flow = one_dim_flow([-1.0, 0.5, 2.0], 4.0, 0.6, 3)
+        flow = one_dim_flow([-1.0, 0.5, 2.0], 4.0, 0.6)
         assert flow.initial_truncated == 2
         rates = [seg.rate for seg in flow.segments]
         assert rates == [2.0 / 3.0, 1.0]
 
     def test_bad_inputs(self):
         with pytest.raises(BadOrdering):
-            one_dim_flow([2.0, 1.0], 5.0, 0.0, 2)
+            one_dim_flow([2.0, 1.0], 5.0, 0.0)
         with pytest.raises(LabelInsideData):
-            one_dim_flow([1.0, 2.0], 1.5, 0.0, 2)
+            one_dim_flow([1.0, 2.0], 1.5, 0.0)
         with pytest.raises(LabelInsideData):
-            one_dim_flow([1.0, 2.0], 5.0, 6.0, 2)
-        with pytest.raises(ValueError):
-            one_dim_flow([1.0, 2.0], 5.0, 0.0, 3)
+            one_dim_flow([1.0, 2.0], 5.0, 6.0)
 
     @pytest.mark.parametrize("args, name", [
-        (([1.0, np.nan], 5.0, 1.0, 2), "points"),
-        (([1.0, 2.0], np.nan, 1.0, 2), "y"),
-        (([0.0, 1.0], 3.0, np.nan, 2), "b0"),
+        (([1.0, np.nan], 5.0, 1.0), "points"),
+        (([1.0, 2.0], np.nan, 1.0), "y"),
+        (([0.0, 1.0], 3.0, np.nan), "b0"),
     ])
     def test_non_finite_inputs_rejected(self, args, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -451,7 +449,7 @@ class TestOneDimFlow:
     def test_matches_ode(self):
         # cross-check the recursion against direct integration of the
         # piecewise rate equation d(gap)/ds = -(n(b)/N) gap
-        flow = one_dim_flow([0.2, 0.9, 1.7], 3.0, 0.3, 3)
+        flow = one_dim_flow([0.2, 0.9, 1.7], 3.0, 0.3)
 
         def rate(b):
             return sum(1 for p in [0.2, 0.9, 1.7] if p <= b) / 3.0

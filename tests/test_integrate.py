@@ -12,6 +12,7 @@ from truncflow.flows import CollapsedState, conserved_quantity
 from truncflow.integrate import (
     IntegratorOptions,
     _diff_events,
+    _masks_equal,
     _sweep,
     fit_phase_exponents,
     freeze_time,
@@ -281,30 +282,41 @@ def _base_run(base):
     return integrator, (state, data)
 
 
+# (rk4_steps, prediction_misses) of each base's trajectory to s = 1 with the shipped prediction;
+# a prediction that misses more often, or climbs further on a miss, shows here
+BASE_WORK = {
+    (2, 20, 0): (134, 0), (2, 20, 1): (117, 0), (2, 40, 0): (128, 0), (2, 40, 1): (137, 0),
+    (3, 20, 0): (134, 0), (3, 20, 1): (185, 0), (3, 20, 2): (160, 1), (4, 10, 0): (144, 1),
+    (0, 3): (108, 0), (0, 11): (111, 0), (1, 1): (105, 0), (1, 3): (126, 3),
+}
+
 _PREDICT = truncflow.integrate._predict_crossing
 
 
 def _half_the_prediction(*args):
-    t_star = _PREDICT(*args)
-    return None if t_star is None else 0.5 * t_star
+    predicted, h = _PREDICT(*args), args[-1]
+    return None if predicted is None else lambda dt: predicted(min(2.0 * dt, h))
 
 
 WRONG_PREDICTIONS = {
     "none": lambda *args: None,  # nothing predicted: plain bisection
     "early": _half_the_prediction,
-    "step end": lambda *args: args[-1],
+    "step end": lambda *args: lambda dt: dt >= args[-1],
 }
 
 
 class TestCrossingPrediction:
-    """A localization predicts the crossing, replays bisection's walk on it and confirms the
-    leaf with two probes; whatever the prediction, the step kept is the one bisection keeps."""
+    """A localization predicts whether a step changes the masks, replays bisection's walk on that
+    prediction and confirms the leaf with two probes; whatever the prediction, the step kept is
+    the one bisection keeps."""
 
     @pytest.mark.parametrize("base", EFFECTIVE_BASES + GENERAL_BASES, ids=lambda base: "-".join(map(str, base)))
     def test_any_prediction_keeps_the_trajectory(self, monkeypatch, base):
         integrator, (state, data) = _base_run(base)
         want = integrator(state, data, 1.0)
         assert want.stats.localizations > 0
+        rk4_steps, misses = BASE_WORK[base]
+        assert want.stats.rk4_steps <= rk4_steps and want.stats.prediction_misses <= misses
         for how, predict in WRONG_PREDICTIONS.items():
             monkeypatch.setattr(truncflow.integrate, "_predict_crossing", predict)
             got = integrator(state, data, 1.0)
@@ -312,6 +324,21 @@ class TestCrossingPrediction:
             assert got.stats.localizations == want.stats.localizations, how
             assert got.stats.prediction_misses > want.stats.prediction_misses, how
             assert got.stats.rk4_steps > want.stats.rk4_steps, how
+
+    def test_prediction_is_bisections_question(self):
+        # a step that flips no pushed coordinate predicts nothing; one that does predicts the
+        # masks unchanged at its start and changed at its end
+        state, data = make_one_dim_state([1.0, 2.0], 5.0, 1.0)
+        masks = _sweep(state, data)[0]
+        k1 = effective_rhs(state, data, masks)
+        for h, crosses in ((0.1, False), (1.0, True)):
+            trial = truncflow.integrate._rk4_step(state, k1, data, effective_rhs, masks, h)[0]
+            assert _masks_equal(masks, _sweep(trial, data)[0]) != crosses
+            predicted = _PREDICT(state, k1, trial, data, effective_rhs, masks, h)
+            if not crosses:
+                assert predicted is None
+            else:
+                assert not predicted(0.0) and predicted(h)
 
     @pytest.mark.parametrize("make", [
         lambda: (integrate_effective, make_one_dim_state([1.0, 2.0], 5.0, 1.0), 3.0),
