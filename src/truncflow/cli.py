@@ -123,6 +123,9 @@ class ScenarioConfig:
             raise ConfigError(f"field 's_end' must be positive and finite, got {self.s_end!r}")
         if self.l is not None and (not _is_int(self.l) or self.l < 1):
             raise ConfigError(f"field 'l' must be a positive integer, got {self.l!r}")
+        if self.l is not None and self.mode not in ("effective", "general"):
+            raise ConfigError(f"field 'l' is not used by mode '{self.mode}'; "
+                              "only the layered modes 'effective' and 'general' take a depth")
         if self.mode in ("effective", "general", "oned", "clustered") and self.data is None:
             raise ConfigError(f"field 'data' is required for mode '{self.mode}'")
         if self.mode == "collapsed":

@@ -12,8 +12,11 @@ the leaf it reaches with two RK4 probes; a miss finishes with bisection
 inside the bracket the probes narrowed.  Either way the step kept is the
 one bisection keeps.
 Rotations are advanced by retraction (exponential of the averaged
-generator), so orthogonality is preserved to round-off; every 100th
-retraction the rotation is re-projected onto the group.
+generator), so orthogonality is preserved to round-off.  Every RK stage
+retracts the whole (L, Q, Q) stack with one exponential (`retract_stack`);
+a layer whose generator is zero is not moved.  A rotation is re-projected
+onto the group at every 100th accepted step that moved it, by the same zero
+test (`moving_layers`).
 
 A right-hand side is called as ``rhs(state, data, frozen_masks=None)`` and
 returns the velocities stacked like the state: beta_dots (L, Q) and the
@@ -53,7 +56,7 @@ from .flows import (
     effective_rhs,
     general_rhs,
 )
-from .manifold import REPOLAR_EVERY, polar_decompose, retract_array
+from .manifold import REPOLAR_EVERY, moving_layers, polar_decompose, retract_stack
 from .measures import TrainingSet, check_cluster_separation
 from .model import ModelState, euclidean_cost, images_cost, push
 
@@ -143,9 +146,9 @@ class Trajectory:
 
 
 def _apply(state: ModelState, beta_dots: np.ndarray, omegas: np.ndarray, dt: float) -> ModelState:
-    """Advance every layer: beta by dt * beta_dot, R by retraction of dt * Omega."""
-    rotations = np.array([retract_array(r, om, dt) for r, om in zip(state.rotations, omegas)])
-    return state.derive(rotations, state.betas + dt * beta_dots)
+    """Advance every layer: beta by dt * beta_dot, R by retraction of dt * Omega, all
+    rotations by one stacked exponential; a layer whose Omega is zero keeps its rotation."""
+    return state.derive(retract_stack(state.rotations, omegas, dt), state.betas + dt * beta_dots)
 
 
 def _rk4_step(state: ModelState, k1, data: TrainingSet, rhs, masks, h: float) -> tuple[ModelState, np.ndarray]:
@@ -362,14 +365,13 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
         events.extend(pending_events)
 
         reprojected = False
-        for k in range(state.depth):
-            if np.linalg.norm(generators[k]) != 0.0:  # retract_array moved this rotation
-                retractions[k] += 1
-                if retractions[k] % REPOLAR_EVERY == 0:
-                    rotations = advanced.rotations.copy()
-                    rotations[k] = polar_decompose(rotations[k])[1].mat
-                    advanced = advanced.derive(rotations, advanced.betas)
-                    reprojected = True
+        for k in np.flatnonzero(moving_layers(generators)):  # the rotations retract_stack moved
+            retractions[k] += 1
+            if retractions[k] % REPOLAR_EVERY == 0:
+                rotations = advanced.rotations.copy()
+                rotations[k] = polar_decompose(rotations[k])[1].mat
+                advanced = advanced.derive(rotations, advanced.betas)
+                reprojected = True
         state, masks = advanced.checked(), new_masks
         cost = euclidean_cost(state, data) if reprojected else advanced_cost
         s += dt

@@ -3,8 +3,10 @@
 Rotations are represented by :class:`OrthogonalMatrix`, generators of the
 group by :class:`AntisymmetricMatrix`.  Both wrappers verify their defining
 bound at construction, at the public boundary.  Integration stages advance
-plain arrays by :func:`retract_array`, which stays on the group by
-construction; the integrator checks the bound once per accepted step.
+the (L, Q, Q) stack of rotations by :func:`retract_stack`, one scaling-and-squaring
+Pade-13 exponential for all layers at once, which stays on the group by construction;
+the integrator checks the bound once per accepted step.  :func:`retract` and
+:func:`expm_antisym` are its one-layer case.
 """
 
 from __future__ import annotations
@@ -142,15 +144,25 @@ _PADE13 = (
 )
 
 
-def _expm_pade13(a: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring matrix exponential at fixed Pade order 13."""
-    norm = np.linalg.norm(a, 1)
+def moving_layers(generators: np.ndarray) -> np.ndarray:
+    """Which of the (L, Q, Q) `generators` move their rotation at a nonzero step: (L,) bool,
+    true where the generator's Frobenius norm is nonzero (a generator whose squared entries all
+    underflow to 0 counts as zero)."""
+    return (generators * generators).sum(axis=(-2, -1)) != 0.0
+
+
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """Scaling-and-squaring matrix exponential at fixed Pade order 13 of every matrix in the
+    (L, Q, Q) stack `a`.  Each matrix is scaled and squared by its own count."""
     # theta_13: largest 1-norm for which the order-13 approximant is accurate
     # to double precision without scaling.
-    squarings = max(0, int(np.ceil(np.log2(norm / 5.371920351148152)))) if norm > 0 else 0
-    a = a / (2.0**squarings)
+    counts = [max(0, int(np.ceil(np.log2(norm / 5.371920351148152)))) if norm > 0 else 0
+              for norm in np.abs(a).sum(axis=-2).max(axis=-1).tolist()]  # each matrix's 1-norm
+    fewest, most = min(counts), max(counts)
+    if most > 0:
+        a = a / np.array([2.0**c for c in counts])[:, None, None]
     b = _PADE13
-    ident = np.eye(a.shape[0])
+    ident = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
@@ -163,34 +175,49 @@ def _expm_pade13(a: np.ndarray) -> np.ndarray:
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     )
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
+    for _ in range(fewest):
         r = r @ r
+    for done in range(fewest, most):  # only the matrices whose count is not yet reached
+        more = np.array(counts) > done
+        m = r[more]
+        r[more] = m @ m
     return r
+
+
+def retract_stack(rotations: np.ndarray, generators: np.ndarray, step: float) -> np.ndarray:
+    """Unvalidated exp(step * generators[k]) @ rotations[k] for every layer k of the (L, Q, Q)
+    stacks.  A layer whose generator is zero keeps its rotation bit for bit; a zero step, or
+    no moving layer, returns `rotations` itself."""
+    if step == 0.0:
+        return rotations
+    moving = moving_layers(generators)
+    moved = np.count_nonzero(moving)
+    if moved == 0:
+        return rotations
+    if moved == len(moving):
+        return _expm_stack(step * generators) @ rotations
+    out = rotations.copy()
+    out[moving] = _expm_stack(step * generators[moving]) @ rotations[moving]
+    return out
 
 
 def expm_antisym(a: AntisymmetricMatrix) -> OrthogonalMatrix:
     """Exponential of an antisymmetric generator; the result is orthogonal."""
     if a.norm() == 0.0:
         return OrthogonalMatrix.identity(a.dim)
-    return OrthogonalMatrix(_expm_pade13(a.mat))
-
-
-def retract_array(r: np.ndarray, omega: np.ndarray, step: float) -> np.ndarray:
-    """Unvalidated exp(step * omega) @ r; a zero step or generator returns `r` itself."""
-    if step == 0.0 or np.linalg.norm(omega) == 0.0:
-        return r
-    return _expm_pade13(step * omega) @ r
+    return OrthogonalMatrix(_expm_stack(a.mat[None])[0])
 
 
 def retract(r: OrthogonalMatrix, omega: AntisymmetricMatrix, step: float) -> OrthogonalMatrix:
-    """Move R along the group: exp(step * omega) @ R.
+    """Move R along the group: exp(step * omega) @ R, the one-layer case of :func:`retract_stack`.
 
     A zero step or zero generator returns `r` itself, bit-exactly.
     """
     if not np.isfinite(step):
         raise ValueError("step must be finite")
-    out = retract_array(r.mat, omega.mat, step)
-    return r if out is r.mat else OrthogonalMatrix(out)
+    stack = r.mat[None]
+    out = retract_stack(stack, omega.mat[None], step)
+    return r if out is stack else OrthogonalMatrix(out[0])
 
 
 def reproject(r: OrthogonalMatrix) -> OrthogonalMatrix:

@@ -230,6 +230,17 @@ class TestRunCommand:
             assert main(["run", write_config(tmp_path, doc)]) == 2
             assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["oned", "collapsed", "clustered"])
+    def test_depth_rejected_where_unused(self, tmp_path, capsys, mode):
+        # only the layered modes read l; elsewhere a depth would be dropped without a word
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "oned_ladder.json").read_text())
+        doc.update(mode=mode, l=5, output=str(tmp_path / "out"))
+        doc["init"].update(b=[[1.0]], w=[[1.0]], y=[[1.0]], w0=[[1.0]])
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "'l'" in err and f"'{mode}'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_clustered_scenario(self, tmp_path):
         doc = {
             "q": 2,

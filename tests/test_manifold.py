@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from truncflow.errors import SingularInput
 from truncflow.manifold import (
@@ -8,13 +9,18 @@ from truncflow.manifold import (
     OrthogonalMatrix,
     antisym_project,
     expm_antisym,
+    moving_layers,
     polar_decompose,
     random_orthogonal,
     reproject,
     retract,
+    retract_stack,
 )
 
 RNG = np.random.default_rng(1234)
+
+# derandomized: the same examples on every run, and no example database
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 def random_antisym(q, rng=RNG):
@@ -142,6 +148,59 @@ class TestRetract:
     def test_nonfinite_step_rejected(self):
         with pytest.raises(ValueError):
             retract(random_orthogonal(2, RNG), random_antisym(2), np.inf)
+
+
+@st.composite
+def rotation_stacks(draw):
+    """(rotations, generators, step): L = 1-4 layers in Q = 2-4.  Each step * generator is zero
+    (one in four) or a random direction of Frobenius norm 1e-6 to 100, log-uniform over 1e-6 to 1
+    and over 1 to 100 alike, so a stack mixes squaring counts 0 to 6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([1.0, 0.5, -0.7, 1e-3]))
+    q, depth = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+    rotations = np.array([random_orthogonal(q, rng).mat for _ in range(depth)])
+    gens = np.zeros((depth, q, q))
+    for k in range(depth):
+        if rng.random() >= 0.25:
+            g = random_antisym(q, rng).mat
+            size = 10.0 ** (rng.uniform(-6.0, 0.0) if rng.random() < 0.5 else rng.uniform(0.0, 2.0))
+            gens[k] = g * (size / abs(step) / np.linalg.norm(g))
+    return rotations, gens, step
+
+
+class TestRetractStack:
+    @PROPERTY
+    @given(rotation_stacks())
+    def test_each_layer_as_if_alone(self, stack):
+        rotations, gens, step = stack
+        out = retract_stack(rotations, gens, step)
+        for k in range(len(rotations)):
+            alone = retract(OrthogonalMatrix(rotations[k]), AntisymmetricMatrix(gens[k]), step).mat
+            assert out[k].tobytes() == alone.tobytes()
+            assert out[k].tobytes() == retract_stack(rotations[k:k + 1], gens[k:k + 1], step)[0].tobytes()
+
+    @PROPERTY
+    @given(rotation_stacks())
+    def test_zero_generators_keep_their_rotation(self, stack):
+        rotations, gens, step = stack
+        out = retract_stack(rotations, gens, step)
+        still = ~moving_layers(gens)
+        assert out[still].tobytes() == rotations[still].tobytes()
+        if still.all():
+            assert out is rotations
+        assert retract_stack(rotations, gens, 0.0) is rotations
+
+    def test_mixed_squaring_counts(self):
+        # 1-norms 1e-6, 1, 100 and 0: squaring counts 0, 0, 5 and a layer left as it is
+        rotations = np.array([random_orthogonal(3, RNG).mat for _ in range(4)])
+        gens = np.array([scale * g / np.abs(g).sum(axis=0).max()
+                         for scale, g in zip((1e-6, 1.0, 100.0, 0.0), (random_antisym(3).mat for _ in range(4)))])
+        out = retract_stack(rotations, gens, 1.0)
+        assert out[3].tobytes() == rotations[3].tobytes()
+        for k in range(3):
+            ref = scipy.linalg.expm(gens[k]) @ rotations[k]
+            assert np.linalg.norm(out[k] - ref) <= 1e-12
+            assert out[k].tobytes() == retract_stack(rotations[k:k + 1], gens[k:k + 1], 1.0)[0].tobytes()
 
 
 class TestTypes:
