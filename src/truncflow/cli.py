@@ -11,30 +11,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyCluster, StepUnderflow, TruncflowError
-from .flows import clustered_explicit, clustered_rhs, one_dim_flow, CollapsedState
+from .flows import one_dim_flow, CollapsedState
 from .integrate import (
     IntegratorOptions,
-    _fit_log_slope,
+    fit_log_slope,
     fit_phase_exponents,
     freeze_time,
     integrate_collapsed,
     integrate_effective,
     integrate_general,
     write_collapsed_csv,
+    write_csv,
     write_events_csv,
     write_trajectory_csv,
 )
-from .manifold import orthogonality_error
 from .measures import TrainingSet
-from .oracle import rk4_array
 from .scenarios import INITIAL_STATES, make_one_dim_state, named_initial_state, state_from_arrays
-from .verify import SUITES, run_suites
+from .verify import SUITES, clustered_closed_vs_ode, run_suites
 
 MODES = ("effective", "general", "collapsed", "clustered", "oned")
 
@@ -58,12 +57,15 @@ def _field_error(prefix: str, exc: Exception) -> ConfigError:
     return ConfigError(f"field '{prefix}{key}' {reason}")
 
 
-def _floats(name: str, value) -> np.ndarray:
-    """Config field `name` as a float array; anything else, or a non-finite entry, is a ConfigError naming it."""
+def _floats(name: str, value, ndim: int = 2) -> np.ndarray:
+    """Config field `name` as an `ndim`-dimensional float array; anything else, or a
+    non-finite entry, is a ConfigError naming it."""
     try:
         out = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field '{name}' must be an array of numbers: {exc}") from exc
+    if out.ndim != ndim:
+        raise ConfigError(f"field '{name}' must be a {ndim}-dimensional array, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise ConfigError(f"field '{name}' must be finite")
     return out
@@ -82,37 +84,17 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(doc).__name__}")
         for key in ("q", "mode", "s_end", "output"):
             if key not in doc:
                 raise ConfigError(f"missing required field '{key}'")
-        known = {"q", "l", "mode", "data", "init", "s_end", "tolerances", "output"}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown field(s) {sorted(unknown)}")
-        cfg = cls(
-            q=doc["q"],
-            mode=doc["mode"],
-            s_end=doc["s_end"],
-            output=doc["output"],
-            l=doc.get("l"),
-            data=doc.get("data"),
-            init=doc.get("init") or {},
-            tolerances=doc.get("tolerances") or {},
-        )
+        cfg = cls(**doc)
         cfg.validate()
         return cfg
-
-    def to_dict(self) -> dict:
-        doc = {"q": self.q, "mode": self.mode, "s_end": self.s_end, "output": self.output}
-        if self.l is not None:
-            doc["l"] = self.l
-        if self.data is not None:
-            doc["data"] = self.data
-        if self.init:
-            doc["init"] = self.init
-        if self.tolerances:
-            doc["tolerances"] = self.tolerances
-        return doc
 
     def validate(self) -> None:
         if not _is_int(self.q) or self.q < 1:
@@ -121,6 +103,14 @@ class ScenarioConfig:
             raise ConfigError(f"field 'mode' must be one of {MODES}, got {self.mode!r}")
         if not _is_number(self.s_end) or not 0 < self.s_end < np.inf:
             raise ConfigError(f"field 's_end' must be positive and finite, got {self.s_end!r}")
+        if not isinstance(self.output, str):
+            raise ConfigError(f"field 'output' must be a directory path string, got {self.output!r}")
+        for name in ("data", "init", "tolerances"):
+            value = getattr(self, name)
+            if not isinstance(value, dict) and not (name == "data" and value is None):
+                raise ConfigError(f"field '{name}' must be a JSON object, got {value!r}")
+        if self.data is not None and not isinstance(self.data.get("path", ""), str):
+            raise ConfigError(f"field 'data.path' must be a file path string, got {self.data['path']!r}")
         if self.l is not None and (not _is_int(self.l) or self.l < 1):
             raise ConfigError(f"field 'l' must be a positive integer, got {self.l!r}")
         if self.l is not None and self.mode not in ("effective", "general"):
@@ -128,15 +118,12 @@ class ScenarioConfig:
                               "only the layered modes 'effective' and 'general' take a depth")
         if self.mode in ("effective", "general", "oned", "clustered") and self.data is None:
             raise ConfigError(f"field 'data' is required for mode '{self.mode}'")
-        if self.mode == "collapsed":
-            for key in ("b", "w", "y"):
-                if key not in self.init:
-                    raise ConfigError(f"field 'init.{key}' is required for mode 'collapsed'")
-        if self.mode == "clustered" and "w0" not in self.init:
-            raise ConfigError("field 'init.w0' is required for mode 'clustered'")
+        for key in {"collapsed": ("b", "w", "y"), "clustered": ("w0",), "oned": ("b0",)}.get(self.mode, ()):
+            if key not in self.init:
+                raise ConfigError(f"field 'init.{key}' is required for mode '{self.mode}'")
         if self.mode == "oned":
-            if "b0" not in self.init:
-                raise ConfigError("field 'init.b0' is required for mode 'oned'")
+            if self.q != 1:
+                raise ConfigError("field 'q' must be 1 for mode 'oned'")
             b0 = self.init["b0"]
             if not _is_number(b0) or not -np.inf < b0 < np.inf:
                 raise ConfigError(f"field 'init.b0' must be a finite number, got {b0!r}")
@@ -196,7 +183,7 @@ def _build_state(cfg: ScenarioConfig, data, labels):
                 if key not in init:
                     raise ConfigError(f"field 'init.{key}' is required for explicit init")
             state = state_from_arrays(
-                _floats("init.rotations", init["rotations"]),
+                _floats("init.rotations", init["rotations"], ndim=3),
                 _floats("init.betas", init["betas"]),
                 output_map if output_map is not None else np.eye(cfg.q),
                 labels,
@@ -227,27 +214,33 @@ def _write_summary(path: Path, summary: dict) -> None:
         fh.write("\n")
 
 
+def _trajectory_outputs(mode: str, traj, out: Path) -> dict:
+    """Write a layered trajectory's trajectory.csv and events.csv; return the summary
+    keys that every layered mode reports."""
+    write_trajectory_csv(traj, out / "trajectory.csv")
+    write_events_csv(traj.events, out / "events.csv")
+    return {
+        "mode": mode,
+        "final_cost": traj.costs[-1],
+        "initial_cost": traj.costs[0],
+        "n_events": len(traj.events),
+        "phases": fit_phase_exponents(traj),
+        "stopped_reason": traj.stopped_reason,
+        "integrator": asdict(traj.stats),
+    }
+
+
 def _run_layered(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
     data, labels = _load_data(cfg)
     state = _build_state(cfg, data, labels)
     integrate = integrate_effective if cfg.mode == "effective" else integrate_general
     traj = integrate(state, data, cfg.s_end, opts)
-    write_trajectory_csv(traj, out / "trajectory.csv")
-    write_events_csv(traj.events, out / "events.csv")
     final = traj.final_state
     return {
-        "mode": cfg.mode,
-        "final_cost": traj.costs[-1],
-        "initial_cost": traj.costs[0],
+        **_trajectory_outputs(cfg.mode, traj, out),
         "final_state": {"rotations": final.rotations, "betas": final.betas},
-        "n_events": len(traj.events),
-        "phases": fit_phase_exponents(traj),
         "rotation_freeze_s": freeze_time(traj),
-        "max_orthogonality_error": max(
-            orthogonality_error(r) for smp in traj.samples for r in smp.state.rotations
-        ),
-        "stopped_reason": traj.stopped_reason,
-        "integrator": asdict(traj.stats),
+        "max_orthogonality_error": traj.max_orthogonality_error,
     }
 
 
@@ -258,86 +251,37 @@ def _run_collapsed(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> d
     write_events_csv([], out / "events.csv")
     ts, costs = traj.times, traj.costs
     tail = ts >= 0.5 * cfg.s_end
-    slope = _fit_log_slope(ts[tail], costs[tail])
     return {
         "mode": "collapsed",
         "final_cost": costs[-1],
         "initial_cost": costs[0],
         "final_state": {"b": traj.final_state.b_matrix, "w": traj.final_state.w_out},
         "conservation_drift": traj.max_drift,
-        "phases": [{"s_lo": 0.5 * cfg.s_end, "s_hi": cfg.s_end, "log_cost_slope": slope}],
+        "phases": [{"s_lo": 0.5 * cfg.s_end, "s_hi": cfg.s_end,
+                    "log_cost_slope": fit_log_slope(ts[tail], costs[tail])}],
     }
 
 
 def _run_clustered(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
     """Closed form against a fixed-step ODE solve; neither takes step control from `opts`."""
     data, labels = _load_data(cfg)
-    w0 = _floats("init.w0", cfg.init["w0"])
-    x0 = data.points.T
-    y_ext = np.repeat(labels, data.counts, axis=0).T.copy()  # column i is point i's label
-    n = x0.shape[1]
-
-    def cost(w):
-        e = w @ x0 - y_ext
-        return 0.5 * float(np.sum(e * e)) / n
-
-    grid = np.linspace(0.0, cfg.s_end, 201)
-    rows = []
-    worst_vs_ode = 0.0
-    w_ode = w0.reshape(-1)
-    s_prev = 0.0
-    for s in grid:
-        w_closed = clustered_explicit(w0, x0, y_ext, s)
-        if s > s_prev:
-            w_ode = rk4_array(
-                lambda w: clustered_rhs(w.reshape(w0.shape), x0, y_ext).reshape(-1),
-                w_ode, s - s_prev, step=1e-3,
-            )
-            s_prev = s
-        diff = float(np.linalg.norm(w_closed - w_ode.reshape(w0.shape)))
-        worst_vs_ode = max(worst_vs_ode, diff)
-        rows.append((s, cost(w_closed), diff))
-    lines = ["s,cost,closed_vs_ode"] + [
-        ",".join(format(v, ".17g") for v in row) for row in rows
-    ]
-    (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
+    table, summary = clustered_closed_vs_ode(_floats("init.w0", cfg.init["w0"]), data, labels, cfg.s_end)
+    write_csv(out / "trajectory.csv", ["s", "cost", "closed_vs_ode"], table)
     write_events_csv([], out / "events.csv")
-    gram = x0 @ x0.T
-    limit = (y_ext @ x0.T) @ np.linalg.inv(gram)
-    w_end = clustered_explicit(w0, x0, y_ext, cfg.s_end)
-    return {
-        "mode": "clustered",
-        "final_cost": cost(w_end),
-        "initial_cost": cost(w0),
-        "final_state": {"w": w_end},
-        "closed_vs_ode_max": worst_vs_ode,
-        "distance_to_limit": float(np.linalg.norm(w_end - limit)),
-    }
+    return {"mode": "clustered", **summary}
 
 
 def _run_oned(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
     data, labels = _load_data(cfg)
-    if cfg.q != 1:
-        raise ConfigError("field 'q' must be 1 for mode 'oned'")
     points = data.clusters[0].reshape(-1)  # integrated in config order, so events name config indices
-    y = float(np.asarray(labels, dtype=float).reshape(-1)[0])
-    b0 = float(cfg.init["b0"])
+    y, b0 = float(labels[0, 0]), float(cfg.init["b0"])
     flow = one_dim_flow(np.sort(points), y, b0)
-    state, dset = make_one_dim_state(points, y, b0)
-    traj = integrate_effective(state, dset, cfg.s_end, opts)
-    write_trajectory_csv(traj, out / "trajectory.csv")
-    write_events_csv(traj.events, out / "events.csv")
+    traj = integrate_effective(*make_one_dim_state(points, y, b0), cfg.s_end, opts)
     return {
-        "mode": "oned",
-        "final_cost": traj.costs[-1],
-        "initial_cost": traj.costs[0],
+        **_trajectory_outputs("oned", traj, out),
         "final_gap": traj.samples[-1].per_layer[0].beta_gap,
         "closed_form_breakpoints": list(flow.breakpoints),
         "closed_form_frozen": flow.frozen,
-        "phases": fit_phase_exponents(traj),
-        "n_events": len(traj.events),
-        "stopped_reason": traj.stopped_reason,
-        "integrator": asdict(traj.stats),
     }
 
 
@@ -384,6 +328,9 @@ def _cmd_verify(args) -> int:
     names = args.suite
     if names != "all" and names not in SUITES:
         print(f"error: unknown suite {names!r}; choose from {list(SUITES) + ['all']}", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
         return 2
     report = run_suites(names, seed=args.seed)
     for suite in report["suites"]:

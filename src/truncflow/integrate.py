@@ -56,7 +56,7 @@ from .flows import (
     effective_rhs,
     general_rhs,
 )
-from .manifold import REPOLAR_EVERY, moving_layers, polar_decompose, retract_stack
+from .manifold import REPOLAR_EVERY, moving_layers, orthogonality_error, polar_decompose, retract_stack
 from .measures import TrainingSet, check_cluster_separation
 from .model import ModelState, euclidean_cost, images_cost, push
 
@@ -143,6 +143,11 @@ class Trajectory:
     @property
     def final_state(self) -> ModelState:
         return self.samples[-1].state
+
+    @property
+    def max_orthogonality_error(self) -> float:
+        """The largest orthogonality error of any rotation at any sample."""
+        return max(orthogonality_error(r) for smp in self.samples for r in smp.state.rotations)
 
 
 def _apply(state: ModelState, beta_dots: np.ndarray, omegas: np.ndarray, dt: float) -> ModelState:
@@ -503,6 +508,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def write_csv(path, columns, rows) -> None:
+    """The header `columns`, then one line per row: floats with 17 significant digits, the
+    other fields (counts, indices, directions) as they print."""
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Columns: s, cost, then per layer beta_gap, omega_norm, n_0..n_{Q-1}."""
     depth = traj.samples[0].state.depth
@@ -511,36 +525,26 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     for k in range(depth):
         cols += [f"layer{k}_beta_gap", f"layer{k}_omega_norm"]
         cols += [f"layer{k}_n{r}" for r in range(q)]
-    lines = [",".join(cols)]
+    rows = []
     for smp in traj.samples:
-        row = [_fmt(smp.s), _fmt(smp.cost)]
+        row = [smp.s, smp.cost]
         for diag in smp.per_layer:
-            row += [_fmt(diag.beta_gap), _fmt(diag.omega_norm)]
-            row += [str(int(c)) for c in diag.truncated_counts]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            row += [diag.beta_gap, diag.omega_norm, *diag.truncated_counts]
+        rows.append(row)
+    write_csv(path, cols, rows)
 
 
 def write_events_csv(events: list[Event], path) -> None:
-    lines = ["s,layer,cluster,point,coordinate,direction"]
-    for ev in events:
-        lines.append(
-        f"{_fmt(ev.s)},{ev.layer},{ev.cluster},{ev.point},{ev.coordinate},{ev.direction}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["s", "layer", "cluster", "point", "coordinate", "direction"],
+              [(ev.s, ev.layer, ev.cluster, ev.point, ev.coordinate, ev.direction) for ev in events])
 
 
 def write_collapsed_csv(traj: CollapsedTrajectory, path) -> None:
-    lines = ["s,cost,invariant_drift"]
-    for smp in traj.samples:
-        lines.append(f"{_fmt(smp.s)},{_fmt(smp.cost)},{_fmt(smp.invariant_drift)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["s", "cost", "invariant_drift"],
+              [(smp.s, smp.cost, smp.invariant_drift) for smp in traj.samples])
 
 
-def _fit_log_slope(ts: np.ndarray, values: np.ndarray) -> float | None:
+def fit_log_slope(ts: np.ndarray, values: np.ndarray) -> float | None:
     """Least-squares slope of log(values) over ts; None if degenerate."""
     keep = values > 1e-300
     if keep.sum() < 3:
@@ -576,9 +580,9 @@ def fit_phase_exponents(traj: Trajectory) -> list[dict]:
         phase = {
             "s_lo": float(lo),
             "s_hi": float(hi),
-            "log_cost_slope": _fit_log_slope(tt, np.array([smp.cost for smp in sub])),
+            "log_cost_slope": fit_log_slope(tt, np.array([smp.cost for smp in sub])),
             "log_gap_slopes": [
-                _fit_log_slope(tt, np.array([smp.per_layer[k].beta_gap for smp in sub]))
+                fit_log_slope(tt, np.array([smp.per_layer[k].beta_gap for smp in sub]))
                 for k in range(depth)
             ],
         }

@@ -81,8 +81,10 @@ class TrainingSet:
         cluster, whose message starts with the key at fault: "clusters",
         "q" or "labels".
         """
-        if "clusters" not in doc:
+        if not isinstance(doc, dict) or "clusters" not in doc:
             raise ValueError("clusters is missing from the training-set document")
+        if not isinstance(doc["clusters"], list):
+            raise ValueError(f"clusters must be a list of clusters, got {doc['clusters']!r}")
         try:
             ts = cls(doc["clusters"])
         except (ValueError, EmptyCluster) as exc:

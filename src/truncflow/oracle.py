@@ -142,29 +142,30 @@ def reference_integrate(rhs, state0: ModelState, data: TrainingSet, s_end: float
     """Fixed-step 4th-order integration of a layered flow, with retraction.
 
     `rhs(state, data)` returns the velocities stacked like the state,
-    beta_dots (L, Q) and omegas (L, Q, Q).  Every stage validates each
-    generator and rebuilds the state through the public constructors.  Used
-    as a high-accuracy cross-check of the adaptive integrator and of closed
-    forms; it carries no event logic and no step control.
+    beta_dots (L, Q) and omegas (L, Q, Q).  Every stage validates what it
+    changes (each generator, each retracted rotation, the finiteness of the
+    betas) and shares the output map and labels with `state0`.  Used as a
+    high-accuracy cross-check of the adaptive integrator and of closed forms;
+    it carries no event logic and no step control.
     """
 
-    def advance(layers, beta_dots, omegas, dt):
-        return [lp.with_updates(rotation=retract(lp.rotation, AntisymmetricMatrix(omega), dt),
-                                beta=lp.beta + dt * beta_dot)
-                for lp, beta_dot, omega in zip(layers, beta_dots, omegas)]
+    def advance(rotations, betas, beta_dots, omegas, dt):
+        rotations = [retract(r, AntisymmetricMatrix(omega), dt) for r, omega in zip(rotations, omegas)]
+        betas = betas + dt * beta_dots
+        if not np.all(np.isfinite(betas)):
+            raise ValueError("beta has a non-finite entry")
+        return rotations, state0.derive(np.array([r.mat for r in rotations]), betas)
 
-    def build(layers):
-        return ModelState(layers, state0.output_map, state0.labels)
-
-    state, layers = state0, state0.layers  # the validated layers are carried from step to step
+    # the validated rotations are carried from step to step
+    state, rotations = state0, [OrthogonalMatrix(r) for r in state0.rotations]
     s = 0.0
     while s < s_end - 1e-13:
         h = min(step, s_end - s)
         b1, o1 = rhs(state, data)
-        b2, o2 = rhs(build(advance(layers, b1, o1, 0.5 * h)), data)
-        b3, o3 = rhs(build(advance(layers, b2, o2, 0.5 * h)), data)
-        b4, o4 = rhs(build(advance(layers, b3, o3, h)), data)
-        layers = advance(layers, (b1 + 2 * b2 + 2 * b3 + b4) / 6.0, (o1 + 2 * o2 + 2 * o3 + o4) / 6.0, h)
-        state = build(layers)
+        b2, o2 = rhs(advance(rotations, state.betas, b1, o1, 0.5 * h)[1], data)
+        b3, o3 = rhs(advance(rotations, state.betas, b2, o2, 0.5 * h)[1], data)
+        b4, o4 = rhs(advance(rotations, state.betas, b3, o3, h)[1], data)
+        rotations, state = advance(rotations, state.betas, (b1 + 2 * b2 + 2 * b3 + b4) / 6.0,
+                                   (o1 + 2 * o2 + 2 * o3 + o4) / 6.0, h)
         s += h
     return state

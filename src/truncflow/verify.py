@@ -9,6 +9,8 @@ import numpy as np
 from .flows import (
     CollapsedState,
     chained_projectors,
+    clustered_explicit,
+    clustered_rhs,
     effective_rhs,
     general_rhs,
     moment_form_rhs,
@@ -16,10 +18,10 @@ from .flows import (
 )
 from .errors import NearKink
 from .integrate import fit_phase_exponents, integrate_collapsed, integrate_effective, integrate_general
-from .manifold import orthogonality_error, random_orthogonal
+from .manifold import random_orthogonal
 from .measures import TrainingSet
 from .model import chained_truncation, euclidean_cost
-from .oracle import FDSettings, fd_grad_beta, fd_grad_rotation, reference_integrate
+from .oracle import FDSettings, fd_grad_beta, fd_grad_rotation, reference_integrate, rk4_array
 from .scenarios import make_one_dim_state, make_separated_config, state_from_arrays
 
 
@@ -145,9 +147,7 @@ def monotonicity_suite(seed: int = 0, cases: int = 12) -> dict:
         costs = traj.costs
         rises = np.diff(costs) - 1e-8 * (1.0 + costs[:-1])
         slack_worst = max(slack_worst, float(np.max(rises, initial=-np.inf)))
-        for smp in traj.samples:
-            for r in smp.state.rotations:
-                ortho_worst = max(ortho_worst, orthogonality_error(r))
+        ortho_worst = max(ortho_worst, traj.max_orthogonality_error)
 
         event_times = [ev.s for ev in traj.events]
         for frac in (0.3, 0.7):
@@ -271,6 +271,44 @@ def oned_suite(seed: int = 0, cases: int = 10) -> dict:
         _prop("segment_rates_vs_n_over_N", rate_worst, 0.01, len(phases)),
         _prop("closed_form_vs_integrated", closed_worst, 1e-6, closed_checked, cases - closed_checked),
     ])
+
+
+def clustered_closed_vs_ode(w0: np.ndarray, data: TrainingSet, labels, s_end: float,
+                            points: int = 201, step: float = 1e-3) -> tuple[np.ndarray, dict]:
+    """The clustered-data closed form W(s) against a fixed-step solve of its ODE.
+
+    Returns the table, one row (s, cost, closed_vs_ode) per point of an even grid on
+    [0, s_end]: the cost (1/2N) ||W X - Y_ext||^2 of W(s) and its distance to `rk4_array`
+    at `step`, restarted from the previous grid point.  Also the run's summary, with the
+    distance of W(s_end) from the limit Y_ext X^T (X X^T)^-1.  Column i of X is point i,
+    column i of Y_ext its cluster's label.
+    """
+    x0 = data.points.T
+    y_ext = np.repeat(labels, data.counts, axis=0).T.copy()
+    n = x0.shape[1]
+
+    def cost(w):
+        e = w @ x0 - y_ext
+        return 0.5 * float(np.sum(e * e)) / n
+
+    rows = []
+    w_ode, s_prev = w0.reshape(-1), 0.0
+    for s in np.linspace(0.0, s_end, points):
+        w_closed = clustered_explicit(w0, x0, y_ext, s)
+        if s > s_prev:
+            w_ode = rk4_array(lambda w: clustered_rhs(w.reshape(w0.shape), x0, y_ext).reshape(-1),
+                              w_ode, s - s_prev, step=step)
+            s_prev = s
+        rows.append((s, cost(w_closed), float(np.linalg.norm(w_closed - w_ode.reshape(w0.shape)))))
+    table = np.array(rows)
+    limit = (y_ext @ x0.T) @ np.linalg.inv(x0 @ x0.T)
+    return table, {
+        "final_cost": float(table[-1, 1]),
+        "initial_cost": cost(w0),
+        "final_state": {"w": w_closed},
+        "closed_vs_ode_max": float(np.max(table[:, 2])),
+        "distance_to_limit": float(np.linalg.norm(w_closed - limit)),
+    }
 
 
 SUITES = {

@@ -53,8 +53,12 @@ class TestConfigParsing:
             "tolerances": {"step": 0.005},
         }
         cfg = ScenarioConfig.from_dict(doc)
-        assert ScenarioConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
-        assert cfg.to_dict() == doc
+        assert {key: getattr(cfg, key) for key in doc} == doc
+        assert cfg.depth == 2
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            ScenarioConfig.from_dict([{"q": 2}])
 
     def test_missing_field_named(self):
         with pytest.raises(ConfigError, match="'s_end'"):
@@ -254,6 +258,13 @@ class TestRunCommand:
         summary = json.loads((tmp_path / "k" / "summary.json").read_text())
         assert summary["closed_vs_ode_max"] <= 1e-6
         assert summary["final_cost"] <= summary["initial_cost"]
+        # the summary agrees with the table it was written beside
+        rows = (tmp_path / "k" / "trajectory.csv").read_text().strip().split("\n")
+        assert rows[0] == "s,cost,closed_vs_ode" and len(rows) == 202
+        table = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+        assert summary["closed_vs_ode_max"] == np.max(table[:, 2])
+        assert summary["final_cost"] == table[-1, 1]
+        assert table[-1, 0] == doc["s_end"]
 
     def test_general_mode_runs(self, tmp_path):
         doc = all_positive_config(tmp_path, out_name="g")
@@ -331,11 +342,23 @@ class TestRunCommand:
         # an explicit init needs one beta per rotation
         ({"mode": "effective", "init": {"kind": "explicit", "rotations": [[[1.0]], [[1.0]]], "betas": [[0.0]]}},
          2, "'init'"),
+        # fields of the wrong JSON type
+        ({"output": 5}, 2, "'output'"),
+        ({"data": 5}, 2, "'data'"),
+        ({"data": {"path": 7}}, 2, "'data.path'"),
+        ({"init": [1]}, 2, "'init'"),
+        ({"init": []}, 2, "'init'"),
+        ({"init": 0}, 2, "'init'"),
+        ({"tolerances": [1]}, 2, "'tolerances'"),
+        ({"data": {"q": 1, "clusters": 5, "labels": [[5.0]]}}, 2, "'data.clusters'"),
+        ({"mode": "effective", "init": {"kind": "explicit", "rotations": 5, "betas": [[0.0]]}},
+         2, "'init.rotations'"),
+        ({"mode": "collapsed", "init": {"b": 1, "w": [[1.0]], "y": [[1.0]]}}, 2, "'init.b'"),
     ])
     def test_degenerate_numbers_end_fast(self, tmp_path, change, code, named):
         # in a subprocess with a timeout, so an input that never ends fails the test
         doc = json.loads((Path(__file__).parents[1] / "configs" / "oned_ladder.json").read_text())
-        doc.update(change, output=str(tmp_path / "out"))
+        doc.update({"output": str(tmp_path / "out"), **change})
         env = dict(os.environ, PYTHONPATH=str(Path(truncflow.__file__).parents[1]))
         done = subprocess.run(
             [sys.executable, "-m", "truncflow.cli", "run", write_config(tmp_path, doc)],
@@ -379,6 +402,11 @@ class TestVerifyCommand:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "bogus"]) == 2
+
+    def test_negative_seed_exits_2(self, capsys):
+        # exit 1 means "FAILURES detected"; a seed numpy cannot take is a usage error
+        assert main(["verify", "conservation", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_mutation_sanity_gradient_flip_fails(self, monkeypatch):
         def flipped(state, data):

@@ -229,6 +229,7 @@ class TestTrainingSetIO:
         ({"q": True, "clusters": [[[0.0]]]}, "q"),
         ({"clusters": [[[0.0]]], "labels": [[np.nan]]}, "labels"),
         ({"clusters": [[[0.0]]], "labels": [["one"]]}, "labels"),
+        ({"q": 1, "clusters": 5}, "clusters"),
     ])
     def test_schema_errors_start_with_their_key(self, doc, key):
         with pytest.raises(ValueError, match=f"^{key} "):
