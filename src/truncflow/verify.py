@@ -273,13 +273,13 @@ def oned_suite(seed: int = 0, cases: int = 10) -> dict:
     ])
 
 
-def clustered_closed_vs_ode(w0: np.ndarray, data: TrainingSet, labels, s_end: float,
-                            points: int = 201, step: float = 1e-3) -> tuple[np.ndarray, dict]:
+def clustered_closed_vs_ode(w0: np.ndarray, data: TrainingSet, labels,
+                            s_end: float) -> tuple[np.ndarray, dict]:
     """The clustered-data closed form W(s) against a fixed-step solve of its ODE.
 
-    Returns the table, one row (s, cost, closed_vs_ode) per point of an even grid on
-    [0, s_end]: the cost (1/2N) ||W X - Y_ext||^2 of W(s) and its distance to `rk4_array`
-    at `step`, restarted from the previous grid point.  Also the run's summary, with the
+    Returns the table, one row (s, cost, closed_vs_ode) per point of a 201-point grid on
+    [0, s_end]: the cost (1/2N) ||W X - Y_ext||^2 of W(s) and its distance to `rk4_array`,
+    restarted from the previous grid point.  Also the run's summary, with the
     distance of W(s_end) from the limit Y_ext X^T (X X^T)^-1.  Column i of X is point i,
     column i of Y_ext its cluster's label.
     """
@@ -293,21 +293,22 @@ def clustered_closed_vs_ode(w0: np.ndarray, data: TrainingSet, labels, s_end: fl
 
     rows = []
     w_ode, s_prev = w0.reshape(-1), 0.0
-    for s in np.linspace(0.0, s_end, points):
+    for s in np.linspace(0.0, s_end, 201):
         w_closed = clustered_explicit(w0, x0, y_ext, s)
         if s > s_prev:
             w_ode = rk4_array(lambda w: clustered_rhs(w.reshape(w0.shape), x0, y_ext).reshape(-1),
-                              w_ode, s - s_prev, step=step)
+                              w_ode, s - s_prev, step=1e-3)
             s_prev = s
         rows.append((s, cost(w_closed), float(np.linalg.norm(w_closed - w_ode.reshape(w0.shape)))))
+    w_end = clustered_explicit(w0, x0, y_ext, s_end)
     table = np.array(rows)
     limit = (y_ext @ x0.T) @ np.linalg.inv(x0 @ x0.T)
     return table, {
-        "final_cost": float(table[-1, 1]),
+        "final_cost": cost(w_end),
         "initial_cost": cost(w0),
-        "final_state": {"w": w_closed},
+        "final_state": {"w": w_end},
         "closed_vs_ode_max": float(np.max(table[:, 2])),
-        "distance_to_limit": float(np.linalg.norm(w_closed - limit)),
+        "distance_to_limit": float(np.linalg.norm(w_end - limit)),
     }
 
 
