@@ -64,6 +64,6 @@ from .model import (
     euclidean_cost,
     standard_cost,
 )
-from .oracle import FDSettings, fd_grad_beta, fd_grad_collapsed, fd_grad_rotation, reference_integrate
+from .oracle import fd_grad_beta, fd_grad_collapsed, fd_grad_rotation, reference_integrate
 
 __version__ = "0.1.0"

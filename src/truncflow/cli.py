@@ -158,6 +158,14 @@ class ScenarioConfig:
             raise _field_error("tolerances.", exc) from exc
 
 
+def _square(cfg: ScenarioConfig, key: str) -> np.ndarray:
+    """Config matrix `init.<key>`, which must be q x q."""
+    out = _floats(f"init.{key}", cfg.init[key])
+    if out.shape != (cfg.q, cfg.q):
+        raise ConfigError(f"field 'init.{key}' must be q x q = {cfg.q} x {cfg.q}, got shape {out.shape}")
+    return out
+
+
 def _load_data(cfg: ScenarioConfig):
     doc = cfg.data
     try:
@@ -217,6 +225,7 @@ def _write_summary(path: Path, summary: dict) -> None:
 def _trajectory_outputs(mode: str, traj, out: Path) -> dict:
     """Write a layered trajectory's trajectory.csv and events.csv; return the summary
     keys that every layered mode reports."""
+    out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out / "trajectory.csv")
     write_events_csv(traj.events, out / "events.csv")
     return {
@@ -245,8 +254,9 @@ def _run_layered(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dic
 
 
 def _run_collapsed(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
-    cs = CollapsedState(*(_floats(f"init.{key}", cfg.init[key]) for key in ("b", "w", "y")))
+    cs = CollapsedState(*(_square(cfg, key) for key in ("b", "w", "y")))
     traj = integrate_collapsed(cs, cfg.s_end, opts)
+    out.mkdir(parents=True, exist_ok=True)
     write_collapsed_csv(traj, out / "trajectory.csv")
     write_events_csv([], out / "events.csv")
     ts, costs = traj.times, traj.costs
@@ -265,7 +275,8 @@ def _run_collapsed(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> d
 def _run_clustered(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
     """Closed form against a fixed-step ODE solve; neither takes step control from `opts`."""
     data, labels = _load_data(cfg)
-    table, summary = clustered_closed_vs_ode(_floats("init.w0", cfg.init["w0"]), data, labels, cfg.s_end)
+    table, summary = clustered_closed_vs_ode(_square(cfg, "w0"), data, labels, cfg.s_end)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "trajectory.csv", ["s", "cost", "closed_vs_ode"], table)
     write_events_csv([], out / "events.csv")
     return {"mode": "clustered", **summary}
@@ -286,8 +297,9 @@ def _run_oned(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
+    """Run the config's mode; each runner makes the output directory only once its
+    library call has returned, so a rejected config or a StepUnderflow leaves none."""
     out = Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
     runner = {
         "effective": _run_layered,
         "general": _run_layered,

@@ -590,10 +590,10 @@ def fit_phase_exponents(traj: Trajectory) -> list[dict]:
     return phases
 
 
-def freeze_time(traj: Trajectory, tol: float = 1e-10) -> float | None:
-    """Earliest sample time after which every layer's Omega stays below tol."""
+def freeze_time(traj: Trajectory) -> float | None:
+    """Earliest sample time after which every layer's Omega stays at or below 1e-10."""
     norms = np.array([[d.omega_norm for d in smp.per_layer] for smp in traj.samples])
-    quiet = np.all(norms <= tol, axis=1)
+    quiet = np.all(norms <= 1e-10, axis=1)
     if not quiet[-1]:
         return None
     idx = len(quiet) - 1

@@ -7,7 +7,7 @@ trajectories from a plain fixed-step 4th-order loop with retraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -18,15 +18,10 @@ from .measures import TrainingSet
 from .model import ModelState, euclidean_cost
 
 
-@dataclass(frozen=True)
-class FDSettings:
-    """Central-difference increment; only the central scheme is offered."""
-
-    step: float = 1e-5
-
-    def __post_init__(self):
-        if not (1e-9 <= self.step <= 1e-2):
-            raise ValueError(f"step {self.step} outside [1e-9, 1e-2]")
+def _check_step(step: float) -> None:
+    """The central-difference increment must lie in [1e-9, 1e-2]."""
+    if not (1e-9 <= step <= 1e-2):
+        raise ValueError(f"step {step} outside [1e-9, 1e-2]")
 
 
 def assert_kink_free(state: ModelState, data: TrainingSet, step: float) -> None:
@@ -54,71 +49,68 @@ def assert_kink_free(state: ModelState, data: TrainingSet, step: float) -> None:
 
 
 def fd_grad_beta(state: ModelState, data: TrainingSet, layer: int,
-                 settings: FDSettings | None = None) -> np.ndarray:
+                 step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the Euclidean cost in the layer's beta."""
-    settings = settings or FDSettings()
-    assert_kink_free(state, data, settings.step)
+    _check_step(step)
+    assert_kink_free(state, data, step)
     q = state.dim
     grad = np.zeros(q)
     for r in range(q):
         delta = np.zeros(q)
-        delta[r] = settings.step
+        delta[r] = step
         plus, minus = state.betas.copy(), state.betas.copy()
         plus[layer] += delta
         minus[layer] -= delta
         grad[r] = (euclidean_cost(state.derive(state.rotations, plus), data)
-                   - euclidean_cost(state.derive(state.rotations, minus), data)) / (2 * settings.step)
+                   - euclidean_cost(state.derive(state.rotations, minus), data)) / (2 * step)
     return grad
 
 
 def fd_grad_rotation(state: ModelState, data: TrainingSet, layer: int,
-                     omega_basis=None, settings: FDSettings | None = None) -> AntisymmetricMatrix:
+                     step: float = 1e-5) -> AntisymmetricMatrix:
     """Descent generator of the Euclidean cost on o(Q), by central differences.
 
-    For each basis generator w_ij = e_i e_j^T - e_j e_i^T the derivative
+    For each basis generator w_ij = e_i e_j^T - e_j e_i^T, i < j, the derivative
     d_ij = d/de C(exp(e w_ij) R)|_0 is estimated centrally; the returned G
     satisfies tr(w_ij G) = d_ij, i.e. G is minus the o(Q)-restricted
     gradient and should match the analytic Omega.
     """
-    settings = settings or FDSettings()
-    assert_kink_free(state, data, settings.step)
+    _check_step(step)
+    assert_kink_free(state, data, step)
     q = state.dim
-    if omega_basis is None:
-        omega_basis = [(i, j) for i in range(q) for j in range(i + 1, q)]
     rotation = OrthogonalMatrix(state.rotations[layer])
     g = np.zeros((q, q))
-    for i, j in omega_basis:
+    for i, j in combinations(range(q), 2):
         gen = np.zeros((q, q))
         gen[i, j], gen[j, i] = 1.0, -1.0
         omega = AntisymmetricMatrix(gen)
         plus, minus = state.rotations.copy(), state.rotations.copy()
-        plus[layer] = retract(rotation, omega, settings.step).mat
-        minus[layer] = retract(rotation, omega, -settings.step).mat
+        plus[layer] = retract(rotation, omega, step).mat
+        minus[layer] = retract(rotation, omega, -step).mat
         d = (euclidean_cost(state.derive(plus, state.betas), data)
-             - euclidean_cost(state.derive(minus, state.betas), data)) / (2 * settings.step)
+             - euclidean_cost(state.derive(minus, state.betas), data)) / (2 * step)
         g[i, j], g[j, i] = -0.5 * d, 0.5 * d
     return AntisymmetricMatrix(g)
 
 
-def fd_grad_collapsed(cs: CollapsedState, settings: FDSettings | None = None):
+def fd_grad_collapsed(cs: CollapsedState, step: float = 1e-5):
     """Entrywise central differences of the collapsed cost in (B, W)."""
-    settings = settings or FDSettings()
-    h = settings.step
+    _check_step(step)
     q = cs.dim
     b_grad = np.zeros((q, q))
     w_grad = np.zeros((q, q))
     for i in range(q):
         for j in range(q):
             db = np.zeros((q, q))
-            db[i, j] = h
+            db[i, j] = step
             b_grad[i, j] = (
                 CollapsedState(cs.b_matrix + db, cs.w_out, cs.y_matrix).cost()
                 - CollapsedState(cs.b_matrix - db, cs.w_out, cs.y_matrix).cost()
-            ) / (2 * h)
+            ) / (2 * step)
             w_grad[i, j] = (
                 CollapsedState(cs.b_matrix, cs.w_out + db, cs.y_matrix).cost()
                 - CollapsedState(cs.b_matrix, cs.w_out - db, cs.y_matrix).cost()
-            ) / (2 * h)
+            ) / (2 * step)
     return b_grad, w_grad
 
 

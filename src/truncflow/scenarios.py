@@ -91,7 +91,7 @@ def rotation_mapping(src: np.ndarray, dst: np.ndarray) -> OrthogonalMatrix:
     return OrthogonalMatrix(qd @ qs.T)
 
 
-def make_separated_config(q: int, n_per: int = 5, seed: int = 0, spread: float = 0.5,
+def make_separated_config(q: int, n_per: int = 5, seed: int = 0,
                           kink_margin: float = 5e-3, truncation: str = "partial"):
     """A cluster-separated configuration with wide margins.
 
@@ -109,7 +109,7 @@ def make_separated_config(q: int, n_per: int = 5, seed: int = 0, spread: float =
     if truncation not in ("partial", "full"):
         raise ValueError("truncation must be 'partial' or 'full'")
     rng = np.random.default_rng(seed)
-    d_sep = 20.0
+    d_sep, spread = 20.0, 0.5
     centers = d_sep * np.eye(q)
     # target frame: unit vectors a*ones + e_j/sqrt(2) with pairwise dot 1/2,
     # strictly positive entries (a solves q a^2 + sqrt(2) a - 1/2 = 0)
@@ -166,7 +166,7 @@ def make_separated_config(q: int, n_per: int = 5, seed: int = 0, spread: float =
     return state, TrainingSet(clusters)
 
 
-def make_prop42_scenario(seed: int = 0):
+def make_prop42_scenario():
     """A two-cluster scenario set up for verifiable finite-time collapse.
 
     Cluster 0 pushes to 79 points deep in the negative orthant plus one point
@@ -178,7 +178,7 @@ def make_prop42_scenario(seed: int = 0):
     Returns (state, data, constants) with the constants used by
     :func:`check_collapse_hypotheses`.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     q = 2
     theta = 0.4
     r0 = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
@@ -210,15 +210,15 @@ def make_prop42_scenario(seed: int = 0):
 
 def check_collapse_hypotheses(state: ModelState, data: TrainingSet, layer: int,
                               eta0: float, eta1: float, gamma: float,
-                              n_samples: int = 300, seed: int = 0) -> dict:
+                              seed: int = 0) -> dict:
     """Sampling check of the finite-time-collapse hypotheses for one layer.
 
-    Over a neighborhood of the initial data (bias gap up to 1.1x its initial
-    norm, rotations within eta2 in operator norm) every sample must show (a)
-    truncated mass fraction above 1 - eta0 in every coordinate, (b) mixed-
-    sector absolute first moment below eta1, and (c) full truncation whenever
-    the gap is below gamma times its initial norm.  Scenarios failing any
-    sample are reported, not forced.
+    Over 300 samples of a neighborhood of the initial data (bias gap up to
+    1.1x its initial norm, rotations within eta2 in operator norm) every
+    sample must show (a) truncated mass fraction above 1 - eta0 in every
+    coordinate, (b) mixed-sector absolute first moment below eta1, and (c)
+    full truncation whenever the gap is below gamma times its initial norm.
+    Scenarios failing any sample are reported, not forced.
     """
     if not (0 < eta0 < 0.1 and 0 < eta1 < 0.1 and 0 < gamma < 0.1):
         raise ValueError("constants must lie in (0, 1/10)")
@@ -240,7 +240,7 @@ def check_collapse_hypotheses(state: ModelState, data: TrainingSet, layer: int,
     q = state.dim
     worst = {"mass_margin": np.inf, "moment_margin": np.inf, "gamma_margin": np.inf}
     ok = True
-    for trial in range(n_samples):
+    for trial in range(300):
         if trial % 3 == 2:
             radius = gamma * gap_norm0 * rng.random() * 0.999
         else:
@@ -286,14 +286,15 @@ def make_one_dim_state(points, y: float, b0: float):
     return state, TrainingSet([pts])
 
 
-def make_equilibrium_data(q: int, kind: str, seed: int = 0, n_per: int = 4):
-    """Data + labels compatible with the named equilibrium generators.
+def make_equilibrium_data(q: int, kind: str, seed: int = 0):
+    """Data + labels compatible with the named equilibrium generators, 4 points per cluster.
 
     kind="all-positive": any clusters work; kind="fully-truncated": every
     cluster lies strictly below its own pulled label, so beta = -ytilde
     fully truncates it while other layers keep it strictly positive.
     """
     rng = np.random.default_rng(seed)
+    n_per = 4
     if kind == "all-positive":
         clusters = [5.0 * np.eye(q)[l] + 0.4 * rng.random(size=(n_per, q)) for l in range(q)]
         labels = np.vstack([c.mean(axis=0) for c in clusters])

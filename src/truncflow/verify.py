@@ -21,7 +21,7 @@ from .integrate import fit_phase_exponents, integrate_collapsed, integrate_effec
 from .manifold import random_orthogonal
 from .measures import TrainingSet
 from .model import chained_truncation, euclidean_cost
-from .oracle import FDSettings, fd_grad_beta, fd_grad_rotation, reference_integrate, rk4_array
+from .oracle import fd_grad_beta, fd_grad_rotation, reference_integrate, rk4_array
 from .scenarios import make_one_dim_state, make_separated_config, state_from_arrays
 
 
@@ -61,7 +61,6 @@ def _random_state_and_data(q: int, n_max: int, rng: np.random.Generator):
 def gradients_suite(seed: int = 0, cases: int = 100) -> dict:
     """Analytic velocities against central finite differences of the cost."""
     tol = 1e-5
-    settings = FDSettings(step=1e-5)
 
     def rel(err: float, *norms: float) -> float:
         scale = max(norms)
@@ -70,34 +69,16 @@ def gradients_suite(seed: int = 0, cases: int = 100) -> dict:
             return 0.0
         return err / scale
 
-    def effective_case(i):
-        rng = np.random.default_rng((seed, 0, i))
-        q = int(rng.integers(2, 5))
-        state, data = make_separated_config(q, n_per=int(rng.integers(2, 9)), seed=int(rng.integers(2**31)))
-        beta_dots, omegas = effective_rhs(state, data)
-        worst = 0.0
-        for layer in range(state.depth):
-            beta_dot, omega = beta_dots[layer], omegas[layer]
-            fd_b = fd_grad_beta(state, data, layer, settings)
-            worst = max(worst, rel(np.linalg.norm(beta_dot + fd_b),
-                                   np.linalg.norm(fd_b), np.linalg.norm(beta_dot)))
-            fd_o = fd_grad_rotation(state, data, layer, settings=settings)
-            worst = max(worst, rel(np.linalg.norm(omega - fd_o.mat),
-                                   np.linalg.norm(fd_o.mat), np.linalg.norm(omega)))
-        return worst
-
-    def general_case(i):
-        rng = np.random.default_rng((seed, 1, i))
-        q = int(rng.integers(2, 5))
-        state, data = _random_state_and_data(q, 8, rng)
-        beta_dots, omegas = general_rhs(state, data)
+    def case(state, data, rhs):
+        """Worst relative discrepancy over the layers, or None for a kink-adjacent draw."""
+        beta_dots, omegas = rhs(state, data)
         worst = 0.0
         for layer in range(state.depth):
             try:
-                fd_b = fd_grad_beta(state, data, layer, settings)
-                fd_o = fd_grad_rotation(state, data, layer, settings=settings)
+                fd_b = fd_grad_beta(state, data, layer)
+                fd_o = fd_grad_rotation(state, data, layer)
             except NearKink:
-                return None  # kink-adjacent draw; skipped, not forced
+                return None  # skipped, not forced
             beta_dot, omega = beta_dots[layer], omegas[layer]
             worst = max(worst, rel(np.linalg.norm(beta_dot + fd_b),
                                    np.linalg.norm(fd_b), np.linalg.norm(beta_dot)))
@@ -105,13 +86,22 @@ def gradients_suite(seed: int = 0, cases: int = 100) -> dict:
                                    np.linalg.norm(fd_o.mat), np.linalg.norm(omega)))
         return worst
 
+    def prop(name, stream, draw, rhs, n):
+        worsts = [case(*draw(np.random.default_rng((seed, stream, i))), rhs) for i in range(n)]
+        checked = [w for w in worsts if w is not None]
+        return _prop(name, max(checked, default=0.0), tol, len(checked), n - len(checked))
+
+    def separated(rng):
+        q = int(rng.integers(2, 5))
+        return make_separated_config(q, n_per=int(rng.integers(2, 9)), seed=int(rng.integers(2**31)))
+
+    def unstructured(rng):
+        return _random_state_and_data(int(rng.integers(2, 5)), 8, rng)
+
     n_eff = max(1, cases // 2)
-    n_gen = max(1, cases - n_eff)
-    eff_worst = max(effective_case(i) for i in range(n_eff))
-    gen = [w for w in (general_case(i) for i in range(n_gen)) if w is not None]
     return _suite("gradients", [
-        _prop("effective_rhs_vs_fd", eff_worst, tol, n_eff),
-        _prop("general_rhs_vs_fd", max(gen, default=0.0), tol, len(gen), n_gen - len(gen)),
+        prop("effective_rhs_vs_fd", 0, separated, effective_rhs, n_eff),
+        prop("general_rhs_vs_fd", 1, unstructured, general_rhs, max(1, cases - n_eff)),
     ])
 
 
@@ -174,8 +164,8 @@ def monotonicity_suite(seed: int = 0, cases: int = 12) -> dict:
     ]), stopped=stopped)
 
 
-def conservation_suite(seed: int = 0, cases: int = 10, s_end: float = 5.0) -> dict:
-    """Invariance of B B^T - W^T W along random collapsed flows."""
+def conservation_suite(seed: int = 0, cases: int = 10) -> dict:
+    """Invariance of B B^T - W^T W along random collapsed flows, each over s in [0, 5]."""
     worst = 0.0
     for i in range(cases):
         rng = np.random.default_rng((seed, 3, i))
@@ -183,7 +173,7 @@ def conservation_suite(seed: int = 0, cases: int = 10, s_end: float = 5.0) -> di
         cs = CollapsedState(
             rng.normal(size=(q, q)), rng.normal(size=(q, q)), rng.normal(size=(q, q))
         )
-        traj = integrate_collapsed(cs, s_end)
+        traj = integrate_collapsed(cs, 5.0)
         scale = 1.0 + float(np.linalg.norm(traj.invariant0))
         worst = max(worst, traj.max_drift / scale)
     return _suite("conservation", [_prop("invariant_drift", worst, 1e-6, cases)])

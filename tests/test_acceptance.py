@@ -125,15 +125,13 @@ def test_criterion_3_one_dim_event_ladder():
 
 
 def test_criterion_4_finite_time_collapse():
-    state, data, consts = make_prop42_scenario(seed=0)
-    hyp = check_collapse_hypotheses(
-        state, data, consts["layer"], consts["eta0"], consts["eta1"], consts["gamma"],
-        n_samples=300, seed=1,
-    )
+    state, data, consts = make_prop42_scenario()
+    hyp = check_collapse_hypotheses(state, data, consts["layer"], consts["eta0"], consts["eta1"],
+                                    consts["gamma"], seed=1)
     assert hyp["ok"], f"scenario failed its hypotheses: {hyp}"
     traj = integrate_effective(state, data, 4.0)
     LAYERED_TRAJECTORIES.append(traj)
-    s1 = freeze_time(traj, tol=1e-10)
+    s1 = freeze_time(traj)
     ok_s1 = s1 is not None and 0.0 < s1 < 4.0
     # rotation constant after s1
     after = [smp for smp in traj.samples if smp.s >= s1]

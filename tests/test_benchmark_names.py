@@ -1,14 +1,16 @@
 """The names the benchmark's tracer looks up in truncflow still resolve.
 
 perfbench/tracing.py wraps truncflow functions and constructors by module and
-attribute name, and perfbench/workloads.py rebuilds states through the
-LayerParams view; a rename or deletion would break the benchmark at import
-time, so it is caught here instead.
+attribute name, and perfbench/workloads.py builds its inputs through the
+scenario builders and rebuilds states through the LayerParams view; a rename,
+deletion or signature change would break the benchmark, so it is caught here
+instead.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +18,13 @@ import numpy as np
 from truncflow.model import ModelState
 from truncflow.scenarios import make_separated_config
 
-TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).parents[1]
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their annotations through it
     spec.loader.exec_module(module)
     return module
 
@@ -31,7 +34,7 @@ def resolve(module: str, attr: str):
 
 
 def test_every_traced_name_resolves():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     for module, attr in [*tracing.SPANS.values(), *tracing.COUNTED.values()]:
         assert inspect.isfunction(resolve(module, attr)), f"{module}.{attr}"
     for module, cls, _timed in tracing.CONSTRUCTORS.values():
@@ -52,3 +55,12 @@ def test_layers_view_round_trips():
     assert np.array_equal(rebuilt.betas, state.betas)
     assert np.array_equal(rebuilt.pulled_labels, state.pulled_labels)
     assert all(np.array_equal(lp.rotation.mat, r) for lp, r in zip(rebuilt.layers, state.rotations))
+
+
+def test_every_workload_builds(tmp_path):
+    # the inputs of every case, built as the benchmark builds them at seed 0
+    workloads = load_perfbench("workloads")
+    for workload in workloads.WORKLOADS:
+        cases = workloads.build(workload, 0, tmp_path, ROOT)
+        assert cases, workload
+        assert all(case.digest for case in cases), workload

@@ -17,6 +17,7 @@ from truncflow.verify import _monotonicity_case, gradients_suite
 
 
 NAN, INF = float("nan"), float("inf")
+I2, I3 = np.eye(2).tolist(), np.eye(3).tolist()
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -126,6 +127,7 @@ class TestRunCommand:
         }
         cfg = write_config(tmp_path, doc)
         assert main(["run", cfg]) == 3
+        assert not (tmp_path / "u").exists()
 
     def test_exit_3_on_sliding_writes_the_run_so_far(self, tmp_path, capsys):
         # each stopping trajectory as an explicit config
@@ -354,6 +356,16 @@ class TestRunCommand:
         ({"mode": "effective", "init": {"kind": "explicit", "rotations": 5, "betas": [[0.0]]}},
          2, "'init.rotations'"),
         ({"mode": "collapsed", "init": {"b": 1, "w": [[1.0]], "y": [[1.0]]}}, 2, "'init.b'"),
+        # the collapsed and clustered init matrices are q x q
+        ({"q": 3, "mode": "collapsed", "init": {"b": I2, "w": I3, "y": I3}}, 2, "'init.b'"),
+        ({"q": 2, "mode": "collapsed", "init": {"b": I2, "w": I3, "y": I2}}, 2, "'init.w'"),
+        ({"q": 2, "mode": "collapsed", "init": {"b": I2, "w": I2, "y": [[1.0]]}}, 2, "'init.y'"),
+        ({"q": 3, "mode": "collapsed", "init": {"b": I2, "w": I2, "y": I2}}, 2, "'init.b'"),
+        ({"mode": "clustered", "init": {"w0": I2}}, 2, "'init.w0'"),
+        # rejected by the library call itself, still before any output
+        ({"q": 2, "mode": "clustered", "init": {"w0": I2},
+          "data": {"q": 2, "clusters": [[[1.0, 1.0]], [[2.0, 2.0]]], "labels": I2}}, 2, "singular"),
+        ({"data": {"q": 1, "clusters": [[[1.0], [6.0]]], "labels": [[5.0]]}}, 2, "must exceed"),
     ])
     def test_degenerate_numbers_end_fast(self, tmp_path, change, code, named):
         # in a subprocess with a timeout, so an input that never ends fails the test
@@ -367,6 +379,7 @@ class TestRunCommand:
         assert done.returncode == code, done.stderr
         if named:
             assert named in done.stderr
+            assert not (tmp_path / "out").exists()  # a rejected config leaves no directory
         else:
             assert (tmp_path / "out" / "summary.json").is_file()
 

@@ -19,7 +19,7 @@ from truncflow.flows import (
 from truncflow.manifold import AntisymmetricMatrix, antisym_project, expm_antisym, random_orthogonal
 from truncflow.measures import TrainingSet
 from truncflow.model import chained_truncation, push
-from truncflow.oracle import FDSettings, fd_grad_beta, fd_grad_collapsed, fd_grad_rotation, rk4_array
+from truncflow.oracle import fd_grad_beta, fd_grad_collapsed, fd_grad_rotation, rk4_array
 from truncflow.scenarios import make_separated_config, state_from_arrays
 from truncflow.verify import _random_state_and_data
 
@@ -80,7 +80,7 @@ class TestEffectiveRhs:
         for layer in range(state.depth):
             bd, om = beta_dots[layer], omegas[layer]
             np.testing.assert_allclose(bd, np.zeros(state.dim), atol=1e-10)
-            fd_o = fd_grad_rotation(state, data, layer, settings=FDSettings(step=1e-5))
+            fd_o = fd_grad_rotation(state, data, layer, step=1e-5)
             assert np.linalg.norm(om - fd_o.mat) <= 1e-5 * max(np.linalg.norm(fd_o.mat), 1e-3)
 
     def test_hand_expanded_two_by_two(self):
@@ -95,14 +95,13 @@ class TestEffectiveRhs:
         np.testing.assert_allclose(beta_dots[0], [0.0, -2.0], atol=1e-15)
 
     def test_matches_fd_oracle(self):
-        settings = FDSettings(step=1e-5)
         for seed in range(5):
             state, data = make_separated_config(int(RNG.integers(2, 4)), n_per=5, seed=seed)
             beta_dots, omegas = effective_rhs(state, data)
             for layer in range(state.depth):
                 bd, om = beta_dots[layer], omegas[layer]
-                fd_b = fd_grad_beta(state, data, layer, settings)
-                fd_o = fd_grad_rotation(state, data, layer, settings=settings)
+                fd_b = fd_grad_beta(state, data, layer, step=1e-5)
+                fd_o = fd_grad_rotation(state, data, layer, step=1e-5)
                 assert np.linalg.norm(bd + fd_b) <= 1e-5 * max(np.linalg.norm(fd_b), 1e-4)
                 assert np.linalg.norm(om - fd_o.mat) <= 1e-5 * max(np.linalg.norm(fd_o.mat), 1e-4)
 
@@ -230,13 +229,12 @@ class TestGeneralRhs:
             assert np.max(np.abs(omegas - want_o)) <= 1e-12
 
     def test_matches_fd_on_mixed_data(self):
-        settings = FDSettings(step=1e-5)
         rng = np.random.default_rng(17)
         state, data = _random_state_and_data(3, 5, rng)
         beta_dots, omegas = general_rhs(state, data)
         for layer in range(state.depth):
-            fd_b = fd_grad_beta(state, data, layer, settings)
-            fd_o = fd_grad_rotation(state, data, layer, settings=settings)
+            fd_b = fd_grad_beta(state, data, layer, step=1e-5)
+            fd_o = fd_grad_rotation(state, data, layer, step=1e-5)
             bd, om = beta_dots[layer], omegas[layer]
             assert np.linalg.norm(bd + fd_b) <= 1e-5 * max(np.linalg.norm(fd_b), 1e-3)
             assert np.linalg.norm(om - fd_o.mat) <= 1e-5 * max(np.linalg.norm(fd_o.mat), 1e-3)
@@ -325,7 +323,7 @@ class TestCollapsed:
     def test_matches_fd(self):
         for _ in range(5):
             cs = CollapsedState(RNG.normal(size=(3, 3)), RNG.normal(size=(3, 3)), RNG.normal(size=(3, 3)))
-            b_grad, w_grad = fd_grad_collapsed(cs, FDSettings(step=1e-5))
+            b_grad, w_grad = fd_grad_collapsed(cs, step=1e-5)
             b_dot, w_dot = collapsed_rhs(cs.b_matrix, cs.w_out, cs.y_matrix)
             assert np.linalg.norm(b_dot + b_grad) <= 1e-6 * max(1.0, np.linalg.norm(b_grad))
             assert np.linalg.norm(w_dot + w_grad) <= 1e-6 * max(1.0, np.linalg.norm(w_grad))
@@ -335,7 +333,7 @@ class TestCollapsed:
         w = np.eye(q) + 0.2 * RNG.normal(size=(q, q))
         b = RNG.normal(size=(q, q))
         cs = CollapsedState(b, w, -(w @ b))
-        b_grad, w_grad = fd_grad_collapsed(cs, FDSettings(step=1e-5))
+        b_grad, w_grad = fd_grad_collapsed(cs, step=1e-5)
         assert np.max(np.abs(b_grad)) <= 1e-8
         assert np.max(np.abs(w_grad)) <= 1e-8
 

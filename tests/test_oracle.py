@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from truncflow.errors import NearKink
-from truncflow.flows import effective_rhs
+from truncflow.flows import CollapsedState, effective_rhs
 from truncflow.measures import TrainingSet
 from truncflow.model import ModelState
 from truncflow.oracle import (
-    FDSettings,
     assert_kink_free,
     fd_grad_beta,
+    fd_grad_collapsed,
     fd_grad_rotation,
     reference_integrate,
     rk4_array,
@@ -20,12 +20,16 @@ RNG = np.random.default_rng(55)
 
 class TestFDSettings:
     def test_step_bounds(self):
-        with pytest.raises(ValueError):
-            FDSettings(step=1e-10)
-        with pytest.raises(ValueError):
-            FDSettings(step=0.1)
+        state, data = make_separated_config(2, n_per=3, seed=1)
+        cs = CollapsedState(np.eye(2), np.eye(2), np.eye(2))
+        for fd in (lambda step: fd_grad_beta(state, data, 0, step=step),
+                   lambda step: fd_grad_rotation(state, data, 0, step=step),
+                   lambda step: fd_grad_collapsed(cs, step=step)):
+            for step in (1e-10, 0.1):
+                with pytest.raises(ValueError, match="step"):
+                    fd(step)
         with pytest.raises(TypeError):  # central differences only: no scheme knob
-            FDSettings(scheme="forward")
+            fd_grad_beta(state, data, 0, scheme="forward")
 
 
 class TestKinkGuard:
@@ -36,7 +40,7 @@ class TestKinkGuard:
         with pytest.raises(NearKink):
             assert_kink_free(state, data, 1e-5)
         with pytest.raises(NearKink):
-            fd_grad_beta(state, data, 0, FDSettings(step=1e-5))
+            fd_grad_beta(state, data, 0, step=1e-5)
 
     def test_accepts_clear_configuration(self):
         state, data = make_separated_config(2, n_per=3, seed=1)
@@ -51,7 +55,7 @@ class TestSecondOrderConvergence:
         layer = 1
         bd = effective_rhs(state, data)[0][layer]
         for step in (2e-4, 1e-5):
-            fd = fd_grad_beta(state, data, layer, FDSettings(step=step))
+            fd = fd_grad_beta(state, data, layer, step=step)
             assert np.linalg.norm(bd + fd) <= 1e-8 * max(1.0, np.linalg.norm(fd))
 
     def test_rotation_gradient_second_order(self):
@@ -61,19 +65,10 @@ class TestSecondOrderConvergence:
         om = effective_rhs(state, data)[1][0]
         errs = []
         for step in (4e-4, 2e-4):
-            fd = fd_grad_rotation(state, data, 0, settings=FDSettings(step=step))
+            fd = fd_grad_rotation(state, data, 0, step=step)
             errs.append(np.linalg.norm(om - fd.mat))
         ratio = errs[0] / errs[1]
         assert 2.5 <= ratio <= 6.0
-
-
-class TestPartialBasis:
-    def test_omega_basis_subset(self):
-        state, data = make_separated_config(3, n_per=4, seed=3)
-        full = fd_grad_rotation(state, data, 0, settings=FDSettings(step=1e-5))
-        sub = fd_grad_rotation(state, data, 0, omega_basis=[(0, 1)], settings=FDSettings(step=1e-5))
-        assert sub.mat[0, 1] == pytest.approx(full.mat[0, 1], rel=1e-12)
-        assert sub.mat[0, 2] == 0.0 and sub.mat[1, 2] == 0.0
 
 
 class TestReferenceIntegrate:

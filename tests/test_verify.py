@@ -1,6 +1,7 @@
 import numpy as np
 
 import truncflow.verify
+from truncflow.errors import NearKink
 from truncflow.verify import (
     conservation_suite,
     equivalence_suite,
@@ -66,3 +67,20 @@ def test_gradients_suite_counts_skipped_cases():
     general = gradients_suite(seed=0)["properties"][1]
     assert general["name"] == "general_rhs_vs_fd"
     assert (general["cases"], general["skipped"]) == (49, 1)
+
+
+def test_gradients_suite_skips_a_kink_adjacent_effective_draw(monkeypatch):
+    # both flows share one case body: a NearKink on an effective draw is a skip too
+    fd_grad_beta, calls = truncflow.verify.fd_grad_beta, []
+
+    def kink_on_first_draw(state, data, layer, *args, **kwargs):
+        calls.append(layer)
+        if len(calls) == 1:  # the effective draws run first
+            raise NearKink("forced")
+        return fd_grad_beta(state, data, layer, *args, **kwargs)
+
+    monkeypatch.setattr(truncflow.verify, "fd_grad_beta", kink_on_first_draw)
+    effective = gradients_suite(seed=0, cases=6)["properties"][0]
+    assert effective["name"] == "effective_rhs_vs_fd"
+    assert (effective["cases"], effective["skipped"]) == (2, 1)
+    assert effective["passed"]
