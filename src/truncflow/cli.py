@@ -190,18 +190,19 @@ def _build_state(cfg: ScenarioConfig, data, labels):
             for key in ("rotations", "betas"):
                 if key not in init:
                     raise ConfigError(f"field 'init.{key}' is required for explicit init")
-            state = state_from_arrays(
-                _floats("init.rotations", init["rotations"], ndim=3),
-                _floats("init.betas", init["betas"]),
-                output_map if output_map is not None else np.eye(cfg.q),
-                labels,
-            )
-            if state.depth > cfg.q:
-                raise ConfigError(f"field 'init.rotations' has {state.depth} layers but q = {cfg.q} "
+            rotations = _floats("init.rotations", init["rotations"], ndim=3)
+            betas = _floats("init.betas", init["betas"])
+            q, depth = cfg.q, len(rotations)
+            for key, arr, shape in (("rotations", rotations, (depth, q, q)), ("betas", betas, (depth, q))):
+                if arr.shape != shape:
+                    raise ConfigError(f"field 'init.{key}' has shape {arr.shape}, expected {shape} (q = {q})")
+            if depth > q:
+                raise ConfigError(f"field 'init.rotations' has {depth} layers but q = {q} "
                                   "(one cluster and label per layer)")
-            if cfg.l is not None and state.depth != cfg.l:
-                raise ConfigError(f"field 'init.rotations' has {state.depth} layers but l = {cfg.l}")
-            return state
+            if cfg.l is not None and depth != cfg.l:
+                raise ConfigError(f"field 'init.rotations' has {depth} layers but l = {cfg.l}")
+            return state_from_arrays(rotations, betas,
+                                     output_map if output_map is not None else np.eye(q), labels)
         return named_initial_state(kind, data, labels, output_map=output_map,
                                    depth=cfg.depth, seed=init.get("seed", 0))
     except ValueError as exc:  # the layers and the output map are checked together

@@ -21,10 +21,14 @@ arrays beta_dots (L, Q) and omegas (L, Q, Q), each omegas[k] exactly
 antisymmetric.  `frozen_masks[k]` is layer k's boolean (N, Q) activity
 pattern over the rows of `data.points`: `frozen_masks` is the `nus` list
 that `model.push` returns for all points, and goes straight back into
-`push`.  The patterns replace the computed ones.  Generators are validated as
-:class:`~truncflow.manifold.AntisymmetricMatrix` only where they cross the
-public boundary (`retract`, the finite-difference oracle).
-The collapsed field takes and returns plain arrays too,
+`push`.  The patterns replace the computed ones.  Both layered fields are
+one adjoint sweep, which skips every (layer, cluster) pair acting as the
+identity and starts each cluster's mismatch at its topmost acting layer; the
+separated flow is the general one at the separated mask pattern, whose
+unfrozen own-layer rows stay the raw ones (ROADMAP D8).  Generators are
+validated as :class:`~truncflow.manifold.AntisymmetricMatrix` only where they
+cross the public boundary (`retract`, the finite-difference oracle).  The
+collapsed field takes and returns plain arrays too,
 ``collapsed_rhs(b, w, y) -> (b_dot, w_dot)``.
 """
 
@@ -49,8 +53,8 @@ def _commutator_with_mask(nu: np.ndarray, sym: np.ndarray) -> np.ndarray:
     return (nu[:, None] - nu[None, :]) * sym
 
 
-def _summed_commutators(nu: np.ndarray, a: np.ndarray, c: np.ndarray, quad=None) -> np.ndarray:
-    """Sum over rows of [diag(nu_i), (a_i c_i^T + c_i a_i^T)/2 - quad_i quad_i^T / 2].
+def _summed_commutators(nu: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Sum over rows of [diag(nu_i), (a_i c_i^T + c_i a_i^T)/2].
 
     Expanding the commutator entrywise and summing gives two rank-reduced
     accumulations whose explicit antisymmetrization keeps the result exactly
@@ -58,42 +62,48 @@ def _summed_commutators(nu: np.ndarray, a: np.ndarray, c: np.ndarray, quad=None)
     """
     m1 = (nu * a).T @ c
     m2 = (nu * c).T @ a
-    out = 0.5 * ((m1 - m1.T) + (m2 - m2.T))
-    if quad is not None:
-        m3 = (nu * quad).T @ quad
-        out = out - 0.5 * (m3 - m3.T)
-    return out
+    return 0.5 * ((m1 - m1.T) + (m2 - m2.T))
+
+
+def _descent_field(state: ModelState, data: TrainingSet, masks):
+    """The one body of both layered fields: push, then the adjoint sweep :func:`general_rhs` describes."""
+    beta_dots = np.zeros(state.betas.shape)
+    omegas = np.zeros(state.rotations.shape)
+    pushed, masks, _, _ = push(state.rotations, state.betas, data.points, masks)
+    for l_cl, ytil in enumerate(state.pulled_labels):
+        rows = data.rows(l_cl)
+        acting = [l for l in range(state.depth - 1, -1, -1) if not masks[l][rows].all()]  # top down
+        if not acting:
+            continue
+        weight, top = 1.0 / (rows.stop - rows.start), acting[0]
+        g = (masks[top][rows] * pushed[top][rows]) @ state.rotations[top] - state.betas[top] - ytil
+        for l in acting:
+            r, nu = state.rotations[l], masks[l][rows]
+            c = g @ r.T
+            beta_dots[l] += weight * (((1.0 - nu) * c) @ r).sum(axis=0)
+            omegas[l] -= weight * _summed_commutators(nu, pushed[l][rows], c)
+            if l != acting[-1]:
+                g = (nu * c) @ r
+    return beta_dots, omegas
 
 
 def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     """Descent velocities of every layer under cluster separation, stacked like the state.
 
-    Layer k is driven by its own cluster k only: beta_dot_k =
-    -R_k^T J0perp R_k (beta_k + ytilde_k) with J0perp the diagonal of truncated
-    fractions, and Omega_k accumulates the per-point commutators of points in
-    mixed (off-diagonal) sectors.  Returns (beta_dots (L, Q), omegas (L, Q, Q)).
-
-    `frozen_masks[k]` (layer k's (N, Q) rows over `data.points`; only cluster
-    k's rows are read) overrides the computed activity patterns, which
-    evaluates the smooth extension of one sector configuration; integrators
-    use this so that no stage of a step samples the field across a boundary.
+    :func:`general_rhs` at the separated mask pattern: every `masks[k]` is all
+    True (layer k is the identity on every cluster c != k) except cluster k's
+    rows.  Those come from `frozen_masks[k]`, which integrators pass so that no
+    step samples the field across a boundary, else from the raw pattern
+    (x + beta_k) R_k^T > 0 as in the moment form, not push's chained one
+    (ROADMAP D8 is kept).  The sweep skips the identity pairs.
     """
     if state.depth > data.q:
         raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
-    beta_dots = np.empty(state.betas.shape)
-    omegas = np.empty(state.rotations.shape)
-    for k, (r, beta) in enumerate(zip(state.rotations, state.betas)):
-        v = r @ (beta + state.pulled_labels[k])
-        z = (data.clusters[k] + beta) @ r.T
-        pos = (z > 0.0) if frozen_masks is None else frozen_masks[k][data.rows(k)]
-        j0_perp = 1.0 - pos.mean(axis=0)
-        beta_dots[k] = -(r.T @ (j0_perp * v))
-        npos = pos.sum(axis=1)
-        mixed = (npos > 0) & (npos < state.dim)
-        zm = z[mixed]
-        cm = np.broadcast_to(v, zm.shape)
-        omegas[k] = _summed_commutators(pos[mixed].astype(float), zm, cm, zm) / z.shape[0]
-    return beta_dots, omegas
+    pattern = np.ones((state.depth, *data.points.shape), dtype=bool)
+    for k, (r, b) in enumerate(zip(state.rotations, state.betas)):
+        rows = data.rows(k)
+        pattern[k][rows] = (data.clusters[k] + b) @ r.T > 0.0 if frozen_masks is None else frozen_masks[k][rows]
+    return _descent_field(state, data, pattern)
 
 
 def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
@@ -123,31 +133,17 @@ def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
 def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     """Descent velocities for every layer without any separation assumption.
 
-    Same contract as :func:`effective_rhs`, but every cluster contributes to
-    every layer through the chained truncation.  `push` carries each point
-    up through the layers; an adjoint sweep then pulls its final mismatch
-    g = t_L - ytilde back one layer at a time: with c = R_l g (as rows,
-    g @ R_l^T), layer l picks up beta_dot_l += R_l^T Hperp_l c and
-    Omega_l -= [H_l, (a c^T + c a^T)/2] with a = R_l(t_l + beta_l) its pushed
-    coordinates, and g becomes R_l^T H_l c, the mismatch pulled back through
-    layer l's truncation Jacobian.  One push carries all points, frozen at
-    `frozen_masks`; the adjoint sweep runs on each cluster's rows as a batch.
+    Same contract as :func:`effective_rhs`, but every cluster acts on every
+    layer through the chained truncation.  One `push` carries all points up
+    (at `frozen_masks` if given); an adjoint sweep pulls each cluster's
+    mismatch g back down, skipping each (layer, cluster) pair whose mask rows
+    are all active (an identity: it adds nothing and passes g on unchanged).
+    g starts at the cluster's topmost acting layer l as R_l^T(nu_l z_l) -
+    beta_l - ytilde, so the identity layers above add no round-off.  Then, with
+    c = g @ R_l^T, layer l gets beta_dot_l += R_l^T Hperp_l c and Omega_l -=
+    [H_l, (z_l c^T + c z_l^T)/2], and g becomes R_l^T H_l c.
     """
-    beta_dots = np.zeros(state.betas.shape)
-    omegas = np.zeros(state.rotations.shape)
-    pushed, masks, t, _ = push(state.rotations, state.betas, data.points, frozen_masks)
-    nus = [m.astype(float) for m in masks]  # one cast per layer, not one per product
-    for l_cl, pts in enumerate(data.clusters):
-        weight, rows = 1.0 / len(pts), data.rows(l_cl)
-        # adjoint sweep: g is the mismatch pulled back through the layers above l
-        g = t[rows] - state.pulled_labels[l_cl]
-        for l in range(state.depth - 1, -1, -1):
-            r, nu = state.rotations[l], nus[l][rows]
-            c = g @ r.T
-            beta_dots[l] += weight * np.sum(((1.0 - nu) * c) @ r, axis=0)
-            omegas[l] -= weight * _summed_commutators(nu, pushed[l][rows], c)
-            g = (nu * c) @ r
-    return beta_dots, omegas
+    return _descent_field(state, data, frozen_masks)
 
 
 def chained_projectors(state: ModelState, point, lo: int = 0, hi: int | None = None):

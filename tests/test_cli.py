@@ -236,6 +236,19 @@ class TestRunCommand:
             assert main(["run", write_config(tmp_path, doc)]) == 2
             assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rotations, betas, named", [
+        ([I3], [[0.0] * 3], "'init.rotations'"),  # one 3 x 3 rotation at q = 2
+        ([I3], [[0.0] * 2], "'init.rotations'"),
+        ([I2], [[0.0] * 3], "'init.betas'"),
+        ([I2, I2], [[0.0] * 2], "'init.betas'"),   # one beta for two rotations
+    ])
+    def test_explicit_init_shapes_checked_against_q(self, tmp_path, capsys, rotations, betas, named):
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "effective_equilibrium.json").read_text())
+        doc.update(output=str(tmp_path / "out"), init={"kind": "explicit", "rotations": rotations, "betas": betas})
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode", ["oned", "collapsed", "clustered"])
     def test_depth_rejected_where_unused(self, tmp_path, capsys, mode):
         # only the layered modes read l; elsewhere a depth would be dropped without a word
@@ -343,7 +356,7 @@ class TestRunCommand:
         ({"mode": "clustered", "init": {"w0": [[1.0]]}, "tolerances": {"bogus": 1}}, 2, "'tolerances.bogus'"),
         # an explicit init needs one beta per rotation
         ({"mode": "effective", "init": {"kind": "explicit", "rotations": [[[1.0]], [[1.0]]], "betas": [[0.0]]}},
-         2, "'init'"),
+         2, "'init.betas'"),
         # fields of the wrong JSON type
         ({"output": 5}, 2, "'output'"),
         ({"data": 5}, 2, "'data'"),

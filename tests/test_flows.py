@@ -195,6 +195,26 @@ class TestGeneralRhs:
                 assert np.max(np.abs(b1[layer] - b2[layer])) <= 1e-10
                 assert np.max(np.abs(o1[layer] - o2[layer])) <= 1e-10
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_exactly_zero_at_the_collapse_point(self, q):
+        # each cluster's mismatch starts at its own (topmost acting) layer, where it is
+        # exactly zero; starting it from the final images leaves the other layers' round-off
+        state, data = make_separated_config(q, n_per=4, seed=3, truncation="full")
+        beta_dots, omegas = general_rhs(state, data)
+        assert np.all(beta_dots == 0.0) and np.all(omegas == 0.0)
+
+    def test_effective_does_not_call_general_by_name(self, monkeypatch):
+        # a tracer that rebinds flows.general_rhs must count one separated field call once
+        state, data = make_separated_config(3, n_per=4, seed=0)
+        want = effective_rhs(state, data)
+
+        def rebound(*args, **kwargs):
+            raise AssertionError("effective_rhs went through the module name general_rhs")
+
+        monkeypatch.setattr("truncflow.flows.general_rhs", rebound)
+        got = effective_rhs(state, data)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_all_positive_is_flat(self):
         q = 3
         state = state_from_arrays([np.eye(q)] * q, [20.0 * np.ones(q)] * q, np.eye(q), RNG.normal(size=(q, q)))
