@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyCluster, StepUnderflow, TruncflowError
+from .errors import BadOrdering, EmptyCluster, LabelInsideData, SingularGram, StepUnderflow, TruncflowError
 from .flows import one_dim_flow, CollapsedState
 from .integrate import (
     IntegratorOptions,
@@ -143,8 +143,7 @@ class ScenarioConfig:
         return self.l if self.l is not None else self.q
 
     def integrator_options(self) -> IntegratorOptions:
-        known = {"step", "min_step", "cost_slack", "bisect_tol", "atol", "rtol"}
-        unknown = set(self.tolerances) - known
+        unknown = set(self.tolerances) - {f.name for f in fields(IntegratorOptions)}
         if unknown:
             raise ConfigError(f"unknown field(s) {sorted('tolerances.' + name for name in unknown)}")
         values = {}
@@ -276,7 +275,10 @@ def _run_collapsed(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> d
 def _run_clustered(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
     """Closed form against a fixed-step ODE solve; neither takes step control from `opts`."""
     data, labels = _load_data(cfg)
-    table, summary = clustered_closed_vs_ode(_square(cfg, "w0"), data, labels, cfg.s_end)
+    try:
+        table, summary = clustered_closed_vs_ode(_square(cfg, "w0"), data, labels, cfg.s_end)
+    except SingularGram as exc:
+        raise ConfigError(f"field 'data.clusters': {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "trajectory.csv", ["s", "cost", "closed_vs_ode"], table)
     write_events_csv([], out / "events.csv")
@@ -287,7 +289,13 @@ def _run_oned(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
     data, labels = _load_data(cfg)
     points = data.clusters[0].reshape(-1)  # integrated in config order, so events name config indices
     y, b0 = float(labels[0, 0]), float(cfg.init["b0"])
-    flow = one_dim_flow(np.sort(points), y, b0)
+    try:
+        flow = one_dim_flow(np.sort(points), y, b0)
+    except BadOrdering as exc:
+        raise ConfigError(f"field 'data.clusters': {exc}") from exc
+    except LabelInsideData as exc:  # the label is checked against the points before b0 against it
+        name = "data.labels" if y <= points.max() else "init.b0"
+        raise ConfigError(f"field '{name}': {exc}") from exc
     traj = integrate_effective(*make_one_dim_state(points, y, b0), cfg.s_end, opts)
     return {
         **_trajectory_outputs("oned", traj, out),

@@ -23,12 +23,14 @@ pattern over the rows of `data.points`: `frozen_masks` is the `nus` list
 that `model.push` returns for all points, and goes straight back into
 `push`.  The patterns replace the computed ones.  Both layered fields are
 one adjoint sweep, which skips every (layer, cluster) pair acting as the
-identity and starts each cluster's mismatch at its topmost acting layer; the
-separated flow is the general one at the separated mask pattern, whose
-unfrozen own-layer rows stay the raw ones (ROADMAP D8).  Generators are
-validated as :class:`~truncflow.manifold.AntisymmetricMatrix` only where they
-cross the public boundary (`retract`, the finite-difference oracle).  The
-collapsed field takes and returns plain arrays too,
+identity and starts each cluster's mismatch at its topmost acting layer: the
+general flow at push's coordinates and masks, the separated flow at each
+layer's raw coordinates (x + beta_k) R_k^T and the separated mask pattern,
+whose unfrozen own-layer rows are their signs (integrators freeze push's;
+ROADMAP D8), so no point passes a layer that separation makes the identity.
+Generators are validated as :class:`~truncflow.manifold.AntisymmetricMatrix`
+only where they cross the public boundary (`retract`, the finite-difference
+oracle).  The collapsed field takes and returns plain arrays too,
 ``collapsed_rhs(b, w, y) -> (b_dot, w_dot)``.
 """
 
@@ -38,12 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadOrdering,
-    IndexRange,
-    LabelInsideData,
-    SingularGram,
-)
+from .errors import BadOrdering, IndexRange, LabelInsideData, SingularGram
 from .measures import TrainingSet, compute_moments
 from .model import ModelState, push
 
@@ -65,11 +62,10 @@ def _summed_commutators(nu: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndar
     return 0.5 * ((m1 - m1.T) + (m2 - m2.T))
 
 
-def _descent_field(state: ModelState, data: TrainingSet, masks):
-    """The one body of both layered fields: push, then the adjoint sweep :func:`general_rhs` describes."""
+def _descent_field(state: ModelState, data: TrainingSet, pushed, masks):
+    """The one adjoint sweep of both layered fields (:func:`general_rhs`) at per-layer `pushed` z and `masks`."""
     beta_dots = np.zeros(state.betas.shape)
     omegas = np.zeros(state.rotations.shape)
-    pushed, masks, _, _ = push(state.rotations, state.betas, data.points, masks)
     for l_cl, ytil in enumerate(state.pulled_labels):
         rows = data.rows(l_cl)
         acting = [l for l in range(state.depth - 1, -1, -1) if not masks[l][rows].all()]  # top down
@@ -90,20 +86,22 @@ def _descent_field(state: ModelState, data: TrainingSet, masks):
 def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     """Descent velocities of every layer under cluster separation, stacked like the state.
 
-    :func:`general_rhs` at the separated mask pattern: every `masks[k]` is all
-    True (layer k is the identity on every cluster c != k) except cluster k's
-    rows.  Those come from `frozen_masks[k]`, which integrators pass so that no
-    step samples the field across a boundary, else from the raw pattern
-    (x + beta_k) R_k^T > 0 as in the moment form, not push's chained one
-    (ROADMAP D8 is kept).  The sweep skips the identity pairs.
+    The adjoint sweep of :func:`general_rhs` at each layer's raw coordinates
+    z_k = (x + beta_k) R_k^T of all points and the separated mask pattern: every
+    `masks[k]` is all True (layer k is the identity on every cluster c != k)
+    except cluster k's rows.  Those come from `frozen_masks[k]`, which
+    integrators pass so that no step samples the field across a boundary, else
+    from z_k > 0 as in the moment form, not push's chained pattern (ROADMAP D8).
+    So layer k's velocity reads only R_k, beta_k, cluster k and ytilde_k.
     """
     if state.depth > data.q:
         raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
+    zs = [(data.points + b) @ r.T for r, b in zip(state.rotations, state.betas)]
     pattern = np.ones((state.depth, *data.points.shape), dtype=bool)
-    for k, (r, b) in enumerate(zip(state.rotations, state.betas)):
+    for k, z in enumerate(zs):
         rows = data.rows(k)
-        pattern[k][rows] = (data.clusters[k] + b) @ r.T > 0.0 if frozen_masks is None else frozen_masks[k][rows]
-    return _descent_field(state, data, pattern)
+        pattern[k][rows] = z[rows] > 0.0 if frozen_masks is None else frozen_masks[k][rows]
+    return _descent_field(state, data, zs, pattern)
 
 
 def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
@@ -135,15 +133,17 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
 
     Same contract as :func:`effective_rhs`, but every cluster acts on every
     layer through the chained truncation.  One `push` carries all points up
-    (at `frozen_masks` if given); an adjoint sweep pulls each cluster's
-    mismatch g back down, skipping each (layer, cluster) pair whose mask rows
-    are all active (an identity: it adds nothing and passes g on unchanged).
-    g starts at the cluster's topmost acting layer l as R_l^T(nu_l z_l) -
-    beta_l - ytilde, so the identity layers above add no round-off.  Then, with
-    c = g @ R_l^T, layer l gets beta_dot_l += R_l^T Hperp_l c and Omega_l -=
-    [H_l, (z_l c^T + c z_l^T)/2], and g becomes R_l^T H_l c.
+    (at `frozen_masks` if given); the adjoint sweep both fields share pulls
+    each cluster's mismatch g back down, skipping each (layer, cluster) pair
+    whose mask rows are all active (an identity: it adds nothing and passes g
+    on unchanged).  g starts at the cluster's topmost acting layer l as
+    R_l^T(nu_l z_l) - beta_l - ytilde, so the identity layers above add no
+    round-off.  Then, with c = g @ R_l^T, layer l gets beta_dot_l +=
+    R_l^T Hperp_l c and Omega_l -= [H_l, (z_l c^T + c z_l^T)/2], and g becomes
+    R_l^T H_l c.
     """
-    return _descent_field(state, data, frozen_masks)
+    pushed, masks, _, _ = push(state.rotations, state.betas, data.points, frozen_masks)
+    return _descent_field(state, data, pushed, masks)
 
 
 def chained_projectors(state: ModelState, point, lo: int = 0, hi: int | None = None):

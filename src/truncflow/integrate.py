@@ -117,10 +117,15 @@ class Event:
 
 @dataclass
 class IntegratorStats:
-    """The work a layered integration did."""
+    """The work a layered integration did.
+
+    `rhs_calls` counts every field evaluation: the integrated field's at each accepted state, RK4
+    stage and crossing prediction, and from a start that is not separated also the full descent
+    field (`general_rhs`) that each accepted state's guard pairs it with.
+    """
 
     rk4_steps: int = 0          # trial steps, cost-halving retries and localization probes
-    rhs_calls: int = 0          # field evaluations, the RK4 stages' and the predictions' included
+    rhs_calls: int = 0          # every field evaluation, as above
     localizations: int = 0      # trial steps that changed the masks
     prediction_misses: int = 0  # localizations whose predicted crossing failed confirmation
 
@@ -211,10 +216,10 @@ def _diagnostics(state: ModelState, data: TrainingSet, omegas: np.ndarray,
     )
 
 
-def _full_cost_rate(state: ModelState, data: TrainingSet, masks: list, field) -> float:
-    """d/ds of the full cost along `field`: minus its pairing with the full descent field there."""
-    beta_dots, omegas = general_rhs(state, data, masks)
-    return -(float(np.sum(beta_dots * field[0])) + float(np.sum(omegas * field[1])))
+def _full_cost_rate(descent, field) -> float:
+    """d/ds of the full cost along `field`: minus its pairing with `descent`, the full descent
+    field at the same state."""
+    return -(float(np.sum(descent[0] * field[0])) + float(np.sum(descent[1] * field[1])))
 
 
 def _predict_crossing(state: ModelState, k1, trial: ModelState, data: TrainingSet, rhs, masks,
@@ -324,9 +329,9 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
                        "the cluster-separated flow equations are approximations here", len(violations))
     stats = IntegratorStats()
 
-    def counted_rhs(*args):
+    def counted_rhs(*args, fn=rhs):
         stats.rhs_calls += 1
-        return rhs(*args)
+        return fn(*args)
 
     def step(h: float) -> tuple:
         """RK4 step of `h` from the current state at its masks: the new state, the generators
@@ -343,7 +348,7 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
 
     while s < s_end - 1e-13:
         if violations:  # the field need not descend the full cost: stop where it ascends it
-            rate = _full_cost_rate(state, data, masks, k1)
+            rate = _full_cost_rate(counted_rhs(state, data, masks, fn=general_rhs), k1)
             if rate > 0.0:
                 return Trajectory(samples, events, stopped_reason=(
                     f"separation lost at s = {s:.6g}: the effective field ascends the full cost "

@@ -375,10 +375,12 @@ class TestRunCommand:
         ({"q": 2, "mode": "collapsed", "init": {"b": I2, "w": I2, "y": [[1.0]]}}, 2, "'init.y'"),
         ({"q": 3, "mode": "collapsed", "init": {"b": I2, "w": I2, "y": I2}}, 2, "'init.b'"),
         ({"mode": "clustered", "init": {"w0": I2}}, 2, "'init.w0'"),
-        # rejected by the library call itself, still before any output
+        # rejected by the library call itself, still before any output, naming the field at fault
         ({"q": 2, "mode": "clustered", "init": {"w0": I2},
-          "data": {"q": 2, "clusters": [[[1.0, 1.0]], [[2.0, 2.0]]], "labels": I2}}, 2, "singular"),
-        ({"data": {"q": 1, "clusters": [[[1.0], [6.0]]], "labels": [[5.0]]}}, 2, "must exceed"),
+          "data": {"q": 2, "clusters": [[[1.0, 1.0]], [[2.0, 2.0]]], "labels": I2}}, 2, "'data.clusters': X X^T"),
+        ({"data": {"q": 1, "clusters": [[[1.0], [6.0]]], "labels": [[5.0]]}}, 2, "'data.labels': label"),
+        ({"data": {"q": 1, "clusters": [[[1.0], [1.0]]], "labels": [[5.0]]}}, 2, "'data.clusters': points"),
+        ({"init": {"b0": 7.0}}, 2, "'init.b0': threshold"),
     ])
     def test_degenerate_numbers_end_fast(self, tmp_path, change, code, named):
         # in a subprocess with a timeout, so an input that never ends fails the test

@@ -17,7 +17,7 @@ from truncflow.flows import (
     one_dim_flow,
 )
 from truncflow.manifold import AntisymmetricMatrix, antisym_project, expm_antisym, random_orthogonal
-from truncflow.measures import TrainingSet
+from truncflow.measures import TrainingSet, check_cluster_separation
 from truncflow.model import chained_truncation, push
 from truncflow.oracle import fd_grad_beta, fd_grad_collapsed, fd_grad_rotation, rk4_array
 from truncflow.scenarios import make_separated_config, state_from_arrays
@@ -104,6 +104,26 @@ class TestEffectiveRhs:
                 fd_o = fd_grad_rotation(state, data, layer, step=1e-5)
                 assert np.linalg.norm(bd + fd_b) <= 1e-5 * max(np.linalg.norm(fd_b), 1e-4)
                 assert np.linalg.norm(om - fd_o.mat) <= 1e-5 * max(np.linalg.norm(fd_o.mat), 1e-4)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_each_layer_reads_only_its_own_parameters(self, q):
+        # the separation assumption: layer k is driven by cluster k alone, so moving
+        # another layer's beta and rotation leaves layer k's velocity bit for bit
+        rng = np.random.default_rng(q)
+        for seed in range(5):
+            state, data = make_separated_config(q, n_per=5, seed=seed)
+            beta_dots, omegas = effective_rhs(state, data)
+            for j in range(state.depth):
+                rotations, betas = state.rotations.copy(), state.betas.copy()
+                betas[j] += 1e-3 * rng.normal(size=q)
+                rotations[j] = expm_antisym(antisym_project(1e-3 * rng.normal(size=(q, q)))).mat @ rotations[j]
+                moved = state.derive(rotations, betas)
+                assert check_cluster_separation(moved, data)[0]
+                moved_beta_dots, moved_omegas = effective_rhs(moved, data)
+                for k in range(state.depth):
+                    if k != j:
+                        assert np.array_equal(moved_beta_dots[k], beta_dots[k]), (seed, j, k)
+                        assert np.array_equal(moved_omegas[k], omegas[k]), (seed, j, k)
 
     def test_empty_cluster(self):
         q = 2

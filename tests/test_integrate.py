@@ -419,6 +419,21 @@ class TestSeparationLoss:
         traj = integrate_effective(*make_separated_config(3, n_per=5, seed=0), 0.2)
         assert traj.stopped_reason is None and traj.events
 
+    def test_full_field_evaluations_are_counted(self, monkeypatch):
+        # from a start that is not separated, each accepted state's guard evaluates the full
+        # descent field too, and rhs_calls counts it with the effective field's evaluations
+        calls = {"effective_rhs": 0, "general_rhs": 0}
+        for name in calls:
+            def counting(*args, fn=getattr(truncflow.integrate, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(truncflow.integrate, name, counting)
+        state, data = make_separated_config(3, n_per=5, seed=0)
+        start = named_initial_state("random-orthogonal", data, state.labels, seed=1)
+        traj = integrate_effective(start, data, 0.2)
+        assert calls["general_rhs"] > 0
+        assert traj.stats.rhs_calls == calls["effective_rhs"] + calls["general_rhs"]
+
     @staticmethod
     def separation_warnings(caplog) -> list:
         return [rec for rec in caplog.records if "cluster separation violated" in rec.getMessage()]
