@@ -22,13 +22,14 @@ antisymmetric.  `frozen_masks[k]` is layer k's boolean (N, Q) activity
 pattern over the rows of `data.points`: `frozen_masks` is the `nus` list
 that `model.push` returns for all points, and goes straight back into
 `push`.  The patterns replace the computed ones.  Both layered fields are
-one adjoint sweep, which skips every (layer, cluster) pair acting as the
-identity and starts each cluster's mismatch at its topmost acting layer: the
-general flow at push's coordinates and masks, the separated flow at each
-layer's raw coordinates (x + beta_k) R_k^T and the separated mask pattern,
-whose unfrozen own-layer rows are their signs (integrators freeze push's;
-ROADMAP D8), so no point passes a layer that separation makes the identity.
-Generators are validated as :class:`~truncflow.manifold.AntisymmetricMatrix`
+one adjoint sweep over a plan per cluster, built once per call: its acting
+layers from the top down, each with the float nu, 1 - nu and the cluster's
+z rows; a layer whose mask rows are all active is the identity, left out.
+The general field plans from push's coordinates and masks.  The separated
+field gives cluster k layer k alone, at its own rows' raw coordinates
+(x + beta_k) R_k^T and mask, whose unfrozen rows are their signs (integrators
+freeze push's; ROADMAP D8): it pushes no point and reads no foreign cluster's
+rows.  Generators are validated as :class:`~truncflow.manifold.AntisymmetricMatrix`
 only where they cross the public boundary (`retract`, the finite-difference
 oracle).  The collapsed field takes and returns plain arrays too,
 ``collapsed_rhs(b, w, y) -> (b_dot, w_dot)``.
@@ -62,23 +63,35 @@ def _summed_commutators(nu: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndar
     return 0.5 * ((m1 - m1.T) + (m2 - m2.T))
 
 
-def _descent_field(state: ModelState, data: TrainingSet, pushed, masks):
-    """The one adjoint sweep of both layered fields (:func:`general_rhs`) at per-layer `pushed` z and `masks`."""
+def _acting(l: int, mask: np.ndarray, z: np.ndarray):
+    """One acting layer of a cluster's plan: l, the float nu and 1 - nu of its mask rows, and its z rows."""
+    nu = mask.astype(float)
+    return l, nu, 1.0 - nu, z
+
+
+def _descent_field(state: ModelState, plans):
+    """The one adjoint sweep of both layered fields; `plans[l_cl]` lists cluster l_cl's acting layers.
+
+    Each plan holds :func:`_acting` tuples from the top down; a layer left out
+    is the identity on the cluster.  g starts at the topmost acting layer l
+    as R_l^T(nu_l z_l) - beta_l - ytilde, so identity layers above add no
+    round-off.  With c = g @ R_l^T, layer l gets beta_dot_l += R_l^T Hperp_l c
+    and Omega_l -= [H_l, (z_l c^T + c z_l^T)/2], and g becomes R_l^T H_l c.
+    """
     beta_dots = np.zeros(state.betas.shape)
     omegas = np.zeros(state.rotations.shape)
-    for l_cl, ytil in enumerate(state.pulled_labels):
-        rows = data.rows(l_cl)
-        acting = [l for l in range(state.depth - 1, -1, -1) if not masks[l][rows].all()]  # top down
-        if not acting:
+    for plan, ytil in zip(plans, state.pulled_labels):
+        if not plan:
             continue
-        weight, top = 1.0 / (rows.stop - rows.start), acting[0]
-        g = (masks[top][rows] * pushed[top][rows]) @ state.rotations[top] - state.betas[top] - ytil
-        for l in acting:
-            r, nu = state.rotations[l], masks[l][rows]
+        top, nu, _, z = plan[0]
+        weight = 1.0 / len(z)
+        g = (nu * z) @ state.rotations[top] - state.betas[top] - ytil
+        for l, nu, nu_perp, z in plan:
+            r = state.rotations[l]
             c = g @ r.T
-            beta_dots[l] += weight * (((1.0 - nu) * c) @ r).sum(axis=0)
-            omegas[l] -= weight * _summed_commutators(nu, pushed[l][rows], c)
-            if l != acting[-1]:
+            beta_dots[l] += weight * ((nu_perp * c) @ r).sum(axis=0)
+            omegas[l] -= weight * _summed_commutators(nu, z, c)
+            if l != plan[-1][0]:
                 g = (nu * c) @ r
     return beta_dots, omegas
 
@@ -86,22 +99,23 @@ def _descent_field(state: ModelState, data: TrainingSet, pushed, masks):
 def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     """Descent velocities of every layer under cluster separation, stacked like the state.
 
-    The adjoint sweep of :func:`general_rhs` at each layer's raw coordinates
-    z_k = (x + beta_k) R_k^T of all points and the separated mask pattern: every
-    `masks[k]` is all True (layer k is the identity on every cluster c != k)
-    except cluster k's rows.  Those come from `frozen_masks[k]`, which
-    integrators pass so that no step samples the field across a boundary, else
-    from z_k > 0 as in the moment form, not push's chained pattern (ROADMAP D8).
-    So layer k's velocity reads only R_k, beta_k, cluster k and ytilde_k.
+    Layer k is the identity on every cluster c != k, so the adjoint sweep of
+    :func:`general_rhs` gets cluster k's N_k rows at layer k alone: their raw
+    coordinates z_k = (x + beta_k) R_k^T and their rows of `frozen_masks[k]`,
+    which integrators pass so that no step samples the field across a
+    boundary, else z_k > 0 as in the moment form, not push's chained pattern
+    (ROADMAP D8).  So layer k's velocity reads only R_k, beta_k, cluster k and
+    ytilde_k; a cluster all active there, or beyond the depth, acts nowhere.
     """
     if state.depth > data.q:
         raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
-    zs = [(data.points + b) @ r.T for r, b in zip(state.rotations, state.betas)]
-    pattern = np.ones((state.depth, *data.points.shape), dtype=bool)
-    for k, z in enumerate(zs):
-        rows = data.rows(k)
-        pattern[k][rows] = z[rows] > 0.0 if frozen_masks is None else frozen_masks[k][rows]
-    return _descent_field(state, data, zs, pattern)
+    plans = [[] for _ in range(data.q)]
+    for k, (r, b) in enumerate(zip(state.rotations, state.betas)):
+        z = (data.clusters[k] + b) @ r.T
+        mask = z > 0.0 if frozen_masks is None else frozen_masks[k][data.rows(k)]
+        if not mask.all():
+            plans[k].append(_acting(k, mask, z))
+    return _descent_field(state, plans)
 
 
 def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
@@ -133,17 +147,13 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
 
     Same contract as :func:`effective_rhs`, but every cluster acts on every
     layer through the chained truncation.  One `push` carries all points up
-    (at `frozen_masks` if given); the adjoint sweep both fields share pulls
-    each cluster's mismatch g back down, skipping each (layer, cluster) pair
-    whose mask rows are all active (an identity: it adds nothing and passes g
-    on unchanged).  g starts at the cluster's topmost acting layer l as
-    R_l^T(nu_l z_l) - beta_l - ytilde, so the identity layers above add no
-    round-off.  Then, with c = g @ R_l^T, layer l gets beta_dot_l +=
-    R_l^T Hperp_l c and Omega_l -= [H_l, (z_l c^T + c z_l^T)/2], and g becomes
-    R_l^T H_l c.
+    (at `frozen_masks` if given); each cluster's plan lists the layers where
+    its mask rows are not all active, from the top down.
     """
     pushed, masks, _, _ = push(state.rotations, state.betas, data.points, frozen_masks)
-    return _descent_field(state, data, pushed, masks)
+    plans = [[_acting(l, masks[l][rows], pushed[l][rows]) for l in range(state.depth - 1, -1, -1)
+              if not masks[l][rows].all()] for rows in map(data.rows, range(data.q))]
+    return _descent_field(state, plans)
 
 
 def chained_projectors(state: ModelState, point, lo: int = 0, hi: int | None = None):

@@ -183,8 +183,8 @@ def equivalence_suite(seed: int = 0) -> dict:
     """Three formula equivalences: per-point vs moment form; the general field vs
     the separated one on separated configs, whose true masks are the separated
     pattern, so the two differ by round-off only (the general field chains each
-    point through identity layers, the separated one reads its raw coordinates);
-    chained truncation vs its projector expansion."""
+    point through identity layers, the separated one reads cluster k's own rows
+    at layer k); chained truncation vs its projector expansion."""
     rng = np.random.default_rng((seed, 4))
     moment_worst = 0.0
     for _ in range(500):

@@ -125,6 +125,43 @@ class TestEffectiveRhs:
                         assert np.array_equal(moved_beta_dots[k], beta_dots[k]), (seed, j, k)
                         assert np.array_equal(moved_omegas[k], omegas[k]), (seed, j, k)
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_pushes_no_point(self, q, monkeypatch):
+        # each layer reads its own cluster's raw coordinates, so the separated field never
+        # carries points through the layers that separation makes the identity
+        cases = []
+        for seed in range(3):
+            state, data = make_separated_config(q, n_per=4, seed=seed)
+            masks = push(state.rotations, state.betas, data.points)[1]
+            cases.append((state, data, masks, effective_rhs(state, data), effective_rhs(state, data, masks)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("effective_rhs pushed points through the layers")
+
+        monkeypatch.setattr("truncflow.flows.push", refuse)
+        for state, data, masks, free, frozen in cases:
+            assert all(np.array_equal(a, b) for a, b in zip(effective_rhs(state, data), free))
+            assert all(np.array_equal(a, b) for a, b in zip(effective_rhs(state, data, masks), frozen))
+
+    def test_each_layer_reads_only_its_own_cluster(self):
+        # moving the points of every cluster j != k, those beyond the depth included, leaves
+        # layer k's velocity bit for bit, unfrozen and at frozen masks over all points
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            q = int(rng.integers(2, 5))
+            depth = int(rng.integers(1, q))
+            sizes = rng.choice(np.arange(1, 8), size=q, replace=False)
+            rotations = [random_orthogonal(q, rng).mat for _ in range(depth)]
+            state = state_from_arrays(rotations, rng.normal(size=(depth, q)), np.eye(q), rng.normal(size=(q, q)))
+            clusters = [rng.normal(size=(n, q)) for n in sizes]
+            data = TrainingSet(clusters)
+            masks = [rng.random(data.points.shape) < 0.5 for _ in range(depth)]
+            for k in range(depth):
+                moved = TrainingSet([c if j == k else c + rng.normal(size=c.shape) for j, c in enumerate(clusters)])
+                for frozen in (None, masks):
+                    want, got = effective_rhs(state, data, frozen), effective_rhs(state, moved, frozen)
+                    assert np.array_equal(got[0][k], want[0][k]) and np.array_equal(got[1][k], want[1][k]), (q, k)
+
     def test_empty_cluster(self):
         q = 2
         state = state_from_arrays([np.eye(q)] * q, [np.zeros(q)] * q, np.eye(q), np.zeros((q, q)))
@@ -214,6 +251,22 @@ class TestGeneralRhs:
             for layer in range(state.depth):
                 assert np.max(np.abs(b1[layer] - b2[layer])) <= 1e-10
                 assert np.max(np.abs(o1[layer] - o2[layer])) <= 1e-10
+
+    @PROPERTY
+    @given(states_and_data(), st.data())
+    def test_separated_is_general_at_the_separated_pattern(self, drawn, draw):
+        # the separation assumption as a mask: every (layer l, cluster c != l) block all
+        # active, cluster l's rows at layer l from the frozen masks
+        state, data = drawn
+        masks = [draw.draw(arrays(bool, data.points.shape)) for _ in range(state.depth)]
+        pattern = [np.ones(data.points.shape, dtype=bool) for _ in range(state.depth)]
+        for k in range(state.depth):
+            pattern[k][data.rows(k)] = masks[k][data.rows(k)]
+        b1, o1 = effective_rhs(state, data, masks)
+        b2, o2 = general_rhs(state, data, pattern)
+        scale = 1.0 + max(np.max(np.abs(b1)), np.max(np.abs(o1)))
+        assert np.max(np.abs(b1 - b2)) <= 1e-12 * scale
+        assert np.max(np.abs(o1 - o2)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_exactly_zero_at_the_collapse_point(self, q):
