@@ -14,9 +14,12 @@ one bisection keeps.
 Rotations are advanced by retraction (exponential of the averaged
 generator), so orthogonality is preserved to round-off.  Every RK stage
 retracts the whole (L, Q, Q) stack with one exponential (`retract_stack`);
-a layer whose generator is zero is not moved.  A rotation is re-projected
-onto the group at every 100th accepted step that moved it, by the same zero
-test (`moving_layers`).
+a layer whose generator is zero is not moved.  The exponential picks each
+matrix's Pade degree from its 1-norm: a step's h * Omega is small, so a stage
+normally takes degree 3 for the whole stack rather than degree 13.  A rotation
+is re-projected onto the group at every 100th accepted step that moved it, by
+the same zero test (`moving_layers`), and `IntegratorStats.reprojections`
+counts each one.
 
 A right-hand side is called as ``rhs(state, data, frozen_masks=None)`` and
 returns the velocities stacked like the state: beta_dots (L, Q) and the
@@ -128,6 +131,7 @@ class IntegratorStats:
     rhs_calls: int = 0          # every field evaluation, as above
     localizations: int = 0      # trial steps that changed the masks
     prediction_misses: int = 0  # localizations whose predicted crossing failed confirmation
+    reprojections: int = 0      # rotations snapped back onto the group by polar decomposition
 
 
 @dataclass
@@ -382,6 +386,7 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
                 rotations[k] = polar_decompose(rotations[k])[1].mat
                 advanced = advanced.derive(rotations, advanced.betas)
                 reprojected = True
+                stats.reprojections += 1
         state, masks = advanced.checked(), new_masks
         cost = euclidean_cost(state, data) if reprojected else advanced_cost
         s += dt

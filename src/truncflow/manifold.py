@@ -3,13 +3,18 @@
 Rotations are represented by :class:`OrthogonalMatrix`, generators of the
 group by :class:`AntisymmetricMatrix`.  Both wrappers verify their defining
 bound at construction, at the public boundary.  Integration stages advance
-the (L, Q, Q) stack of rotations by :func:`retract_stack`, one scaling-and-squaring
-Pade-13 exponential for all layers at once, which stays on the group by construction;
-the integrator checks the bound once per accepted step.  :func:`retract` and
-:func:`expm_antisym` are its one-layer case.
+the (L, Q, Q) stack of rotations by :func:`retract_stack`, one exponential for all
+layers at once, which stays on the group by construction; the integrator checks the
+bound once per accepted step.  The exponential takes each matrix's Pade degree from
+that matrix's 1-norm (Higham 2005): an integration step's generators are small, so
+a stage's whole stack normally takes degree 3, and only a large generator pays for
+degree 13 with scaling and squaring.  :func:`retract` and :func:`expm_antisym` are
+its one-layer case.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -125,22 +130,21 @@ def polar_decompose(w) -> tuple[np.ndarray, OrthogonalMatrix]:
     return 0.5 * (p + p.T), OrthogonalMatrix(r)
 
 
-# Coefficients of the degree-13 Pade approximant to exp, n + k = 13.
-_PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
+# theta_m for m = 3, 5, 7, 9, 13: the largest 1-norm for which the degree-m Pade approximant
+# to exp is accurate to double precision without scaling (Higham 2005, Table 2.3).
+_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+          2.097847961257068, 5.371920351148152)
+
+# Coefficients b_0 .. b_m of the degree-m Pade approximants to exp, m = 3, 5, 7, 9, 13.
+_PADE = (
+    (120.0, 60.0, 12.0, 1.0),
+    (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+     2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+     129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+     40840800.0, 960960.0, 16380.0, 182.0, 1.0),
 )
 
 
@@ -151,17 +155,15 @@ def moving_layers(generators: np.ndarray) -> np.ndarray:
     return (generators * generators).sum(axis=(-2, -1)) != 0.0
 
 
-def _expm_stack(a: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring matrix exponential at fixed Pade order 13 of every matrix in the
-    (L, Q, Q) stack `a`.  Each matrix is scaled and squared by its own count."""
-    # theta_13: largest 1-norm for which the order-13 approximant is accurate
-    # to double precision without scaling.
-    counts = [max(0, int(np.ceil(np.log2(norm / 5.371920351148152)))) if norm > 0 else 0
-              for norm in np.abs(a).sum(axis=-2).max(axis=-1).tolist()]  # each matrix's 1-norm
+def _pade13_scaled(a: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Scaling-and-squaring at Pade degree 13 of every matrix in the stack `a`, whose 1-norms are
+    `norms`.  Each matrix is scaled and squared by its own count."""
+    counts = [max(0, int(np.ceil(np.log2(norm / _THETA[-1])))) if norm > 0 else 0
+              for norm in norms.tolist()]
     fewest, most = min(counts), max(counts)
     if most > 0:
         a = a / np.array([2.0**c for c in counts])[:, None, None]
-    b = _PADE13
+    b = _PADE[-1]
     ident = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
@@ -181,6 +183,44 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
         more = np.array(counts) > done
         m = r[more]
         r[more] = m @ m
+    return r
+
+
+def _expm_band(a: np.ndarray, norms: np.ndarray, band: int) -> np.ndarray:
+    """exp of every matrix in the stack `a`, whose 1-norms `norms` all lie in one degree `band`.
+
+    Bands 0-3 take the Pade approximant of degree m = 3, 5, 7 or 9 with no scaling:
+    u = a (b_1 I + b_3 a^2 + ...), v = b_0 I + b_2 a^2 + ..., solved as (v - u)^-1 (v + u).
+    Band 4 takes degree 13 with scaling and squaring (:func:`_pade13_scaled`)."""
+    if band == 4:
+        return _pade13_scaled(a, norms)
+    b = _PADE[band]
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    power, odd, even = a2, b[1] * ident + b[3] * a2, b[0] * ident + b[2] * a2
+    for j in range(4, len(b), 2):  # a^4, ..., a^(m-1)
+        power = power @ a2
+        odd, even = odd + b[j + 1] * power, even + b[j] * power
+    u = a @ odd
+    return np.linalg.solve(even - u, even + u)
+
+
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of every matrix in the (L, Q, Q) stack `a` (Higham 2005).
+
+    Each matrix takes the lowest Pade degree m in 3, 5, 7, 9 whose theta_m bounds its own
+    1-norm; above theta_9 it takes degree 13, scaled and squared by its own count.  So a layer
+    is exponentiated bit for bit as if alone.  An integration step's generators are small
+    (h ||Omega||_1 of order 1e-3), so a stage's whole stack is normally below theta_3 and takes
+    degree 3 at once: two products and a solve, against six products at degree 13."""
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)  # each matrix's 1-norm
+    bands = [bisect_left(_THETA, norm, hi=4) for norm in norms.tolist()]  # 0-3: degree 3-9; 4: 13
+    if min(bands) == max(bands):  # one band: an integration stage's stack, or a single matrix
+        return _expm_band(a, norms, bands[0])
+    r = np.empty_like(a)
+    for band in set(bands):
+        pick = np.array(bands) == band
+        r[pick] = _expm_band(a[pick], norms[pick], band)
     return r
 
 

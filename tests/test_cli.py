@@ -104,7 +104,8 @@ class TestRunCommand:
         assert summary["stopped_reason"] is None
         steps = len((out / "trajectory.csv").read_text().strip().split("\n")) - 2
         assert summary["integrator"] == {"rk4_steps": steps, "rhs_calls": 4 * steps + 1,
-                                         "localizations": 0, "prediction_misses": 0}
+                                         "localizations": 0, "prediction_misses": 0,
+                                         "reprojections": 0}
         assert (out / "trajectory.csv").exists() and (out / "events.csv").exists()
 
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
@@ -199,7 +200,8 @@ class TestRunCommand:
         # the integrator block, as in the effective and general modes
         work = summary["integrator"]
         rows = (tmp_path / "o" / "trajectory.csv").read_text().strip().split("\n")[1:]
-        assert set(work) == {"rk4_steps", "rhs_calls", "localizations", "prediction_misses"}
+        assert set(work) == {"rk4_steps", "rhs_calls", "localizations", "prediction_misses",
+                             "reprojections"}
         assert work["localizations"] >= 1
         assert work["rhs_calls"] == len(rows) + 3 * work["rk4_steps"] + work["localizations"]
 

@@ -565,6 +565,23 @@ class TestBoundaryValidation:
         assert traj.stats.rk4_steps == calls["rk4"] and traj.stats.rhs_calls == calls["rhs"]
         assert calls["rhs"] == len(traj.samples) + 3 * calls["rk4"] + traj.stats.localizations
 
+    @pytest.mark.parametrize("integrator", [integrate_effective, integrate_general])
+    def test_reprojections_counted(self, monkeypatch, integrator):
+        # every polar re-projection the integrator makes is counted, one per rotation
+        calls = {"polar": 0}
+        polar = truncflow.integrate.polar_decompose
+
+        def counting_polar(*args):
+            calls["polar"] += 1
+            return polar(*args)
+
+        monkeypatch.setattr(truncflow.integrate, "polar_decompose", counting_polar)
+        state, data = make_separated_config(3, n_per=20, seed=0)
+        traj = integrator(state, data, 1.0)
+        assert len(traj.samples) - 1 >= REPOLAR_EVERY
+        assert calls["polar"] >= state.depth
+        assert traj.stats.reprojections == calls["polar"]
+
     @pytest.mark.parametrize("integrator, rhs, q, n_per, seed", [
         (integrate_effective, effective_rhs, 3, 20, 0),
         (integrate_general, general_rhs, 2, 4, 10),

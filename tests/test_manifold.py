@@ -22,6 +22,9 @@ RNG = np.random.default_rng(1234)
 # derandomized: the same examples on every run, and no example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
+# theta_m for Pade degrees m = 3, 5, 7, 9, 13 (Higham 2005, Table 2.3)
+THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068, 5.371920351148152)
+
 
 def random_antisym(q, rng=RNG):
     g = rng.normal(size=(q, q))
@@ -154,7 +157,7 @@ class TestRetract:
 def rotation_stacks(draw):
     """(rotations, generators, step): L = 1-4 layers in Q = 2-4.  Each step * generator is zero
     (one in four) or a random direction of Frobenius norm 1e-6 to 100, log-uniform over 1e-6 to 1
-    and over 1 to 100 alike, so a stack mixes squaring counts 0 to 6."""
+    and over 1 to 100 alike, so a stack mixes Pade degrees 3 to 13 and squaring counts 0 to 6."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     step = draw(st.sampled_from([1.0, 0.5, -0.7, 1e-3]))
     q, depth = int(rng.integers(2, 5)), int(rng.integers(1, 5))
@@ -191,15 +194,24 @@ class TestRetractStack:
         assert retract_stack(rotations, gens, 0.0) is rotations
 
     def test_mixed_squaring_counts(self):
-        # 1-norms 1e-6, 1, 100 and 0: squaring counts 0, 0, 5 and a layer left as it is
-        rotations = np.array([random_orthogonal(3, RNG).mat for _ in range(4)])
-        gens = np.array([scale * g / np.abs(g).sum(axis=0).max()
-                         for scale, g in zip((1e-6, 1.0, 100.0, 0.0), (random_antisym(3).mat for _ in range(4)))])
+        # 1-norms 1e-6, 1, 100 and 0: squaring counts 0, 0, 5 and a layer left as it is; one
+        # generator inside each Pade degree band (3, 5, 7, 9, 13); and each band's edge theta_m
+        # and the next float above it, on a generator whose 1-norm is exactly that number
+        norms = [1e-6, 1.0, 100.0, 0.0, 1e-2, 0.2, 0.9, 2.0, 4.0]
+        gens = [n * g / np.abs(g).sum(axis=0).max() for n, g in zip(norms, (random_antisym(3).mat for _ in norms))]
+        edge = 0.5 * np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])  # 1-norm 1
+        for theta in THETA:
+            for n in (theta, np.nextafter(theta, np.inf)):
+                gens.append(n * edge)
+                assert np.abs(gens[-1]).sum(axis=0).max() == n
+        gens = np.array(gens)
+        rotations = np.array([random_orthogonal(3, RNG).mat for _ in gens])
         out = retract_stack(rotations, gens, 1.0)
         assert out[3].tobytes() == rotations[3].tobytes()
-        for k in range(3):
+        for k in set(range(len(gens))) - {3}:
             ref = scipy.linalg.expm(gens[k]) @ rotations[k]
             assert np.linalg.norm(out[k] - ref) <= 1e-12
+            assert np.linalg.norm(out[k].T @ out[k] - np.eye(3)) <= 1e-13
             assert out[k].tobytes() == retract_stack(rotations[k:k + 1], gens[k:k + 1], 1.0)[0].tobytes()
 
 
