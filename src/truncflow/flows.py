@@ -22,16 +22,22 @@ antisymmetric.  `frozen_masks[k]` is layer k's boolean (N, Q) activity
 pattern over the rows of `data.points`: `frozen_masks` is the `nus` list
 that `model.push` returns for all points, and goes straight back into
 `push`.  The patterns replace the computed ones.  Both layered fields are
-one adjoint sweep over a plan per cluster, built once per call: its acting
-layers from the top down, each with the float nu, 1 - nu and the cluster's
-z rows; a layer whose mask rows are all active is the identity, left out.
-The general field plans from push's coordinates and masks.  The separated
-field gives cluster k layer k alone, at its own rows' raw coordinates
-(x + beta_k) R_k^T and mask, whose unfrozen rows are their signs (integrators
-freeze push's; ROADMAP D8): it pushes no point and reads no foreign cluster's
-rows.  Generators are validated as :class:`~truncflow.manifold.AntisymmetricMatrix`
-only where they cross the public boundary (`retract`, the finite-difference
-oracle).  The collapsed field takes and returns plain arrays too,
+one adjoint sweep over plan entries built once per call.  An entry is one
+cluster's acting layers from the top down, each with the float nu, 1 - nu
+and the cluster's (n, Q) z rows; a layer whose mask rows are all active is
+the identity, left out.  Or an entry stacks B clusters of one size n, each
+acting at its own layer alone, as one (B, n, Q) block indexed by its layers;
+the sweep's lines serve both ranks.  The general field plans per cluster
+from push's coordinates and masks.  The separated field gives cluster k
+layer k alone, at its own rows' raw coordinates (x + beta_k) R_k^T and mask,
+whose unfrozen rows are their signs (integrators freeze push's; ROADMAP D8):
+it pushes no point and reads no foreign cluster's rows.  With depth >= 2 and
+clusters 0..depth-1 of one size, it takes all its layers as one stacked
+entry, one batched product per evaluation; otherwise, a depth-1 state
+included, one entry per acting layer.  Generators are validated as
+:class:`~truncflow.manifold.AntisymmetricMatrix` only where they cross the
+public boundary (`retract`, the finite-difference oracle).  The collapsed
+field takes and returns plain arrays too,
 ``collapsed_rhs(b, w, y) -> (b_dot, w_dot)``.
 """
 
@@ -52,46 +58,51 @@ def _commutator_with_mask(nu: np.ndarray, sym: np.ndarray) -> np.ndarray:
 
 
 def _summed_commutators(nu: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Sum over rows of [diag(nu_i), (a_i c_i^T + c_i a_i^T)/2].
+    """Sum over rows of [diag(nu_i), (a_i c_i^T + c_i a_i^T)/2], over (n, Q) rows or each block of (B, n, Q).
 
     Expanding the commutator entrywise and summing gives two rank-reduced
     accumulations whose explicit antisymmetrization keeps the result exactly
     antisymmetric in floating point.
     """
-    m1 = (nu * a).T @ c
-    m2 = (nu * c).T @ a
-    return 0.5 * ((m1 - m1.T) + (m2 - m2.T))
+    m1 = (nu * a).mT @ c
+    m2 = (nu * c).mT @ a
+    return 0.5 * ((m1 - m1.mT) + (m2 - m2.mT))
 
 
-def _acting(l: int, mask: np.ndarray, z: np.ndarray):
-    """One acting layer of a cluster's plan: l, the float nu and 1 - nu of its mask rows, and its z rows."""
+def _acting(l, mask: np.ndarray, z: np.ndarray):
+    """One acting layer of a plan entry: l, the float nu and 1 - nu of its mask rows, and its z rows."""
     nu = mask.astype(float)
     return l, nu, 1.0 - nu, z
 
 
 def _descent_field(state: ModelState, plans):
-    """The one adjoint sweep of both layered fields; `plans[l_cl]` lists cluster l_cl's acting layers.
+    """The one adjoint sweep of both layered fields, over `plans`, a list of (ytil, acting) entries.
 
-    Each plan holds :func:`_acting` tuples from the top down; a layer left out
-    is the identity on the cluster.  g starts at the topmost acting layer l
-    as R_l^T(nu_l z_l) - beta_l - ytilde, so identity layers above add no
-    round-off.  With c = g @ R_l^T, layer l gets beta_dot_l += R_l^T Hperp_l c
+    An entry is one cluster's: ytilde (Q,) and its acting layers, :func:`_acting`
+    tuples from the top down over its (n, Q) rows; a layer left out is the
+    identity on the cluster.  Or it stacks B clusters of one size n, each
+    acting at its own layer alone: one tuple whose layer is an index (an
+    array or slice of B distinct layers) over (B, n, Q) rows, and ytil
+    (B, 1, Q).  The same lines serve both.  g starts at the topmost acting
+    layer l as R_l^T(nu_l z_l) - beta_l - ytilde, so identity layers above add
+    no round-off.  With c = g @ R_l^T, layer l gets beta_dot_l += R_l^T Hperp_l c
     and Omega_l -= [H_l, (z_l c^T + c z_l^T)/2], and g becomes R_l^T H_l c.
     """
     beta_dots = np.zeros(state.betas.shape)
     omegas = np.zeros(state.rotations.shape)
-    for plan, ytil in zip(plans, state.pulled_labels):
+    for ytil, plan in plans:
         if not plan:
             continue
         top, nu, _, z = plan[0]
-        weight = 1.0 / len(z)
-        g = (nu * z) @ state.rotations[top] - state.betas[top] - ytil
-        for l, nu, nu_perp, z in plan:
+        weight = 1.0 / z.shape[-2]
+        g = (nu * z) @ state.rotations[top] - state.betas[top][..., None, :] - ytil
+        last = len(plan) - 1
+        for i, (l, nu, nu_perp, z) in enumerate(plan):
             r = state.rotations[l]
-            c = g @ r.T
-            beta_dots[l] += weight * ((nu_perp * c) @ r).sum(axis=0)
+            c = g @ r.mT
+            beta_dots[l] += weight * ((nu_perp * c) @ r).sum(axis=-2)
             omegas[l] -= weight * _summed_commutators(nu, z, c)
-            if l != plan[-1][0]:
+            if i < last:
                 g = (nu * c) @ r
     return beta_dots, omegas
 
@@ -106,15 +117,34 @@ def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     boundary, else z_k > 0 as in the moment form, not push's chained pattern
     (ROADMAP D8).  So layer k's velocity reads only R_k, beta_k, cluster k and
     ytilde_k; a cluster all active there, or beyond the depth, acts nowhere.
+    With depth >= 2 and clusters 0..depth-1 of one size n, the layers are one
+    stacked entry: z is one batched product over the (depth, n, Q) view of
+    their rows; otherwise each acting layer is an entry of its own (so is a
+    depth-1 state's, whose (n, Q) entry is faster than a stack of one).
     """
-    if state.depth > data.q:
-        raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
-    plans = [[] for _ in range(data.q)]
-    for k, (r, b) in enumerate(zip(state.rotations, state.betas)):
-        z = (data.clusters[k] + b) @ r.T
-        mask = z > 0.0 if frozen_masks is None else frozen_masks[k][data.rows(k)]
-        if not mask.all():
-            plans[k].append(_acting(k, mask, z))
+    depth = state.depth
+    if depth > data.q:
+        raise IndexRange(f"depth {depth} exceeds the {data.q} clusters")
+    sizes = data.counts[:depth]
+    plans = []
+    if depth >= 2 and len(set(sizes)) == 1:
+        n = sizes[0]
+        z = (data.points[:depth * n].reshape(depth, n, -1) + state.betas[:, None]) @ state.rotations.mT
+        if frozen_masks is None:
+            mask = z > 0.0
+        else:
+            mask = np.stack([frozen_masks[k][data.rows(k)] for k in range(depth)])
+        identity = mask.all(axis=(1, 2))
+        if not identity.all():
+            # a slice when every layer acts: the stack's rows, rotations and labels stay views
+            layers = np.flatnonzero(~identity) if identity.any() else slice(0, depth)
+            plans.append((state.pulled_labels[layers, None], [_acting(layers, mask[layers], z[layers])]))
+    else:
+        for k, (r, b) in enumerate(zip(state.rotations, state.betas)):
+            z = (data.clusters[k] + b) @ r.T
+            mask = z > 0.0 if frozen_masks is None else frozen_masks[k][data.rows(k)]
+            if not mask.all():
+                plans.append((state.pulled_labels[k], [_acting(k, mask, z)]))
     return _descent_field(state, plans)
 
 
@@ -151,8 +181,9 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     its mask rows are not all active, from the top down.
     """
     pushed, masks, _, _ = push(state.rotations, state.betas, data.points, frozen_masks)
-    plans = [[_acting(l, masks[l][rows], pushed[l][rows]) for l in range(state.depth - 1, -1, -1)
-              if not masks[l][rows].all()] for rows in map(data.rows, range(data.q))]
+    plans = [(ytil, [_acting(l, masks[l][rows], pushed[l][rows]) for l in range(state.depth - 1, -1, -1)
+                     if not masks[l][rows].all()])
+             for ytil, rows in zip(state.pulled_labels, map(data.rows, range(data.q)))]
     return _descent_field(state, plans)
 
 

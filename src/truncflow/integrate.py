@@ -124,7 +124,9 @@ class IntegratorStats:
 
     `rhs_calls` counts every field evaluation: the integrated field's at each accepted state, RK4
     stage and crossing prediction, and from a start that is not separated also the full descent
-    field (`general_rhs`) that each accepted state's guard pairs it with.
+    field (`general_rhs`) that each accepted state's guard pairs it with.  Every RK4 step is a
+    trial that is accepted, a trial retried at half its step (`cost_retries`), or a localization's
+    probe (`probes`), so `rk4_steps` is the accepted steps plus those two.
     """
 
     rk4_steps: int = 0          # trial steps, cost-halving retries and localization probes
@@ -132,6 +134,8 @@ class IntegratorStats:
     localizations: int = 0      # trial steps that changed the masks
     prediction_misses: int = 0  # localizations whose predicted crossing failed confirmation
     reprojections: int = 0      # rotations snapped back onto the group by polar decomposition
+    probes: int = 0             # RK4 steps taken by localizations, to probe the masks
+    cost_retries: int = 0       # trial steps rejected for raising the cost, then retried at half the step
 
 
 @dataclass
@@ -344,6 +348,10 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
         advanced, generators = _rk4_step(state, k1, data, counted_rhs, masks, h)
         return (advanced, generators, *_sweep(advanced, data))
 
+    def probe(dt: float) -> tuple:
+        stats.probes += 1
+        return step(dt)
+
     k1 = counted_rhs(state, data, masks)
     samples = [FlowSample(s, state, cost, _diagnostics(state, data, k1[1], masks))]
     events: list[Event] = []
@@ -366,12 +374,13 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
             if not _masks_equal(masks, kept[2]):
                 stats.localizations += 1
                 predicted = _predict_crossing(state, k1, kept[0], data, counted_rhs, masks, h)
-                dt, kept, hit = _localize(s, h, opts.bisect_tol, masks, kept, step, predicted)
+                dt, kept, hit = _localize(s, h, opts.bisect_tol, masks, kept, probe, predicted)
                 stats.prediction_misses += not hit
                 pending_events = _diff_events(s + dt, data, masks, kept[2])
             advanced, generators, new_masks, images = kept
             advanced_cost = images_cost(advanced, data, images)
             if advanced_cost > cost + opts.cost_slack * (1.0 + cost):
+                stats.cost_retries += 1
                 h *= 0.5
                 continue
             break

@@ -21,7 +21,8 @@ class TrainingSet:
     """Q clusters of length-Q points, non-empty and finite; cluster l carries label l.
 
     The constructor copies the points into one read-only array `points` (N, Q); cluster l's rows
-    are `points[offsets[l]:offsets[l + 1]]`, and `clusters[l]` is a read-only view of them.
+    are `points[offsets[l]:offsets[l + 1]]`, and `clusters[l]` is a read-only view of them.  The
+    row slices and cluster sizes are computed here, once.
     """
 
     def __init__(self, clusters):
@@ -44,11 +45,14 @@ class TrainingSet:
         self.offsets = np.cumsum([0] + [len(c) for c in cl])
         self.points.setflags(write=False)
         self.offsets.setflags(write=False)
-        self.clusters = tuple(self.points[self.rows(l)] for l in range(q))
+        bounds = self.offsets.tolist()
+        self._rows = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+        self._counts = tuple(hi - lo for lo, hi in zip(bounds[:-1], bounds[1:]))
+        self.clusters = tuple(self.points[rows] for rows in self._rows)
 
     def rows(self, l: int) -> slice:
         """Cluster l's rows of `points`, and of every (N, Q) array over them."""
-        return slice(int(self.offsets[l]), int(self.offsets[l + 1]))
+        return self._rows[l]
 
     def locate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (cluster, point) indices of the given rows of `points`."""
@@ -61,7 +65,7 @@ class TrainingSet:
 
     @property
     def counts(self) -> list[int]:
-        return np.diff(self.offsets).tolist()
+        return list(self._counts)
 
     @property
     def total(self) -> int:

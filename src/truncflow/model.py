@@ -18,7 +18,6 @@ integration stages and finite-difference stencils, check only shapes.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +128,8 @@ class ModelState:
         if rotations.shape != self.rotations.shape or betas.shape != self.betas.shape:
             raise ValueError(f"layer arrays of shapes {rotations.shape}, {betas.shape} do not "
                              f"match {self.rotations.shape}, {self.betas.shape}")
-        out = copy.copy(self)  # shares output map, labels and pulled labels; skips __init__
+        out = object.__new__(type(self))  # skips __init__
+        out.__dict__ = self.__dict__.copy()  # shares output map, labels and pulled labels
         out._set_layers(rotations, betas)
         return out
 

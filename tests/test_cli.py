@@ -105,7 +105,7 @@ class TestRunCommand:
         steps = len((out / "trajectory.csv").read_text().strip().split("\n")) - 2
         assert summary["integrator"] == {"rk4_steps": steps, "rhs_calls": 4 * steps + 1,
                                          "localizations": 0, "prediction_misses": 0,
-                                         "reprojections": 0}
+                                         "reprojections": 0, "probes": 0, "cost_retries": 0}
         assert (out / "trajectory.csv").exists() and (out / "events.csv").exists()
 
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
@@ -201,7 +201,7 @@ class TestRunCommand:
         work = summary["integrator"]
         rows = (tmp_path / "o" / "trajectory.csv").read_text().strip().split("\n")[1:]
         assert set(work) == {"rk4_steps", "rhs_calls", "localizations", "prediction_misses",
-                             "reprojections"}
+                             "reprojections", "probes", "cost_retries"}
         assert work["localizations"] >= 1
         assert work["rhs_calls"] == len(rows) + 3 * work["rk4_steps"] + work["localizations"]
 

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import truncflow.flows
 from truncflow.errors import BadOrdering, EmptyCluster, IndexRange, LabelInsideData, SingularGram
 from truncflow.flows import (
     CollapsedState,
+    _acting,
+    _descent_field,
     chained_projectors,
     clustered_explicit,
     clustered_rhs,
@@ -32,13 +35,19 @@ ENTRIES = st.floats(-3.0, 3.0, allow_subnormal=False)
 
 @st.composite
 def states_and_data(draw):
-    """Q = 2-4 clusters of 1-6 points, L <= Q layers (rotations exp(A) of drawn generators)."""
+    """Q = 2-4 clusters of 1-6 points, L <= Q layers (rotations exp(A) of drawn generators).
+
+    Half the draws give every cluster one size, so the separated field takes its stacked plan
+    entry whenever L >= 2, and its per-cluster entries otherwise.
+    """
     q = draw(st.integers(2, 4))
     depth = draw(st.integers(1, q))
     gens = draw(arrays(float, (depth, q, q), elements=ENTRIES))
     betas = draw(arrays(float, (depth, q), elements=ENTRIES))
     labels = draw(arrays(float, (q, q), elements=ENTRIES))
-    clusters = [draw(arrays(float, (draw(st.integers(1, 6)), q), elements=ENTRIES)) for _ in range(q)]
+    shared = draw(st.integers(1, 6)) if draw(st.booleans()) else None
+    sizes = [shared or draw(st.integers(1, 6)) for _ in range(q)]
+    clusters = [draw(arrays(float, (n, q), elements=ENTRIES)) for n in sizes]
     rotations = [expm_antisym(antisym_project(g)).mat for g in gens]
     return state_from_arrays(rotations, betas, np.eye(q), labels), TrainingSet(clusters)
 
@@ -145,12 +154,18 @@ class TestEffectiveRhs:
 
     def test_each_layer_reads_only_its_own_cluster(self):
         # moving the points of every cluster j != k, those beyond the depth included, leaves
-        # layer k's velocity bit for bit, unfrozen and at frozen masks over all points
+        # layer k's velocity bit for bit, unfrozen and at frozen masks over all points; with
+        # equal sizes and L >= 2 the layers are one stacked plan entry, which must read only
+        # its own cluster's rows too
         rng = np.random.default_rng(61)
-        for _ in range(20):
+        for equal_sizes in [False] * 20 + [True] * 20:
             q = int(rng.integers(2, 5))
-            depth = int(rng.integers(1, q))
-            sizes = rng.choice(np.arange(1, 8), size=q, replace=False)
+            if equal_sizes:
+                depth = int(rng.integers(2, q + 1))
+                sizes = np.full(q, rng.integers(1, 8))
+            else:
+                depth = int(rng.integers(1, q))
+                sizes = rng.choice(np.arange(1, 8), size=q, replace=False)
             rotations = [random_orthogonal(q, rng).mat for _ in range(depth)]
             state = state_from_arrays(rotations, rng.normal(size=(depth, q)), np.eye(q), rng.normal(size=(q, q)))
             clusters = [rng.normal(size=(n, q)) for n in sizes]
@@ -161,6 +176,51 @@ class TestEffectiveRhs:
                 for frozen in (None, masks):
                     want, got = effective_rhs(state, data, frozen), effective_rhs(state, moved, frozen)
                     assert np.array_equal(got[0][k], want[0][k]) and np.array_equal(got[1][k], want[1][k]), (q, k)
+
+    @staticmethod
+    def per_cluster_field(state, data, frozen_masks=None):
+        """The separated field through one plan entry per acting cluster, as unequal sizes take
+        it, and the number of those entries."""
+        plans = []
+        for k in range(state.depth):
+            z = (data.clusters[k] + state.betas[k]) @ state.rotations[k].T
+            mask = z > 0.0 if frozen_masks is None else frozen_masks[k][data.rows(k)]
+            if not mask.all():
+                plans.append((state.pulled_labels[k], [_acting(k, mask, z)]))
+        return _descent_field(state, plans), len(plans)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_stacked_entry_equals_per_cluster_entries(self, q, monkeypatch):
+        # clusters of one size at L >= 2 layers make one (L, n, Q) plan entry; its field equals the
+        # per-cluster entries' bit for bit, unfrozen and frozen, at L = q and L < q, also where
+        # some layer's cluster is all active there (that layer leaves the stack) or every one is
+        rng = np.random.default_rng(70 + q)
+        entries = []
+        sweep = truncflow.flows._descent_field
+
+        def recording(state, plans):
+            entries.append([plan[0][3].ndim for _, plan in plans])
+            return sweep(state, plans)
+
+        monkeypatch.setattr(truncflow.flows, "_descent_field", recording)
+        for depth in range(2, q + 1):
+            for n in (1, 3, 6):
+                data = TrainingSet(rng.normal(size=(q, n, q)))
+                for identity in ([], [0], [depth - 1], list(range(depth))):
+                    betas = rng.normal(size=(depth, q))
+                    betas[identity] = 100.0  # those layers' clusters all active: the identity
+                    rotations = [random_orthogonal(q, rng).mat for _ in range(depth)]
+                    state = state_from_arrays(rotations, betas, np.eye(q), rng.normal(size=(q, q)))
+                    masks = [rng.random(data.points.shape) < 0.5 for _ in range(depth)]
+                    for k in identity:
+                        masks[k][:] = True
+                    for frozen in (None, masks):
+                        entries.clear()
+                        got = effective_rhs(state, data, frozen)
+                        want, acting = self.per_cluster_field(state, data, frozen)
+                        assert entries == [[3] if acting else []]
+                        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), \
+                            (depth, n, identity, frozen is None)
 
     def test_empty_cluster(self):
         q = 2

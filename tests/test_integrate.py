@@ -565,6 +565,33 @@ class TestBoundaryValidation:
         assert traj.stats.rk4_steps == calls["rk4"] and traj.stats.rhs_calls == calls["rhs"]
         assert calls["rhs"] == len(traj.samples) + 3 * calls["rk4"] + traj.stats.localizations
 
+    @pytest.mark.parametrize("inflate_every", [0, 7])
+    @pytest.mark.parametrize("integrator, q, n_per, seed", [
+        (integrate_effective, 3, 20, 0),
+        (integrate_general, 2, 4, 10),
+    ])
+    def test_rk4_steps_are_accepted_retried_or_probes(self, monkeypatch, integrator, q, n_per, seed,
+                                                      inflate_every):
+        # every RK4 step is accepted, retried at half the step for raising the cost, or a
+        # localization's probe; with `inflate_every`, every that-many-th cost evaluation reads
+        # 1 too high, so that the step it judges is retried
+        calls = {"cost": 0, "inflated": 0}
+        cost = truncflow.integrate.images_cost
+
+        def inflating(*args):
+            calls["cost"] += 1
+            if inflate_every and calls["cost"] % inflate_every == 0:
+                calls["inflated"] += 1
+                return cost(*args) + 1.0
+            return cost(*args)
+
+        monkeypatch.setattr(truncflow.integrate, "images_cost", inflating)
+        state, data = make_separated_config(q, n_per=n_per, seed=seed)
+        traj = integrator(state, data, 1.0)
+        stats = traj.stats
+        assert stats.probes > 0 and stats.cost_retries == calls["inflated"]
+        assert stats.rk4_steps == len(traj.samples) - 1 + stats.cost_retries + stats.probes
+
     @pytest.mark.parametrize("integrator", [integrate_effective, integrate_general])
     def test_reprojections_counted(self, monkeypatch, integrator):
         # every polar re-projection the integrator makes is counted, one per rotation
