@@ -30,8 +30,9 @@ acting at its own layer alone, as one (B, n, Q) block indexed by its layers;
 the sweep's lines serve both ranks.  The general field plans per cluster
 from push's coordinates and masks.  The separated field gives cluster k
 layer k alone, at its own rows' raw coordinates (x + beta_k) R_k^T and mask,
-whose unfrozen rows are their signs (integrators freeze push's; ROADMAP D8):
-it pushes no point and reads no foreign cluster's rows.  With depth >= 2 and
+whose unfrozen rows are their signs (integrators freeze push's, which on
+the field's domain, separated states, are the same rows): it pushes no
+point and reads no foreign cluster's rows.  With depth >= 2 and
 clusters 0..depth-1 of one size, it takes all its layers as one stacked
 entry, one batched product per evaluation; otherwise, a depth-1 state
 included, one entry per acting layer.  Generators are validated as
@@ -114,13 +115,19 @@ def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     :func:`general_rhs` gets cluster k's N_k rows at layer k alone: their raw
     coordinates z_k = (x + beta_k) R_k^T and their rows of `frozen_masks[k]`,
     which integrators pass so that no step samples the field across a
-    boundary, else z_k > 0 as in the moment form, not push's chained pattern
-    (ROADMAP D8).  So layer k's velocity reads only R_k, beta_k, cluster k and
-    ytilde_k; a cluster all active there, or beyond the depth, acts nowhere.
-    With depth >= 2 and clusters 0..depth-1 of one size n, the layers are one
-    stacked entry: z is one batched product over the (depth, n, Q) view of
-    their rows; otherwise each acting layer is an entry of its own (so is a
-    depth-1 state's, whose (n, Q) entry is faster than a stack of one).
+    boundary, else z_k > 0 as in the moment form.  So layer k's velocity reads
+    only R_k, beta_k, cluster k and ytilde_k; a cluster all active there, or
+    beyond the depth, acts nowhere.  With depth >= 2 and clusters
+    0..depth-1 of one size n, the layers are one stacked entry: z is one
+    batched product over the (depth, n, Q) view of their rows; otherwise each
+    acting layer is an entry of its own (so is a depth-1 state's, whose (n, Q)
+    entry is faster than a stack of one).
+
+    The field's domain is the separated states, on which layers 0..k-1 fix
+    cluster k: there its raw z_k are push's chained ones, and the field frozen
+    at push's masks is the unfrozen field bit for bit.  On a state that is not
+    separated the two differ, and neither need descend the full cost; the
+    integrator warns there and stops where the field ascends it.
     """
     depth = state.depth
     if depth > data.q:

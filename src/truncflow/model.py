@@ -143,6 +143,11 @@ def push(rotations, betas, pts, masks=None, field=None):
     t, z_dots): per-layer coordinates and activities, the final images, and
     the forward-mode rates d(z_k)/ds under `field` = (beta_dots, omegas), the
     velocities of beta_k and generators of R_k (None without a field).
+
+    A layer may also be a stack of S variants, rotations (S, Q, Q) with betas
+    (S, 1, Q), such as the finite-difference stencils of one layer: the layers
+    below it run once, and from it on every array carries the leading stencil
+    axis, (S, N, Q), each slice bit for bit the push of that variant alone.
     """
     t = np.asarray(pts, dtype=float)
     zs, nus, z_dots = [], [], []
@@ -150,11 +155,11 @@ def push(rotations, betas, pts, masks=None, field=None):
         beta_dots, omegas = field
         t_dot = np.zeros_like(t)
     for k, (r, beta) in enumerate(zip(rotations, betas)):
-        z = (t + beta) @ r.T
+        z = (t + beta) @ r.mT
         nu = z > 0.0 if masks is None else masks[k]
         active = nu * z
         if field is not None:  # z' = Omega z + R (t' + beta'), then t' = R^T (nu z' + Omega^T nu z) - beta'
-            z_dot = z @ omegas[k].T + (t_dot + beta_dots[k]) @ r.T
+            z_dot = z @ omegas[k].mT + (t_dot + beta_dots[k]) @ r.mT
             t_dot = (nu * z_dot + active @ omegas[k]) @ r - beta_dots[k]
             z_dots.append(z_dot)
         t = active @ r - beta
@@ -182,21 +187,29 @@ chained_truncation_batch = chained_truncation
 
 
 def _residuals(state: ModelState, data, images: np.ndarray) -> list[np.ndarray]:
-    """Per-cluster residual rows tau^(L..1)(x) - ytilde, from the final `images` of `data.points`."""
-    return [images[data.rows(l)] - ytil for l, ytil in enumerate(state.pulled_labels)]
+    """Per-cluster residual rows tau^(L..1)(x) - ytilde, from the final `images` (..., N, Q) of
+    `data.points`."""
+    return [images[..., data.rows(l), :] - ytil for l, ytil in enumerate(state.pulled_labels)]
 
 
-def cluster_cost(resid: np.ndarray) -> float:
-    """One cluster's share (1/2)(1/N_l) sum_i |r_i|^2 of the cost, from its residual rows."""
-    return 0.5 * float(np.sum(resid * resid)) / resid.shape[0]
+def cluster_cost(resid: np.ndarray):
+    """One cluster's share (1/2)(1/N_l) sum_i |r_i|^2 of the cost, from its residual rows
+    (..., N_l, Q): one share per leading index, each summed over its own rows alone."""
+    lead = resid.shape[:-2]
+    return 0.5 * (resid * resid).reshape(*lead, -1).sum(axis=-1) / resid.shape[-2]
 
 
-def images_cost(state: ModelState, data, images: np.ndarray) -> float:
-    """The Euclidean cost, from the final `images` of `data.points` under the state's layers."""
+def images_cost(state: ModelState, data, images: np.ndarray):
+    """The Euclidean cost, from the final `images` of `data.points` under the state's layers.
+
+    `images` (N, Q) gives a float; images (..., N, Q) with leading stencil axes, as `push`
+    returns them for a stacked layer, give one cost per stencil, each bit for bit the float of
+    its own (N, Q) slice.
+    """
     total = 0.0
     for resid in _residuals(state, data, images):
         total += cluster_cost(resid)
-    return total
+    return float(total) if images.ndim == 2 else total
 
 
 def euclidean_cost(state: ModelState, data) -> float:
@@ -213,4 +226,4 @@ def standard_cost(state: ModelState, data) -> float:
     total = 0.0
     for resid in _residuals(state, data, chained_truncation(state, data.points)):
         total += cluster_cost(resid @ w.T)
-    return total
+    return float(total)

@@ -3,6 +3,12 @@
 Everything here deliberately avoids the analytic right-hand sides it is
 used to check.  Gradients come from central differences of the costs;
 trajectories from a plain fixed-step 4th-order loop with retraction.
+
+The stencils of one layer's gradient are priced in one push: they differ
+from the state only at that layer, so they go up as one stacked layer,
+rotations (S, Q, Q) and betas (S, 1, Q), over the points the layers below
+carried once, and `images_cost` returns one cost per stencil.  Each cost is
+bit for bit the Euclidean cost of its stencil state alone.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ import numpy as np
 
 from .errors import NearKink
 from .flows import CollapsedState
-from .manifold import AntisymmetricMatrix, OrthogonalMatrix, retract
+from .manifold import AntisymmetricMatrix, OrthogonalMatrix, retract, retract_stack
 from .measures import TrainingSet
-from .model import ModelState, euclidean_cost
+from .model import ModelState, images_cost, push
 
 
 def _check_step(step: float) -> None:
@@ -32,20 +38,27 @@ def assert_kink_free(state: ModelState, data: TrainingSet, step: float) -> None:
     1-Lipschitz in the point, and a rotation perturbed by exp(eps w) moves
     z = R(t + beta) by at most eps |z|.  Requiring |z_r| >= 10 * step *
     max(1, |z|) therefore keeps every central-difference stencil strictly
-    on one side of every activation boundary.
+    on one side of every activation boundary.  All points are checked at
+    once, layer by layer; the reported gap is the smallest over the points
+    of the first layer that falls short.
     """
-    for pts in data.clusters:
-        images = np.asarray(pts, dtype=float)
-        for r, beta in zip(state.rotations, state.betas):
-            z = (images + beta) @ r.T
-            margin = 10.0 * step * np.maximum(1.0, np.linalg.norm(z, axis=1, keepdims=True))
-            if np.any(np.abs(z) < margin):
-                gap = float(np.min(np.abs(z) / margin))
-                raise NearKink(
-                    f"a pushed-forward coordinate sits at {gap:.3f} of the "
-                    f"required clearance 10 * step * max(1, |z|) from an activation boundary"
-                )
-            images = np.maximum(z, 0.0) @ r - beta
+    for layer, z in enumerate(push(state.rotations, state.betas, data.points)[0]):
+        margin = 10.0 * step * np.maximum(1.0, np.linalg.norm(z, axis=1, keepdims=True))
+        if np.any(np.abs(z) < margin):
+            gap = float(np.min(np.abs(z) / margin))
+            raise NearKink(
+                f"a pushed-forward coordinate at layer {layer} sits at {gap:.3f} of the "
+                f"required clearance 10 * step * max(1, |z|) from an activation boundary"
+            )
+
+
+def _stencil_costs(state: ModelState, data: TrainingSet, layer: int,
+                   rotation: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Euclidean costs of the stencil states that replace `layer` by the stacked `rotation`
+    (S, Q, Q) or (Q, Q) and `beta` (S, 1, Q) or (Q,): one push, one cost per stencil."""
+    rotations, betas = list(state.rotations), list(state.betas)
+    rotations[layer], betas[layer] = rotation, beta
+    return images_cost(state, data, push(rotations, betas, data.points)[2])
 
 
 def fd_grad_beta(state: ModelState, data: TrainingSet, layer: int,
@@ -54,16 +67,10 @@ def fd_grad_beta(state: ModelState, data: TrainingSet, layer: int,
     _check_step(step)
     assert_kink_free(state, data, step)
     q = state.dim
-    grad = np.zeros(q)
-    for r in range(q):
-        delta = np.zeros(q)
-        delta[r] = step
-        plus, minus = state.betas.copy(), state.betas.copy()
-        plus[layer] += delta
-        minus[layer] -= delta
-        grad[r] = (euclidean_cost(state.derive(state.rotations, plus), data)
-                   - euclidean_cost(state.derive(state.rotations, minus), data)) / (2 * step)
-    return grad
+    beta, deltas = state.betas[layer], step * np.eye(q)
+    stencils = np.concatenate([beta + deltas, beta - deltas])[:, None, :]
+    costs = _stencil_costs(state, data, layer, state.rotations[layer], stencils)
+    return (costs[:q] - costs[q:]) / (2 * step)
 
 
 def fd_grad_rotation(state: ModelState, data: TrainingSet, layer: int,
@@ -78,40 +85,37 @@ def fd_grad_rotation(state: ModelState, data: TrainingSet, layer: int,
     _check_step(step)
     assert_kink_free(state, data, step)
     q = state.dim
-    rotation = OrthogonalMatrix(state.rotations[layer])
+    rotation = OrthogonalMatrix(state.rotations[layer]).mat
+    pairs = list(combinations(range(q), 2))
+    m = len(pairs)
+    gens = np.zeros((2 * m, q, q))
+    for n, (i, j) in enumerate(pairs):
+        gens[n, i, j], gens[n, j, i] = 1.0, -1.0
+    gens[m:] = -gens[:m]  # exp(e (-w)) = exp(-e w): the minus stencils
+    stencils = retract_stack(np.broadcast_to(rotation, gens.shape), gens, step)
+    costs = _stencil_costs(state, data, layer, stencils, state.betas[layer])
+    d = (costs[:m] - costs[m:]) / (2 * step)
     g = np.zeros((q, q))
-    for i, j in combinations(range(q), 2):
-        gen = np.zeros((q, q))
-        gen[i, j], gen[j, i] = 1.0, -1.0
-        omega = AntisymmetricMatrix(gen)
-        plus, minus = state.rotations.copy(), state.rotations.copy()
-        plus[layer] = retract(rotation, omega, step).mat
-        minus[layer] = retract(rotation, omega, -step).mat
-        d = (euclidean_cost(state.derive(plus, state.betas), data)
-             - euclidean_cost(state.derive(minus, state.betas), data)) / (2 * step)
-        g[i, j], g[j, i] = -0.5 * d, 0.5 * d
+    for (i, j), d_ij in zip(pairs, d.tolist()):
+        g[i, j], g[j, i] = -0.5 * d_ij, 0.5 * d_ij
     return AntisymmetricMatrix(g)
 
 
 def fd_grad_collapsed(cs: CollapsedState, step: float = 1e-5):
-    """Entrywise central differences of the collapsed cost in (B, W)."""
+    """Entrywise central differences of the collapsed cost (1/2) tr |W B + Y|^2 in (B, W).
+
+    The 4 Q^2 stencils are stacked (S, Q, Q) products, one sum per stencil."""
     _check_step(step)
     q = cs.dim
-    b_grad = np.zeros((q, q))
-    w_grad = np.zeros((q, q))
-    for i in range(q):
-        for j in range(q):
-            db = np.zeros((q, q))
-            db[i, j] = step
-            b_grad[i, j] = (
-                CollapsedState(cs.b_matrix + db, cs.w_out, cs.y_matrix).cost()
-                - CollapsedState(cs.b_matrix - db, cs.w_out, cs.y_matrix).cost()
-            ) / (2 * step)
-            w_grad[i, j] = (
-                CollapsedState(cs.b_matrix, cs.w_out + db, cs.y_matrix).cost()
-                - CollapsedState(cs.b_matrix, cs.w_out - db, cs.y_matrix).cost()
-            ) / (2 * step)
-    return b_grad, w_grad
+    b, w, y = cs.b_matrix, cs.w_out, cs.y_matrix
+    deltas = (step * np.eye(q * q)).reshape(q * q, q, q)  # entry (i, j) at index i * q + j
+
+    def costs(e):
+        return 0.5 * (e * e).reshape(q * q, -1).sum(axis=-1)
+
+    b_grad = (costs(w @ (b + deltas) + y) - costs(w @ (b - deltas) + y)) / (2 * step)
+    w_grad = (costs((w + deltas) @ b + y) - costs((w - deltas) @ b + y)) / (2 * step)
+    return b_grad.reshape(q, q), w_grad.reshape(q, q)
 
 
 def rk4_array(f, y0: np.ndarray, s_end: float, step: float = 1e-4) -> np.ndarray:

@@ -392,7 +392,9 @@ class TestSeparationLoss:
 
     def test_non_separated_start_stops_where_its_field_ascends_the_full_cost(self):
         # random rotations on Q=4 data: the effective field soon stops descending the full cost;
-        # in a subprocess with a timeout, so a run that crawls fails instead of hanging
+        # in a subprocess with a timeout, so a run that crawls fails instead of hanging.  This
+        # start once crawled for over 15 s near s = 3.27e-3, re-localizing one crossing after
+        # each cost halving; the ascent guard ends it within a few dozen RK4 steps
         code = (
             "from truncflow.integrate import integrate_effective\n"
             "from truncflow.scenarios import make_separated_config, named_initial_state\n"
@@ -401,12 +403,14 @@ class TestSeparationLoss:
             "traj = integrate_effective(start, data, 0.2)\n"
             "print(repr(float(traj.times[-1])))\n"
             "print(traj.stopped_reason)\n"
+            "print(traj.stats.rk4_steps)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(truncflow.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=60, env=env)
         assert done.returncode == 0, done.stderr
-        s_stop, reason = done.stdout.splitlines()
+        s_stop, reason, rk4_steps = done.stdout.splitlines()
+        assert int(rk4_steps) < 200
         assert 0.0028913 <= float(s_stop) <= 0.0028914
         assert reason.startswith(f"separation lost at s = {float(s_stop):.6g}: ")
         assert "ascends the full cost at rate" in reason and float(reason.split()[-1]) > 0.0
@@ -489,6 +493,18 @@ class TestSectorMasks:
             assert all(g.shape == data.points.shape for g in got)
             assert all(np.array_equal(got[k][data.rows(l)], w) for l, wl in enumerate(want) for k, w in enumerate(wl))
             assert images_cost(state, data, images) == euclidean_cost(state, data)
+
+    @pytest.mark.parametrize("q, n_per, seed", [(2, 20, 0), (3, 20, 1), (4, 10, 0)])
+    def test_frozen_separated_field_is_the_field_at_every_sample(self, q, n_per, seed):
+        # the integrator freezes effective_rhs at push's chained masks, while the unfrozen field
+        # reads each cluster's raw z at its own layer; on the field's domain, separated states,
+        # the two are bit for bit one field at every accepted sample
+        state, data = make_separated_config(q, n_per=n_per, seed=seed)
+        traj = integrate_effective(state, data, 1.0)
+        assert traj.stopped_reason is None and traj.events and len(traj.samples) > 100
+        for smp in traj.samples:
+            frozen, free = effective_rhs(smp.state, data, _sweep(smp.state, data)[0]), effective_rhs(smp.state, data)
+            assert all(np.array_equal(a, b) for a, b in zip(frozen, free)), smp.s
 
     def test_events_are_listed_layer_major(self):
         # events.csv lists crossings by layer, then cluster, point and coordinate; rows 0-1

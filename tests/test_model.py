@@ -11,6 +11,7 @@ from truncflow.model import (
     ModelState,
     chained_truncation,
     euclidean_cost,
+    images_cost,
     push,
     standard_cost,
 )
@@ -189,6 +190,33 @@ class TestPush:
             for z, nu in zip(zs, nus):
                 np.testing.assert_array_equal(nu, z > 0.0)
 
+    def test_one_stacked_layer_equals_separate_pushes(self):
+        # a layer given as S variants, rotations (S, Q, Q) and betas (S, 1, Q): every slice of
+        # every output, forward-mode rates included, is bit for bit the push of that variant
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            q, depth, n = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            layer, variants = int(rng.integers(depth)), int(rng.integers(1, 5))
+            rotations = np.array([random_orthogonal(q, rng).mat for _ in range(depth)])
+            betas = rng.normal(size=(depth, q))
+            pts = 1.5 * rng.normal(size=(n, q))
+            field = (rng.normal(size=(depth, q)),
+                     np.array([antisym_project(rng.normal(size=(q, q))).mat for _ in range(depth)]))
+            stack_r = np.array([random_orthogonal(q, rng).mat for _ in range(variants)])
+            stack_b = rng.normal(size=(variants, 1, q))
+            rots, bets = list(rotations), list(betas)
+            rots[layer], bets[layer] = stack_r, stack_b
+            zs, nus, t, z_dots = push(rots, bets, pts, field=field)
+            assert t.shape == (variants, n, q)
+            for v in range(variants):
+                rotations[layer], betas[layer] = stack_r[v], stack_b[v, 0]
+                zs_v, nus_v, t_v, z_dots_v = push(rotations, betas, pts, field=field)
+                for k in range(depth):
+                    below = k < layer  # the layers below the stacked one ran once, unstacked
+                    for stacked, alone in ((zs, zs_v), (nus, nus_v), (z_dots, z_dots_v)):
+                        assert np.array_equal(stacked[k] if below else stacked[k][v], alone[k])
+                assert np.array_equal(t[v], t_v)
+
 
 def random_state_and_set(q, n_per=3, depth=None, rng=RNG):
     depth = q if depth is None else depth
@@ -270,6 +298,20 @@ class TestCosts:
     def test_nonnegative(self):
         state, data = random_state_and_set(3)
         assert euclidean_cost(state, data) >= 0.0
+
+    def test_stacked_images_give_one_cost_per_slice(self):
+        # images (S, N, Q) or (S1, S2, N, Q): each cost is its slice's float, bit for bit
+        for q in (1, 2, 3, 4):
+            state, data = random_state_and_set(q, n_per=int(RNG.integers(1, 6)))
+            images = RNG.normal(size=(2, 3, data.total, q))
+            costs = images_cost(state, data, images)
+            assert costs.shape == (2, 3)
+            for i in range(2):
+                assert np.array_equal(images_cost(state, data, images[i]), costs[i])
+                for j in range(3):
+                    alone = images_cost(state, data, images[i, j])
+                    assert type(alone) is float and alone == costs[i, j]
+            assert images_cost(state, data, chained_truncation(state, data.points)) == euclidean_cost(state, data)
 
 
 class TestModelState:
