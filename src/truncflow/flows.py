@@ -22,29 +22,35 @@ antisymmetric.  `frozen_masks[k]` is layer k's boolean (N, Q) activity
 pattern over the rows of `data.points`: `frozen_masks` is the `nus` list
 that `model.push` returns for all points, and goes straight back into
 `push`.  The patterns replace the computed ones.  Both layered fields are
-one adjoint sweep over plan entries built once per call.  An entry is one
-cluster's acting layers from the top down, each with the float nu, 1 - nu
-and the cluster's (n, Q) z rows; a layer whose mask rows are all active is
-the identity, left out.  Or an entry stacks B clusters of one size n, each
-acting at its own layer alone, as one (B, n, Q) block indexed by its layers;
-the sweep's lines serve both ranks.  The general field plans per cluster
-from push's coordinates and masks.  The separated field gives cluster k
-layer k alone, at its own rows' raw coordinates (x + beta_k) R_k^T and mask,
-whose unfrozen rows are their signs (integrators freeze push's, which on
-the field's domain, separated states, are the same rows): it pushes no
-point and reads no foreign cluster's rows.  With depth >= 2 and
-clusters 0..depth-1 of one size, it takes all its layers as one stacked
-entry, one batched product per evaluation; otherwise, a depth-1 state
-included, one entry per acting layer.  Generators are validated as
-:class:`~truncflow.manifold.AntisymmetricMatrix` only where they cross the
-public boundary (`retract`, the finite-difference oracle).  The collapsed
-field takes and returns plain arrays too,
+one adjoint sweep over plan entries.  An entry is one cluster's acting
+layers from the top down, each with the float nu, 1 - nu and the cluster's
+(n, Q) z rows; a layer whose mask rows are all active is the identity, left
+out.  Or an entry stacks B clusters of one size n, each acting at its own
+layer alone, as one (B, n, Q) block indexed by its layers; the sweep's lines
+serve both ranks.  Everything in an entry but z depends on the masks alone,
+and is a field's *plan* of them: frozen masks given as a
+:class:`FrozenMasks` are planned once per field and the plan kept for every
+later call, while a plain list is planned on each call by the same
+function.  The integrators wrap push's list once per mask change, so one
+plan serves every evaluation until the next event.  The general field plans
+per cluster and reads its z rows from push's coordinates.  The separated
+field gives cluster k layer k alone, at its own rows' raw coordinates
+(x + beta_k) R_k^T and mask, whose unfrozen rows are their signs
+(integrators freeze push's, which on the field's domain, separated states,
+are the same rows): it pushes no point and reads no foreign cluster's rows.
+With depth >= 2 and clusters 0..depth-1 of one size, it takes all its layers
+as one stacked entry, one batched product per evaluation; otherwise, a
+depth-1 state included, one entry per acting layer.  Generators are
+validated as :class:`~truncflow.manifold.AntisymmetricMatrix` only where they
+cross the public boundary (`retract`, the finite-difference oracle).  The
+collapsed field takes and returns plain arrays too,
 ``collapsed_rhs(b, w, y) -> (b_dot, w_dot)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,8 +76,10 @@ def _summed_commutators(nu: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndar
     return 0.5 * ((m1 - m1.mT) + (m2 - m2.mT))
 
 
-def _acting(l, mask: np.ndarray, z: np.ndarray):
-    """One acting layer of a plan entry: l, the float nu and 1 - nu of its mask rows, and its z rows."""
+def _acting(l, mask: np.ndarray, z):
+    """One acting layer of a plan entry: l, the float nu and 1 - nu of its mask rows, and its z
+    rows.  A mask set's plan holds in z's place the rows of push's z that the general field reads
+    there, or None where the separated field computes them on each call (see :class:`FrozenMasks`)."""
     nu = mask.astype(float)
     return l, nu, 1.0 - nu, z
 
@@ -108,6 +116,76 @@ def _descent_field(state: ModelState, plans):
     return beta_dots, omegas
 
 
+def _stacks(data: TrainingSet, depth: int) -> bool:
+    """Whether the separated field takes its layers as one stacked entry: depth >= 2 over
+    clusters 0..depth-1 of one size."""
+    return depth >= 2 and len(set(data.counts[:depth])) == 1
+
+
+def _effective_plan(rows_masks, depth: int, stacked: bool):
+    """The separated field's plan of `rows_masks[k]`, cluster k's (N_k, Q) activity rows at layer k:
+    its acting layers, each the one :func:`_acting` layer of an entry.
+
+    Stacked, one tuple whose layer is an index over the (depth, n, Q) stack, a slice when every
+    layer acts, else the array of acting layers; otherwise one per acting layer k.  A layer whose
+    rows are all active is the identity, left out.
+    """
+    if stacked:
+        mask = np.stack(rows_masks)
+        identity = mask.all(axis=(1, 2))
+        if identity.all():
+            return []
+        # a slice when every layer acts: the stack's rows, rotations and labels stay views
+        layers = np.flatnonzero(~identity) if identity.any() else slice(0, depth)
+        return [_acting(layers, mask[layers], None)]
+    return [_acting(k, mask, None) for k, mask in enumerate(rows_masks) if not mask.all()]
+
+
+def _general_plan(masks, data: TrainingSet, depth: int):
+    """The general field's plan of the (N, Q) `masks[l]`: per cluster, its acting layers from the
+    top down, each reading the cluster's rows of push's z at that layer."""
+    plans = []
+    for rows in map(data.rows, range(data.q)):
+        blocks = [(l, masks[l][rows]) for l in range(depth - 1, -1, -1)]
+        plans.append([_acting(l, mask, rows) for l, mask in blocks if not mask.all()])
+    return plans
+
+
+class FrozenMasks(tuple):
+    """A sector configuration held fixed, with each layered field's plan of it.
+
+    It is push's activity list as it is, `masks[k]` the (N, Q) bool activities at layer k of
+    every point of `data`, for states of `depth` layers; it goes wherever such a list goes.
+    Everything the masks alone decide, each cluster's acting layers and rows, the float nu and
+    1 - nu and the all-active tests, is one plan per field (`effective`, `general`), built on
+    first use and kept for as long as the mask set is.  The integrators wrap push's list once
+    per mask change.  A field given a plain list, or masks planned for other data or another
+    depth, plans them on that call by the same function.
+    """
+
+    def __new__(cls, masks, data: TrainingSet, depth: int):
+        self = super().__new__(cls, masks)
+        self.data, self.depth = data, depth
+        return self
+
+    @cached_property
+    def effective(self):
+        rows_masks = [self[k][self.data.rows(k)] for k in range(self.depth)]
+        return _effective_plan(rows_masks, self.depth, _stacks(self.data, self.depth))
+
+    @cached_property
+    def general(self):
+        return _general_plan(self, self.data, self.depth)
+
+
+def _planned(masks, data: TrainingSet, depth: int) -> FrozenMasks:
+    """`masks` if they hold plans made for `data` at `depth`, else the same masks wrapped anew, to
+    be planned on this call."""
+    if isinstance(masks, FrozenMasks) and masks.data is data and masks.depth == depth:
+        return masks
+    return FrozenMasks(masks, data, depth)
+
+
 def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     """Descent velocities of every layer under cluster separation, stacked like the state.
 
@@ -132,27 +210,18 @@ def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     depth = state.depth
     if depth > data.q:
         raise IndexRange(f"depth {depth} exceeds the {data.q} clusters")
-    sizes = data.counts[:depth]
-    plans = []
-    if depth >= 2 and len(set(sizes)) == 1:
-        n = sizes[0]
+    stacked = _stacks(data, depth)
+    if stacked:
+        n = data.counts[0]
         z = (data.points[:depth * n].reshape(depth, n, -1) + state.betas[:, None]) @ state.rotations.mT
-        if frozen_masks is None:
-            mask = z > 0.0
-        else:
-            mask = np.stack([frozen_masks[k][data.rows(k)] for k in range(depth)])
-        identity = mask.all(axis=(1, 2))
-        if not identity.all():
-            # a slice when every layer acts: the stack's rows, rotations and labels stay views
-            layers = np.flatnonzero(~identity) if identity.any() else slice(0, depth)
-            plans.append((state.pulled_labels[layers, None], [_acting(layers, mask[layers], z[layers])]))
     else:
-        for k, (r, b) in enumerate(zip(state.rotations, state.betas)):
-            z = (data.clusters[k] + b) @ r.T
-            mask = z > 0.0 if frozen_masks is None else frozen_masks[k][data.rows(k)]
-            if not mask.all():
-                plans.append((state.pulled_labels[k], [_acting(k, mask, z)]))
-    return _descent_field(state, plans)
+        z = [(data.clusters[k] + b) @ r.T for k, (r, b) in enumerate(zip(state.rotations, state.betas))]
+    if frozen_masks is None:
+        plan = _effective_plan([zk > 0.0 for zk in z], depth, stacked)
+    else:
+        plan = _planned(frozen_masks, data, depth).effective
+    return _descent_field(state, [(state.pulled_labels[l, None], [(l, nu, nu_perp, z[l])])
+                                  for l, nu, nu_perp, _ in plan])
 
 
 def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
@@ -188,10 +257,10 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     its mask rows are not all active, from the top down.
     """
     pushed, masks, _, _ = push(state.rotations, state.betas, data.points, frozen_masks)
-    plans = [(ytil, [_acting(l, masks[l][rows], pushed[l][rows]) for l in range(state.depth - 1, -1, -1)
-                     if not masks[l][rows].all()])
-             for ytil, rows in zip(state.pulled_labels, map(data.rows, range(data.q)))]
-    return _descent_field(state, plans)
+    plans = _planned(masks if frozen_masks is None else frozen_masks, data, state.depth).general
+    return _descent_field(state, [
+        (ytil, [(l, nu, nu_perp, pushed[l][rows]) for l, nu, nu_perp, rows in acting])
+        for ytil, acting in zip(state.pulled_labels, plans)])
 
 
 def chained_projectors(state: ModelState, point, lo: int = 0, hi: int | None = None):

@@ -36,12 +36,17 @@ into it (Filippov's sliding condition), and the trajectory ends with a `stopped_
 Each state is swept once: one push of all points (`data.points`) gives their activities
 at every layer and their final images; only the step kept turns its images into a cost.
 The masks are push's list as it is, `masks[k]` the (N, Q) activities at layer k, and go
-straight back into `push` and the right-hand sides as their `frozen_masks`.  The
-cluster-separated field reads only cluster k's rows of `masks[k]` and stops being a
-descent direction of the full cost once a layer truncates a point of another cluster, so a
-crossing into truncation in such a pair ends its trajectory too.  From a start that
-is not separated, every accepted state also pairs its field with the full descent
-field (`general_rhs`), and the trajectory ends where the field ascends the full cost.
+straight back into `push` and the right-hand sides as their `frozen_masks`.  A mask set is
+kept across event-free steps: a step that leaves the masks unchanged keeps the same
+`FrozenMasks` object, and only a step that crosses wraps the new list.  So each mask set is
+planned once per field, and that plan serves its first stage, every RK stage, prediction,
+probe and separation guard until the next event; the samples' truncation counts are
+counted once per mask set too.  The cluster-separated field reads only cluster k's rows of
+`masks[k]` and stops being a descent direction of the full cost once a layer truncates a
+point of another cluster, so a crossing into truncation in such a pair ends its trajectory
+too.  From a start that is not separated, every accepted state also pairs its field with the
+full descent field (`general_rhs`), and the trajectory ends where the field ascends the full
+cost.
 """
 
 from __future__ import annotations
@@ -54,12 +59,20 @@ import numpy as np
 from .errors import StepUnderflow
 from .flows import (
     CollapsedState,
+    FrozenMasks,
     collapsed_rhs,
     conserved_quantity,
     effective_rhs,
     general_rhs,
 )
-from .manifold import REPOLAR_EVERY, moving_layers, orthogonality_error, polar_decompose, retract_stack
+from .manifold import (
+    REPOLAR_EVERY,
+    frobenius_norm,
+    moving_layers,
+    orthogonality_error,
+    polar_decompose,
+    retract_stack,
+)
 from .measures import TrainingSet, check_cluster_separation
 from .model import ModelState, euclidean_cost, images_cost, push
 
@@ -116,6 +129,11 @@ class Event:
     point: int
     coordinate: int
     direction: str  # "entering" (became truncated) or "leaving"
+
+    def where(self) -> str:
+        """The crossing by name: its layer, cluster, point, coordinate and direction."""
+        return (f"layer {self.layer}, cluster {self.cluster}, point {self.point}, "
+                f"coordinate {self.coordinate} ({self.direction})")
 
 
 @dataclass
@@ -211,14 +229,20 @@ def _normal_speed(state: ModelState, data: TrainingSet, field, ev: Event) -> flo
     return float(z_dots[ev.layer][data.rows(ev.cluster)][ev.point, ev.coordinate])
 
 
-def _diagnostics(state: ModelState, data: TrainingSet, omegas: np.ndarray,
-                 masks: list) -> tuple[LayerDiagnostics, ...]:
-    """Per-layer Omega norm, distance of beta to its attractor, truncation counts of its cluster."""
+def _truncated_counts(masks, data: TrainingSet, depth: int) -> list[np.ndarray]:
+    """Per layer k, the truncated points of cluster k in each coordinate under `masks`: counted
+    once per mask set, as the masks change only at events."""
+    return [np.sum(~masks[k][data.rows(k)], axis=0) for k in range(depth)]
+
+
+def _diagnostics(state: ModelState, omegas: np.ndarray, counts: list) -> tuple[LayerDiagnostics, ...]:
+    """Per-layer Omega norm, distance of beta to its attractor, and the truncation `counts` of the
+    mask set, copied so that each sample owns its arrays."""
     return tuple(
         LayerDiagnostics(
-            omega_norm=float(np.linalg.norm(omegas[k])),
-            beta_gap=float(np.linalg.norm(state.betas[k] + state.pulled_labels[k])),
-            truncated_counts=np.sum(~masks[k][data.rows(k)], axis=0),
+            omega_norm=frobenius_norm(omegas[k]),
+            beta_gap=frobenius_norm(state.betas[k] + state.pulled_labels[k]),
+            truncated_counts=counts[k].copy(),
         )
         for k in range(state.depth)
     )
@@ -329,7 +353,9 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
 
     state = state0.checked()
     s = 0.0
-    masks, images = _sweep(state, data)
+    nus, images = _sweep(state, data)
+    masks = FrozenMasks(nus, data, state.depth)
+    counts = _truncated_counts(masks, data, state.depth)
     cost = images_cost(state, data, images)
     violations = check_cluster_separation(state, data)[1] if separated else []
     if violations:
@@ -353,7 +379,7 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
         return step(dt)
 
     k1 = counted_rhs(state, data, masks)
-    samples = [FlowSample(s, state, cost, _diagnostics(state, data, k1[1], masks))]
+    samples = [FlowSample(s, state, cost, _diagnostics(state, k1[1], counts))]
     events: list[Event] = []
     retractions = [0] * state.depth
     h_nominal = opts.step
@@ -366,9 +392,12 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
                     f"separation lost at s = {s:.6g}: the effective field ascends the full cost "
                     f"at rate {rate:.3g}"), stats=stats)
         h = min(h_nominal, s_end - s)
+        pending_events = []
         while True:
             if h < opts.min_step:
-                raise StepUnderflow(f"step underflow at s = {s:.6g}")
+                where = (f" while localizing the crossing at {pending_events[0].where()}"
+                         if pending_events else "")
+                raise StepUnderflow(f"step underflow at s = {s:.6g}{where}")
             kept = step(h)
             dt, pending_events = h, []
             if not _masks_equal(masks, kept[2]):
@@ -396,11 +425,14 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
                 advanced = advanced.derive(rotations, advanced.betas)
                 reprojected = True
                 stats.reprojections += 1
-        state, masks = advanced.checked(), new_masks
+        state = advanced.checked()
+        if pending_events:  # the masks changed: plan the new set once; unchanged, the plans stay
+            masks = FrozenMasks(new_masks, data, state.depth)
+            counts = _truncated_counts(masks, data, state.depth)
         cost = euclidean_cost(state, data) if reprojected else advanced_cost
         s += dt
         k1 = counted_rhs(state, data, masks)
-        samples.append(FlowSample(s, state, cost, _diagnostics(state, data, k1[1], masks)))
+        samples.append(FlowSample(s, state, cost, _diagnostics(state, k1[1], counts)))
         for ev in pending_events:
             if separated and ev.layer != ev.cluster:
                 if ev.direction == "leaving":  # the ignored pair moves towards separation
@@ -410,9 +442,8 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
                 stop, why = "sliding", "the field on both sides points into it"
             else:
                 continue
-            return Trajectory(samples, events, stopped_reason=(
-                f"{stop} at s = {s:.6g}: layer {ev.layer}, cluster {ev.cluster}, point {ev.point}, "
-                f"coordinate {ev.coordinate} ({ev.direction}): {why}"), stats=stats)
+            return Trajectory(samples, events, stopped_reason=f"{stop} at s = {s:.6g}: {ev.where()}: {why}",
+                              stats=stats)
 
     return Trajectory(samples=samples, events=events, stats=stats)
 
@@ -466,8 +497,9 @@ class CollapsedTrajectory:
         return max(smp.invariant_drift for smp in self.samples)
 
 
-def _collapsed_rk4(b, w, y, h):
-    kb1, kw1 = collapsed_rhs(b, w, y)
+def _collapsed_rk4(b, w, y, h, k1=None):
+    """Classical RK4 step of `collapsed_rhs` from (B, W); `k1`, if given, is the field there."""
+    kb1, kw1 = collapsed_rhs(b, w, y) if k1 is None else k1
     kb2, kw2 = collapsed_rhs(b + 0.5 * h * kb1, w + 0.5 * h * kw1, y)
     kb3, kw3 = collapsed_rhs(b + 0.5 * h * kb2, w + 0.5 * h * kw2, y)
     kb4, kw4 = collapsed_rhs(b + h * kb3, w + h * kw3, y)
@@ -481,8 +513,11 @@ def integrate_collapsed(cs0: CollapsedState, s_end: float,
     """Integrate the collapsed-data standard-cost flow, logging the invariant.
 
     Adaptive RK4 with step doubling: a step is accepted when the difference
-    between one full step and two half steps meets atol/rtol.  Each sample
-    logs the drift of B B^T - W^T W from its initial value.
+    between one full step and two half steps meets atol/rtol.  The full step
+    and the first half step share their first stage, the field at the step's
+    start, which is evaluated once per state and also serves every retry of a
+    rejected trial.  Each sample logs the drift of B B^T - W^T W from its
+    initial value.
     """
     if not 0 < s_end < np.inf:
         raise ValueError(f"s_end must be positive and finite, got {s_end!r}")
@@ -495,22 +530,24 @@ def integrate_collapsed(cs0: CollapsedState, s_end: float,
         drift = float(np.linalg.norm(conserved_quantity(cs) - inv0))
         return CollapsedSample(s, cs, cs.cost(), drift)
 
-    b, w = cs0.b_matrix.copy(), cs0.w_out.copy()
-    s, h = 0.0, opts.step
+    b, w, y = cs0.b_matrix.copy(), cs0.w_out.copy(), cs0.y_matrix
+    s, h, k1 = 0.0, opts.step, None
     samples = [make_sample(s, b, w)]
     while s < s_end - 1e-13:
         dt = min(h, s_end - s)
         if dt < opts.min_step:
             raise StepUnderflow(f"step underflow at s = {s:.6g}")
-        bf, wf = _collapsed_rk4(b, w, cs0.y_matrix, dt)
-        bh, wh = _collapsed_rk4(b, w, cs0.y_matrix, 0.5 * dt)
-        bh, wh = _collapsed_rk4(bh, wh, cs0.y_matrix, 0.5 * dt)
+        if k1 is None:
+            k1 = collapsed_rhs(b, w, y)
+        bf, wf = _collapsed_rk4(b, w, y, dt, k1)
+        bh, wh = _collapsed_rk4(b, w, y, 0.5 * dt, k1)
+        bh, wh = _collapsed_rk4(bh, wh, y, 0.5 * dt)
         err = max(np.max(np.abs(bf - bh)), np.max(np.abs(wf - wh)))
         tol = opts.atol + opts.rtol * max(np.max(np.abs(b)), np.max(np.abs(w)))
         if err > tol:
             h = 0.5 * dt
             continue
-        b, w = bh, wh
+        b, w, k1 = bh, wh, None
         s += dt
         samples.append(make_sample(s, b, w))
         if err < 0.05 * tol:

@@ -14,6 +14,7 @@ its one-layer case.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 
 import numpy as np
@@ -36,9 +37,16 @@ def as_square(a) -> np.ndarray:
     return m
 
 
+def frobenius_norm(a: np.ndarray) -> float:
+    """||a||_F of a float array, the arithmetic of `np.linalg.norm(a)`: the square root of the
+    raveled array's dot product with itself, without that function's dispatch."""
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def orthogonality_error(m: np.ndarray) -> float:
     """||m^T m - I||_F of the square array m."""
-    return float(np.linalg.norm(m.T @ m - np.eye(m.shape[0])))
+    return frobenius_norm(m.T @ m - np.eye(m.shape[0]))
 
 
 def check_orthogonal(m: np.ndarray) -> None:
@@ -86,8 +94,8 @@ class AntisymmetricMatrix:
         m = as_square(mat)
         if not np.all(np.isfinite(m)):  # before m + m.T, where inf - inf would warn
             raise ValueError("matrix is not antisymmetric: it has a non-finite entry")
-        err = np.linalg.norm(m + m.T)
-        if not err <= ANTISYM_TOL * max(1.0, np.linalg.norm(m)):
+        err = frobenius_norm(m + m.T)
+        if not err <= ANTISYM_TOL * max(1.0, frobenius_norm(m)):
             raise ValueError(f"matrix is not antisymmetric: ||A + A^T|| = {err:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
@@ -100,7 +108,7 @@ class AntisymmetricMatrix:
         return self.mat.shape[0]
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
+        return frobenius_norm(self.mat)
 
     def __repr__(self):
         return f"AntisymmetricMatrix(dim={self.dim}, norm={self.norm():.3e})"

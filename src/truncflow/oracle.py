@@ -61,11 +61,7 @@ def _stencil_costs(state: ModelState, data: TrainingSet, layer: int,
     return images_cost(state, data, push(rotations, betas, data.points)[2])
 
 
-def fd_grad_beta(state: ModelState, data: TrainingSet, layer: int,
-                 step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the Euclidean cost in the layer's beta."""
-    _check_step(step)
-    assert_kink_free(state, data, step)
+def _fd_beta(state: ModelState, data: TrainingSet, layer: int, step: float) -> np.ndarray:
     q = state.dim
     beta, deltas = state.betas[layer], step * np.eye(q)
     stencils = np.concatenate([beta + deltas, beta - deltas])[:, None, :]
@@ -73,17 +69,7 @@ def fd_grad_beta(state: ModelState, data: TrainingSet, layer: int,
     return (costs[:q] - costs[q:]) / (2 * step)
 
 
-def fd_grad_rotation(state: ModelState, data: TrainingSet, layer: int,
-                     step: float = 1e-5) -> AntisymmetricMatrix:
-    """Descent generator of the Euclidean cost on o(Q), by central differences.
-
-    For each basis generator w_ij = e_i e_j^T - e_j e_i^T, i < j, the derivative
-    d_ij = d/de C(exp(e w_ij) R)|_0 is estimated centrally; the returned G
-    satisfies tr(w_ij G) = d_ij, i.e. G is minus the o(Q)-restricted
-    gradient and should match the analytic Omega.
-    """
-    _check_step(step)
-    assert_kink_free(state, data, step)
+def _fd_rotation(state: ModelState, data: TrainingSet, layer: int, step: float) -> AntisymmetricMatrix:
     q = state.dim
     rotation = OrthogonalMatrix(state.rotations[layer]).mat
     pairs = list(combinations(range(q), 2))
@@ -99,6 +85,37 @@ def fd_grad_rotation(state: ModelState, data: TrainingSet, layer: int,
     for (i, j), d_ij in zip(pairs, d.tolist()):
         g[i, j], g[j, i] = -0.5 * d_ij, 0.5 * d_ij
     return AntisymmetricMatrix(g)
+
+
+def fd_grad_beta(state: ModelState, data: TrainingSet, layer: int,
+                 step: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of the Euclidean cost in the layer's beta."""
+    _check_step(step)
+    assert_kink_free(state, data, step)
+    return _fd_beta(state, data, layer, step)
+
+
+def fd_grad_rotation(state: ModelState, data: TrainingSet, layer: int,
+                     step: float = 1e-5) -> AntisymmetricMatrix:
+    """Descent generator of the Euclidean cost on o(Q), by central differences.
+
+    For each basis generator w_ij = e_i e_j^T - e_j e_i^T, i < j, the derivative
+    d_ij = d/de C(exp(e w_ij) R)|_0 is estimated centrally; the returned G
+    satisfies tr(w_ij G) = d_ij, i.e. G is minus the o(Q)-restricted
+    gradient and should match the analytic Omega.
+    """
+    _check_step(step)
+    assert_kink_free(state, data, step)
+    return _fd_rotation(state, data, layer, step)
+
+
+def fd_gradients(state: ModelState, data: TrainingSet, step: float = 1e-5):
+    """Every layer's (:func:`fd_grad_beta`, :func:`fd_grad_rotation`) pair, bit for bit, with the
+    stencil band checked once for the state: the check does not depend on the layer."""
+    _check_step(step)
+    assert_kink_free(state, data, step)
+    return [(_fd_beta(state, data, layer, step), _fd_rotation(state, data, layer, step))
+            for layer in range(state.depth)]
 
 
 def fd_grad_collapsed(cs: CollapsedState, step: float = 1e-5):

@@ -1,19 +1,25 @@
-"""The names the benchmark's tracer looks up in truncflow still resolve.
+"""The names the benchmark's tracer looks up in truncflow still resolve, and its trajectories are
+the recorded ones.
 
 perfbench/tracing.py wraps truncflow functions and constructors by module and
 attribute name, and perfbench/workloads.py builds its inputs through the
 scenario builders and rebuilds states through the LayerParams view; a rename,
 deletion or signature change would break the benchmark, so it is caught here
-instead.
+instead.  A speed-up of the integrators must leave their output as it was:
+the benchmark's trajectory cases are fingerprinted against a recorded digest.
 """
 
+import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from truncflow.model import ModelState
 from truncflow.scenarios import make_separated_config
@@ -64,3 +70,39 @@ def test_every_workload_builds(tmp_path):
         cases = workloads.build(workload, 0, tmp_path, ROOT)
         assert cases, workload
         assert all(case.digest for case in cases), workload
+
+
+# sha256 of the 13 trajectory cases of effective_events and general_sliding at seed 0 (see
+# trajectory_fingerprint), recorded before the integrators planned each mask set once
+TRAJECTORIES_SEED0 = "e5d035cc6d59fcb9154a06fea3d3f0a2bcacb6e3be789a45c6e5c6d3ced0c248"
+
+
+def trajectory_fingerprint(workloads, seed: int, workdir: Path) -> str:
+    """One digest of every trajectory case at `seed`, in order: each sample's s, cost, layer
+    arrays and diagnostics, the events, the stop, the integrator stats; a typed error's repr."""
+    h = hashlib.sha256()
+    for workload in ("effective_events", "general_sliding"):
+        for case in workloads.build(workload, seed, workdir, ROOT):
+            traj = case.call()
+            h.update(case.name.encode())
+            if isinstance(traj, workloads.Stopped):
+                h.update(repr(traj.error).encode())
+                continue
+            for smp in traj.samples:
+                h.update(np.array([smp.s, smp.cost]).tobytes())
+                h.update(smp.state.rotations.tobytes())
+                h.update(smp.state.betas.tobytes())
+                for diag in smp.per_layer:
+                    h.update(np.array([diag.omega_norm, diag.beta_gap]).tobytes())
+                    h.update(np.asarray(diag.truncated_counts, dtype=np.int64).tobytes())
+            h.update(repr([dataclasses.astuple(ev) for ev in traj.events]).encode())
+            h.update(repr(traj.stopped_reason).encode())
+            h.update(repr(dataclasses.astuple(traj.stats)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(not (sys.platform == "linux" and platform.machine() == "x86_64"),
+                    reason="the fingerprint is recorded on x86_64 Linux")
+def test_benchmark_trajectories_match_recorded_fingerprint(tmp_path):
+    # samples, states, costs, diagnostics, events, stops and stats, bit for bit
+    assert trajectory_fingerprint(load_perfbench("workloads"), 0, tmp_path) == TRAJECTORIES_SEED0

@@ -7,6 +7,7 @@ import truncflow.flows
 from truncflow.errors import BadOrdering, EmptyCluster, IndexRange, LabelInsideData, SingularGram
 from truncflow.flows import (
     CollapsedState,
+    FrozenMasks,
     _acting,
     _descent_field,
     chained_projectors,
@@ -34,13 +35,13 @@ ENTRIES = st.floats(-3.0, 3.0, allow_subnormal=False)
 
 
 @st.composite
-def states_and_data(draw):
-    """Q = 2-4 clusters of 1-6 points, L <= Q layers (rotations exp(A) of drawn generators).
+def states_and_data(draw, q_min=2):
+    """Q = q_min-4 clusters of 1-6 points, L <= Q layers (rotations exp(A) of drawn generators).
 
     Half the draws give every cluster one size, so the separated field takes its stacked plan
     entry whenever L >= 2, and its per-cluster entries otherwise.
     """
-    q = draw(st.integers(2, 4))
+    q = draw(st.integers(q_min, 4))
     depth = draw(st.integers(1, q))
     gens = draw(arrays(float, (depth, q, q), elements=ENTRIES))
     betas = draw(arrays(float, (depth, q), elements=ENTRIES))
@@ -292,6 +293,35 @@ class TestFieldContract:
                 masks = push(state.rotations, state.betas, data.points)[1]
                 frozen, free = rhs(state, data, masks), rhs(state, data)
                 assert all(np.array_equal(a, b) for a, b in zip(frozen, free)), rhs.__name__
+
+    @PROPERTY
+    @given(states_and_data(q_min=1), st.data())
+    def test_a_planned_mask_set_is_the_per_call_field(self, drawn, draw):
+        # masks planned once (FrozenMasks) give both fields bit for bit what the same masks as a
+        # plain list, planned on each call, give: at Q = 1-4, depth 1-Q, clusters of one size
+        # or not, on the call that builds the plan and on later ones at other states
+        state, data = drawn
+        masks = [draw.draw(arrays(bool, data.points.shape)) for _ in range(state.depth)]
+        planned = FrozenMasks(masks, data, state.depth)
+        moved = state.derive(state.rotations, state.betas + 0.5)
+        for rhs in (effective_rhs, general_rhs):
+            for at in (state, moved, state):
+                want, got = rhs(at, data, list(masks)), rhs(at, data, planned)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), rhs.__name__
+
+    def test_masks_planned_for_other_data_are_planned_again(self):
+        # a mask set's plans serve only the data and depth it was made for; the field plans the
+        # masks anew for any other, here the same points split into other clusters
+        rng = np.random.default_rng(48)
+        points = rng.normal(size=(6, 2))
+        data, other = TrainingSet([points[:2], points[2:]]), TrainingSet([points[:4], points[4:]])
+        state = state_from_arrays([random_orthogonal(2, rng).mat for _ in range(2)], rng.normal(size=(2, 2)),
+                                  np.eye(2), rng.normal(size=(2, 2)))
+        masks = [rng.random(points.shape) < 0.5 for _ in range(2)]
+        for rhs in (effective_rhs, general_rhs):
+            for frozen in (FrozenMasks(masks, other, 2), FrozenMasks(masks, data, 1)):
+                want, got = rhs(state, data, masks), rhs(state, data, frozen)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), rhs.__name__
 
     def test_depth_beyond_clusters_rejected(self):
         q = 2

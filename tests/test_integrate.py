@@ -24,6 +24,7 @@ from truncflow.integrate import (
     write_trajectory_csv,
 )
 import truncflow
+import truncflow.flows
 import truncflow.integrate
 from truncflow.flows import effective_rhs, general_rhs
 from truncflow.manifold import REPOLAR_EVERY, AntisymmetricMatrix, OrthogonalMatrix
@@ -125,6 +126,26 @@ class TestTrajectoryInvariants:
         opts = IntegratorOptions(step=3.0, min_step=2.0)
         with pytest.raises(StepUnderflow):
             integrate_effective(state, data, 4.0, opts)
+
+    def test_step_underflow_names_the_crossing_it_was_localizing(self, monkeypatch):
+        # a first step twice as long as the first crossing's time localizes it; a forced cost
+        # rise halves the step below min_step, and the error names that crossing
+        state, data = make_separated_config(3, n_per=20, seed=0)
+        s_first = integrate_effective(state, data, 1.0).events[0].s
+        opts = IntegratorOptions(step=2.0 * s_first, min_step=1.5 * s_first)
+        first = integrate_effective(state, data, 1.0, opts).events[0]
+        cost, calls = truncflow.integrate.images_cost, []
+
+        def rising(*args):
+            calls.append(1)
+            return cost(*args) + len(calls)
+
+        monkeypatch.setattr(truncflow.integrate, "images_cost", rising)
+        with pytest.raises(StepUnderflow) as err:
+            integrate_effective(state, data, 1.0, opts)
+        assert str(err.value) == (
+            f"step underflow at s = 0 while localizing the crossing at layer {first.layer}, cluster "
+            f"{first.cluster}, point {first.point}, coordinate {first.coordinate} ({first.direction})")
 
     @pytest.mark.parametrize("field, value", [
         ("step", np.nan), ("step", np.inf), ("step", 0.0), ("step", -0.01),
@@ -652,6 +673,84 @@ class TestBoundaryValidation:
             integrate_effective(drifted, data, 0.1)
 
 
+def unseparated_start():
+    """A start that is not separated: each accepted state's guard also evaluates the full field,
+    at the same masks."""
+    state, data = make_separated_config(3, n_per=5, seed=0)
+    return named_initial_state("random-orthogonal", data, state.labels, seed=1), data
+
+
+class TestMaskPlans:
+    """A mask set is planned once: the integrators wrap push's list once per mask change, and
+    every field evaluation until the next change reuses its plans."""
+
+    CASES = {
+        "effective": (integrate_effective, lambda: make_separated_config(3, n_per=20, seed=0), 1.0),
+        "general": (integrate_general, lambda: make_separated_config(2, n_per=4, seed=10), 1.0),
+        "guarded": (integrate_effective, unseparated_start, 0.2),
+    }
+
+    @staticmethod
+    def count_plans(monkeypatch) -> dict:
+        builds = {"_effective_plan": 0, "_general_plan": 0}
+        for name in builds:
+            def counting(*args, fn=getattr(truncflow.flows, name), name=name):
+                builds[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(truncflow.flows, name, counting)
+        return builds
+
+    @pytest.mark.parametrize("case, field, guard", [
+        ("effective", "_effective_plan", None),
+        ("general", "_general_plan", None),
+        ("guarded", "_effective_plan", "_general_plan"),
+    ])
+    def test_one_plan_per_mask_set(self, monkeypatch, case, field, guard):
+        integrator, make, s_end = self.CASES[case]
+        state, data = make()
+        builds = self.count_plans(monkeypatch)
+        traj = integrator(state, data, s_end)
+        changes = len({ev.s for ev in traj.events})  # one accepted step per distinct event time
+        assert changes > 0
+        # every mask set, the start's included, is evaluated at once (its first stage)
+        assert builds[field] == 1 + changes
+        if guard is None:
+            assert sum(builds.values()) == builds[field]
+        else:
+            assert 0 < builds[guard] <= 1 + changes
+        assert traj.stats.rhs_calls > 2 * sum(builds.values())
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_planned_run_is_the_per_call_run(self, monkeypatch, case):
+        # with push's plain list in place of each mask set, every evaluation plans its masks:
+        # the same trajectory bit for bit, with the same work counted
+        integrator, make, s_end = self.CASES[case]
+        state, data = make()
+        planned = integrator(state, data, s_end)
+        monkeypatch.setattr(truncflow.integrate, "FrozenMasks", lambda masks, data, depth: list(masks))
+        per_call = integrator(state, data, s_end)
+        assert astuple(planned.stats) == astuple(per_call.stats)
+        assert planned.events == per_call.events and planned.stopped_reason == per_call.stopped_reason
+        assert len(planned.samples) == len(per_call.samples)
+        for a, b in zip(planned.samples, per_call.samples):
+            assert (a.s, a.cost) == (b.s, b.cost)
+            assert a.state.rotations.tobytes() == b.state.rotations.tobytes()
+            assert a.state.betas.tobytes() == b.state.betas.tobytes()
+            for da, db in zip(a.per_layer, b.per_layer):
+                assert (da.omega_norm, da.beta_gap) == (db.omega_norm, db.beta_gap)
+                assert np.array_equal(da.truncated_counts, db.truncated_counts)
+
+    def test_each_sample_owns_its_counts(self):
+        # the counts are taken once per mask set, but every sample gets its own writable arrays
+        integrator, make, s_end = self.CASES["effective"]
+        traj = integrator(*make(), s_end)
+        assert len(traj.samples) > len(traj.events) + 1
+        for a, b in zip(traj.samples, traj.samples[1:]):
+            for da, db in zip(a.per_layer, b.per_layer):
+                assert da.truncated_counts.flags.writeable
+                assert not np.shares_memory(da.truncated_counts, db.truncated_counts)
+
+
 class TestCollapsedIntegration:
     def test_conservation_and_monotone_cost(self):
         for i in range(3):
@@ -662,6 +761,30 @@ class TestCollapsedIntegration:
             assert traj.max_drift <= 1e-6 * scale
             cs_arr = traj.costs
             assert np.all(np.diff(cs_arr) <= 1e-8 * (1.0 + cs_arr[:-1]))
+
+    def test_first_stage_evaluated_once_per_state(self, monkeypatch):
+        # the full step and the first half step start from the same field, and a trial retried
+        # at half the step starts there again: 11 evaluations for a state's first trial (the
+        # shared first stage, 3 + 3 more stages and the second half step's 4), 10 per retry
+        calls = {"rhs": 0, "rk4": 0}
+        rhs, rk4 = truncflow.integrate.collapsed_rhs, truncflow.integrate._collapsed_rk4
+
+        def counting_rhs(*args):
+            calls["rhs"] += 1
+            return rhs(*args)
+
+        def counting_rk4(*args):
+            calls["rk4"] += 1
+            return rk4(*args)
+
+        monkeypatch.setattr(truncflow.integrate, "collapsed_rhs", counting_rhs)
+        monkeypatch.setattr(truncflow.integrate, "_collapsed_rk4", counting_rk4)
+        rng = np.random.default_rng(2)  # a run with a retried trial
+        cs = CollapsedState(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+        traj = integrate_collapsed(cs, 5.0)
+        trials, accepted = calls["rk4"] // 3, len(traj.samples) - 1
+        assert calls["rk4"] == 3 * trials and trials > accepted  # some trial was retried
+        assert calls["rhs"] == 11 * accepted + 10 * (trials - accepted)
 
     def test_stationary_point(self):
         q = 3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from truncflow.errors import SingularInput
 from truncflow.manifold import (
@@ -9,6 +10,7 @@ from truncflow.manifold import (
     OrthogonalMatrix,
     antisym_project,
     expm_antisym,
+    frobenius_norm,
     moving_layers,
     polar_decompose,
     random_orthogonal,
@@ -280,3 +282,14 @@ def test_group_gradient_trace_identity():
         fd = (f_plus - f_minus) / (2 * eps)
         analytic = -np.trace(w @ antisym_project(c @ r.mat.T).mat)
         assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(analytic))
+
+
+class TestFrobeniusNorm:
+    @PROPERTY
+    @given(st.integers(1, 8).flatmap(lambda q: st.sampled_from([(q,), (q, q)])).flatmap(
+        lambda shape: arrays(float, shape, elements=st.floats(-1e100, 1e100, allow_subnormal=False))))
+    def test_is_numpys_norm_bit_for_bit(self, a):
+        # the same arithmetic as np.linalg.norm(a): the square root of the raveled dot product,
+        # also on a transposed (non-contiguous) view
+        for x in (a, a.T):
+            assert np.float64(frobenius_norm(x)).tobytes() == np.linalg.norm(x).tobytes()

@@ -13,6 +13,7 @@ from truncflow.oracle import (
     fd_grad_beta,
     fd_grad_collapsed,
     fd_grad_rotation,
+    fd_gradients,
     reference_integrate,
     rk4_array,
 )
@@ -90,7 +91,7 @@ def one_stencil_at_a_time(state, data, layer, step):
 
 class TestStackedStencils:
     """Each layer's stencils go up as one stacked push; the gradients stay bit for bit those of
-    one full cost per stencil."""
+    one full cost per stencil, also when `fd_gradients` prices every layer after one check."""
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_equal_one_stencil_at_a_time(self, q):
@@ -104,11 +105,15 @@ class TestStackedStencils:
                     try:
                         assert_kink_free(state, data, step)
                     except NearKink:
+                        with pytest.raises(NearKink):  # all layers at once: the same one check
+                            fd_gradients(state, data, step=step)
                         continue
-                    for layer in range(state.depth):
+                    all_layers = fd_gradients(state, data, step=step)
+                    for layer, (fd_b, fd_o) in zip(range(state.depth), all_layers, strict=True):
                         beta_grad, g = one_stencil_at_a_time(state, data, layer, step)
                         assert np.array_equal(fd_grad_beta(state, data, layer, step=step), beta_grad)
                         assert np.array_equal(fd_grad_rotation(state, data, layer, step=step).mat, g)
+                        assert fd_b.tobytes() == beta_grad.tobytes() and fd_o.mat.tobytes() == g.tobytes()
                     checked[kind] += 1
         assert min(checked.values()) >= 4, checked
 

@@ -71,16 +71,17 @@ def test_gradients_suite_counts_skipped_cases():
 
 def test_gradients_suite_skips_a_kink_adjacent_effective_draw(monkeypatch):
     # both flows share one case body: a NearKink on an effective draw is a skip too
-    fd_grad_beta, calls = truncflow.verify.fd_grad_beta, []
+    fd_gradients, calls = truncflow.verify.fd_gradients, []
 
-    def kink_on_first_draw(state, data, layer, *args, **kwargs):
-        calls.append(layer)
+    def kink_on_first_draw(state, data, *args, **kwargs):
+        calls.append(state)
         if len(calls) == 1:  # the effective draws run first
             raise NearKink("forced")
-        return fd_grad_beta(state, data, layer, *args, **kwargs)
+        return fd_gradients(state, data, *args, **kwargs)
 
-    monkeypatch.setattr(truncflow.verify, "fd_grad_beta", kink_on_first_draw)
+    monkeypatch.setattr(truncflow.verify, "fd_gradients", kink_on_first_draw)
     effective = gradients_suite(seed=0, cases=6)["properties"][0]
     assert effective["name"] == "effective_rhs_vs_fd"
     assert (effective["cases"], effective["skipped"]) == (2, 1)
     assert effective["passed"]
+    assert len(calls) == 6  # one stencil-band check per case, not one per layer
