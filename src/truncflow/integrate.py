@@ -14,9 +14,9 @@ one bisection keeps.
 Rotations are advanced by retraction (exponential of the averaged
 generator), so orthogonality is preserved to round-off.  Every RK stage
 retracts the whole (L, Q, Q) stack with one exponential (`retract_stack`);
-a layer whose generator is zero is not moved.  The exponential picks each
-matrix's Pade degree from its 1-norm: a step's h * Omega is small, so a stage
-normally takes degree 3 for the whole stack rather than degree 13.  A rotation
+a layer whose generator is zero is not moved.  The exponential picks one Pade
+degree for the stack from its largest 1-norm: a step's h * Omega is small, so a
+stage normally takes degree 3 for the whole stack rather than degree 13.  A rotation
 is re-projected onto the group at every 100th accepted step that moved it, by
 the same zero test (`moving_layers`), and `IntegratorStats.reprojections`
 counts each one.
@@ -84,7 +84,7 @@ class IntegratorOptions:
     """Step-control knobs; the defaults satisfy every stated check tolerance."""
 
     step: float = 1e-2          # nominal step, halved on rejection
-    min_step: float = 1e-14     # below this, raise StepUnderflow
+    min_step: float = 1e-14     # a step halved below this raises StepUnderflow
     cost_slack: float = 1e-8    # allowed cost increase: slack * (1 + cost)
     bisect_tol: float = 1e-9    # bracket width at which crossing localization stops, in s
     atol: float = 1e-9          # collapsed-flow state tolerance, absolute
@@ -348,6 +348,8 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
     """
     if not 0 < s_end < np.inf:
         raise ValueError(f"s_end must be positive and finite, got {s_end!r}")
+    if state0.dim != data.q:
+        raise ValueError(f"state and data differ in Q: state.dim = {state0.dim}, data.q = {data.q}")
     if state0.depth > data.q:
         raise ValueError("need one cluster (and label) per layer: depth <= q")
 
@@ -394,10 +396,6 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
         h = min(h_nominal, s_end - s)
         pending_events = []
         while True:
-            if h < opts.min_step:
-                where = (f" while localizing the crossing at {pending_events[0].where()}"
-                         if pending_events else "")
-                raise StepUnderflow(f"step underflow at s = {s:.6g}{where}")
             kept = step(h)
             dt, pending_events = h, []
             if not _masks_equal(masks, kept[2]):
@@ -411,6 +409,10 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
             if advanced_cost > cost + opts.cost_slack * (1.0 + cost):
                 stats.cost_retries += 1
                 h *= 0.5
+                if h < opts.min_step:
+                    where = (f" while localizing the crossing at {pending_events[0].where()}"
+                             if pending_events else "")
+                    raise StepUnderflow(f"step underflow at s = {s:.6g}{where}")
                 continue
             break
 
@@ -535,8 +537,6 @@ def integrate_collapsed(cs0: CollapsedState, s_end: float,
     samples = [make_sample(s, b, w)]
     while s < s_end - 1e-13:
         dt = min(h, s_end - s)
-        if dt < opts.min_step:
-            raise StepUnderflow(f"step underflow at s = {s:.6g}")
         if k1 is None:
             k1 = collapsed_rhs(b, w, y)
         bf, wf = _collapsed_rk4(b, w, y, dt, k1)
@@ -546,6 +546,8 @@ def integrate_collapsed(cs0: CollapsedState, s_end: float,
         tol = opts.atol + opts.rtol * max(np.max(np.abs(b)), np.max(np.abs(w)))
         if err > tol:
             h = 0.5 * dt
+            if h < opts.min_step:
+                raise StepUnderflow(f"step underflow at s = {s:.6g}")
             continue
         b, w, k1 = bh, wh, None
         s += dt

@@ -5,11 +5,11 @@ group by :class:`AntisymmetricMatrix`.  Both wrappers verify their defining
 bound at construction, at the public boundary.  Integration stages advance
 the (L, Q, Q) stack of rotations by :func:`retract_stack`, one exponential for all
 layers at once, which stays on the group by construction; the integrator checks the
-bound once per accepted step.  The exponential takes each matrix's Pade degree from
-that matrix's 1-norm (Higham 2005): an integration step's generators are small, so
-a stage's whole stack normally takes degree 3, and only a large generator pays for
-degree 13 with scaling and squaring.  :func:`retract` and :func:`expm_antisym` are
-its one-layer case.
+bound once per accepted step.  The exponential takes one Pade degree for the whole stack
+from its largest 1-norm (Higham 2005), and at degree 13 one squaring count: an integration
+step's generators are small, so a stage's whole stack normally takes degree 3, and only a
+large generator pays for degree 13 with scaling and squaring.  :func:`retract` and
+:func:`expm_antisym` are its one-layer case.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ class OrthogonalMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @classmethod
-    def identity(cls, dim: int) -> "OrthogonalMatrix":
-        return cls(np.eye(dim))
 
     def orthogonality_error(self) -> float:
         return orthogonality_error(self.mat)
@@ -163,46 +159,22 @@ def moving_layers(generators: np.ndarray) -> np.ndarray:
     return (generators * generators).sum(axis=(-2, -1)) != 0.0
 
 
-def _pade13_scaled(a: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring at Pade degree 13 of every matrix in the stack `a`, whose 1-norms are
-    `norms`.  Each matrix is scaled and squared by its own count."""
-    counts = [max(0, int(np.ceil(np.log2(norm / _THETA[-1])))) if norm > 0 else 0
-              for norm in norms.tolist()]
-    fewest, most = min(counts), max(counts)
-    if most > 0:
-        a = a / np.array([2.0**c for c in counts])[:, None, None]
-    b = _PADE[-1]
-    ident = np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    )
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(fewest):
-        r = r @ r
-    for done in range(fewest, most):  # only the matrices whose count is not yet reached
-        more = np.array(counts) > done
-        m = r[more]
-        r[more] = m @ m
-    return r
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of every matrix in the (L, Q, Q) stack `a` (Higham 2005).
 
-
-def _expm_band(a: np.ndarray, norms: np.ndarray, band: int) -> np.ndarray:
-    """exp of every matrix in the stack `a`, whose 1-norms `norms` all lie in one degree `band`.
-
-    Bands 0-3 take the Pade approximant of degree m = 3, 5, 7 or 9 with no scaling:
+    The stack's largest 1-norm picks one Pade degree m for the whole stack: the lowest of 3, 5,
+    7, 9 whose theta_m bounds it, else 13, scaled by 2^-s and squared s times, s the fewest
+    squarings that bring that norm below theta_13.  The approximant is
     u = a (b_1 I + b_3 a^2 + ...), v = b_0 I + b_2 a^2 + ..., solved as (v - u)^-1 (v + u).
-    Band 4 takes degree 13 with scaling and squaring (:func:`_pade13_scaled`)."""
-    if band == 4:
-        return _pade13_scaled(a, norms)
-    b = _PADE[band]
+    A layer is exponentiated bit for bit as if alone when its own 1-norm picks the same degree
+    and count as the stack's.  An integration step's generators are small (h ||Omega||_1 of
+    order 1e-3), so a stage's whole stack normally takes degree 3: two products and a solve."""
+    norm = float(np.abs(a).sum(axis=-2).max())  # the largest 1-norm in the stack
+    degree = bisect_left(_THETA, norm, hi=4)  # 0-3: m = 3-9; 4: m = 13
+    squarings = max(0, math.ceil(math.log2(norm / _THETA[-1]))) if degree == 4 else 0
+    if squarings:
+        a = a / 2.0**squarings
+    b = _PADE[degree]
     ident = np.eye(a.shape[-1])
     a2 = a @ a
     power, odd, even = a2, b[1] * ident + b[3] * a2, b[0] * ident + b[2] * a2
@@ -210,32 +182,18 @@ def _expm_band(a: np.ndarray, norms: np.ndarray, band: int) -> np.ndarray:
         power = power @ a2
         odd, even = odd + b[j + 1] * power, even + b[j] * power
     u = a @ odd
-    return np.linalg.solve(even - u, even + u)
-
-
-def _expm_stack(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of every matrix in the (L, Q, Q) stack `a` (Higham 2005).
-
-    Each matrix takes the lowest Pade degree m in 3, 5, 7, 9 whose theta_m bounds its own
-    1-norm; above theta_9 it takes degree 13, scaled and squared by its own count.  So a layer
-    is exponentiated bit for bit as if alone.  An integration step's generators are small
-    (h ||Omega||_1 of order 1e-3), so a stage's whole stack is normally below theta_3 and takes
-    degree 3 at once: two products and a solve, against six products at degree 13."""
-    norms = np.abs(a).sum(axis=-2).max(axis=-1)  # each matrix's 1-norm
-    bands = [bisect_left(_THETA, norm, hi=4) for norm in norms.tolist()]  # 0-3: degree 3-9; 4: 13
-    if min(bands) == max(bands):  # one band: an integration stage's stack, or a single matrix
-        return _expm_band(a, norms, bands[0])
-    r = np.empty_like(a)
-    for band in set(bands):
-        pick = np.array(bands) == band
-        r[pick] = _expm_band(a[pick], norms[pick], band)
+    r = np.linalg.solve(even - u, even + u)
+    for _ in range(squarings):
+        r = r @ r
     return r
 
 
 def retract_stack(rotations: np.ndarray, generators: np.ndarray, step: float) -> np.ndarray:
     """Unvalidated exp(step * generators[k]) @ rotations[k] for every layer k of the (L, Q, Q)
-    stacks.  A layer whose generator is zero keeps its rotation bit for bit; a zero step, or
-    no moving layer, returns `rotations` itself."""
+    stacks, the moving layers through one :func:`_expm_stack`: a layer moves bit for bit as if
+    alone when the stack's largest 1-norm picks the degree and squaring count its own does.  A
+    layer whose generator is zero keeps its rotation bit for bit; a zero step, or no moving
+    layer, returns `rotations` itself."""
     if step == 0.0:
         return rotations
     moving = moving_layers(generators)
@@ -250,9 +208,8 @@ def retract_stack(rotations: np.ndarray, generators: np.ndarray, step: float) ->
 
 
 def expm_antisym(a: AntisymmetricMatrix) -> OrthogonalMatrix:
-    """Exponential of an antisymmetric generator; the result is orthogonal."""
-    if a.norm() == 0.0:
-        return OrthogonalMatrix.identity(a.dim)
+    """Exponential of an antisymmetric generator; the result is orthogonal, and the identity
+    bit for bit for a zero generator."""
     return OrthogonalMatrix(_expm_stack(a.mat[None])[0])
 
 

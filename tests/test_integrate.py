@@ -127,6 +127,31 @@ class TestTrajectoryInvariants:
         with pytest.raises(StepUnderflow):
             integrate_effective(state, data, 4.0, opts)
 
+    @pytest.mark.parametrize("integrator", [integrate_effective, integrate_general])
+    def test_short_last_step_is_no_underflow(self, integrator):
+        # the last step to s_end is shorter than min_step, but no step was halved
+        opts = IntegratorOptions(step=1e-2, min_step=1e-2)
+        traj = integrator(*make_one_dim_state([1.0, 2.0], 5.0, 1.0), 0.015, opts)
+        assert [sample.s for sample in traj.samples] == [0.0, 0.01, 0.015]
+
+    def test_short_last_collapsed_step_is_no_underflow(self):
+        opts = IntegratorOptions(step=1e-2, min_step=1e-2)
+        traj = integrate_collapsed(CollapsedState(np.eye(2), np.eye(2), np.eye(2)), 0.015, opts)
+        assert [sample.s for sample in traj.samples] == [0.0, 0.01, 0.015]
+
+    def test_collapsed_step_underflow_signalled(self):
+        # every trial misses a tolerance of zero, so the step halves below min_step
+        cs = CollapsedState(2 * np.eye(3), np.eye(3), np.eye(3))
+        with pytest.raises(StepUnderflow, match="^step underflow at s = 0$"):
+            integrate_collapsed(cs, 1.0, IntegratorOptions(step=0.5, min_step=0.1, atol=0.0, rtol=0.0))
+
+    @pytest.mark.parametrize("integrator", [integrate_effective, integrate_general])
+    def test_state_and_data_of_different_q_rejected(self, integrator):
+        state, _ = make_separated_config(2, n_per=4, seed=0)
+        _, data = make_separated_config(3, n_per=4, seed=0)
+        with pytest.raises(ValueError, match=r"^state and data differ in Q: state.dim = 2, data.q = 3$"):
+            integrator(state, data, 1.0)
+
     def test_step_underflow_names_the_crossing_it_was_localizing(self, monkeypatch):
         # a first step twice as long as the first crossing's time localizes it; a forced cost
         # rise halves the step below min_step, and the error names that crossing

@@ -1,3 +1,6 @@
+import math
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,6 +29,18 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 # theta_m for Pade degrees m = 3, 5, 7, 9, 13 (Higham 2005, Table 2.3)
 THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068, 5.371920351148152)
+
+
+def one_norm(a):
+    return np.abs(a).sum(axis=0).max()
+
+
+def pade_band(norm):
+    """(degree index, squaring count) a matrix of 1-norm `norm` takes alone: the lowest Pade
+    degree 3, 5, 7, 9 whose theta bounds it (index 0-3), else degree 13 (index 4) with the fewest
+    squarings that bring it below theta_13."""
+    band = bisect_left(THETA, norm, hi=4)
+    return band, max(0, math.ceil(math.log2(norm / THETA[-1]))) if band == 4 else 0
 
 
 def random_antisym(q, rng=RNG):
@@ -97,8 +112,17 @@ class TestPolarDecompose:
 
 class TestExpmAntisym:
     def test_zero(self):
-        out = expm_antisym(AntisymmetricMatrix(np.zeros((3, 3))))
-        np.testing.assert_array_equal(out.mat, np.eye(3))
+        # the Pade path itself returns the identity bit for bit, at every size
+        for q in range(1, 9):
+            out = expm_antisym(AntisymmetricMatrix(np.zeros((q, q))))
+            assert out.mat.tobytes() == np.eye(q).tobytes()
+        # and a zero layer inside a moving stack keeps its rotation bit for bit
+        rng = np.random.default_rng(7)
+        rotations = np.array([random_orthogonal(3, rng).mat for _ in range(3)])
+        gens = np.array([random_antisym(3, rng).mat, np.zeros((3, 3)), 50.0 * random_antisym(3, rng).mat])
+        out = retract_stack(rotations, gens, 1.0)
+        assert out[1].tobytes() == rotations[1].tobytes()
+        assert not np.array_equal(out[[0, 2]], rotations[[0, 2]])
 
     def test_planar_rotation(self):
         # exp([[0, t], [-t, 0]]) = [[cos t, sin t], [-sin t, cos t]]
@@ -176,13 +200,30 @@ def rotation_stacks(draw):
 class TestRetractStack:
     @PROPERTY
     @given(rotation_stacks())
-    def test_each_layer_as_if_alone(self, stack):
+    def test_each_layer_near_the_reference(self, stack):
+        # one degree and one squaring count for the whole stack still give every layer the
+        # exponential to double precision, relative to its own 1-norm
         rotations, gens, step = stack
         out = retract_stack(rotations, gens, step)
         for k in range(len(rotations)):
-            alone = retract(OrthogonalMatrix(rotations[k]), AntisymmetricMatrix(gens[k]), step).mat
-            assert out[k].tobytes() == alone.tobytes()
-            assert out[k].tobytes() == retract_stack(rotations[k:k + 1], gens[k:k + 1], step)[0].tobytes()
+            ref = scipy.linalg.expm(step * gens[k]) @ rotations[k]
+            assert np.linalg.norm(out[k] - ref) <= 1e-13 * max(1.0, one_norm(step * gens[k]))
+            assert np.linalg.norm(out[k].T @ out[k] - np.eye(len(out[k]))) <= 1e-13
+
+    @PROPERTY
+    @given(rotation_stacks())
+    def test_one_band_stack_as_if_alone(self, stack):
+        # the layers of a draw that share one Pade band, and at degree 13 one squaring count,
+        # retract together bit for bit as each does alone
+        rotations, gens, step = stack
+        bands = {}
+        for k in np.flatnonzero(moving_layers(gens)):
+            bands.setdefault(pade_band(one_norm(step * gens[k])), []).append(k)
+        for layers in bands.values():
+            out = retract_stack(rotations[layers], gens[layers], step)
+            for i, k in enumerate(layers):
+                alone = retract(OrthogonalMatrix(rotations[k]), AntisymmetricMatrix(gens[k]), step).mat
+                assert out[i].tobytes() == alone.tobytes()
 
     @PROPERTY
     @given(rotation_stacks())
@@ -214,7 +255,6 @@ class TestRetractStack:
             ref = scipy.linalg.expm(gens[k]) @ rotations[k]
             assert np.linalg.norm(out[k] - ref) <= 1e-12
             assert np.linalg.norm(out[k].T @ out[k] - np.eye(3)) <= 1e-13
-            assert out[k].tobytes() == retract_stack(rotations[k:k + 1], gens[k:k + 1], 1.0)[0].tobytes()
 
 
 class TestTypes:
