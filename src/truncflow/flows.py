@@ -22,28 +22,29 @@ antisymmetric.  `frozen_masks[k]` is layer k's boolean (N, Q) activity
 pattern over the rows of `data.points`: `frozen_masks` is the `nus` list
 that `model.push` returns for all points, and goes straight back into
 `push`.  The patterns replace the computed ones.  Both layered fields are
-one adjoint sweep over plan entries.  An entry is one cluster's acting
-layers from the top down, each with the float nu, 1 - nu and the cluster's
-(n, Q) z rows; a layer whose mask rows are all active is the identity, left
-out.  Or an entry stacks B clusters of one size n, each acting at its own
-layer alone, as one (B, n, Q) block indexed by its layers; the sweep's lines
-serve both ranks.  Everything in an entry but z depends on the masks alone,
-and is a field's *plan* of them: frozen masks given as a
-:class:`FrozenMasks` are planned once per field and the plan kept for every
-later call, while a plain list is planned on each call by the same
-function.  The integrators wrap push's list once per mask change, so one
-plan serves every evaluation until the next event.  The general field plans
-per cluster and reads its z rows from push's coordinates.  The separated
-field gives cluster k layer k alone, at its own rows' raw coordinates
-(x + beta_k) R_k^T and mask, whose unfrozen rows are their signs
-(integrators freeze push's, which on the field's domain, separated states,
-are the same rows): it pushes no point and reads no foreign cluster's rows.
-With depth >= 2 and clusters 0..depth-1 of one size, it takes all its layers
-as one stacked entry, one batched product per evaluation; otherwise, a
-depth-1 state included, one entry per acting layer.  Generators are
-validated as :class:`~truncflow.manifold.AntisymmetricMatrix` only where they
-cross the public boundary (`retract`, the finite-difference oracle).  The
-collapsed field takes and returns plain arrays too,
+one adjoint sweep, ``_descent_field(state, plan, zs)``, over a *plan* of the
+masks: everything the sweep needs that the masks alone decide.  A plan entry
+is one cluster's label index and its acting layers from the top down, each
+the layer, the rows of ``zs[l]`` it reads, and the float nu and 1 - nu of
+their masks; a layer whose mask rows are all active is the identity, and a
+cluster acted on nowhere has no entry.  Or an entry stacks B clusters of one
+size n, each acting at its own layer alone, as one (B, n, Q) block indexed by
+its layers; the sweep's lines serve both ranks.  Frozen masks given as a
+:class:`FrozenMasks` are planned once per field and the plan is swept as it
+is on every later call, while a plain list is planned on each call by the
+same function.  The integrators wrap push's list once per mask change, so
+one plan serves every evaluation until the next event.  The general field
+plans per cluster and sweeps push's coordinates.  The separated field gives
+cluster k layer k alone, at its own rows' raw coordinates (x + beta_k) R_k^T
+and mask, whose unfrozen rows are their signs (integrators freeze push's,
+which on the field's domain, separated states, are the same rows): it pushes
+no point and reads no foreign cluster's rows.  With depth >= 2 and clusters
+0..depth-1 of one size, it takes all its layers as one stacked entry, one
+batched product per evaluation; otherwise, a depth-1 state included, one
+entry per acting layer.  Generators are validated as
+:class:`~truncflow.manifold.AntisymmetricMatrix` only where they cross the
+public boundary (`retract`, the finite-difference oracle).  The collapsed
+field takes and returns plain arrays too,
 ``collapsed_rhs(b, w, y) -> (b_dot, w_dot)``.
 """
 
@@ -76,38 +77,38 @@ def _summed_commutators(nu: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndar
     return 0.5 * ((m1 - m1.mT) + (m2 - m2.mT))
 
 
-def _acting(l, mask: np.ndarray, z):
-    """One acting layer of a plan entry: l, the float nu and 1 - nu of its mask rows, and its z
-    rows.  A mask set's plan holds in z's place the rows of push's z that the general field reads
-    there, or None where the separated field computes them on each call (see :class:`FrozenMasks`)."""
+def _acting(l, rows, mask: np.ndarray):
+    """One acting layer of a plan entry, (l, rows, nu, 1 - nu): the layer, the rows of its z that
+    the entry reads, and the float nu and 1 - nu of their mask."""
     nu = mask.astype(float)
-    return l, nu, 1.0 - nu, z
+    return l, rows, nu, 1.0 - nu
 
 
-def _descent_field(state: ModelState, plans):
-    """The one adjoint sweep of both layered fields, over `plans`, a list of (ytil, acting) entries.
+def _descent_field(state: ModelState, plan, zs):
+    """The one adjoint sweep of both layered fields, over `plan`, a field's plan of its masks as it
+    is: a list of (ytil, acting) entries, at the coordinates `zs`.
 
-    An entry is one cluster's: ytilde (Q,) and its acting layers, :func:`_acting`
-    tuples from the top down over its (n, Q) rows; a layer left out is the
-    identity on the cluster.  Or it stacks B clusters of one size n, each
-    acting at its own layer alone: one tuple whose layer is an index (an
-    array or slice of B distinct layers) over (B, n, Q) rows, and ytil
-    (B, 1, Q).  The same lines serve both.  g starts at the topmost acting
-    layer l as R_l^T(nu_l z_l) - beta_l - ytilde, so identity layers above add
-    no round-off.  With c = g @ R_l^T, layer l gets beta_dot_l += R_l^T Hperp_l c
-    and Omega_l -= [H_l, (z_l c^T + c z_l^T)/2], and g becomes R_l^T H_l c.
+    An entry is one cluster's: ytil indexes its label in `state.pulled_labels`,
+    and acting lists its acting layers, :func:`_acting` tuples from the top
+    down, each reading its (n, Q) rows as `zs[l][rows]`; a layer left out is
+    the identity on the cluster, and a cluster acted on nowhere has no entry.
+    Or it stacks B clusters of one size n, each acting at its own layer alone:
+    one tuple whose layer is an index (an array or slice of B distinct layers)
+    into the (B, n, Q) `zs[l]`, and ytil (layers, None).  The same lines serve
+    both.  g starts at the topmost acting layer l as R_l^T(nu_l z_l) - beta_l
+    - ytilde, so identity layers above add no round-off.  With c = g @ R_l^T,
+    layer l gets beta_dot_l += R_l^T Hperp_l c and Omega_l -= [H_l, (z_l c^T
+    + c z_l^T)/2], and g becomes R_l^T H_l c.
     """
     beta_dots = np.zeros(state.betas.shape)
     omegas = np.zeros(state.rotations.shape)
-    for ytil, plan in plans:
-        if not plan:
-            continue
-        top, nu, _, z = plan[0]
-        weight = 1.0 / z.shape[-2]
-        g = (nu * z) @ state.rotations[top] - state.betas[top][..., None, :] - ytil
-        last = len(plan) - 1
-        for i, (l, nu, nu_perp, z) in enumerate(plan):
-            r = state.rotations[l]
+    for ytil, acting in plan:
+        last = len(acting) - 1
+        for i, (l, rows, nu, nu_perp) in enumerate(acting):
+            r, z = state.rotations[l], zs[l][rows]
+            if i == 0:
+                weight = 1.0 / z.shape[-2]
+                g = (nu * z) @ r - state.betas[l][..., None, :] - state.pulled_labels[ytil]
             c = g @ r.mT
             beta_dots[l] += weight * ((nu_perp * c) @ r).sum(axis=-2)
             omegas[l] -= weight * _summed_commutators(nu, z, c)
@@ -122,68 +123,75 @@ def _stacks(data: TrainingSet, depth: int) -> bool:
     return depth >= 2 and len(set(data.counts[:depth])) == 1
 
 
-def _effective_plan(rows_masks, depth: int, stacked: bool):
-    """The separated field's plan of `rows_masks[k]`, cluster k's (N_k, Q) activity rows at layer k:
-    its acting layers, each the one :func:`_acting` layer of an entry.
-
-    Stacked, one tuple whose layer is an index over the (depth, n, Q) stack, a slice when every
-    layer acts, else the array of acting layers; otherwise one per acting layer k.  A layer whose
-    rows are all active is the identity, left out.
-    """
+def _effective_plan(own, stacked: bool):
+    """The separated field's plan of `own[k]`, cluster k's (N_k, Q) activity rows at layer k: each
+    acting layer k an entry of its own, reading all of z[k], or stacked, one entry whose layer is
+    an index over the (depth, n, Q) z, a slice when every layer acts, else the array of acting
+    layers.  A layer whose rows are all active is the identity, left out."""
     if stacked:
-        mask = np.stack(rows_masks)
+        mask = np.stack(own)
         identity = mask.all(axis=(1, 2))
         if identity.all():
             return []
         # a slice when every layer acts: the stack's rows, rotations and labels stay views
-        layers = np.flatnonzero(~identity) if identity.any() else slice(0, depth)
-        return [_acting(layers, mask[layers], None)]
-    return [_acting(k, mask, None) for k, mask in enumerate(rows_masks) if not mask.all()]
+        layers = np.flatnonzero(~identity) if identity.any() else slice(0, len(own))
+        return [((layers, None), [_acting(layers, slice(None), mask[layers])])]
+    return [((k, None), [_acting(k, slice(None), mask)]) for k, mask in enumerate(own) if not mask.all()]
 
 
-def _general_plan(masks, data: TrainingSet, depth: int):
-    """The general field's plan of the (N, Q) `masks[l]`: per cluster, its acting layers from the
-    top down, each reading the cluster's rows of push's z at that layer."""
-    plans = []
-    for rows in map(data.rows, range(data.q)):
-        blocks = [(l, masks[l][rows]) for l in range(depth - 1, -1, -1)]
-        plans.append([_acting(l, mask, rows) for l, mask in blocks if not mask.all()])
-    return plans
+def _general_plan(masks, data: TrainingSet):
+    """The general field's plan of the (N, Q) `masks[l]`: per cluster acted on somewhere, its
+    acting layers from the top down, each reading the cluster's rows of push's z at that layer."""
+    plan = []
+    for k, rows in enumerate(map(data.rows, range(data.q))):
+        acting = [_acting(l, rows, mask[rows]) for l, mask in reversed(list(enumerate(masks)))
+                  if not mask[rows].all()]
+        if acting:
+            plan.append((k, acting))
+    return plan
 
 
 class FrozenMasks(tuple):
-    """A sector configuration held fixed, with each layered field's plan of it.
+    """A sector configuration held fixed, with all that it alone decides.
 
     It is push's activity list as it is, `masks[k]` the (N, Q) bool activities at layer k of
-    every point of `data`, for states of `depth` layers; it goes wherever such a list goes.
-    Everything the masks alone decide, each cluster's acting layers and rows, the float nu and
-    1 - nu and the all-active tests, is one plan per field (`effective`, `general`), built on
-    first use and kept for as long as the mask set is.  The integrators wrap push's list once
-    per mask change.  A field given a plain list, or masks planned for other data or another
-    depth, plans them on that call by the same function.
+    every point of `data`, for states of `len(masks)` layers; it goes wherever such a list goes.
+    Everything the masks alone decide is computed on first use and kept for as long as the mask
+    set is: `own`, cluster k's rows of `masks[k]`; `counts`, its truncated points per
+    coordinate; and one plan per field (`effective`, `general`), the entries each field's
+    :func:`_descent_field` sweeps as they are.  The integrators wrap push's list once per mask
+    change.  A field given a plain list, or masks planned for other data or another depth,
+    plans them on that call by the same function.
     """
 
-    def __new__(cls, masks, data: TrainingSet, depth: int):
+    def __new__(cls, masks, data: TrainingSet):
         self = super().__new__(cls, masks)
-        self.data, self.depth = data, depth
+        self.data = data
         return self
 
     @cached_property
+    def own(self) -> list[np.ndarray]:
+        return [mask[self.data.rows(k)] for k, mask in enumerate(self)]
+
+    @cached_property
+    def counts(self) -> list[np.ndarray]:
+        return [np.sum(~own, axis=0) for own in self.own]
+
+    @cached_property
     def effective(self):
-        rows_masks = [self[k][self.data.rows(k)] for k in range(self.depth)]
-        return _effective_plan(rows_masks, self.depth, _stacks(self.data, self.depth))
+        return _effective_plan(self.own, _stacks(self.data, len(self)))
 
     @cached_property
     def general(self):
-        return _general_plan(self, self.data, self.depth)
+        return _general_plan(self, self.data)
 
 
 def _planned(masks, data: TrainingSet, depth: int) -> FrozenMasks:
-    """`masks` if they hold plans made for `data` at `depth`, else the same masks wrapped anew, to
-    be planned on this call."""
-    if isinstance(masks, FrozenMasks) and masks.data is data and masks.depth == depth:
+    """`masks` if they were planned for `data` at `depth`, else their first `depth` layers
+    wrapped anew, to be planned on this call (too few raise IndexError)."""
+    if isinstance(masks, FrozenMasks) and masks.data is data and len(masks) == depth:
         return masks
-    return FrozenMasks(masks, data, depth)
+    return FrozenMasks([masks[l] for l in range(depth)], data)
 
 
 def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
@@ -217,11 +225,10 @@ def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     else:
         z = [(data.clusters[k] + b) @ r.T for k, (r, b) in enumerate(zip(state.rotations, state.betas))]
     if frozen_masks is None:
-        plan = _effective_plan([zk > 0.0 for zk in z], depth, stacked)
+        plan = _effective_plan([zk > 0.0 for zk in z], stacked)
     else:
         plan = _planned(frozen_masks, data, depth).effective
-    return _descent_field(state, [(state.pulled_labels[l, None], [(l, nu, nu_perp, z[l])])
-                                  for l, nu, nu_perp, _ in plan])
+    return _descent_field(state, plan, z)
 
 
 def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
@@ -257,10 +264,8 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     its mask rows are not all active, from the top down.
     """
     pushed, masks, _, _ = push(state.rotations, state.betas, data.points, frozen_masks)
-    plans = _planned(masks if frozen_masks is None else frozen_masks, data, state.depth).general
-    return _descent_field(state, [
-        (ytil, [(l, nu, nu_perp, pushed[l][rows]) for l, nu, nu_perp, rows in acting])
-        for ytil, acting in zip(state.pulled_labels, plans)])
+    return _descent_field(state, _planned(masks if frozen_masks is None else frozen_masks, data,
+                                          state.depth).general, pushed)
 
 
 def chained_projectors(state: ModelState, point, lo: int = 0, hi: int | None = None):
@@ -304,6 +309,8 @@ class CollapsedState:
         w = np.array(self.w_out, dtype=float)
         y = np.array(self.y_matrix, dtype=float)
         q = b.shape[0]
+        if q < 1:
+            raise ValueError(f"b_matrix has shape {b.shape}: need Q >= 1")
         for name, m in (("b_matrix", b), ("w_out", w), ("y_matrix", y)):
             if m.shape != (q, q):
                 raise ValueError(f"{name} has shape {m.shape}, expected ({q}, {q})")
@@ -424,6 +431,8 @@ def one_dim_flow(points, y: float, b0: float) -> OneDimFlow:
     for name, value in (("points", xs), ("y", y), ("b0", b0)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    if not xs:
+        raise ValueError("points must hold at least one point")
     n = len(xs)
     if any(b >= a for a, b in zip(xs[1:], xs[:-1])):
         raise BadOrdering("points must be strictly increasing")

@@ -40,13 +40,13 @@ straight back into `push` and the right-hand sides as their `frozen_masks`.  A m
 kept across event-free steps: a step that leaves the masks unchanged keeps the same
 `FrozenMasks` object, and only a step that crosses wraps the new list.  So each mask set is
 planned once per field, and that plan serves its first stage, every RK stage, prediction,
-probe and separation guard until the next event; the samples' truncation counts are
-counted once per mask set too.  The cluster-separated field reads only cluster k's rows of
-`masks[k]` and stops being a descent direction of the full cost once a layer truncates a
-point of another cluster, so a crossing into truncation in such a pair ends its trajectory
-too.  From a start that is not separated, every accepted state also pairs its field with the
-full descent field (`general_rhs`), and the trajectory ends where the field ascends the full
-cost.
+probe and separation guard until the next event; every sample of the set reads its
+truncation counts from it too (`FrozenMasks.counts`).  The cluster-separated field reads
+only cluster k's rows of `masks[k]` and stops being a descent direction of the full cost
+once a layer truncates a point of another cluster, so a crossing into truncation in such a
+pair ends its trajectory too.  From a start that is not separated, every accepted state
+also pairs its field with the full descent field (`general_rhs`), and the trajectory ends
+where the field ascends the full cost.
 """
 
 from __future__ import annotations
@@ -229,20 +229,14 @@ def _normal_speed(state: ModelState, data: TrainingSet, field, ev: Event) -> flo
     return float(z_dots[ev.layer][data.rows(ev.cluster)][ev.point, ev.coordinate])
 
 
-def _truncated_counts(masks, data: TrainingSet, depth: int) -> list[np.ndarray]:
-    """Per layer k, the truncated points of cluster k in each coordinate under `masks`: counted
-    once per mask set, as the masks change only at events."""
-    return [np.sum(~masks[k][data.rows(k)], axis=0) for k in range(depth)]
-
-
-def _diagnostics(state: ModelState, omegas: np.ndarray, counts: list) -> tuple[LayerDiagnostics, ...]:
-    """Per-layer Omega norm, distance of beta to its attractor, and the truncation `counts` of the
+def _diagnostics(state: ModelState, omegas: np.ndarray, masks: FrozenMasks) -> tuple[LayerDiagnostics, ...]:
+    """Per-layer Omega norm, distance of beta to its attractor, and the truncation counts of the
     mask set, copied so that each sample owns its arrays."""
     return tuple(
         LayerDiagnostics(
             omega_norm=frobenius_norm(omegas[k]),
             beta_gap=frobenius_norm(state.betas[k] + state.pulled_labels[k]),
-            truncated_counts=counts[k].copy(),
+            truncated_counts=masks.counts[k].copy(),
         )
         for k in range(state.depth)
     )
@@ -356,8 +350,7 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
     state = state0.checked()
     s = 0.0
     nus, images = _sweep(state, data)
-    masks = FrozenMasks(nus, data, state.depth)
-    counts = _truncated_counts(masks, data, state.depth)
+    masks = FrozenMasks(nus, data)
     cost = images_cost(state, data, images)
     violations = check_cluster_separation(state, data)[1] if separated else []
     if violations:
@@ -381,7 +374,7 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
         return step(dt)
 
     k1 = counted_rhs(state, data, masks)
-    samples = [FlowSample(s, state, cost, _diagnostics(state, k1[1], counts))]
+    samples = [FlowSample(s, state, cost, _diagnostics(state, k1[1], masks))]
     events: list[Event] = []
     retractions = [0] * state.depth
     h_nominal = opts.step
@@ -429,12 +422,11 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
                 stats.reprojections += 1
         state = advanced.checked()
         if pending_events:  # the masks changed: plan the new set once; unchanged, the plans stay
-            masks = FrozenMasks(new_masks, data, state.depth)
-            counts = _truncated_counts(masks, data, state.depth)
+            masks = FrozenMasks(new_masks, data)
         cost = euclidean_cost(state, data) if reprojected else advanced_cost
         s += dt
         k1 = counted_rhs(state, data, masks)
-        samples.append(FlowSample(s, state, cost, _diagnostics(state, k1[1], counts)))
+        samples.append(FlowSample(s, state, cost, _diagnostics(state, k1[1], masks)))
         for ev in pending_events:
             if separated and ev.layer != ev.cluster:
                 if ev.direction == "leaving":  # the ignored pair moves towards separation

@@ -4,11 +4,11 @@ Everything here deliberately avoids the analytic right-hand sides it is
 used to check.  Gradients come from central differences of the costs;
 trajectories from a plain fixed-step 4th-order loop with retraction.
 
-The stencils of one layer's gradient are priced in one push: they differ
-from the state only at that layer, so they go up as one stacked layer,
-rotations (S, Q, Q) and betas (S, 1, Q), over the points the layers below
-carried once, and `images_cost` returns one cost per stencil.  Each cost is
-bit for bit the Euclidean cost of its stencil state alone.
+All the stencils of one layer, beta's and the rotation's, are priced in one
+push: they differ from the state only at that layer, so they go up as one
+stacked layer, rotations (S, Q, Q) and betas (S, 1, Q), over the points the
+layers below carried once, and `images_cost` returns one cost per stencil.
+Each cost is bit for bit the Euclidean cost of its stencil state alone.
 """
 
 from __future__ import annotations
@@ -52,39 +52,30 @@ def assert_kink_free(state: ModelState, data: TrainingSet, step: float) -> None:
             )
 
 
-def _stencil_costs(state: ModelState, data: TrainingSet, layer: int,
-                   rotation: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Euclidean costs of the stencil states that replace `layer` by the stacked `rotation`
-    (S, Q, Q) or (Q, Q) and `beta` (S, 1, Q) or (Q,): one push, one cost per stencil."""
-    rotations, betas = list(state.rotations), list(state.betas)
-    rotations[layer], betas[layer] = rotation, beta
-    return images_cost(state, data, push(rotations, betas, data.points)[2])
-
-
-def _fd_beta(state: ModelState, data: TrainingSet, layer: int, step: float) -> np.ndarray:
+def _fd_layer(state: ModelState, data: TrainingSet, layer: int,
+              step: float) -> tuple[np.ndarray, AntisymmetricMatrix]:
+    """Both central-difference gradients of `layer`, beta's and the rotation's generator: its 2Q
+    beta stencils and Q(Q-1) rotation stencils are one stacked layer, one push, one cost each."""
     q = state.dim
-    beta, deltas = state.betas[layer], step * np.eye(q)
-    stencils = np.concatenate([beta + deltas, beta - deltas])[:, None, :]
-    costs = _stencil_costs(state, data, layer, state.rotations[layer], stencils)
-    return (costs[:q] - costs[q:]) / (2 * step)
-
-
-def _fd_rotation(state: ModelState, data: TrainingSet, layer: int, step: float) -> AntisymmetricMatrix:
-    q = state.dim
-    rotation = OrthogonalMatrix(state.rotations[layer]).mat
+    rotation, beta = OrthogonalMatrix(state.rotations[layer]).mat, state.betas[layer]
     pairs = list(combinations(range(q), 2))
     m = len(pairs)
     gens = np.zeros((2 * m, q, q))
     for n, (i, j) in enumerate(pairs):
         gens[n, i, j], gens[n, j, i] = 1.0, -1.0
     gens[m:] = -gens[:m]  # exp(e (-w)) = exp(-e w): the minus stencils
-    stencils = retract_stack(np.broadcast_to(rotation, gens.shape), gens, step)
-    costs = _stencil_costs(state, data, layer, stencils, state.betas[layer])
-    d = (costs[:m] - costs[m:]) / (2 * step)
+    deltas = step * np.eye(q)
+    rotations, betas = list(state.rotations), list(state.betas)
+    rotations[layer] = np.concatenate([np.broadcast_to(rotation, (2 * q, q, q)),
+                                       retract_stack(np.broadcast_to(rotation, gens.shape), gens, step)])
+    betas[layer] = np.concatenate([beta + deltas, beta - deltas, np.broadcast_to(beta, (2 * m, q))])[:, None, :]
+    costs = images_cost(state, data, push(rotations, betas, data.points)[2])
+    beta_plus, beta_minus, rotation_plus, rotation_minus = np.split(costs, [q, 2 * q, 2 * q + m])
+    d = (rotation_plus - rotation_minus) / (2 * step)
     g = np.zeros((q, q))
     for (i, j), d_ij in zip(pairs, d.tolist()):
         g[i, j], g[j, i] = -0.5 * d_ij, 0.5 * d_ij
-    return AntisymmetricMatrix(g)
+    return (beta_plus - beta_minus) / (2 * step), AntisymmetricMatrix(g)
 
 
 def fd_grad_beta(state: ModelState, data: TrainingSet, layer: int,
@@ -92,7 +83,7 @@ def fd_grad_beta(state: ModelState, data: TrainingSet, layer: int,
     """Central-difference gradient of the Euclidean cost in the layer's beta."""
     _check_step(step)
     assert_kink_free(state, data, step)
-    return _fd_beta(state, data, layer, step)
+    return _fd_layer(state, data, layer, step)[0]
 
 
 def fd_grad_rotation(state: ModelState, data: TrainingSet, layer: int,
@@ -106,7 +97,7 @@ def fd_grad_rotation(state: ModelState, data: TrainingSet, layer: int,
     """
     _check_step(step)
     assert_kink_free(state, data, step)
-    return _fd_rotation(state, data, layer, step)
+    return _fd_layer(state, data, layer, step)[1]
 
 
 def fd_gradients(state: ModelState, data: TrainingSet, step: float = 1e-5):
@@ -114,8 +105,7 @@ def fd_gradients(state: ModelState, data: TrainingSet, step: float = 1e-5):
     stencil band checked once for the state: the check does not depend on the layer."""
     _check_step(step)
     assert_kink_free(state, data, step)
-    return [(_fd_beta(state, data, layer, step), _fd_rotation(state, data, layer, step))
-            for layer in range(state.depth)]
+    return [_fd_layer(state, data, layer, step) for layer in range(state.depth)]
 
 
 def fd_grad_collapsed(cs: CollapsedState, step: float = 1e-5):

@@ -108,6 +108,8 @@ def make_separated_config(q: int, n_per: int = 5, seed: int = 0,
     """
     if truncation not in ("partial", "full"):
         raise ValueError("truncation must be 'partial' or 'full'")
+    if truncation == "partial" and q < 2:
+        raise ValueError(f"q = {q} has no mixed sector to truncate partially: need q >= 2")
     rng = np.random.default_rng(seed)
     d_sep, spread = 20.0, 0.5
     centers = d_sep * np.eye(q)

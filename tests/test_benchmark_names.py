@@ -75,6 +75,8 @@ def test_every_workload_builds(tmp_path):
 # sha256 of the 13 trajectory cases of effective_events and general_sliding at seed 0 (see
 # trajectory_fingerprint), recorded before the integrators planned each mask set once
 TRAJECTORIES_SEED0 = "e5d035cc6d59fcb9154a06fea3d3f0a2bcacb6e3be789a45c6e5c6d3ced0c248"
+# the same at seed 1, recorded before the fields swept their mask sets' plans as they are
+TRAJECTORIES_SEED1 = "536f13572879eb9a16510f5ae2416e45e58f0ff6fc4a3afeedd825fb4767f71c"
 
 
 def trajectory_fingerprint(workloads, seed: int, workdir: Path) -> str:
@@ -106,3 +108,10 @@ def trajectory_fingerprint(workloads, seed: int, workdir: Path) -> str:
 def test_benchmark_trajectories_match_recorded_fingerprint(tmp_path):
     # samples, states, costs, diagnostics, events, stops and stats, bit for bit
     assert trajectory_fingerprint(load_perfbench("workloads"), 0, tmp_path) == TRAJECTORIES_SEED0
+
+
+@pytest.mark.skipif(not (sys.platform == "linux" and platform.machine() == "x86_64"),
+                    reason="the fingerprint is recorded on x86_64 Linux")
+def test_benchmark_trajectories_match_recorded_fingerprint_at_seed_1(tmp_path):
+    # the same cases drawn at a second seed: other starts, other events
+    assert trajectory_fingerprint(load_perfbench("workloads"), 1, tmp_path) == TRAJECTORIES_SEED1

@@ -182,13 +182,13 @@ class TestEffectiveRhs:
     def per_cluster_field(state, data, frozen_masks=None):
         """The separated field through one plan entry per acting cluster, as unequal sizes take
         it, and the number of those entries."""
-        plans = []
+        plan, zs = [], []
         for k in range(state.depth):
-            z = (data.clusters[k] + state.betas[k]) @ state.rotations[k].T
-            mask = z > 0.0 if frozen_masks is None else frozen_masks[k][data.rows(k)]
+            zs.append((data.clusters[k] + state.betas[k]) @ state.rotations[k].T)
+            mask = zs[k] > 0.0 if frozen_masks is None else frozen_masks[k][data.rows(k)]
             if not mask.all():
-                plans.append((state.pulled_labels[k], [_acting(k, mask, z)]))
-        return _descent_field(state, plans), len(plans)
+                plan.append((k, [_acting(k, slice(None), mask)]))
+        return _descent_field(state, plan, zs), len(plan)
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_stacked_entry_equals_per_cluster_entries(self, q, monkeypatch):
@@ -199,9 +199,9 @@ class TestEffectiveRhs:
         entries = []
         sweep = truncflow.flows._descent_field
 
-        def recording(state, plans):
-            entries.append([plan[0][3].ndim for _, plan in plans])
-            return sweep(state, plans)
+        def recording(state, plan, zs):
+            entries.append([zs[acting[0][0]][acting[0][1]].ndim for _, acting in plan])
+            return sweep(state, plan, zs)
 
         monkeypatch.setattr(truncflow.flows, "_descent_field", recording)
         for depth in range(2, q + 1):
@@ -302,7 +302,7 @@ class TestFieldContract:
         # or not, on the call that builds the plan and on later ones at other states
         state, data = drawn
         masks = [draw.draw(arrays(bool, data.points.shape)) for _ in range(state.depth)]
-        planned = FrozenMasks(masks, data, state.depth)
+        planned = FrozenMasks(masks, data)
         moved = state.derive(state.rotations, state.betas + 0.5)
         for rhs in (effective_rhs, general_rhs):
             for at in (state, moved, state):
@@ -311,15 +311,17 @@ class TestFieldContract:
 
     def test_masks_planned_for_other_data_are_planned_again(self):
         # a mask set's plans serve only the data and depth it was made for; the field plans the
-        # masks anew for any other, here the same points split into other clusters
+        # masks anew for any other, here the same points split into other clusters, or masks of
+        # more layers than the state
         rng = np.random.default_rng(48)
         points = rng.normal(size=(6, 2))
         data, other = TrainingSet([points[:2], points[2:]]), TrainingSet([points[:4], points[4:]])
         state = state_from_arrays([random_orthogonal(2, rng).mat for _ in range(2)], rng.normal(size=(2, 2)),
                                   np.eye(2), rng.normal(size=(2, 2)))
         masks = [rng.random(points.shape) < 0.5 for _ in range(2)]
+        deeper = masks + [rng.random(points.shape) < 0.5]
         for rhs in (effective_rhs, general_rhs):
-            for frozen in (FrozenMasks(masks, other, 2), FrozenMasks(masks, data, 1)):
+            for frozen in (FrozenMasks(masks, other), FrozenMasks(deeper, data)):
                 want, got = rhs(state, data, masks), rhs(state, data, frozen)
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), rhs.__name__
 
@@ -495,6 +497,10 @@ class TestCollapsed:
         for got, want in zip((cs.b_matrix, cs.w_out, cs.y_matrix), kept):
             np.testing.assert_array_equal(got, want)
 
+    def test_empty_matrices_rejected(self):
+        with pytest.raises(ValueError, match="^b_matrix has shape"):
+            CollapsedState(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)))
+
     def test_zero_output_map(self):
         q = 2
         b, y = RNG.normal(size=(q, q)), RNG.normal(size=(q, q))
@@ -617,6 +623,10 @@ class TestOneDimFlow:
             one_dim_flow([1.0, 2.0], 1.5, 0.0)
         with pytest.raises(LabelInsideData):
             one_dim_flow([1.0, 2.0], 5.0, 6.0)
+
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError, match="^points must hold at least one point"):
+            one_dim_flow([], 5.0, 1.0)
 
     @pytest.mark.parametrize("args, name", [
         (([1.0, np.nan], 5.0, 1.0), "points"),

@@ -747,12 +747,13 @@ class TestMaskPlans:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_planned_run_is_the_per_call_run(self, monkeypatch, case):
-        # with push's plain list in place of each mask set, every evaluation plans its masks:
-        # the same trajectory bit for bit, with the same work counted
+        # with each evaluation wrapping its masks anew, every evaluation plans them: the same
+        # trajectory bit for bit, with the same work counted
         integrator, make, s_end = self.CASES[case]
         state, data = make()
         planned = integrator(state, data, s_end)
-        monkeypatch.setattr(truncflow.integrate, "FrozenMasks", lambda masks, data, depth: list(masks))
+        monkeypatch.setattr(truncflow.flows, "_planned",
+                            lambda masks, data, depth: truncflow.flows.FrozenMasks(masks[:depth], data))
         per_call = integrator(state, data, s_end)
         assert astuple(planned.stats) == astuple(per_call.stats)
         assert planned.events == per_call.events and planned.stopped_reason == per_call.stopped_reason
@@ -764,6 +765,19 @@ class TestMaskPlans:
             for da, db in zip(a.per_layer, b.per_layer):
                 assert (da.omega_norm, da.beta_gap) == (db.omega_norm, db.beta_gap)
                 assert np.array_equal(da.truncated_counts, db.truncated_counts)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_counts_are_the_sample_states_own(self, case):
+        # the counts a mask set carries are each sample's: cluster k's truncated points per
+        # coordinate at layer k, pushed at that sample's state
+        integrator, make, s_end = self.CASES[case]
+        state, data = make()
+        traj = integrator(state, data, s_end)
+        assert traj.events
+        for smp in traj.samples:
+            nus = push(smp.state.rotations, smp.state.betas, data.points)[1]
+            for k, diag in enumerate(smp.per_layer):
+                assert np.array_equal(diag.truncated_counts, np.sum(~nus[k][data.rows(k)], axis=0)), (smp.s, k)
 
     def test_each_sample_owns_its_counts(self):
         # the counts are taken once per mask set, but every sample gets its own writable arrays

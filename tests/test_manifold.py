@@ -301,8 +301,9 @@ class TestTypes:
         assert rot.orthogonality_error() <= 1e-10
 
     def test_reproject_cleans_drift(self):
-        r = random_orthogonal(4, RNG)
-        dirty = r.mat + 1e-11 * RNG.normal(size=(4, 4))
+        rng = np.random.default_rng(303)  # its own draws, whatever ran before it
+        r = random_orthogonal(4, rng)
+        dirty = r.mat + 1e-11 * rng.normal(size=(4, 4))
         cleaned = reproject(OrthogonalMatrix(dirty))
         assert cleaned.orthogonality_error() <= 1e-14
 

@@ -121,6 +121,14 @@ class TestClusterSeparation:
         ok, violations = check_cluster_separation(state, data)
         assert ok and violations == []
 
+    def test_one_cluster_cannot_be_partially_truncated(self):
+        # at Q = 1 no point lies in a mixed sector: partial truncation is refused at entry, named,
+        # while full truncation still builds
+        with pytest.raises(ValueError, match="^q = 1 "):
+            make_separated_config(1, n_per=3)
+        state, data = make_separated_config(1, n_per=3, truncation="full")
+        assert state.depth == data.q == 1
+
     def test_all_positive_placement_is_separated(self):
         from truncflow.scenarios import make_equilibrium_data, named_initial_state
 

@@ -117,6 +117,15 @@ class TestStackedStencils:
                     checked[kind] += 1
         assert min(checked.values()) >= 4, checked
 
+    def test_one_coordinate_has_no_rotation_stencils(self):
+        # at Q = 1, o(1) = {0}: the layer's push carries the two beta stencils alone
+        state = state_from_arrays([np.eye(1)] * 2, [[0.3], [-0.2]], np.eye(1), [[5.0]])
+        data = TrainingSet([np.array([[0.1], [-0.5], [1.0]])])
+        for layer, (fd_b, fd_o) in enumerate(fd_gradients(state, data)):
+            beta_grad, g = one_stencil_at_a_time(state, data, layer, 1e-5)
+            assert fd_b.tobytes() == beta_grad.tobytes() == fd_grad_beta(state, data, layer).tobytes()
+            assert fd_o.mat.tobytes() == g.tobytes() == fd_grad_rotation(state, data, layer).mat.tobytes()
+
     def test_collapsed_equals_one_state_per_stencil(self):
         rng = np.random.default_rng(57)
         for q in (1, 2, 3, 4):
