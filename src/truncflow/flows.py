@@ -30,18 +30,19 @@ their masks; a layer whose mask rows are all active is the identity, and a
 cluster acted on nowhere has no entry.  Or an entry stacks B clusters of one
 size n, each acting at its own layer alone, as one (B, n, Q) block indexed by
 its layers; the sweep's lines serve both ranks.  Frozen masks given as a
-:class:`FrozenMasks` are planned once per field and the plan is swept as it
-is on every later call, while a plain list is planned on each call by the
-same function.  The integrators wrap push's list once per mask change, so
-one plan serves every evaluation until the next event.  The general field
-plans per cluster and sweeps push's coordinates.  The separated field gives
-cluster k layer k alone, at its own rows' raw coordinates (x + beta_k) R_k^T
-and mask, whose unfrozen rows are their signs (integrators freeze push's,
-which on the field's domain, separated states, are the same rows): it pushes
-no point and reads no foreign cluster's rows.  With depth >= 2 and clusters
-0..depth-1 of one size, it takes all its layers as one stacked entry, one
-batched product per evaluation; otherwise, a depth-1 state included, one
-entry per acting layer.  Generators are validated as
+:class:`FrozenMasks` are planned once per field, and the plan is swept as it
+is on every later call; their float form, which the general field pushes at,
+and whether the separated field stacks are decided once too.  A plain list is
+planned on each call by the same functions.  The integrators wrap push's list
+once per mask change, so one plan serves every evaluation until the next
+event.  The general field plans per cluster and sweeps push's coordinates.
+The separated field gives cluster k layer k alone, at its own rows' raw
+coordinates (x + beta_k) R_k^T and mask, whose unfrozen rows are their signs
+(integrators freeze push's, which on the field's domain, separated states, are
+the same rows): it pushes no point and reads no foreign cluster's rows.  With
+depth >= 2 and clusters 0..depth-1 of one size, it takes all its layers as
+one stacked entry, one batched product per evaluation; otherwise, a depth-1
+state included, one entry per acting layer.  Generators are validated as
 :class:`~truncflow.manifold.AntisymmetricMatrix` only where they cross the
 public boundary (`retract`, the finite-difference oracle).  The collapsed
 field takes and returns plain arrays too,
@@ -63,18 +64,6 @@ from .model import ModelState, push
 def _commutator_with_mask(nu: np.ndarray, sym: np.ndarray) -> np.ndarray:
     """[diag(nu), S] for symmetric S, computed entrywise: (nu_i - nu_j) S_ij."""
     return (nu[:, None] - nu[None, :]) * sym
-
-
-def _summed_commutators(nu: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Sum over rows of [diag(nu_i), (a_i c_i^T + c_i a_i^T)/2], over (n, Q) rows or each block of (B, n, Q).
-
-    Expanding the commutator entrywise and summing gives two rank-reduced
-    accumulations whose explicit antisymmetrization keeps the result exactly
-    antisymmetric in floating point.
-    """
-    m1 = (nu * a).mT @ c
-    m2 = (nu * c).mT @ a
-    return 0.5 * ((m1 - m1.mT) + (m2 - m2.mT))
 
 
 def _acting(l, rows, mask: np.ndarray):
@@ -106,14 +95,19 @@ def _descent_field(state: ModelState, plan, zs):
         last = len(acting) - 1
         for i, (l, rows, nu, nu_perp) in enumerate(acting):
             r, z = state.rotations[l], zs[l][rows]
+            nu_z = nu * z
             if i == 0:
                 weight = 1.0 / z.shape[-2]
-                g = (nu * z) @ r - state.betas[l][..., None, :] - state.pulled_labels[ytil]
+                g = nu_z @ r - state.betas[l][..., None, :] - state.pulled_labels[ytil]
             c = g @ r.mT
+            nu_c = nu * c
             beta_dots[l] += weight * ((nu_perp * c) @ r).sum(axis=-2)
-            omegas[l] -= weight * _summed_commutators(nu, z, c)
+            # the rows' sum of [diag(nu), (z c^T + c z^T)/2], per (n, Q) rows or (B, n, Q) block:
+            # two rank-reduced products, antisymmetrized explicitly so that it is exactly antisymmetric
+            m1, m2 = nu_z.mT @ c, nu_c.mT @ z
+            omegas[l] -= weight * (0.5 * ((m1 - m1.mT) + (m2 - m2.mT)))
             if i < last:
-                g = (nu * c) @ r
+                g = nu_c @ r
     return beta_dots, omegas
 
 
@@ -157,17 +151,23 @@ class FrozenMasks(tuple):
     It is push's activity list as it is, `masks[k]` the (N, Q) bool activities at layer k of
     every point of `data`, for states of `len(masks)` layers; it goes wherever such a list goes.
     Everything the masks alone decide is computed on first use and kept for as long as the mask
-    set is: `own`, cluster k's rows of `masks[k]`; `counts`, its truncated points per
-    coordinate; and one plan per field (`effective`, `general`), the entries each field's
-    :func:`_descent_field` sweeps as they are.  The integrators wrap push's list once per mask
-    change.  A field given a plain list, or masks planned for other data or another depth,
-    plans them on that call by the same function.
+    set is: `floats`, the masks as float arrays, which `push` takes as its `masks` for the same
+    bits; `own`, cluster k's rows of `masks[k]`; `counts`, its truncated points per coordinate;
+    `stacked`, whether the separated field takes its layers as one stacked entry; and one plan
+    per field (`effective`, `general`), the entries each field's :func:`_descent_field` sweeps
+    as they are.  The integrators wrap push's list once per mask change.  A field given a plain
+    list, or masks planned for other data or another depth, plans them on that call by the
+    same function.
     """
 
     def __new__(cls, masks, data: TrainingSet):
         self = super().__new__(cls, masks)
         self.data = data
         return self
+
+    @cached_property
+    def floats(self) -> list[np.ndarray]:
+        return [mask.astype(float) for mask in self]
 
     @cached_property
     def own(self) -> list[np.ndarray]:
@@ -178,8 +178,12 @@ class FrozenMasks(tuple):
         return [np.sum(~own, axis=0) for own in self.own]
 
     @cached_property
+    def stacked(self) -> bool:
+        return _stacks(self.data, len(self))
+
+    @cached_property
     def effective(self):
-        return _effective_plan(self.own, _stacks(self.data, len(self)))
+        return _effective_plan(self.own, self.stacked)
 
     @cached_property
     def general(self):
@@ -218,16 +222,14 @@ def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     depth = state.depth
     if depth > data.q:
         raise IndexRange(f"depth {depth} exceeds the {data.q} clusters")
-    stacked = _stacks(data, depth)
+    masks = None if frozen_masks is None else _planned(frozen_masks, data, depth)
+    stacked = _stacks(data, depth) if masks is None else masks.stacked
     if stacked:
         n = data.counts[0]
         z = (data.points[:depth * n].reshape(depth, n, -1) + state.betas[:, None]) @ state.rotations.mT
     else:
         z = [(data.clusters[k] + b) @ r.T for k, (r, b) in enumerate(zip(state.rotations, state.betas))]
-    if frozen_masks is None:
-        plan = _effective_plan([zk > 0.0 for zk in z], stacked)
-    else:
-        plan = _planned(frozen_masks, data, depth).effective
+    plan = _effective_plan([zk > 0.0 for zk in z], stacked) if masks is None else masks.effective
     return _descent_field(state, plan, z)
 
 
@@ -263,9 +265,13 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     (at `frozen_masks` if given); each cluster's plan lists the layers where
     its mask rows are not all active, from the top down.
     """
-    pushed, masks, _, _ = push(state.rotations, state.betas, data.points, frozen_masks)
-    return _descent_field(state, _planned(masks if frozen_masks is None else frozen_masks, data,
-                                          state.depth).general, pushed)
+    if frozen_masks is None:
+        pushed, masks, _, _ = push(state.rotations, state.betas, data.points)
+        masks = _planned(masks, data, state.depth)
+    else:
+        masks = _planned(frozen_masks, data, state.depth)
+        pushed = push(state.rotations, state.betas, data.points, masks.floats)[0]
+    return _descent_field(state, masks.general, pushed)
 
 
 def chained_projectors(state: ModelState, point, lo: int = 0, hi: int | None = None):

@@ -10,7 +10,8 @@ of the pushed coordinates whose sign differs at the step's two ends,
 replays bisection's walk on that predicate without probing, and confirms
 the leaf it reaches with two RK4 probes; a miss finishes with bisection
 inside the bracket the probes narrowed.  Either way the step kept is the
-one bisection keeps.
+one bisection keeps.  The predicate holds its few cubics as Python floats,
+with numpy's answers bit for bit.
 Rotations are advanced by retraction (exponential of the averaged
 generator), so orthogonality is preserved to round-off.  Every RK stage
 retracts the whole (L, Q, Q) stack with one exponential (`retract_stack`);
@@ -41,7 +42,8 @@ kept across event-free steps: a step that leaves the masks unchanged keeps the s
 `FrozenMasks` object, and only a step that crosses wraps the new list.  So each mask set is
 planned once per field, and that plan serves its first stage, every RK stage, prediction,
 probe and separation guard until the next event; every sample of the set reads its
-truncation counts from it too (`FrozenMasks.counts`).  The cluster-separated field reads
+truncation counts from it too (`FrozenMasks.counts`), and predictions push at its float form
+(`FrozenMasks.floats`).  The cluster-separated field reads
 only cluster k's rows of `masks[k]` and stops being a descent direction of the full cost
 once a layer truncates a point of another cluster, so a crossing into truncation in such a
 pair ends its trajectory too.  From a start that is not separated, every accepted state
@@ -254,12 +256,15 @@ def _predict_crossing(state: ModelState, k1, trial: ModelState, data: TrainingSe
     a function `changed(dt)`, true where some pushed coordinate whose sign differs at the step's
     two ends is on its far side at dt on its cubic Hermite interpolant; None if no sign differs.
 
-    One push of all points at each end, frozen at the step's `masks`, gives their z at every layer
-    and, under the field there (`k1` at the start, one more evaluation at `trial`), dz/ds.
+    One push of all points at each end, at the float form of the step's :class:`FrozenMasks`
+    `masks`, gives their z at every layer and, under the field there (`k1` at the start, one more
+    evaluation at `trial`), dz/ds.  The walk calls `changed` some 24 times, so the crossing cubics
+    are Python floats, evaluated by numpy's Horner steps, each rounded alone (no fused
+    multiply-add): numpy's answers bit for bit.
     """
     ends = []
     for st, velocities in ((state, k1), (trial, rhs(trial, data, masks))):
-        zs, _, _, z_dots = push(st.rotations, st.betas, data.points, masks, velocities)
+        zs, _, _, z_dots = push(st.rotations, st.betas, data.points, masks.floats, velocities)
         ends.append((np.concatenate(zs, axis=None), np.concatenate(z_dots, axis=None)))
     (z0, d0), (z1, d1) = ends
     side = z0 > 0.0
@@ -270,10 +275,11 @@ def _predict_crossing(state: ModelState, k1, trial: ModelState, data: TrainingSe
     # p(u) = ((a u + b) u + c) u + z0 on u = t / h matches z and dz/dt at both ends
     a = 2.0 * (z0 - z1) + c + d1
     b = 3.0 * (z1 - z0) - 2.0 * c - d1
+    cubics = list(zip(*(x.tolist() for x in (a, b, c, z0, side))))
 
     def changed(dt: float) -> bool:
         u = dt / h
-        return bool(np.any(((((a * u + b) * u + c) * u + z0) > 0.0) != side))
+        return any(((((ai * u + bi) * u + ci) * u + zi) > 0.0) != si for ai, bi, ci, zi, si in cubics)
 
     return changed
 

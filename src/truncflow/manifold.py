@@ -9,15 +9,20 @@ bound once per accepted step.  The exponential takes one Pade degree for the who
 from its largest 1-norm (Higham 2005), and at degree 13 one squaring count: an integration
 step's generators are small, so a stage's whole stack normally takes degree 3, and only a
 large generator pays for degree 13 with scaling and squaring.  :func:`retract` and
-:func:`expm_antisym` are its one-layer case.
+:func:`expm_antisym` are its one-layer case.  A stage's matrices are 2x2 to 4x4, so the
+exponential's cost is mostly per-call overhead: it solves through the LAPACK gufunc that
+`np.linalg.solve` dispatches to, without that function's wrapper, and reads one read-only
+identity per Q, built once.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import cache
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _solve  # np.linalg.solve's gufunc: the same gesv
 
 from .errors import SingularInput
 
@@ -44,9 +49,17 @@ def frobenius_norm(a: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+@cache
+def _identity(q: int) -> np.ndarray:
+    """The Q x Q identity, read-only, built once per Q."""
+    ident = np.eye(q)
+    ident.setflags(write=False)
+    return ident
+
+
 def orthogonality_error(m: np.ndarray) -> float:
     """||m^T m - I||_F of the square array m."""
-    return frobenius_norm(m.T @ m - np.eye(m.shape[0]))
+    return frobenius_norm(m.T @ m - _identity(m.shape[0]))
 
 
 def check_orthogonal(m: np.ndarray) -> None:
@@ -168,21 +181,24 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     u = a (b_1 I + b_3 a^2 + ...), v = b_0 I + b_2 a^2 + ..., solved as (v - u)^-1 (v + u).
     A layer is exponentiated bit for bit as if alone when its own 1-norm picks the same degree
     and count as the stack's.  An integration step's generators are small (h ||Omega||_1 of
-    order 1e-3), so a stage's whole stack normally takes degree 3: two products and a solve."""
+    order 1e-3), so a stage's whole stack normally takes degree 3: two products and a solve.
+    A stack whose largest 1-norm is not finite raises ValueError."""
     norm = float(np.abs(a).sum(axis=-2).max())  # the largest 1-norm in the stack
+    if not math.isfinite(norm):
+        raise ValueError(f"cannot exponentiate a stack whose largest 1-norm is {norm}")
     degree = bisect_left(_THETA, norm, hi=4)  # 0-3: m = 3-9; 4: m = 13
     squarings = max(0, math.ceil(math.log2(norm / _THETA[-1]))) if degree == 4 else 0
     if squarings:
         a = a / 2.0**squarings
     b = _PADE[degree]
-    ident = np.eye(a.shape[-1])
+    ident = _identity(a.shape[-1])
     a2 = a @ a
     power, odd, even = a2, b[1] * ident + b[3] * a2, b[0] * ident + b[2] * a2
     for j in range(4, len(b), 2):  # a^4, ..., a^(m-1)
         power = power @ a2
         odd, even = odd + b[j + 1] * power, even + b[j] * power
     u = a @ odd
-    r = np.linalg.solve(even - u, even + u)
+    r = _solve(even - u, even + u, signature="dd->d")
     for _ in range(squarings):
         r = r @ r
     return r

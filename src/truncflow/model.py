@@ -195,8 +195,8 @@ def _residuals(state: ModelState, data, images: np.ndarray) -> list[np.ndarray]:
 def cluster_cost(resid: np.ndarray):
     """One cluster's share (1/2)(1/N_l) sum_i |r_i|^2 of the cost, from its residual rows
     (..., N_l, Q): one share per leading index, each summed over its own rows alone."""
-    lead = resid.shape[:-2]
-    return 0.5 * (resid * resid).reshape(*lead, -1).sum(axis=-1) / resid.shape[-2]
+    *lead, n, q = resid.shape
+    return 0.5 * (resid * resid).reshape(*lead, n * q).sum(axis=-1) / n
 
 
 def images_cost(state: ModelState, data, images: np.ndarray):

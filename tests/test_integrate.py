@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from truncflow.errors import StepUnderflow
-from truncflow.flows import CollapsedState, conserved_quantity
+from truncflow.flows import CollapsedState, FrozenMasks, conserved_quantity
 from truncflow.integrate import (
     IntegratorOptions,
     _diff_events,
@@ -35,6 +36,16 @@ from truncflow.scenarios import make_one_dim_state
 from truncflow.verify import _monotonicity_case, _random_state_and_data
 
 RNG = np.random.default_rng(7)
+
+
+def perfbench_cases(workload: str, seed: int, workdir: Path) -> list:
+    """The benchmark's cases of `workload` at `seed`, built as perfbench/run.py builds them."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their annotations through it
+    spec.loader.exec_module(module)
+    return module.build(workload, seed, workdir, path.parents[1])
 
 
 class TestEquilibriumTrajectories:
@@ -375,7 +386,7 @@ class TestCrossingPrediction:
         # a step that flips no pushed coordinate predicts nothing; one that does predicts the
         # masks unchanged at its start and changed at its end
         state, data = make_one_dim_state([1.0, 2.0], 5.0, 1.0)
-        masks = _sweep(state, data)[0]
+        masks = FrozenMasks(_sweep(state, data)[0], data)
         k1 = effective_rhs(state, data, masks)
         for h, crosses in ((0.1, False), (1.0, True)):
             trial = truncflow.integrate._rk4_step(state, k1, data, effective_rhs, masks, h)[0]
@@ -413,6 +424,75 @@ class TestCrossingPrediction:
         traj = integrate_effective(*make_separated_config(3, n_per=20, seed=1), 1.0)
         assert len(traj.events) >= 30
         assert calls["rk4"] == traj.stats.rk4_steps <= 2 * (len(traj.samples) - 1)
+
+
+def checked_predictions(monkeypatch) -> dict:
+    """Patch `_predict_crossing` so that every `changed(dt)` it returns is checked, at each dt
+    asked, against numpy evaluating the same crossing cubics over arrays, as the predicate did
+    before it held them as floats; the returned log counts the localizations, the midpoints
+    checked, and the most crossing coordinates in one localization."""
+    log = {"localizations": 0, "midpoints": 0, "most_crossings": 0}
+
+    def checking(state, k1, trial, data, rhs, masks, h):
+        fields = []
+
+        def recording(*args):
+            fields.append(rhs(*args))
+            return fields[-1]
+
+        got = _PREDICT(state, k1, trial, data, recording, masks, h)
+        log["localizations"] += 1
+        ends = []
+        for st, velocities in ((state, k1), (trial, fields[0])):
+            zs, _, _, z_dots = push(st.rotations, st.betas, data.points, masks, velocities)
+            ends.append((np.concatenate(zs, axis=None), np.concatenate(z_dots, axis=None)))
+        (z0, d0), (z1, d1) = ends
+        side = z0 > 0.0
+        crosses = (z1 > 0.0) != side
+        if not crosses.any():
+            assert got is None
+            return None
+        log["most_crossings"] = max(log["most_crossings"], int(crosses.sum()))
+        z0, z1, c, d1, side = (x[crosses] for x in (z0, z1, h * d0, h * d1, side))
+        a = 2.0 * (z0 - z1) + c + d1
+        b = 3.0 * (z1 - z0) - 2.0 * c - d1
+
+        def changed(dt):
+            u = dt / h
+            want = bool(np.any(((((a * u + b) * u + c) * u + z0) > 0.0) != side))
+            assert got(dt) is want, (dt, h)
+            log["midpoints"] += 1
+            return want
+
+        return changed
+
+    monkeypatch.setattr(truncflow.integrate, "_predict_crossing", checking)
+    return log
+
+
+class TestFloatPredicate:
+    """The crossing predicate evaluates its cubics on Python floats, by the same Horner steps as
+    numpy over arrays, and gives numpy's answer at every midpoint bisection's walk visits."""
+
+    def test_agrees_with_numpy_on_the_benchmark_trajectories(self, monkeypatch, tmp_path):
+        log = checked_predictions(monkeypatch)
+        localizations = 0
+        for workload in ("effective_events", "general_sliding"):
+            for case in perfbench_cases(workload, 0, tmp_path):
+                traj = case.call()
+                if hasattr(traj, "stats"):  # a run ended by a typed error returns no trajectory
+                    localizations += traj.stats.localizations
+        assert log["localizations"] >= localizations > 100
+        assert log["midpoints"] > 20 * log["localizations"]
+
+    def test_agrees_with_numpy_on_many_crossing_coordinates(self, monkeypatch):
+        # a general flow at a long nominal step: one trial step flips a hundred pushed coordinates
+        log = checked_predictions(monkeypatch)
+        state, data = _random_state_and_data(3, 20, np.random.default_rng(1))
+        traj = integrate_general(state, data, 2.0, IntegratorOptions(step=1.0))
+        assert len(traj.events) > 40 and traj.stopped_reason is None
+        assert log["localizations"] == traj.stats.localizations
+        assert log["most_crossings"] >= 100 and log["midpoints"] > 20 * log["localizations"]
 
 
 class TestSeparationLoss:
@@ -744,6 +824,20 @@ class TestMaskPlans:
         else:
             assert 0 < builds[guard] <= 1 + changes
         assert traj.stats.rhs_calls > 2 * sum(builds.values())
+
+    def test_stacking_decided_once_per_mask_set(self, monkeypatch, tmp_path):
+        # whether the separated field's layers stack is asked once per mask set, with its plan:
+        # over the benchmark's effective_events trajectories at seed 0, 140 mask sets for 4,445
+        # field evaluations
+        calls = {"_stacks": 0, "_effective_plan": 0}
+        for name in calls:
+            def counting(*args, fn=getattr(truncflow.flows, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(truncflow.flows, name, counting)
+        rhs_calls = sum(case.call().stats.rhs_calls for case in perfbench_cases("effective_events", 0, tmp_path))
+        assert calls == {"_stacks": 140, "_effective_plan": 140}
+        assert rhs_calls == 4445
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_planned_run_is_the_per_call_run(self, monkeypatch, case):

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import truncflow.manifold
 from truncflow.errors import SingularInput
 from truncflow.manifold import (
     AntisymmetricMatrix,
@@ -178,6 +179,13 @@ class TestRetract:
         with pytest.raises(ValueError):
             retract(random_orthogonal(2, RNG), random_antisym(2), np.inf)
 
+    def test_overflowing_generator_rejected(self):
+        # a finite step whose step * omega overflows has no finite 1-norm to scale from: the
+        # exponential says so (numpy's own overflow warning is silenced here)
+        omega = AntisymmetricMatrix([[0.0, 2.0], [-2.0, 0.0]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="1-norm is inf"):
+            retract(random_orthogonal(2, RNG), omega, 1e308)
+
 
 @st.composite
 def rotation_stacks(draw):
@@ -334,3 +342,44 @@ class TestFrobeniusNorm:
         # also on a transposed (non-contiguous) view
         for x in (a, a.T):
             assert np.float64(frobenius_norm(x)).tobytes() == np.linalg.norm(x).tobytes()
+
+
+def expm_stack_by_numpy(a):
+    """The stack exponential as numpy's public API spells it: a fresh np.eye and np.linalg.solve."""
+    norm = float(np.abs(a).sum(axis=-2).max())
+    degree, squarings = pade_band(norm)
+    if squarings:
+        a = a / 2.0**squarings
+    b = truncflow.manifold._PADE[degree]
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    power, odd, even = a2, b[1] * ident + b[3] * a2, b[0] * ident + b[2] * a2
+    for j in range(4, len(b), 2):
+        power = power @ a2
+        odd, even = odd + b[j + 1] * power, even + b[j] * power
+    u = a @ odd
+    r = np.linalg.solve(even - u, even + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+class TestExpmStackSolve:
+    """The exponential solves through the gufunc behind np.linalg.solve, without its wrapper; a
+    numpy upgrade that moves or changes that gufunc shows here."""
+
+    def test_solves_through_numpys_own_gufunc(self):
+        import numpy.linalg._linalg as linalg
+        assert truncflow.manifold._solve is linalg._umath_linalg.solve
+
+    @PROPERTY
+    @given(st.integers(0, 4), st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_is_the_np_linalg_solve_exponential_bit_for_bit(self, degree, q, depth, seed):
+        # (L, Q, Q) stacks of general matrices whose largest 1-norm picks each Pade degree, at
+        # degree 13 with 0-6 squarings
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(depth, q, q))
+        lo, hi = ((THETA[degree - 1] if degree else 1e-8), THETA[degree]) if degree < 4 else (THETA[3], 300.0)
+        a *= math.exp(rng.uniform(math.log(lo), math.log(hi))) / np.abs(a).sum(axis=-2).max()
+        assert pade_band(float(np.abs(a).sum(axis=-2).max()))[0] == degree
+        assert truncflow.manifold._expm_stack(a).tobytes() == expm_stack_by_numpy(a).tobytes()

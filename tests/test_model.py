@@ -217,6 +217,24 @@ class TestPush:
                         assert np.array_equal(stacked[k] if below else stacked[k][v], alone[k])
                 assert np.array_equal(t[v], t_v)
 
+    def test_float_masks_are_bool_masks(self):
+        # a frozen mask set given as floats (1.0 active, 0.0 truncated) is the same push bit for
+        # bit as the bool masks: coordinates, images and forward-mode rates
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            q, depth, n = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            rotations = np.array([random_orthogonal(q, rng).mat for _ in range(depth)])
+            betas = rng.normal(size=(depth, q))
+            pts = 1.5 * rng.normal(size=(n, q))
+            field = (rng.normal(size=(depth, q)),
+                     np.array([antisym_project(rng.normal(size=(q, q))).mat for _ in range(depth)]))
+            masks = [rng.random((n, q)) < 0.5 for _ in range(depth)]
+            zs, _, t, z_dots = push(rotations, betas, pts, masks, field)
+            zs_f, _, t_f, z_dots_f = push(rotations, betas, pts, [m.astype(float) for m in masks], field)
+            assert t.tobytes() == t_f.tobytes()
+            for a, b in zip(zs + z_dots, zs_f + z_dots_f):
+                assert a.tobytes() == b.tobytes()
+
 
 def random_state_and_set(q, n_per=3, depth=None, rng=RNG):
     depth = q if depth is None else depth
@@ -312,6 +330,13 @@ class TestCosts:
                     alone = images_cost(state, data, images[i, j])
                     assert type(alone) is float and alone == costs[i, j]
             assert images_cost(state, data, chained_truncation(state, data.points)) == euclidean_cost(state, data)
+
+    def test_empty_stencil_stack_gives_no_costs(self):
+        # an (0, N, Q) stack, as push returns for a layer of no variants, prices to an empty array
+        for q in (1, 2, 3):
+            state, data = random_state_and_set(q)
+            costs = images_cost(state, data, np.empty((0, data.total, q)))
+            assert isinstance(costs, np.ndarray) and costs.shape == (0,)
 
 
 class TestModelState:
