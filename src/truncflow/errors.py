@@ -22,7 +22,16 @@ class EmptyCluster(TruncflowError):
 
 
 class StepUnderflow(TruncflowError):
-    """Adaptive step control shrank below the minimum step size."""
+    """Adaptive step control shrank below the minimum step size.
+
+    `s` is where the integrator stopped, and `event` the crossing it was localizing there (an
+    :class:`~truncflow.integrate.Event`), or None; both are None when the raiser names neither.
+    """
+
+    def __init__(self, message: str, s: float | None = None, event=None):
+        super().__init__(message)
+        self.s = s
+        self.event = event
 
 
 class NearKink(TruncflowError):

@@ -32,10 +32,15 @@ size n, each acting at its own layer alone, as one (B, n, Q) block indexed by
 its layers; the sweep's lines serve both ranks.  Frozen masks given as a
 :class:`FrozenMasks` are planned once per field, and the plan is swept as it
 is on every later call; their float form, which the general field pushes at,
-and whether the separated field stacks are decided once too.  A plain list is
-planned on each call by the same functions.  The integrators wrap push's list
-once per mask change, so one plan serves every evaluation until the next
-event.  The general field plans per cluster and sweeps push's coordinates.
+whether the separated field stacks, and whether the set is separated are
+decided once too.  A plain list is planned on each call by the same functions.
+The integrators wrap push's list once per mask change, so one plan serves
+every evaluation until the next event.  The general field sweeps push's
+coordinates.  It plans per cluster, except on a separated mask set: one whose
+every layer k truncates no row outside cluster k, over clusters that stack.
+There each cluster acts at its own layer alone, as in the separated field, so
+the general field sweeps that field's stacked entry over cluster k's rows of
+push's z_k, one (depth, n, Q) block, bit for bit the per-cluster sweep.
 The separated field gives cluster k layer k alone, at its own rows' raw
 coordinates (x + beta_k) R_k^T and mask, whose unfrozen rows are their signs
 (integrators freeze push's, which on the field's domain, separated states, are
@@ -102,10 +107,11 @@ def _descent_field(state: ModelState, plan, zs):
             c = g @ r.mT
             nu_c = nu * c
             beta_dots[l] += weight * ((nu_perp * c) @ r).sum(axis=-2)
-            # the rows' sum of [diag(nu), (z c^T + c z^T)/2], per (n, Q) rows or (B, n, Q) block:
-            # two rank-reduced products, antisymmetrized explicitly so that it is exactly antisymmetric
-            m1, m2 = nu_z.mT @ c, nu_c.mT @ z
-            omegas[l] -= weight * (0.5 * ((m1 - m1.mT) + (m2 - m2.mT)))
+            if z.shape[-1] > 1:  # at Q = 1 every generator is the 1 x 1 zero
+                # the rows' sum of [diag(nu), (z c^T + c z^T)/2], per (n, Q) rows or (B, n, Q) block:
+                # two rank-reduced products, antisymmetrized explicitly so that it is exactly antisymmetric
+                m1, m2 = nu_z.mT @ c, nu_c.mT @ z
+                omegas[l] -= weight * (0.5 * ((m1 - m1.mT) + (m2 - m2.mT)))
             if i < last:
                 g = nu_c @ r
     return beta_dots, omegas
@@ -153,11 +159,12 @@ class FrozenMasks(tuple):
     Everything the masks alone decide is computed on first use and kept for as long as the mask
     set is: `floats`, the masks as float arrays, which `push` takes as its `masks` for the same
     bits; `own`, cluster k's rows of `masks[k]`; `counts`, its truncated points per coordinate;
-    `stacked`, whether the separated field takes its layers as one stacked entry; and one plan
-    per field (`effective`, `general`), the entries each field's :func:`_descent_field` sweeps
-    as they are.  The integrators wrap push's list once per mask change.  A field given a plain
-    list, or masks planned for other data or another depth, plans them on that call by the
-    same function.
+    `stacked`, whether the separated field takes its layers as one stacked entry; `separated`,
+    whether they stack and no layer k truncates a row outside cluster k, so that the general
+    field sweeps the separated plan too; and one plan per field (`effective`, `general`), the
+    entries each field's :func:`_descent_field` sweeps as they are.  The integrators wrap
+    push's list once per mask change.  A field given a plain list, or masks planned for other
+    data or another depth, plans them on that call by the same function.
     """
 
     def __new__(cls, masks, data: TrainingSet):
@@ -180,6 +187,12 @@ class FrozenMasks(tuple):
     @cached_property
     def stacked(self) -> bool:
         return _stacks(self.data, len(self))
+
+    @cached_property
+    def separated(self) -> bool:
+        # stacked, and no row outside cluster k truncated at layer k: its counts are all the mask's
+        return self.stacked and len(self) <= self.data.q and all(
+            np.count_nonzero(mask) == mask.size - count.sum() for mask, count in zip(self, self.counts))
 
     @cached_property
     def effective(self):
@@ -263,7 +276,11 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     Same contract as :func:`effective_rhs`, but every cluster acts on every
     layer through the chained truncation.  One `push` carries all points up
     (at `frozen_masks` if given); each cluster's plan lists the layers where
-    its mask rows are not all active, from the top down.
+    its mask rows are not all active, from the top down.  On separated masks
+    (each layer k truncates cluster k's rows alone, and the clusters stack)
+    every cluster acts at its own layer alone: the sweep takes the separated
+    field's stacked entry over cluster k's rows of push's z_k instead, with
+    the same bits, since each layer gets its one contribution either way.
     """
     if frozen_masks is None:
         pushed, masks, _, _ = push(state.rotations, state.betas, data.points)
@@ -271,6 +288,9 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     else:
         masks = _planned(frozen_masks, data, state.depth)
         pushed = push(state.rotations, state.betas, data.points, masks.floats)[0]
+    if masks.separated:  # the separated field's stacked entry, over cluster k's rows of z_k
+        block = np.stack([z[data.rows(k)] for k, z in enumerate(pushed)])
+        return _descent_field(state, masks.effective, block)
     return _descent_field(state, masks.general, pushed)
 
 

@@ -409,9 +409,9 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
                 stats.cost_retries += 1
                 h *= 0.5
                 if h < opts.min_step:
-                    where = (f" while localizing the crossing at {pending_events[0].where()}"
-                             if pending_events else "")
-                    raise StepUnderflow(f"step underflow at s = {s:.6g}{where}")
+                    event = pending_events[0] if pending_events else None
+                    where = "" if event is None else f" while localizing the crossing at {event.where()}"
+                    raise StepUnderflow(f"step underflow at s = {s:.6g}{where}", s, event)
                 continue
             break
 
@@ -545,7 +545,7 @@ def integrate_collapsed(cs0: CollapsedState, s_end: float,
         if err > tol:
             h = 0.5 * dt
             if h < opts.min_step:
-                raise StepUnderflow(f"step underflow at s = {s:.6g}")
+                raise StepUnderflow(f"step underflow at s = {s:.6g}", s)
             continue
         b, w, k1 = bh, wh, None
         s += dt

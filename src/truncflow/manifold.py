@@ -8,8 +8,9 @@ layers at once, which stays on the group by construction; the integrator checks 
 bound once per accepted step.  The exponential takes one Pade degree for the whole stack
 from its largest 1-norm (Higham 2005), and at degree 13 one squaring count: an integration
 step's generators are small, so a stage's whole stack normally takes degree 3, and only a
-large generator pays for degree 13 with scaling and squaring.  :func:`retract` and
-:func:`expm_antisym` are its one-layer case.  A stage's matrices are 2x2 to 4x4, so the
+large generator pays for degree 13 with scaling and squaring; one so large that more than
+MAX_SQUARINGS squarings would carry the result off the group raises ValueError.  :func:`retract`
+and :func:`expm_antisym` are its one-layer case.  A stage's matrices are 2x2 to 4x4, so the
 exponential's cost is mostly per-call overhead: it solves through the LAPACK gufunc that
 `np.linalg.solve` dispatches to, without that function's wrapper, and reads one read-only
 identity per Q, built once.
@@ -152,6 +153,11 @@ def polar_decompose(w) -> tuple[np.ndarray, OrthogonalMatrix]:
 _THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
           2.097847961257068, 5.371920351148152)
 
+# The most squarings the exponential takes.  Each one doubles the round-off: over 20,000 random
+# antisymmetric generators each at Q = 2, 3, 4 and 8, 16 squarings kept ||R^T R - I||_F <= 6.2e-11
+# and 17 reached 1.4e-10, past ORTHO_TOL.  So a 1-norm above theta_13 * 2^16 (about 3.5e5) fails.
+MAX_SQUARINGS = 16
+
 # Coefficients b_0 .. b_m of the degree-m Pade approximants to exp, m = 3, 5, 7, 9, 13.
 _PADE = (
     (120.0, 60.0, 12.0, 1.0),
@@ -182,12 +188,16 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     A layer is exponentiated bit for bit as if alone when its own 1-norm picks the same degree
     and count as the stack's.  An integration step's generators are small (h ||Omega||_1 of
     order 1e-3), so a stage's whole stack normally takes degree 3: two products and a solve.
-    A stack whose largest 1-norm is not finite raises ValueError."""
+    A stack whose largest 1-norm is not finite, or needs more than MAX_SQUARINGS squarings, raises
+    ValueError before any product."""
     norm = float(np.abs(a).sum(axis=-2).max())  # the largest 1-norm in the stack
     if not math.isfinite(norm):
         raise ValueError(f"cannot exponentiate a stack whose largest 1-norm is {norm}")
     degree = bisect_left(_THETA, norm, hi=4)  # 0-3: m = 3-9; 4: m = 13
     squarings = max(0, math.ceil(math.log2(norm / _THETA[-1]))) if degree == 4 else 0
+    if squarings > MAX_SQUARINGS:
+        raise ValueError(f"cannot exponentiate a stack whose largest 1-norm is {norm:.6g}: it needs "
+                         f"{squarings} squarings, more than the {MAX_SQUARINGS} that keep it on the group")
     if squarings:
         a = a / 2.0**squarings
     b = _PADE[degree]

@@ -10,6 +10,7 @@ from truncflow.flows import (
     FrozenMasks,
     _acting,
     _descent_field,
+    _general_plan,
     chained_projectors,
     clustered_explicit,
     clustered_rhs,
@@ -334,7 +335,78 @@ class TestFieldContract:
                 rhs(state, data)
 
 
+def separated_setup(rng, sizes, depth: int, identity=()):
+    """A state of `depth` layers on Q = len(sizes) clusters of those sizes, and masks that truncate
+    each cluster k at layer k alone: random bits on its rows there, every other row active, and
+    every row active at the layers in `identity`."""
+    q = len(sizes)
+    data = TrainingSet([rng.normal(size=(n, q)) for n in sizes])
+    rotations = [random_orthogonal(q, rng).mat for _ in range(depth)]
+    state = state_from_arrays(rotations, rng.normal(size=(depth, q)), np.eye(q), rng.normal(size=(q, q)))
+    masks = [np.ones(data.points.shape, dtype=bool) for _ in range(depth)]
+    for k in range(min(depth, q)):
+        if k not in identity:
+            masks[k][data.rows(k)] = rng.random((sizes[k], q)) < 0.5
+    return state, data, masks
+
+
+def per_cluster_general_field(state, data, masks):
+    """The general field through its per-cluster plan of `masks`, at push's coordinates."""
+    pushed = push(state.rotations, state.betas, data.points, masks)[0]
+    return _descent_field(state, _general_plan(masks, data), pushed)
+
+
 class TestGeneralRhs:
+    @PROPERTY
+    @given(st.integers(2, 4), st.data())
+    def test_separated_masks_sweep_the_stacked_entry(self, q, draw):
+        # masks that truncate each cluster k at layer k alone, over clusters 0..depth-1 of one
+        # size: the general field sweeps the separated field's stacked entry over push's
+        # coordinates, bit for bit its per-cluster plan's field, planned once or on the call, also
+        # where some layer or every layer is all active
+        depth = draw.draw(st.integers(2, q), label="depth")
+        n = draw.draw(st.sampled_from([1, 3, 6]), label="n")
+        identity = draw.draw(st.sampled_from([(), (0,), (depth - 1,), tuple(range(depth))]), label="identity")
+        rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sizes = [n] * depth + [int(m) for m in rng.integers(1, 8, size=q - depth)]
+        state, data, masks = separated_setup(rng, sizes, depth, identity)
+        planned = FrozenMasks(masks, data)
+        assert planned.separated
+        want = per_cluster_general_field(state, data, masks)
+        for frozen in (planned, list(masks)):
+            got = general_rhs(state, data, frozen)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_separated_states_sweep_the_stacked_entry(self):
+        # unfrozen, on separated states whose own masks are separated: the per-cluster plan's field
+        for i in range(12):
+            state, data = make_separated_config(2 + i % 3, n_per=(1, 3, 6)[i % 3], seed=200 + i)
+            masks = push(state.rotations, state.betas, data.points)[1]
+            assert FrozenMasks(masks, data).separated
+            want = per_cluster_general_field(state, data, masks)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(general_rhs(state, data), want))
+
+    def test_only_separated_masks_take_the_stacked_entry(self, monkeypatch):
+        # one truncated foreign row, clusters of two sizes, or more layers than clusters, and the
+        # general field sweeps its per-cluster plan
+        rng = np.random.default_rng(71)
+        swept, sweep = [], truncflow.flows._descent_field
+        monkeypatch.setattr(truncflow.flows, "_descent_field",
+                            lambda state, plan, zs: swept.append(plan) or sweep(state, plan, zs))
+        state, data, masks = separated_setup(rng, [4, 4, 4], 3)
+        planned = FrozenMasks(masks, data)
+        general_rhs(state, data, planned)
+        assert planned.separated and swept[-1] is planned.effective
+        foreign = [mask.copy() for mask in masks]
+        foreign[1][data.rows(2).start + 3, 2] = False  # cluster 2's last point, truncated at layer 1
+        cases = [(state, data, foreign), separated_setup(rng, [4, 5, 4], 3), separated_setup(rng, [4, 4], 3)]
+        for at, on, frozen in cases:
+            planned = FrozenMasks(frozen, on)
+            got = general_rhs(at, on, planned)
+            assert not planned.separated and swept[-1] is planned.general
+            want = per_cluster_general_field(at, on, frozen)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
     def test_reduces_to_effective_on_separated(self):
         for seed in range(10):
             state, data = make_separated_config(int(RNG.integers(2, 4)), n_per=4, seed=100 + seed)

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import os
 import subprocess
 import sys
@@ -182,6 +183,28 @@ class TestTrajectoryInvariants:
         assert str(err.value) == (
             f"step underflow at s = 0 while localizing the crossing at layer {first.layer}, cluster "
             f"{first.cluster}, point {first.point}, coordinate {first.coordinate} ({first.direction})")
+
+    def test_step_underflow_carries_its_stop(self, monkeypatch):
+        # the stop as attributes beside the message: `s`, and `event`, the crossing being
+        # localized, or None when there is none (always, in the collapsed flow)
+        with pytest.raises(StepUnderflow) as err:
+            integrate_collapsed(CollapsedState(2 * np.eye(3), np.eye(3), np.eye(3)), 1.0,
+                                IntegratorOptions(step=0.5, min_step=0.1, atol=0.0, rtol=0.0))
+        assert (err.value.s, err.value.event) == (0.0, None)
+        with pytest.raises(StepUnderflow) as err:
+            integrate_effective(*make_one_dim_state([-3.0, -2.5], 1.0, 0.0), 4.0,
+                                IntegratorOptions(step=3.0, min_step=2.0))
+        assert (err.value.s, err.value.event) == (0.0, None)
+        state, data = make_separated_config(3, n_per=20, seed=0)
+        s_first = integrate_effective(state, data, 1.0).events[0].s
+        opts = IntegratorOptions(step=2.0 * s_first, min_step=1.5 * s_first)
+        first = integrate_effective(state, data, 1.0, opts).events[0]
+        cost, rises = truncflow.integrate.images_cost, itertools.count(1)
+        monkeypatch.setattr(truncflow.integrate, "images_cost", lambda *args: cost(*args) + next(rises))
+        with pytest.raises(StepUnderflow) as err:
+            integrate_effective(state, data, 1.0, opts)
+        assert (err.value.s, err.value.event) == (0.0, first)
+        assert str(err.value) == f"step underflow at s = 0 while localizing the crossing at {first.where()}"
 
     @pytest.mark.parametrize("field, value", [
         ("step", np.nan), ("step", np.inf), ("step", 0.0), ("step", -0.01),
@@ -793,6 +816,7 @@ class TestMaskPlans:
         "effective": (integrate_effective, lambda: make_separated_config(3, n_per=20, seed=0), 1.0),
         "general": (integrate_general, lambda: make_separated_config(2, n_per=4, seed=10), 1.0),
         "guarded": (integrate_effective, unseparated_start, 0.2),
+        "unseparated": (integrate_general, unseparated_start, 0.2),
     }
 
     @staticmethod
@@ -807,7 +831,8 @@ class TestMaskPlans:
 
     @pytest.mark.parametrize("case, field, guard", [
         ("effective", "_effective_plan", None),
-        ("general", "_general_plan", None),
+        ("general", "_effective_plan", None),  # separated mask sets: the general field sweeps their stacked entry
+        ("unseparated", "_general_plan", None),
         ("guarded", "_effective_plan", "_general_plan"),
     ])
     def test_one_plan_per_mask_set(self, monkeypatch, case, field, guard):

@@ -1,4 +1,5 @@
 import math
+import re
 from bisect import bisect_left
 
 import numpy as np
@@ -185,6 +186,25 @@ class TestRetract:
         omega = AntisymmetricMatrix([[0.0, 2.0], [-2.0, 0.0]])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="1-norm is inf"):
             retract(random_orthogonal(2, RNG), omega, 1e308)
+
+    def test_generator_too_large_for_the_group_rejected(self):
+        # up to MAX_SQUARINGS squarings the result stays on the group; a step * omega that needs
+        # more raises by name before any product, so numpy warns of nothing (warnings are errors)
+        assert truncflow.manifold.MAX_SQUARINGS == 16
+        rng = np.random.default_rng(0)
+        r = random_orthogonal(3, rng)
+        omega = random_antisym(3, rng)
+        omega = AntisymmetricMatrix(omega.mat * (0.3 / one_norm(omega.mat)))  # 1-norm 0.3
+        assert retract(r, omega, 1e6).orthogonality_error() <= 1e-10  # 1-norm 3e5: 16 squarings
+        edge = THETA[-1] * 2.0**16 / 0.3  # the step at which step * omega needs a 17th squaring
+        assert retract(r, omega, 0.999 * edge).orthogonality_error() <= 1e-10
+        for step, squarings in ((1.001 * edge, 17), (1e8, 23), (1e20, 63)):
+            norm = one_norm(step * omega.mat)
+            assert pade_band(norm) == (4, squarings)
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"cannot exponentiate a stack whose largest 1-norm is {norm:.6g}: it needs "
+                    f"{squarings} squarings, more than the 16 that keep it on the group") + "$"):
+                retract(r, omega, step)
 
 
 @st.composite

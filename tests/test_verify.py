@@ -1,6 +1,12 @@
+import hashlib
+import platform
+import sys
+
 import numpy as np
+import pytest
 
 import truncflow.verify
+from truncflow.cli import main
 from truncflow.errors import NearKink
 from truncflow.verify import (
     conservation_suite,
@@ -41,6 +47,21 @@ def test_monotonicity_suite_integrates_each_case_once(monkeypatch):
     assert len(calls) == 12
     assert result["passed"], result
     assert [(p["cases"], p["skipped"]) for p in result["properties"][:2]] == [(12, 0), (12, 0)]
+
+
+# sha256 of `truncflow verify all --seed 0 --out report.json`'s file, recorded before the general
+# field swept separated mask sets as one stacked entry
+VERIFY_ALL_SEED0 = "7862cf88677c08f70dc7ae041412f83972c92796c22a3d1b092e3b0c02a632c1"
+
+
+@pytest.mark.skipif(not (sys.platform == "linux" and platform.machine() == "x86_64"),
+                    reason="the digest is recorded on x86_64 Linux")
+def test_verify_all_report_matches_recorded_digest(tmp_path):
+    # every suite's verdicts, worst values, case and skip counts and stops, bit for bit, in the
+    # file the CLI writes
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_ALL_SEED0
 
 
 def test_run_suites_aggregation():
