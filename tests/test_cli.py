@@ -306,11 +306,18 @@ class TestRunCommand:
             )
         assert outputs[0] == outputs[1]
 
+    # sha256 of each shipped config's summary.json: its final state, integrator stats and phase fits
+    SUMMARY_DIGESTS = {
+        "collapsed_spectral_gap.json": "165054ccf9e9493c34ad5c13fec4818bbfda6a25e2666f8967760cca1df2ee39",
+        "effective_equilibrium.json": "0022ded52563284ad99627164824ca606b4b184e06fc837dbeed6cd0fdaf6312",
+        "oned_ladder.json": "89d6c20810e3353d7399e012aac226a1d3f6736304e420efe32116e363f96613",
+    }
+
     @pytest.mark.skipif(not (sys.platform == "linux" and platform.machine() == "x86_64"),
                         reason="CSV digests are recorded on x86_64 Linux")
     def test_shipped_configs_match_recorded_digests(self, tmp_path):
         # README promises byte-identical CSVs per platform; the digests were
-        # recorded from these configs and are only read here
+        # recorded from these configs and are only read here; so is each run's summary.json
         root = Path(__file__).resolve().parents[1]
         digests = json.loads((root / "perfbench" / "digests.json").read_text())
         assert sorted(digests) == sorted(p.name for p in (root / "configs").glob("*.json"))
@@ -321,6 +328,8 @@ class TestRunCommand:
             got = {csv: hashlib.sha256((tmp_path / Path(name).stem / csv).read_bytes()).hexdigest()
                    for csv in expected}
             assert got == expected, name
+            summary = (tmp_path / Path(name).stem / "summary.json").read_bytes()
+            assert hashlib.sha256(summary).hexdigest() == self.SUMMARY_DIGESTS[name], name
 
     @pytest.mark.parametrize("change, code, named", [
         ({"s_end": float("inf")}, 2, "'s_end'"),
