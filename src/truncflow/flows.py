@@ -32,25 +32,25 @@ size n, each acting at its own layer alone, as one (B, n, Q) block indexed by
 its layers; the sweep's lines serve both ranks.  Frozen masks given as a
 :class:`FrozenMasks` are planned once per field, and the plan is swept as it
 is on every later call; their float form, which the general field pushes at,
-whether the separated field stacks, and whether the set is separated are
-decided once too.  A plain list is planned on each call by the same functions.
-The integrators wrap push's list once per mask change, so one plan serves
-every evaluation until the next event.  The general field sweeps push's
-coordinates.  It plans per cluster, except on a separated mask set: one whose
-every layer k truncates no row outside cluster k, over clusters that stack.
-There each cluster acts at its own layer alone, as in the separated field, so
-the general field sweeps that field's stacked entry over cluster k's rows of
-push's z_k, one (depth, n, Q) block, bit for bit the per-cluster sweep.
-The separated field gives cluster k layer k alone, at its own rows' raw
-coordinates (x + beta_k) R_k^T and mask, whose unfrozen rows are their signs
-(integrators freeze push's, which on the field's domain, separated states, are
-the same rows): it pushes no point and reads no foreign cluster's rows.  With
-depth >= 2 and clusters 0..depth-1 of one size, it takes all its layers as
-one stacked entry, one batched product per evaluation; otherwise, a depth-1
-state included, one entry per acting layer.  Generators are validated as
-:class:`~truncflow.manifold.AntisymmetricMatrix` only where they cross the
-public boundary (`retract`, the finite-difference oracle).  The collapsed
-field takes and returns plain arrays too,
+whether they stack and whether they are separated are decided once too.  A
+plain list is planned on each call by the same functions.  The integrators
+wrap push's list once per mask change, so one plan serves every evaluation
+until the next event.  Clusters 0..depth-1 of one size *stack*, at any depth.
+A mask set is *separated* when no layer k truncates a row outside cluster k,
+on push's masks :func:`~truncflow.measures.check_cluster_separation`'s answer.
+The general field sweeps push's coordinates per cluster, except on a mask set
+that is separated and stacks: there each cluster acts at its own layer alone,
+as in the separated field, so it sweeps that field's stacked entry over
+cluster k's rows of push's z_k, one (depth, n, Q) block, bit for bit the
+per-cluster sweep.  The separated field gives cluster k layer k alone, at its
+own rows' raw coordinates (x + beta_k) R_k^T and mask, whose unfrozen rows are
+their signs (integrators freeze push's, which on the field's domain, separated
+states, are the same rows): it pushes no point and reads no foreign cluster's
+rows.  Over clusters that stack it takes its layers as one stacked entry, one
+batched product per evaluation; otherwise one entry per acting layer.
+Generators are validated as :class:`~truncflow.manifold.AntisymmetricMatrix`
+only where they cross the public boundary (`retract`, the finite-difference
+oracle).  The collapsed field takes and returns plain arrays too,
 ``collapsed_rhs(b, w, y) -> (b_dot, w_dot)``.
 """
 
@@ -118,9 +118,9 @@ def _descent_field(state: ModelState, plan, zs):
 
 
 def _stacks(data: TrainingSet, depth: int) -> bool:
-    """Whether the separated field takes its layers as one stacked entry: depth >= 2 over
-    clusters 0..depth-1 of one size."""
-    return depth >= 2 and len(set(data.counts[:depth])) == 1
+    """Whether the separated field takes its layers as one stacked entry: clusters 0..depth-1
+    of one size, at any depth."""
+    return len(set(data.counts[:depth])) == 1
 
 
 def _effective_plan(own, stacked: bool):
@@ -156,19 +156,26 @@ class FrozenMasks(tuple):
 
     It is push's activity list as it is, `masks[k]` the (N, Q) bool activities at layer k of
     every point of `data`, for states of `len(masks)` layers; it goes wherever such a list goes.
-    Everything the masks alone decide is computed on first use and kept for as long as the mask
-    set is: `floats`, the masks as float arrays, which `push` takes as its `masks` for the same
-    bits; `own`, cluster k's rows of `masks[k]`; `counts`, its truncated points per coordinate;
-    `stacked`, whether the separated field takes its layers as one stacked entry; `separated`,
-    whether they stack and no layer k truncates a row outside cluster k, so that the general
-    field sweeps the separated plan too; and one plan per field (`effective`, `general`), the
-    entries each field's :func:`_descent_field` sweeps as they are.  The integrators wrap
-    push's list once per mask change.  A field given a plain list, or masks planned for other
-    data or another depth, plans them on that call by the same function.
+    Each mask is checked once, here: one that is not a bool array of `data.points`' shape raises
+    ValueError naming its layer.  Everything the masks alone decide is computed on first use and
+    kept for as long as the mask set is: `floats`, the masks as float arrays, which `push` takes
+    as its `masks` for the same bits; `own`, cluster k's rows of `masks[k]`; `counts`, its
+    truncated points per coordinate; `stacked`, whether clusters 0..L-1 are of one size, so that
+    the separated field takes its layers as one stacked entry; `separated`, whether the set has
+    at most Q layers and no layer k truncates a row outside cluster k, on push's masks what
+    :func:`~truncflow.measures.check_cluster_separation` answers; and one plan per field
+    (`effective`, `general`), the entries each field's :func:`_descent_field` sweeps as they
+    are.  The integrators wrap push's list once per mask change.  A field given a plain list, or
+    masks planned for other data or another depth, plans them on that call by the same function.
     """
 
     def __new__(cls, masks, data: TrainingSet):
         self = super().__new__(cls, masks)
+        for l, mask in enumerate(self):
+            if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == data.points.shape):
+                got = (f"{mask.dtype} of shape {mask.shape}" if isinstance(mask, np.ndarray)
+                       else type(mask).__name__)
+                raise ValueError(f"frozen mask {l} is {got}; expected bool of shape {data.points.shape}")
         self.data = data
         return self
 
@@ -190,8 +197,8 @@ class FrozenMasks(tuple):
 
     @cached_property
     def separated(self) -> bool:
-        # stacked, and no row outside cluster k truncated at layer k: its counts are all the mask's
-        return self.stacked and len(self) <= self.data.q and all(
+        # no row outside cluster k truncated at layer k: its counts are all the mask's
+        return len(self) <= self.data.q and all(
             np.count_nonzero(mask) == mask.size - count.sum() for mask, count in zip(self, self.counts))
 
     @cached_property
@@ -205,9 +212,11 @@ class FrozenMasks(tuple):
 
 def _planned(masks, data: TrainingSet, depth: int) -> FrozenMasks:
     """`masks` if they were planned for `data` at `depth`, else their first `depth` layers
-    wrapped anew, to be planned on this call (too few raise IndexError)."""
+    wrapped anew, to be planned on this call; fewer than `depth` raise IndexRange."""
     if isinstance(masks, FrozenMasks) and masks.data is data and len(masks) == depth:
         return masks
+    if len(masks) < depth:
+        raise IndexRange(f"{len(masks)} frozen masks for {depth} layers")
     return FrozenMasks([masks[l] for l in range(depth)], data)
 
 
@@ -220,11 +229,10 @@ def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     which integrators pass so that no step samples the field across a
     boundary, else z_k > 0 as in the moment form.  So layer k's velocity reads
     only R_k, beta_k, cluster k and ytilde_k; a cluster all active there, or
-    beyond the depth, acts nowhere.  With depth >= 2 and clusters
-    0..depth-1 of one size n, the layers are one stacked entry: z is one
-    batched product over the (depth, n, Q) view of their rows; otherwise each
-    acting layer is an entry of its own (so is a depth-1 state's, whose (n, Q)
-    entry is faster than a stack of one).
+    beyond the depth, acts nowhere.  With clusters 0..depth-1 of one size n,
+    at any depth, the layers are one stacked entry: z is one batched product
+    over the (depth, n, Q) view of their rows; otherwise each acting layer is
+    an entry of its own.
 
     The field's domain is the separated states, on which layers 0..k-1 fix
     cluster k: there its raw z_k are push's chained ones, and the field frozen
@@ -254,12 +262,12 @@ def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     """
     if state.depth > data.q:
         raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
+    masks = None if frozen_masks is None else _planned(frozen_masks, data, state.depth)
     beta_dots = np.empty(state.betas.shape)
     omegas = np.zeros(state.rotations.shape)
     for k, (r, beta) in enumerate(zip(state.rotations, state.betas)):
         v = r @ (beta + state.pulled_labels[k])
-        mask = None if frozen_masks is None else frozen_masks[k][data.rows(k)]
-        mom = compute_moments(r, beta, data.clusters[k], mask)
+        mom = compute_moments(r, beta, data.clusters[k], None if masks is None else masks.own[k])
         beta_dots[k] = -(r.T @ (mom.j0_perp * v))
         for bits, j1 in mom.j1_by_sector.items():
             if all(bits) or not any(bits):  # the pure sectors contribute nothing
@@ -276,11 +284,11 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     Same contract as :func:`effective_rhs`, but every cluster acts on every
     layer through the chained truncation.  One `push` carries all points up
     (at `frozen_masks` if given); each cluster's plan lists the layers where
-    its mask rows are not all active, from the top down.  On separated masks
-    (each layer k truncates cluster k's rows alone, and the clusters stack)
-    every cluster acts at its own layer alone: the sweep takes the separated
-    field's stacked entry over cluster k's rows of push's z_k instead, with
-    the same bits, since each layer gets its one contribution either way.
+    its mask rows are not all active, from the top down.  On masks that are
+    separated and stack, every cluster acts at its own layer alone: the
+    sweep takes the separated field's stacked entry over cluster k's rows of
+    push's z_k instead, with the same bits, since each layer gets its one
+    contribution either way.
     """
     if frozen_masks is None:
         pushed, masks, _, _ = push(state.rotations, state.betas, data.points)
@@ -288,7 +296,7 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     else:
         masks = _planned(frozen_masks, data, state.depth)
         pushed = push(state.rotations, state.betas, data.points, masks.floats)[0]
-    if masks.separated:  # the separated field's stacked entry, over cluster k's rows of z_k
+    if masks.stacked and masks.separated:  # the stacked entry, over cluster k's rows of z_k
         block = np.stack([z[data.rows(k)] for k, z in enumerate(pushed)])
         return _descent_field(state, masks.effective, block)
     return _descent_field(state, masks.general, pushed)

@@ -344,7 +344,8 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
     Every stage passes the step's `masks` (push's list, `[k]` for all points
     at layer k), so it evaluates the smooth extension of that sector
     configuration and no stage ever samples the field across a boundary.
-    `separated`: the field reads only cluster k's rows of masks[k] (`integrate_effective`).
+    `separated`: the field reads only cluster k's rows of masks[k] (`integrate_effective`); a
+    start whose mask set is not separated is pushed again, to count the triples its warning names.
     """
     if not 0 < s_end < np.inf:
         raise ValueError(f"s_end must be positive and finite, got {s_end!r}")
@@ -358,7 +359,7 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
     nus, images = _sweep(state, data)
     masks = FrozenMasks(nus, data)
     cost = images_cost(state, data, images)
-    violations = check_cluster_separation(state, data)[1] if separated else []
+    violations = check_cluster_separation(state, data)[1] if separated and not masks.separated else []
     if violations:
         logger.warning("cluster separation violated at %d (layer, cluster, point) triples; "
                        "the cluster-separated flow equations are approximations here", len(violations))

@@ -40,7 +40,7 @@ def states_and_data(draw, q_min=2):
     """Q = q_min-4 clusters of 1-6 points, L <= Q layers (rotations exp(A) of drawn generators).
 
     Half the draws give every cluster one size, so the separated field takes its stacked plan
-    entry whenever L >= 2, and its per-cluster entries otherwise.
+    entry, at any L, and its per-cluster entries otherwise.
     """
     q = draw(st.integers(q_min, 4))
     depth = draw(st.integers(1, q))
@@ -157,13 +157,13 @@ class TestEffectiveRhs:
     def test_each_layer_reads_only_its_own_cluster(self):
         # moving the points of every cluster j != k, those beyond the depth included, leaves
         # layer k's velocity bit for bit, unfrozen and at frozen masks over all points; with
-        # equal sizes and L >= 2 the layers are one stacked plan entry, which must read only
-        # its own cluster's rows too
+        # equal sizes the layers are one stacked plan entry, which must read only its own
+        # cluster's rows too
         rng = np.random.default_rng(61)
         for equal_sizes in [False] * 20 + [True] * 20:
             q = int(rng.integers(2, 5))
             if equal_sizes:
-                depth = int(rng.integers(2, q + 1))
+                depth = int(rng.integers(1, q + 1))
                 sizes = np.full(q, rng.integers(1, 8))
             else:
                 depth = int(rng.integers(1, q))
@@ -193,9 +193,9 @@ class TestEffectiveRhs:
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_stacked_entry_equals_per_cluster_entries(self, q, monkeypatch):
-        # clusters of one size at L >= 2 layers make one (L, n, Q) plan entry; its field equals the
-        # per-cluster entries' bit for bit, unfrozen and frozen, at L = q and L < q, also where
-        # some layer's cluster is all active there (that layer leaves the stack) or every one is
+        # clusters of one size make one (L, n, Q) plan entry at any L; its field equals the
+        # per-cluster entries' bit for bit, unfrozen and frozen, at L = 1, L = q and L < q, also
+        # where some layer's cluster is all active there (that layer leaves the stack) or every one is
         rng = np.random.default_rng(70 + q)
         entries = []
         sweep = truncflow.flows._descent_field
@@ -205,7 +205,7 @@ class TestEffectiveRhs:
             return sweep(state, plan, zs)
 
         monkeypatch.setattr(truncflow.flows, "_descent_field", recording)
-        for depth in range(2, q + 1):
+        for depth in range(1, q + 1):
             for n in (1, 3, 6):
                 data = TrainingSet(rng.normal(size=(q, n, q)))
                 for identity in ([], [0], [depth - 1], list(range(depth))):
@@ -326,6 +326,48 @@ class TestFieldContract:
                 want, got = rhs(state, data, masks), rhs(state, data, frozen)
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), rhs.__name__
 
+    @staticmethod
+    def malformed_setup():
+        """A depth-2 state on three clusters of 2, 3 and 4 points, and its push masks."""
+        rng = np.random.default_rng(49)
+        data = TrainingSet([rng.normal(size=(n, 3)) for n in (2, 3, 4)])
+        state = state_from_arrays([random_orthogonal(3, rng).mat for _ in range(2)], rng.normal(size=(2, 3)),
+                                  np.eye(3), rng.normal(size=(3, 3)))
+        return state, data, push(state.rotations, state.betas, data.points)[1]
+
+    @pytest.mark.parametrize("rhs", [effective_rhs, general_rhs, moment_form_rhs])
+    def test_masks_short_of_a_row_rejected(self, rhs):
+        # masks of N - 1 rows would leave the last cluster's last point out of its sector
+        state, data, masks = self.malformed_setup()
+        with pytest.raises(ValueError, match=r"frozen mask 0 is bool of shape \(8, 3\); expected bool of shape \(9, 3\)"):
+            rhs(state, data, [mask[:-1] for mask in masks])
+
+    @pytest.mark.parametrize("rhs", [effective_rhs, general_rhs, moment_form_rhs])
+    def test_masks_of_another_shape_rejected(self, rhs):
+        state, data, masks = self.malformed_setup()
+        with pytest.raises(ValueError, match=r"frozen mask 1 is bool of shape \(3, 9\); expected bool of shape \(9, 3\)"):
+            rhs(state, data, [masks[0], masks[1].T])
+
+    @pytest.mark.parametrize("rhs", [effective_rhs, general_rhs, moment_form_rhs])
+    def test_masks_not_boolean_arrays_rejected(self, rhs):
+        state, data, masks = self.malformed_setup()
+        with pytest.raises(ValueError, match=r"frozen mask 0 is float64 of shape \(9, 3\); expected bool"):
+            rhs(state, data, [mask.astype(float) for mask in masks])
+        with pytest.raises(ValueError, match=r"frozen mask 1 is list; expected bool"):
+            rhs(state, data, [masks[0], masks[1].tolist()])
+
+    @pytest.mark.parametrize("rhs", [effective_rhs, general_rhs, moment_form_rhs])
+    def test_fewer_masks_than_layers_rejected(self, rhs):
+        state, data, masks = self.malformed_setup()
+        with pytest.raises(IndexRange, match="1 frozen masks for 2 layers"):
+            rhs(state, data, masks[:1])
+
+    def test_frozen_masks_checked_where_they_enter(self):
+        # a mask set checks its masks once, when it is made
+        _, data, masks = self.malformed_setup()
+        with pytest.raises(ValueError, match="frozen mask 1 is int64"):
+            FrozenMasks([masks[0], masks[1].astype(np.int64)], data)
+
     def test_depth_beyond_clusters_rejected(self):
         q = 2
         state = state_from_arrays([np.eye(q)] * 3, [np.zeros(q)] * 3, np.eye(q), np.zeros((q, q)))
@@ -358,13 +400,13 @@ def per_cluster_general_field(state, data, masks):
 
 class TestGeneralRhs:
     @PROPERTY
-    @given(st.integers(2, 4), st.data())
+    @given(st.integers(1, 4), st.data())
     def test_separated_masks_sweep_the_stacked_entry(self, q, draw):
         # masks that truncate each cluster k at layer k alone, over clusters 0..depth-1 of one
-        # size: the general field sweeps the separated field's stacked entry over push's
-        # coordinates, bit for bit its per-cluster plan's field, planned once or on the call, also
-        # where some layer or every layer is all active
-        depth = draw.draw(st.integers(2, q), label="depth")
+        # size, at any depth: the general field sweeps the separated field's stacked entry over
+        # push's coordinates, bit for bit its per-cluster plan's field, planned once or on the
+        # call, also where some layer or every layer is all active
+        depth = draw.draw(st.integers(1, q), label="depth")
         n = draw.draw(st.sampled_from([1, 3, 6]), label="n")
         identity = draw.draw(st.sampled_from([(), (0,), (depth - 1,), tuple(range(depth))]), label="identity")
         rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -386,9 +428,33 @@ class TestGeneralRhs:
             want = per_cluster_general_field(state, data, masks)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(general_rhs(state, data), want))
 
+    def test_separated_masks_are_separated_states(self):
+        # on push's masks, FrozenMasks.separated answers check_cluster_separation: at Q = 1-4 and
+        # depth <= Q, over clusters of one size or not, on separated configs whose biases are nudged
+        # by 0, 5 or 20 (clusters 20 apart) and on unstructured states
+        rng = np.random.default_rng(72)
+        answers = []
+        for i in range(240):
+            q = int(rng.integers(2 if i % 3 else 1, 5))  # a separated config needs Q >= 2
+            if i % 3:
+                full, whole = make_separated_config(q, n_per=6, seed=i)
+                data = TrainingSet([c[:n] for c, n in zip(whole.clusters, rng.integers(1, 7, size=q))]
+                                   if i % 3 == 1 else whole.clusters)
+                depth = int(rng.integers(1, q + 1))
+                nudge = rng.choice([0.0, 5.0, 20.0]) * rng.normal(size=(depth, q))
+                state = state_from_arrays(full.rotations[:depth], full.betas[:depth] + nudge, full.output_map,
+                                          full.labels)
+            else:
+                state, data = _random_state_and_data(q, 6, rng)
+            masks = push(state.rotations, state.betas, data.points)[1]
+            answers.append(check_cluster_separation(state, data)[0])
+            assert FrozenMasks(masks, data).separated == answers[-1], i
+        assert 80 < sum(answers) < 160  # both answers are common
+
     def test_only_separated_masks_take_the_stacked_entry(self, monkeypatch):
         # one truncated foreign row, clusters of two sizes, or more layers than clusters, and the
-        # general field sweeps its per-cluster plan
+        # general field sweeps its per-cluster plan; clusters of two sizes are separated but do not
+        # stack
         rng = np.random.default_rng(71)
         swept, sweep = [], truncflow.flows._descent_field
         monkeypatch.setattr(truncflow.flows, "_descent_field",
@@ -403,7 +469,7 @@ class TestGeneralRhs:
         for at, on, frozen in cases:
             planned = FrozenMasks(frozen, on)
             got = general_rhs(at, on, planned)
-            assert not planned.separated and swept[-1] is planned.general
+            assert not (planned.stacked and planned.separated) and swept[-1] is planned.general
             want = per_cluster_general_field(at, on, frozen)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 

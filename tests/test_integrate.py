@@ -618,6 +618,20 @@ class TestSeparationLoss:
             integrate_effective(*make_separated_config(3, n_per=5, seed=0), 0.2)
         assert not self.separation_warnings(caplog)
 
+    def test_only_a_start_that_is_not_separated_is_checked_again(self, caplog, monkeypatch):
+        # the start's mask set answers whether it is separated; check_cluster_separation, which pushes
+        # the start once more, runs only to count the triples of a start that is not
+        calls, check = [], truncflow.integrate.check_cluster_separation
+        monkeypatch.setattr(truncflow.integrate, "check_cluster_separation",
+                            lambda *args: calls.append(args) or check(*args))
+        state, data = make_separated_config(3, n_per=5, seed=0)
+        for start, checks in [(state, 0), (named_initial_state("random-orthogonal", data, state.labels, seed=1), 1)]:
+            calls.clear()
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="truncflow.integrate"):
+                integrate_effective(start, data, 0.05)
+            assert len(calls) == len(self.separation_warnings(caplog)) == checks
+
 
 class TestSectorMasks:
     @staticmethod

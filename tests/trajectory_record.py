@@ -19,6 +19,7 @@ import contextlib
 import functools
 import importlib.util
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -111,7 +112,13 @@ def main() -> None:
     for name, run in cases():
         record[name] = {"default": summarize(run(IntegratorOptions())), "converged": summarize(run(CONVERGED))}
         print(name, record[name]["default"]["end"], flush=True)
-    RECORD.write_text(json.dumps(record, indent=1) + "\n")
+    RECORD.write_text(dumps(record))
+
+
+def dumps(record: dict) -> str:
+    """The record as JSON, one event per line, so that two records diff by event."""
+    return re.sub(r"\[\s+([^][]*?)\s+\]", lambda m: f"[{' '.join(m.group(1).split())}]",
+                  json.dumps(record, indent=1)) + "\n"
 
 
 if __name__ == "__main__":
