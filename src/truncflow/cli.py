@@ -169,7 +169,7 @@ def _load_data(cfg: ScenarioConfig):
     doc = cfg.data
     try:
         data, labels = TrainingSet.load(doc["path"]) if "path" in doc else TrainingSet.from_dict(doc)
-    except json.JSONDecodeError as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"field 'data.path': {exc}") from exc
     except (ValueError, EmptyCluster) as exc:
         raise _field_error("data.", exc) from exc

@@ -36,8 +36,10 @@ whether they stack and whether they are separated are decided once too.  A
 plain list is planned on each call by the same functions.  The integrators
 wrap push's list once per mask change, so one plan serves every evaluation
 until the next event.  Clusters 0..depth-1 of one size *stack*, at any depth.
-A mask set is *separated* when no layer k truncates a row outside cluster k,
-on push's masks :func:`~truncflow.measures.check_cluster_separation`'s answer.
+A mask set is *separated* when it has at most Q layers and no layer k truncates
+a row outside cluster k: when :func:`~truncflow.measures.separation_violations`,
+the list that :func:`~truncflow.measures.check_cluster_separation` returns for
+push's masks, is empty.
 The general field sweeps push's coordinates per cluster, except on a mask set
 that is separated and stacks: there each cluster acts at its own layer alone,
 as in the separated field, so it sweeps that field's stacked entry over
@@ -62,8 +64,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadOrdering, IndexRange, LabelInsideData, SingularGram
-from .measures import TrainingSet, compute_moments
-from .model import ModelState, push
+from .measures import TrainingSet, compute_moments, separation_violations
+from .model import ModelState, finite_points, push
 
 
 def _commutator_with_mask(nu: np.ndarray, sym: np.ndarray) -> np.ndarray:
@@ -161,9 +163,11 @@ class FrozenMasks(tuple):
     kept for as long as the mask set is: `floats`, the masks as float arrays, which `push` takes
     as its `masks` for the same bits; `own`, cluster k's rows of `masks[k]`; `counts`, its
     truncated points per coordinate; `stacked`, whether clusters 0..L-1 are of one size, so that
-    the separated field takes its layers as one stacked entry; `separated`, whether the set has
-    at most Q layers and no layer k truncates a row outside cluster k, on push's masks what
-    :func:`~truncflow.measures.check_cluster_separation` answers; and one plan per field
+    the separated field takes its layers as one stacked entry; `violations`, the (layer, cluster,
+    point) triples of rows outside cluster k truncated at layer k, by
+    :func:`~truncflow.measures.separation_violations`, on push's masks the list that
+    :func:`~truncflow.measures.check_cluster_separation` returns; `separated`, whether the set
+    has at most Q layers and no violation; and one plan per field
     (`effective`, `general`), the entries each field's :func:`_descent_field` sweeps as they
     are.  The integrators wrap push's list once per mask change.  A field given a plain list, or
     masks planned for other data or another depth, plans them on that call by the same function.
@@ -196,10 +200,12 @@ class FrozenMasks(tuple):
         return _stacks(self.data, len(self))
 
     @cached_property
+    def violations(self) -> list[tuple[int, int, int]]:
+        return separation_violations(self, self.data)
+
+    @cached_property
     def separated(self) -> bool:
-        # no row outside cluster k truncated at layer k: its counts are all the mask's
-        return len(self) <= self.data.q and all(
-            np.count_nonzero(mask) == mask.size - count.sum() for mask, count in zip(self, self.counts))
+        return len(self) <= self.data.q and not self.violations
 
     @cached_property
     def effective(self):
@@ -307,14 +313,15 @@ def chained_projectors(state: ModelState, point, lo: int = 0, hi: int | None = N
 
     Returns (p_plus, p_minus_list) with tau^(lo..hi-1)(x) =
     p_plus @ x - sum_k p_minus_list[k - lo] @ beta_k, the activity masks
-    being evaluated along the chain started at layer lo.
+    being evaluated along the chain started at layer lo.  `point` is one
+    finite point (Q,) (:func:`~truncflow.model.finite_points`).
     """
     if hi is None:
         hi = state.depth
     if not (0 <= lo <= hi <= state.depth):
         raise IndexRange(f"invalid layer range [{lo}, {hi}) for depth {state.depth}")
     q = state.dim
-    t = np.asarray(point, dtype=float)
+    t = finite_points(point, q, rows=False)
     p_plus = np.eye(q)
     p_minus: list[np.ndarray] = []
     for k in range(lo, hi):

@@ -75,7 +75,7 @@ from .manifold import (
     polar_decompose,
     retract_stack,
 )
-from .measures import TrainingSet, check_cluster_separation
+from .measures import TrainingSet
 from .model import ModelState, euclidean_cost, images_cost, push
 
 logger = logging.getLogger(__name__)
@@ -344,8 +344,8 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
     Every stage passes the step's `masks` (push's list, `[k]` for all points
     at layer k), so it evaluates the smooth extension of that sector
     configuration and no stage ever samples the field across a boundary.
-    `separated`: the field reads only cluster k's rows of masks[k] (`integrate_effective`); a
-    start whose mask set is not separated is pushed again, to count the triples its warning names.
+    `separated`: the field reads only cluster k's rows of masks[k] (`integrate_effective`); the
+    start is pushed once, and its warning counts the triples its mask set lists as violations.
     """
     if not 0 < s_end < np.inf:
         raise ValueError(f"s_end must be positive and finite, got {s_end!r}")
@@ -359,10 +359,11 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
     nus, images = _sweep(state, data)
     masks = FrozenMasks(nus, data)
     cost = images_cost(state, data, images)
-    violations = check_cluster_separation(state, data)[1] if separated and not masks.separated else []
-    if violations:
+    guarded = separated and not masks.separated
+    if guarded:
         logger.warning("cluster separation violated at %d (layer, cluster, point) triples; "
-                       "the cluster-separated flow equations are approximations here", len(violations))
+                       "the cluster-separated flow equations are approximations here",
+                       len(masks.violations))
     stats = IntegratorStats()
 
     def counted_rhs(*args, fn=rhs):
@@ -387,7 +388,7 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
     h_nominal = opts.step
 
     while s < s_end - 1e-13:
-        if violations:  # the field need not descend the full cost: stop where it ascends it
+        if guarded:  # the field need not descend the full cost: stop where it ascends it
             rate = _full_cost_rate(counted_rhs(state, data, masks, fn=general_rhs), k1)
             if rate > 0.0:
                 return Trajectory(samples, events, stopped_reason=(

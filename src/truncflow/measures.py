@@ -4,6 +4,9 @@ Every cluster is a finite set of points, so every moment is a finite sum;
 no quadrature appears anywhere.  Moments are taken of the pushed-forward
 measure, i.e. of the points z = R(x + beta) in the layer's rotated frame,
 and sectors are keyed by their activity pattern, a tuple of Q booleans.
+Separation is decided here, once: :func:`separation_violations` lists the
+(layer, cluster, point) triples of a mask list that break it, and both
+:func:`check_cluster_separation` and ``flows.FrozenMasks`` read that list.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCluster
+from .errors import EmptyCluster, IndexRange
 from .model import ModelState, push
 
 
@@ -162,15 +165,26 @@ def compute_moments(rotation, beta, cluster, mask=None) -> Moments:
     )
 
 
+def separation_violations(masks, data: TrainingSet) -> list[tuple[int, int, int]]:
+    """The (layer, cluster, point) triples, in ascending order, of the rows outside cluster k that
+    the activities `masks[k]` (N, Q) truncate in some coordinate; a layer k >= Q has no cluster
+    of its own, so every row it truncates is listed."""
+    violations = []
+    for k, nu in enumerate(masks):
+        clusters, points = data.locate(np.flatnonzero(~np.all(nu, axis=1)))
+        violations.extend((k, l, i) for l, i in zip(clusters.tolist(), points.tolist()) if l != k)
+    return violations
+
+
 def check_cluster_separation(state: ModelState, data: TrainingSet):
     """Does every layer act as the identity on the chained images of every other cluster?
 
-    Returns (ok, violations) where violations lists, in ascending order, the (layer, cluster,
-    point) triples whose image, pushed through the layers before it, is not strictly inside the
-    layer's positive sector.
+    Returns (ok, violations) where violations are the :func:`separation_violations` of one push
+    of all points: the (layer, cluster, point) triples whose image, pushed through the layers
+    before it, is not strictly inside the layer's positive sector.  A state of more layers than
+    clusters raises IndexRange.
     """
-    violations = []
-    for k, nu in enumerate(push(state.rotations, state.betas, data.points)[1]):
-        clusters, points = data.locate(np.flatnonzero(~np.all(nu, axis=1)))
-        violations.extend((k, l, i) for l, i in zip(clusters.tolist(), points.tolist()) if l != k)
+    if state.depth > data.q:
+        raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
+    violations = separation_violations(push(state.rotations, state.betas, data.points)[1], data)
     return (not violations), violations

@@ -168,18 +168,34 @@ def push(rotations, betas, pts, masks=None, field=None):
     return zs, nus, t, z_dots if field is not None else None
 
 
+def finite_points(x, q: int, rows: bool = True) -> np.ndarray:
+    """`x` as a float array of one point (Q,), or with `rows` also of rows of points (N, Q).
+    Another shape, or a non-finite coordinate, raises ValueError naming the shape or the first
+    such coordinate."""
+    t = np.asarray(x, dtype=float)
+    if t.ndim not in ((1, 2) if rows else (1,)) or t.shape[-1] != q:
+        expected = f"({q},) or (N, {q})" if rows else f"({q},)"
+        raise ValueError(f"point has shape {t.shape}; expected {expected}")
+    bad = np.argwhere(~np.isfinite(t))
+    if len(bad):
+        where = tuple(bad[0].tolist())
+        name = "point" if t.ndim == 1 else f"point {where[0]}"
+        raise ValueError(f"{name} coordinate {where[-1]} is {t[where]}, not finite")
+    return t
+
+
 def chained_truncation(state: ModelState, x, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Compose the truncation maps of the state's layers lo..hi-1 in ascending order.
 
-    `x` is one point (Q,) or rows of points (N, Q).  The range is half-open
-    and 0-based; an empty range returns x unchanged, and (k, k + 1) is layer
-    k's own truncation map.
+    `x` is one point (Q,) or rows of points (N, Q), finite (:func:`finite_points`).  The range
+    is half-open and 0-based; an empty range returns x unchanged, and (k, k + 1) is layer k's
+    own truncation map.
     """
     if hi is None:
         hi = state.depth
     if not (0 <= lo <= hi <= state.depth):
         raise IndexRange(f"invalid layer range [{lo}, {hi}) for {state.depth} layers")
-    return push(state.rotations[lo:hi], state.betas[lo:hi], x)[2]
+    return push(state.rotations[lo:hi], state.betas[lo:hi], finite_points(x, state.dim))[2]
 
 
 # Kept only because perfbench/tracing.py looks the chain up under this name; same function.

@@ -386,6 +386,8 @@ class TestRunCommand:
         ({"q": 2, "mode": "collapsed", "init": {"b": I2, "w": I2, "y": [[1.0]]}}, 2, "'init.y'"),
         ({"q": 3, "mode": "collapsed", "init": {"b": I2, "w": I2, "y": I2}}, 2, "'init.b'"),
         ({"mode": "clustered", "init": {"w0": I2}}, 2, "'init.w0'"),
+        # a data file that cannot be opened, named by its field
+        ({"data": {"path": "no-such-dir/missing.json"}}, 2, "'data.path': [Errno 2]"),
         # rejected by the library call itself, still before any output, naming the field at fault
         ({"q": 2, "mode": "clustered", "init": {"w0": I2},
           "data": {"q": 2, "clusters": [[[1.0, 1.0]], [[2.0, 2.0]]], "labels": I2}}, 2, "'data.clusters': X X^T"),

@@ -429,9 +429,10 @@ class TestGeneralRhs:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(general_rhs(state, data), want))
 
     def test_separated_masks_are_separated_states(self):
-        # on push's masks, FrozenMasks.separated answers check_cluster_separation: at Q = 1-4 and
-        # depth <= Q, over clusters of one size or not, on separated configs whose biases are nudged
-        # by 0, 5 or 20 (clusters 20 apart) and on unstructured states
+        # on push's masks, FrozenMasks lists check_cluster_separation's violations and answers as it
+        # does: at Q = 1-4 and depth <= Q, over clusters of one size or not, on separated configs
+        # whose biases are nudged by 0, 5 or 20 (clusters 20 apart) and on unstructured states; at
+        # depth Q + 1 the set is not separated, even where it truncates nothing, and the check raises
         rng = np.random.default_rng(72)
         answers = []
         for i in range(240):
@@ -446,10 +447,23 @@ class TestGeneralRhs:
                                           full.labels)
             else:
                 state, data = _random_state_and_data(q, 6, rng)
-            masks = push(state.rotations, state.betas, data.points)[1]
-            answers.append(check_cluster_separation(state, data)[0])
-            assert FrozenMasks(masks, data).separated == answers[-1], i
+            planned = FrozenMasks(push(state.rotations, state.betas, data.points)[1], data)
+            ok, violations = check_cluster_separation(state, data)
+            assert planned.violations == violations and planned.separated == ok, i
+            answers.append(ok)
         assert 80 < sum(answers) < 160  # both answers are common
+        positive = TrainingSet([np.ones((2, 2)), 2.0 * np.ones((1, 2))])
+        deeper = [(state_from_arrays([np.eye(2)] * 3, [np.zeros(2)] * 3, np.eye(2), np.zeros((2, 2))), positive)]
+        for i in range(24):
+            q = int(rng.integers(1, 5))
+            state, data = _random_state_and_data(q, 6, rng)
+            beta = rng.normal(size=q) + (100.0 if i % 2 else 0.0)  # half the extra layers truncate nothing
+            deeper.append((state_from_arrays([*state.rotations, random_orthogonal(q, rng).mat], [*state.betas, beta],
+                                             state.output_map, state.labels), data))
+        for state, data in deeper:
+            assert not FrozenMasks(push(state.rotations, state.betas, data.points)[1], data).separated
+            with pytest.raises(IndexRange, match=f"^depth {state.depth} exceeds the {data.q} clusters$"):
+                check_cluster_separation(state, data)
 
     def test_only_separated_masks_take_the_stacked_entry(self, monkeypatch):
         # one truncated foreign row, clusters of two sizes, or more layers than clusters, and the
@@ -601,6 +615,19 @@ class TestChainedProjectors:
         p_plus, p_minus = chained_projectors(state, -np.ones(q), 0, 1)
         np.testing.assert_allclose(p_plus, np.zeros((q, q)), atol=1e-12)
         np.testing.assert_allclose(p_minus[0], np.eye(q), atol=1e-12)
+
+    def test_point_of_another_shape_rejected(self):
+        # one point of length Q: a longer one, or rows of points, are named by their shape
+        state = state_from_arrays([np.eye(2)], [np.zeros(2)], np.eye(2), np.zeros((2, 2)))
+        for x in ([1.0, 2.0, 3.0], np.ones((3, 2))):
+            with pytest.raises(ValueError, match=r"^point has shape \(.*\); expected \(2,\)$"):
+                chained_projectors(state, x)
+
+    def test_non_finite_point_rejected_naming_it(self):
+        state = state_from_arrays([np.eye(2)], [np.zeros(2)], np.eye(2), np.zeros((2, 2)))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^point coordinate 1 is .*, not finite$"):
+                chained_projectors(state, [1.0, bad])
 
     @PROPERTY
     @given(states_and_data(), st.data())

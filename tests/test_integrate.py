@@ -28,9 +28,11 @@ from truncflow.integrate import (
 import truncflow
 import truncflow.flows
 import truncflow.integrate
+import truncflow.measures
+import truncflow.model
 from truncflow.flows import effective_rhs, general_rhs
 from truncflow.manifold import REPOLAR_EVERY, AntisymmetricMatrix, OrthogonalMatrix
-from truncflow.measures import TrainingSet
+from truncflow.measures import TrainingSet, check_cluster_separation
 from truncflow.model import ModelState, chained_truncation, euclidean_cost, images_cost, push
 from truncflow.scenarios import make_separated_config, named_initial_state, make_equilibrium_data
 from truncflow.scenarios import make_one_dim_state
@@ -618,19 +620,23 @@ class TestSeparationLoss:
             integrate_effective(*make_separated_config(3, n_per=5, seed=0), 0.2)
         assert not self.separation_warnings(caplog)
 
-    def test_only_a_start_that_is_not_separated_is_checked_again(self, caplog, monkeypatch):
-        # the start's mask set answers whether it is separated; check_cluster_separation, which pushes
-        # the start once more, runs only to count the triples of a start that is not
-        calls, check = [], truncflow.integrate.check_cluster_separation
-        monkeypatch.setattr(truncflow.integrate, "check_cluster_separation",
-                            lambda *args: calls.append(args) or check(*args))
+    def test_every_start_is_pushed_once(self, caplog, monkeypatch):
+        # the start's mask set lists its violations: an effective run pushes its start once, unfrozen,
+        # separated or not, and the warning counts what check_cluster_separation lists
+        pushes, push_ = [], truncflow.model.push
+        for module in (truncflow.integrate, truncflow.flows, truncflow.measures):
+            monkeypatch.setattr(module, "push", lambda rotations, betas, pts, masks=None, field=None:
+                                pushes.append((rotations, masks)) or push_(rotations, betas, pts, masks, field))
         state, data = make_separated_config(3, n_per=5, seed=0)
-        for start, checks in [(state, 0), (named_initial_state("random-orthogonal", data, state.labels, seed=1), 1)]:
-            calls.clear()
+        mixed = named_initial_state("random-orthogonal", data, state.labels, seed=1)
+        for start, warned in [(state, False), (mixed, True)]:
+            pushes.clear()
             caplog.clear()
             with caplog.at_level("WARNING", logger="truncflow.integrate"):
                 integrate_effective(start, data, 0.05)
-            assert len(calls) == len(self.separation_warnings(caplog)) == checks
+            assert sum(rotations is start.rotations and masks is None for rotations, masks in pushes) == 1
+            counts = [rec.args[0] for rec in self.separation_warnings(caplog)]
+            assert counts == ([len(check_cluster_separation(start, data)[1])] if warned else [])
 
 
 class TestSectorMasks:

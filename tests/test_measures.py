@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from truncflow.errors import EmptyCluster
+from truncflow.errors import EmptyCluster, IndexRange
 from truncflow.manifold import random_orthogonal
 from truncflow.measures import (
     TrainingSet,
@@ -11,7 +11,7 @@ from truncflow.measures import (
     compute_moments,
 )
 from truncflow.model import push
-from truncflow.scenarios import make_separated_config
+from truncflow.scenarios import make_separated_config, state_from_arrays
 
 RNG = np.random.default_rng(99)
 EYE3, ZERO3 = np.eye(3), np.zeros(3)
@@ -176,6 +176,14 @@ class TestClusterSeparation:
             assert len(expected) > 1
             assert not ok and violations == expected == per_cluster
             assert all(type(v) is int for triple in violations for v in triple)
+
+    def test_more_layers_than_clusters_rejected(self):
+        # a third layer over two clusters has no cluster of its own: the check names the depth,
+        # as effective_rhs does, even where no point is truncated
+        data = TrainingSet([np.ones((2, 2)), 2.0 * np.ones((1, 2))])
+        state = state_from_arrays([np.eye(2)] * 3, [np.zeros(2)] * 3, np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(IndexRange, match="^depth 3 exceeds the 2 clusters$"):
+            check_cluster_separation(state, data)
 
 
 class TestTrainingSet:

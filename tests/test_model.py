@@ -169,6 +169,18 @@ class TestChainedTruncation:
         with pytest.raises(IndexRange):
             chained_truncation(identity_state(2), [0.0, 0.0], -1, 1)
 
+    def test_point_of_another_length_rejected(self):
+        for x in ([1.0, 2.0, 3.0], np.ones((4, 3)), 1.0):
+            with pytest.raises(ValueError, match=r"^point has shape \(.*\); expected \(2,\) or \(N, 2\)$"):
+                chained_truncation(identity_state(2), x)
+
+    def test_non_finite_point_rejected_naming_it(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^point coordinate 0 is .*, not finite$"):
+                chained_truncation(identity_state(2), [bad, 1.0])
+            with pytest.raises(ValueError, match="^point 2 coordinate 1 is .*, not finite$"):
+                chained_truncation(identity_state(2), [[0.0, 1.0], [1.0, 0.0], [1.0, bad]])
+
 
 class TestPush:
     def test_matches_a_per_point_loop(self):
