@@ -299,7 +299,7 @@ def _run_oned(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
     traj = integrate_effective(*make_one_dim_state(points, y, b0), cfg.s_end, opts)
     return {
         **_trajectory_outputs("oned", traj, out),
-        "final_gap": traj.samples[-1].per_layer[0].beta_gap,
+        "final_gap": traj.samples[-1].beta_gaps[0],
         "closed_form_breakpoints": list(flow.breakpoints),
         "closed_form_frozen": flow.frozen,
     }

@@ -64,8 +64,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadOrdering, IndexRange, LabelInsideData, SingularGram
-from .measures import TrainingSet, compute_moments, separation_violations
-from .model import ModelState, finite_points, push
+from .measures import TrainingSet, check_mask, compute_moments, separation_violations
+from .model import ModelState, check_data, finite_points, layer_range, push
 
 
 def _commutator_with_mask(nu: np.ndarray, sym: np.ndarray) -> np.ndarray:
@@ -176,10 +176,7 @@ class FrozenMasks(tuple):
     def __new__(cls, masks, data: TrainingSet):
         self = super().__new__(cls, masks)
         for l, mask in enumerate(self):
-            if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == data.points.shape):
-                got = (f"{mask.dtype} of shape {mask.shape}" if isinstance(mask, np.ndarray)
-                       else type(mask).__name__)
-                raise ValueError(f"frozen mask {l} is {got}; expected bool of shape {data.points.shape}")
+            check_mask(mask, data.points.shape, f"frozen mask {l}")
         self.data = data
         return self
 
@@ -246,9 +243,8 @@ def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     separated the two differ, and neither need descend the full cost; the
     integrator warns there and stops where the field ascends it.
     """
+    check_data(state, data, own_clusters=True)
     depth = state.depth
-    if depth > data.q:
-        raise IndexRange(f"depth {depth} exceeds the {data.q} clusters")
     masks = None if frozen_masks is None else _planned(frozen_masks, data, depth)
     stacked = _stacks(data, depth) if masks is None else masks.stacked
     if stacked:
@@ -266,8 +262,7 @@ def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     Omega_ij = sum over occupied mixed sectors nu of
     (nu_i - nu_j) * ( (J1_i v_j + v_i J1_j) / 2 - J2_ij / 2 ).
     """
-    if state.depth > data.q:
-        raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
+    check_data(state, data, own_clusters=True)
     masks = None if frozen_masks is None else _planned(frozen_masks, data, state.depth)
     beta_dots = np.empty(state.betas.shape)
     omegas = np.zeros(state.rotations.shape)
@@ -296,6 +291,7 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     push's z_k instead, with the same bits, since each layer gets its one
     contribution either way.
     """
+    check_data(state, data)
     if frozen_masks is None:
         pushed, masks, _, _ = push(state.rotations, state.betas, data.points)
         masks = _planned(masks, data, state.depth)
@@ -314,12 +310,10 @@ def chained_projectors(state: ModelState, point, lo: int = 0, hi: int | None = N
     Returns (p_plus, p_minus_list) with tau^(lo..hi-1)(x) =
     p_plus @ x - sum_k p_minus_list[k - lo] @ beta_k, the activity masks
     being evaluated along the chain started at layer lo.  `point` is one
-    finite point (Q,) (:func:`~truncflow.model.finite_points`).
+    finite point (Q,) (:func:`~truncflow.model.finite_points`), and the range that of
+    :func:`~truncflow.model.layer_range`.
     """
-    if hi is None:
-        hi = state.depth
-    if not (0 <= lo <= hi <= state.depth):
-        raise IndexRange(f"invalid layer range [{lo}, {hi}) for depth {state.depth}")
+    lo, hi = layer_range(state.depth, lo, hi)
     q = state.dim
     t = finite_points(point, q, rows=False)
     p_plus = np.eye(q)
@@ -394,8 +388,10 @@ def clustered_explicit(w0, x0, y_ext, s: float) -> np.ndarray:
 
     W(s) = W(0) e^{-(s/N) X X^T} + Y P (1 - e^{-(s/N) X X^T}) where
     P = X^T (X X^T)^{-1}; as s grows W(s) converges to Y P, the least-squares
-    interpolant of the labels on the data.
+    interpolant of the labels on the data.  A non-finite `s` raises ValueError.
     """
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
     w0 = np.asarray(w0, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     y_ext = np.asarray(y_ext, dtype=float)

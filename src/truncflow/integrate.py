@@ -29,7 +29,10 @@ step the state's stacked arrays with them and build no validated objects.
 Rotations are checked against the orthogonality bound at integrator entry
 and once per accepted step (`ModelState.checked`).  The field is evaluated
 once per accepted state, at that state's masks: a sample reports the field
-its next step starts from, and that step reuses it as its first stage.
+its next step starts from, and that step reuses it as its first stage.  A
+sample's per-layer record is three arrays of its own (:class:`FlowSample`):
+the generators' norms (L,), the biases' gaps to their attractors (L,), and
+cluster k's truncated points per coordinate at layer k (L, Q).
 
 Crossings are taken to be transversal.  If an event's coordinate is driven back
 across its hyperplane by the field of its new sector, the field on both sides points
@@ -41,7 +44,7 @@ straight back into `push` and the right-hand sides as their `frozen_masks`.  A m
 kept across event-free steps: a step that leaves the masks unchanged keeps the same
 `FrozenMasks` object, and only a step that crosses wraps the new list.  So each mask set is
 planned once per field, and that plan serves its first stage, every RK stage, prediction,
-probe and separation guard until the next event; every sample of the set reads its
+probe and separation guard until the next event; every sample of the set copies its
 truncation counts from it too (`FrozenMasks.counts`), and predictions push at its float form
 (`FrozenMasks.floats`).  The cluster-separated field reads
 only cluster k's rows of `masks[k]` and stops being a descent direction of the full cost
@@ -76,7 +79,7 @@ from .manifold import (
     retract_stack,
 )
 from .measures import TrainingSet
-from .model import ModelState, euclidean_cost, images_cost, push
+from .model import ModelState, check_data, euclidean_cost, images_cost, push
 
 logger = logging.getLogger(__name__)
 
@@ -107,18 +110,19 @@ class IntegratorOptions:
 
 
 @dataclass(frozen=True)
-class LayerDiagnostics:
-    omega_norm: float
-    beta_gap: float
-    truncated_counts: np.ndarray
-
-
-@dataclass(frozen=True)
 class FlowSample:
+    """One accepted state at time `s`, its cost, and three arrays of its own over the layers:
+    `omega_norms` (L,), the Frobenius norm of each layer's generator in the field the next step
+    starts from; `beta_gaps` (L,), the distance |beta_k + ytilde_k| of each bias to its
+    attractor; `truncated_counts` (L, Q), cluster k's truncated points per coordinate at
+    layer k."""
+
     s: float
     state: ModelState
     cost: float
-    per_layer: tuple[LayerDiagnostics, ...]
+    omega_norms: np.ndarray
+    beta_gaps: np.ndarray
+    truncated_counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -231,19 +235,6 @@ def _normal_speed(state: ModelState, data: TrainingSet, field, ev: Event) -> flo
     return float(z_dots[ev.layer][data.rows(ev.cluster)][ev.point, ev.coordinate])
 
 
-def _diagnostics(state: ModelState, omegas: np.ndarray, masks: FrozenMasks) -> tuple[LayerDiagnostics, ...]:
-    """Per-layer Omega norm, distance of beta to its attractor, and the truncation counts of the
-    mask set, copied so that each sample owns its arrays."""
-    return tuple(
-        LayerDiagnostics(
-            omega_norm=frobenius_norm(omegas[k]),
-            beta_gap=frobenius_norm(state.betas[k] + state.pulled_labels[k]),
-            truncated_counts=masks.counts[k].copy(),
-        )
-        for k in range(state.depth)
-    )
-
-
 def _full_cost_rate(descent, field) -> float:
     """d/ds of the full cost along `field`: minus its pairing with `descent`, the full descent
     field at the same state."""
@@ -349,10 +340,7 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
     """
     if not 0 < s_end < np.inf:
         raise ValueError(f"s_end must be positive and finite, got {s_end!r}")
-    if state0.dim != data.q:
-        raise ValueError(f"state and data differ in Q: state.dim = {state0.dim}, data.q = {data.q}")
-    if state0.depth > data.q:
-        raise ValueError("need one cluster (and label) per layer: depth <= q")
+    check_data(state0, data, own_clusters=True)
 
     state = state0.checked()
     s = 0.0
@@ -381,8 +369,14 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
         stats.probes += 1
         return step(dt)
 
+    def sample() -> FlowSample:
+        """The accepted state's sample, read off its field `k1` and its mask set's counts."""
+        return FlowSample(s, state, cost, np.array([frobenius_norm(omega) for omega in k1[1]]),
+                          np.array([frobenius_norm(b + y) for b, y in zip(state.betas, state.pulled_labels)]),
+                          np.array(masks.counts))
+
     k1 = counted_rhs(state, data, masks)
-    samples = [FlowSample(s, state, cost, _diagnostics(state, k1[1], masks))]
+    samples = [sample()]
     events: list[Event] = []
     retractions = [0] * state.depth
     h_nominal = opts.step
@@ -434,7 +428,7 @@ def _integrate_layered(state0, data, rhs, s_end, opts, separated: bool) -> Traje
         cost = euclidean_cost(state, data) if reprojected else advanced_cost
         s += dt
         k1 = counted_rhs(state, data, masks)
-        samples.append(FlowSample(s, state, cost, _diagnostics(state, k1[1], masks)))
+        samples.append(sample())
         for ev in pending_events:
             if separated and ev.layer != ev.cluster:
                 if ev.direction == "leaving":  # the ignored pair moves towards separation
@@ -586,8 +580,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     rows = []
     for smp in traj.samples:
         row = [smp.s, smp.cost]
-        for diag in smp.per_layer:
-            row += [diag.beta_gap, diag.omega_norm, *diag.truncated_counts]
+        for k in range(depth):
+            row += [smp.beta_gaps[k], smp.omega_norms[k], *smp.truncated_counts[k]]
         rows.append(row)
     write_csv(path, cols, rows)
 
@@ -640,7 +634,7 @@ def fit_phase_exponents(traj: Trajectory) -> list[dict]:
             "s_hi": float(hi),
             "log_cost_slope": fit_log_slope(tt, np.array([smp.cost for smp in sub])),
             "log_gap_slopes": [
-                fit_log_slope(tt, np.array([smp.per_layer[k].beta_gap for smp in sub]))
+                fit_log_slope(tt, np.array([smp.beta_gaps[k] for smp in sub]))
                 for k in range(depth)
             ],
         }
@@ -650,7 +644,7 @@ def fit_phase_exponents(traj: Trajectory) -> list[dict]:
 
 def freeze_time(traj: Trajectory) -> float | None:
     """Earliest sample time after which every layer's Omega stays at or below 1e-10."""
-    norms = np.array([[d.omega_norm for d in smp.per_layer] for smp in traj.samples])
+    norms = np.array([smp.omega_norms for smp in traj.samples])
     quiet = np.all(norms <= 1e-10, axis=1)
     if not quiet[-1]:
         return None

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCluster, IndexRange
-from .model import ModelState, push
+from .errors import EmptyCluster
+from .model import ModelState, check_data, push
 
 
 class TrainingSet:
@@ -137,16 +137,26 @@ class Moments:
     j2_by_sector: dict[tuple[bool, ...], np.ndarray] = field(default_factory=dict)
 
 
+def check_mask(mask, shape: tuple, name: str) -> None:
+    """Raise ValueError, naming the mask `name`, unless `mask` is a bool array of `shape`."""
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == shape):
+        got = f"{mask.dtype} of shape {mask.shape}" if isinstance(mask, np.ndarray) else type(mask).__name__
+        raise ValueError(f"{name} is {got}; expected bool of shape {shape}")
+
+
 def compute_moments(rotation, beta, cluster, mask=None) -> Moments:
     """Moments of one cluster pushed forward by the layer (R, beta), as arrays (Q, Q) and (Q,).
 
-    The pushed points are the rows z_i = R(x_i + beta).  `mask` (boolean
-    (N, Q)) overrides the sign patterns z > 0 that assign points to sectors,
-    as the right-hand sides' `frozen_masks` do.
+    The pushed points are the rows z_i = R(x_i + beta).  `mask`, a bool array
+    of the cluster's shape (N, Q) (:func:`check_mask`), overrides the sign
+    patterns z > 0 that assign points to sectors, as the right-hand sides'
+    `frozen_masks` do.
     """
     pts = np.asarray(cluster, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise EmptyCluster("cluster must contain at least one point")
+    if mask is not None:
+        check_mask(mask, pts.shape, "mask")
     z = (pts + beta) @ rotation.T
     n = z.shape[0]
     pos = (z > 0.0) if mask is None else mask
@@ -182,9 +192,9 @@ def check_cluster_separation(state: ModelState, data: TrainingSet):
     Returns (ok, violations) where violations are the :func:`separation_violations` of one push
     of all points: the (layer, cluster, point) triples whose image, pushed through the layers
     before it, is not strictly inside the layer's positive sector.  A state of more layers than
-    clusters raises IndexRange.
+    clusters raises IndexRange, and one whose Q is not the data's ValueError
+    (:func:`~truncflow.model.check_data`).
     """
-    if state.depth > data.q:
-        raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
+    check_data(state, data, own_clusters=True)
     violations = separation_violations(push(state.rotations, state.betas, data.points)[1], data)
     return (not violations), violations

@@ -184,17 +184,35 @@ def finite_points(x, q: int, rows: bool = True) -> np.ndarray:
     return t
 
 
+def check_data(state: ModelState, data, own_clusters: bool = False) -> None:
+    """Raise unless the training set `data` fits the state: ValueError naming both Q's where they
+    differ, and with `own_clusters`, for a flow that gives layer k cluster k, IndexRange where the
+    state has more layers than the data has clusters."""
+    if state.dim != data.q:
+        raise ValueError(f"state and data differ in Q: state.dim = {state.dim}, data.q = {data.q}")
+    if own_clusters and state.depth > data.q:
+        raise IndexRange(f"depth {state.depth} exceeds the {data.q} clusters")
+
+
+def layer_range(depth: int, lo: int = 0, hi: int | None = None) -> tuple[int, int]:
+    """The half-open, 0-based layer range [lo, hi) of a state of `depth` layers, `hi` None
+    meaning `depth`; one that is not within [0, depth], or runs backwards, raises IndexRange
+    naming the range and the depth.  Layer k alone is the range (k, k + 1)."""
+    if hi is None:
+        hi = depth
+    if not (0 <= lo <= hi <= depth):
+        raise IndexRange(f"invalid layer range [{lo}, {hi}) for depth {depth}")
+    return lo, hi
+
+
 def chained_truncation(state: ModelState, x, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Compose the truncation maps of the state's layers lo..hi-1 in ascending order.
 
     `x` is one point (Q,) or rows of points (N, Q), finite (:func:`finite_points`).  The range
-    is half-open and 0-based; an empty range returns x unchanged, and (k, k + 1) is layer k's
-    own truncation map.
+    (:func:`layer_range`) is half-open and 0-based; an empty range returns x unchanged, and
+    (k, k + 1) is layer k's own truncation map.
     """
-    if hi is None:
-        hi = state.depth
-    if not (0 <= lo <= hi <= state.depth):
-        raise IndexRange(f"invalid layer range [{lo}, {hi}) for {state.depth} layers")
+    lo, hi = layer_range(state.depth, lo, hi)
     return push(state.rotations[lo:hi], state.betas[lo:hi], finite_points(x, state.dim))[2]
 
 

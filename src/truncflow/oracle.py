@@ -21,7 +21,7 @@ from .errors import NearKink
 from .flows import CollapsedState
 from .manifold import AntisymmetricMatrix, OrthogonalMatrix, retract, retract_stack
 from .measures import TrainingSet
-from .model import ModelState, images_cost, push
+from .model import ModelState, check_data, images_cost, layer_range, push
 
 
 def _check_step(step: float) -> None:
@@ -40,8 +40,11 @@ def assert_kink_free(state: ModelState, data: TrainingSet, step: float) -> None:
     max(1, |z|) therefore keeps every central-difference stencil strictly
     on one side of every activation boundary.  All points are checked at
     once, layer by layer; the reported gap is the smallest over the points
-    of the first layer that falls short.
+    of the first layer that falls short.  A state whose Q is not the data's raises ValueError
+    (:func:`~truncflow.model.check_data`); the state may have more layers than the data has
+    clusters.
     """
+    check_data(state, data)
     for layer, z in enumerate(push(state.rotations, state.betas, data.points)[0]):
         margin = 10.0 * step * np.maximum(1.0, np.linalg.norm(z, axis=1, keepdims=True))
         if np.any(np.abs(z) < margin):
@@ -78,12 +81,20 @@ def _fd_layer(state: ModelState, data: TrainingSet, layer: int,
     return (beta_plus - beta_minus) / (2 * step), AntisymmetricMatrix(g)
 
 
+def _fd_checked(state: ModelState, data: TrainingSet, layer: int, step: float):
+    """:func:`_fd_layer` of one layer, after checking the step, that the layer is one of the
+    state's (:func:`~truncflow.model.layer_range`, so -1 or `depth` raises IndexRange) and the
+    stencil band."""
+    _check_step(step)
+    layer_range(state.depth, layer, layer + 1)
+    assert_kink_free(state, data, step)
+    return _fd_layer(state, data, layer, step)
+
+
 def fd_grad_beta(state: ModelState, data: TrainingSet, layer: int,
                  step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the Euclidean cost in the layer's beta."""
-    _check_step(step)
-    assert_kink_free(state, data, step)
-    return _fd_layer(state, data, layer, step)[0]
+    return _fd_checked(state, data, layer, step)[0]
 
 
 def fd_grad_rotation(state: ModelState, data: TrainingSet, layer: int,
@@ -95,9 +106,7 @@ def fd_grad_rotation(state: ModelState, data: TrainingSet, layer: int,
     satisfies tr(w_ij G) = d_ij, i.e. G is minus the o(Q)-restricted
     gradient and should match the analytic Omega.
     """
-    _check_step(step)
-    assert_kink_free(state, data, step)
-    return _fd_layer(state, data, layer, step)[1]
+    return _fd_checked(state, data, layer, step)[1]
 
 
 def fd_gradients(state: ModelState, data: TrainingSet, step: float = 1e-5):

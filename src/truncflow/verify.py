@@ -253,7 +253,7 @@ def oned_suite(seed: int = 0, cases: int = 10) -> dict:
         st, dt = make_one_dim_state(points, y, b0)
         tr = integrate_effective(st, dt, s_end=2.5)
         for smp in tr.samples[:: max(1, len(tr.samples) // 20)]:
-            err = abs(smp.per_layer[0].beta_gap - flow.gap(smp.s))
+            err = abs(smp.beta_gaps[0] - flow.gap(smp.s))
             closed_worst = max(closed_worst, err / (1.0 + flow.gap(smp.s)))
         closed_checked += 1
 

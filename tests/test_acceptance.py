@@ -137,10 +137,10 @@ def test_criterion_4_finite_time_collapse():
     after = [smp for smp in traj.samples if smp.s >= s1]
     r_ref = after[0].state.layers[0].rotation.mat
     r_drift = max(np.max(np.abs(smp.state.layers[0].rotation.mat - r_ref)) for smp in after)
-    omega_after = max(max(d.omega_norm for d in smp.per_layer) for smp in after)
+    omega_after = max(smp.omega_norms.max() for smp in after)
     # bias gap decays at rate exactly one after s1
     ts = np.array([smp.s for smp in traj.samples])
-    gaps = np.array([smp.per_layer[0].beta_gap for smp in traj.samples])
+    gaps = np.array([smp.beta_gaps[0] for smp in traj.samples])
     sel = ts >= s1 + 0.3
     a = np.vstack([ts[sel], np.ones(int(sel.sum()))]).T
     slope = float(np.linalg.lstsq(a, np.log(gaps[sel]), rcond=None)[0][0])

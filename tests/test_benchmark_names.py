@@ -94,9 +94,9 @@ def trajectory_fingerprint(workloads, seed: int, workdir: Path) -> str:
                 h.update(np.array([smp.s, smp.cost]).tobytes())
                 h.update(smp.state.rotations.tobytes())
                 h.update(smp.state.betas.tobytes())
-                for diag in smp.per_layer:
-                    h.update(np.array([diag.omega_norm, diag.beta_gap]).tobytes())
-                    h.update(np.asarray(diag.truncated_counts, dtype=np.int64).tobytes())
+                for k in range(smp.state.depth):
+                    h.update(np.array([smp.omega_norms[k], smp.beta_gaps[k]]).tobytes())
+                    h.update(np.asarray(smp.truncated_counts[k], dtype=np.int64).tobytes())
             h.update(repr([dataclasses.astuple(ev) for ev in traj.events]).encode())
             h.update(repr(traj.stopped_reason).encode())
             h.update(repr(dataclasses.astuple(traj.stats)).encode())

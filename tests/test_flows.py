@@ -629,6 +629,12 @@ class TestChainedProjectors:
             with pytest.raises(ValueError, match="^point coordinate 1 is .*, not finite$"):
                 chained_projectors(state, [1.0, bad])
 
+    def test_bad_range_names_it_and_the_depth(self):
+        state = state_from_arrays([np.eye(2)] * 2, [np.zeros(2)] * 2, np.eye(2), np.zeros((2, 2)))
+        for lo, hi in ((0, 3), (-1, 1), (2, 1)):
+            with pytest.raises(IndexRange, match=rf"^invalid layer range \[{lo}, {hi}\) for depth 2$"):
+                chained_projectors(state, np.ones(2), lo, hi)
+
     @PROPERTY
     @given(states_and_data(), st.data())
     def test_reconstruction_identity(self, drawn, draw):
@@ -750,6 +756,9 @@ class TestClusteredExplicit:
         x[1, 2] = np.inf
         with pytest.raises(ValueError, match="^X has a non-finite entry"):
             clustered_explicit(np.eye(2), x, y, 1.0)
+        for s in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^s must be finite, got "):
+                clustered_explicit(np.eye(2), RNG.normal(size=(2, 3)), y, s)
 
     def test_singular_gram(self):
         x = np.zeros((2, 3))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from truncflow.errors import StepUnderflow
+from truncflow.errors import IndexRange, StepUnderflow
 from truncflow.flows import CollapsedState, FrozenMasks, conserved_quantity
 from truncflow.integrate import (
     IntegratorOptions,
@@ -35,7 +35,7 @@ from truncflow.manifold import REPOLAR_EVERY, AntisymmetricMatrix, OrthogonalMat
 from truncflow.measures import TrainingSet, check_cluster_separation
 from truncflow.model import ModelState, chained_truncation, euclidean_cost, images_cost, push
 from truncflow.scenarios import make_separated_config, named_initial_state, make_equilibrium_data
-from truncflow.scenarios import make_one_dim_state
+from truncflow.scenarios import make_one_dim_state, state_from_arrays
 from truncflow.verify import _monotonicity_case, _random_state_and_data
 
 RNG = np.random.default_rng(7)
@@ -78,10 +78,10 @@ class TestExponentialLaw:
         # fully truncated from the start: gap(s) = e^{-s} gap(0)
         state, data = make_one_dim_state([-3.0, -2.5, -2.0], 1.0, 0.5)
         traj = integrate_effective(state, data, 2.0)
-        g0 = traj.samples[0].per_layer[0].beta_gap
+        g0 = traj.samples[0].beta_gaps[0]
         for target in (0.5, 1.0, 2.0):
             idx = int(np.argmin(np.abs(traj.times - target)))
-            s, g = traj.times[idx], traj.samples[idx].per_layer[0].beta_gap
+            s, g = traj.times[idx], traj.samples[idx].beta_gaps[0]
             assert abs(g - g0 * np.exp(-s)) <= 1e-6 * g0 * np.exp(-s)
 
     def test_event_crossing_localized(self):
@@ -164,6 +164,14 @@ class TestTrajectoryInvariants:
         state, _ = make_separated_config(2, n_per=4, seed=0)
         _, data = make_separated_config(3, n_per=4, seed=0)
         with pytest.raises(ValueError, match=r"^state and data differ in Q: state.dim = 2, data.q = 3$"):
+            integrator(state, data, 1.0)
+
+    @pytest.mark.parametrize("integrator", [integrate_effective, integrate_general])
+    def test_more_layers_than_clusters_rejected(self, integrator):
+        # layer k's cluster and label are cluster k's: a third layer over two clusters has none
+        data = TrainingSet([np.ones((2, 2)), 2.0 * np.ones((1, 2))])
+        state = state_from_arrays([np.eye(2)] * 3, [np.zeros(2)] * 3, np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(IndexRange, match="^depth 3 exceeds the 2 clusters$"):
             integrator(state, data, 1.0)
 
     def test_step_underflow_names_the_crossing_it_was_localizing(self, monkeypatch):
@@ -344,7 +352,7 @@ class TestSliding:
 def _trajectory_bits(traj) -> tuple:
     """Everything a trajectory reports, as exactly comparable values."""
     samples = [(smp.s, smp.state.rotations.tobytes(), smp.state.betas.tobytes(), smp.cost,
-                [(d.omega_norm, d.beta_gap, d.truncated_counts.tobytes()) for d in smp.per_layer])
+                smp.omega_norms.tobytes(), smp.beta_gaps.tobytes(), smp.truncated_counts.tobytes())
                for smp in traj.samples]
     return samples, [astuple(ev) for ev in traj.events], traj.stopped_reason
 
@@ -804,8 +812,8 @@ class TestBoundaryValidation:
         traj = integrator(state, data, 1.0)
         for smp in traj.samples:
             omegas = rhs(smp.state, data)[1]
-            for k, diag in enumerate(smp.per_layer):
-                assert diag.omega_norm == float(np.linalg.norm(omegas[k]))
+            for k in range(smp.state.depth):
+                assert smp.omega_norms[k] == float(np.linalg.norm(omegas[k]))
 
     def test_one_collapsed_state_per_sample(self, monkeypatch):
         # RK stages step plain arrays; only the accepted samples are validated states
@@ -901,9 +909,9 @@ class TestMaskPlans:
             assert (a.s, a.cost) == (b.s, b.cost)
             assert a.state.rotations.tobytes() == b.state.rotations.tobytes()
             assert a.state.betas.tobytes() == b.state.betas.tobytes()
-            for da, db in zip(a.per_layer, b.per_layer):
-                assert (da.omega_norm, da.beta_gap) == (db.omega_norm, db.beta_gap)
-                assert np.array_equal(da.truncated_counts, db.truncated_counts)
+            assert a.omega_norms.tobytes() == b.omega_norms.tobytes()
+            assert a.beta_gaps.tobytes() == b.beta_gaps.tobytes()
+            assert np.array_equal(a.truncated_counts, b.truncated_counts)
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_counts_are_the_sample_states_own(self, case):
@@ -915,18 +923,33 @@ class TestMaskPlans:
         assert traj.events
         for smp in traj.samples:
             nus = push(smp.state.rotations, smp.state.betas, data.points)[1]
-            for k, diag in enumerate(smp.per_layer):
-                assert np.array_equal(diag.truncated_counts, np.sum(~nus[k][data.rows(k)], axis=0)), (smp.s, k)
+            for k in range(smp.state.depth):
+                assert np.array_equal(smp.truncated_counts[k], np.sum(~nus[k][data.rows(k)], axis=0)), (smp.s, k)
 
-    def test_each_sample_owns_its_counts(self):
-        # the counts are taken once per mask set, but every sample gets its own writable arrays
+    def test_each_sample_owns_its_counts(self, monkeypatch):
+        # the counts are taken once per mask set, but every sample gets its own writable arrays,
+        # (L,), (L,) and (L, Q), sharing no memory with another sample or with a mask set
+        mask_sets = []
+
+        def recording(masks, data):
+            mask_sets.append(FrozenMasks(masks, data))
+            return mask_sets[-1]
+
+        monkeypatch.setattr(truncflow.integrate, "FrozenMasks", recording)
         integrator, make, s_end = self.CASES["effective"]
-        traj = integrator(*make(), s_end)
+        state, data = make()
+        traj = integrator(state, data, s_end)
         assert len(traj.samples) > len(traj.events) + 1
+        assert len(mask_sets) == len({ev.s for ev in traj.events}) + 1
+        shapes = [(state.depth,), (state.depth,), (state.depth, state.dim)]
+        mask_counts = [c for masks in mask_sets for c in masks.counts]
         for a, b in zip(traj.samples, traj.samples[1:]):
-            for da, db in zip(a.per_layer, b.per_layer):
-                assert da.truncated_counts.flags.writeable
-                assert not np.shares_memory(da.truncated_counts, db.truncated_counts)
+            arrays = (a.omega_norms, a.beta_gaps, a.truncated_counts)
+            assert [x.shape for x in arrays] == shapes
+            for x, y in zip(arrays, (b.omega_norms, b.beta_gaps, b.truncated_counts)):
+                assert x.flags.writeable
+                assert not np.shares_memory(x, y)
+            assert not any(np.shares_memory(a.truncated_counts, c) for c in mask_counts)
 
 
 class TestCollapsedIntegration:
@@ -1038,7 +1061,7 @@ class TestAnalysis:
         state, data = make_separated_config(2, n_per=4, seed=14)
         traj = integrate_effective(state, data, 0.2)
         # rotations still moving at the end of this short run
-        if any(d.omega_norm > 1e-10 for d in traj.samples[-1].per_layer):
+        if np.any(traj.samples[-1].omega_norms > 1e-10):
             assert freeze_time(traj) is None
 
     def test_freeze_time_zero_at_equilibrium(self):

@@ -114,6 +114,15 @@ class TestComputeMoments:
         with pytest.raises(EmptyCluster):
             compute_moments(np.eye(2), np.zeros(2), np.zeros((0, 2)))
 
+    def test_mask_not_of_the_cluster_shape_rejected(self):
+        # a short mask would give moments over its rows alone: it is named, as frozen masks are
+        pts = RNG.normal(size=(3, 2))
+        for mask, got in ((np.ones((2, 2), bool), r"bool of shape \(2, 2\)"),
+                          (np.ones((3, 2)), r"float64 of shape \(3, 2\)"),
+                          ([[True, True]] * 3, "list")):
+            with pytest.raises(ValueError, match=rf"^mask is {got}; expected bool of shape \(3, 2\)$"):
+                compute_moments(np.eye(2), np.zeros(2), pts, mask)
+
 
 class TestClusterSeparation:
     def test_separated_construction(self):

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from truncflow.errors import EmptyCluster, IndexRange
+from truncflow.flows import effective_rhs, general_rhs, moment_form_rhs
 from truncflow.manifold import OrthogonalMatrix, antisym_project, expm_antisym, random_orthogonal
-from truncflow.measures import TrainingSet
+from truncflow.measures import TrainingSet, check_cluster_separation
 from truncflow.model import (
     LayerParams,
     ModelState,
@@ -15,7 +16,8 @@ from truncflow.model import (
     push,
     standard_cost,
 )
-from truncflow.scenarios import state_from_arrays
+from truncflow.oracle import assert_kink_free, fd_grad_beta, fd_grad_rotation, fd_gradients
+from truncflow.scenarios import make_separated_config, state_from_arrays
 
 RNG = np.random.default_rng(42)
 
@@ -168,6 +170,12 @@ class TestChainedTruncation:
             chained_truncation(identity_state(2), [0.0, 0.0], 0, 2)
         with pytest.raises(IndexRange):
             chained_truncation(identity_state(2), [0.0, 0.0], -1, 1)
+
+    def test_bad_range_names_it_and_the_depth(self):
+        # the rule chained_projectors and the finite-difference oracle share
+        for lo, hi in ((0, 3), (-1, 1), (2, 1)):
+            with pytest.raises(IndexRange, match=rf"^invalid layer range \[{lo}, {hi}\) for depth 2$"):
+                chained_truncation(identity_state(2, depth=2), [0.0, 0.0], lo, hi)
 
     def test_point_of_another_length_rejected(self):
         for x in ([1.0, 2.0, 3.0], np.ones((4, 3)), 1.0):
@@ -407,3 +415,27 @@ class TestModelState:
             derived.layers
         with pytest.raises(ValueError):
             state.derive(state.rotations[:1], state.betas)
+
+
+# every entry below the integrators that takes a state and a training set (the integrators'
+# own test is in test_integrate.py), called with the defaults
+LAYERED_ENTRIES = {
+    "effective_rhs": effective_rhs,
+    "general_rhs": general_rhs,
+    "moment_form_rhs": moment_form_rhs,
+    "check_cluster_separation": check_cluster_separation,
+    "assert_kink_free": lambda state, data: assert_kink_free(state, data, 1e-5),
+    "fd_gradients": fd_gradients,
+    "fd_grad_beta": lambda state, data: fd_grad_beta(state, data, 0),
+    "fd_grad_rotation": lambda state, data: fd_grad_rotation(state, data, 0),
+}
+
+
+class TestCheckData:
+    @pytest.mark.parametrize("entry", list(LAYERED_ENTRIES))
+    def test_state_and_data_of_different_q_rejected(self, entry):
+        # a Q = 2 state on Q = 3 data is named at entry, not by a broadcast deep inside numpy
+        state, _ = make_separated_config(2, n_per=4, seed=0)
+        _, data = make_separated_config(3, n_per=4, seed=0)
+        with pytest.raises(ValueError, match=r"^state and data differ in Q: state.dim = 2, data.q = 3$"):
+            LAYERED_ENTRIES[entry](state, data)

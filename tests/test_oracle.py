@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from truncflow.errors import NearKink
+from truncflow.errors import IndexRange, NearKink
 from truncflow.flows import CollapsedState, effective_rhs
 from truncflow.manifold import AntisymmetricMatrix, OrthogonalMatrix, retract
 from truncflow.measures import TrainingSet
@@ -35,6 +35,14 @@ class TestFDSettings:
                     fd(step)
         with pytest.raises(TypeError):  # central differences only: no scheme knob
             fd_grad_beta(state, data, 0, scheme="forward")
+
+    @pytest.mark.parametrize("fd", [fd_grad_beta, fd_grad_rotation])
+    def test_layer_outside_the_state_rejected(self, fd):
+        # -1 would read the last layer, and depth one past it: both name the range and the depth
+        state, data = make_separated_config(2, n_per=3, seed=1)
+        for layer in (-1, state.depth):
+            with pytest.raises(IndexRange, match=rf"^invalid layer range \[{layer}, {layer + 1}\) for depth 2$"):
+                fd(state, data, layer)
 
 
 class TestKinkGuard:
