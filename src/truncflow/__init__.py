@@ -39,6 +39,7 @@ from .integrate import (
     freeze_time,
     integrate_collapsed,
     integrate_effective,
+    integrate_ensemble,
     integrate_general,
     write_events_csv,
     write_trajectory_csv,

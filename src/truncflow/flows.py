@@ -80,7 +80,7 @@ def _acting(l, rows, mask: np.ndarray):
     return l, rows, nu, 1.0 - nu
 
 
-def _descent_field(state: ModelState, plan, zs):
+def _descent_field(state, plan, zs):
     """The one adjoint sweep of both layered fields, over `plan`, a field's plan of its masks as it
     is: a list of (ytil, acting) entries, at the coordinates `zs`.
 
@@ -95,25 +95,35 @@ def _descent_field(state: ModelState, plan, zs):
     - ytilde, so identity layers above add no round-off.  With c = g @ R_l^T,
     layer l gets beta_dot_l += R_l^T Hperp_l c and Omega_l -= [H_l, (z_l c^T
     + c z_l^T)/2], and g becomes R_l^T H_l c.
+
+    A group of members of one shape sweeps as one: `state` then holds their (B, L, Q, Q)
+    rotations, (B, L, Q) betas and (B, Q, Q) pulled labels, `zs` their coordinates with the
+    same leading member axis, and the plan its members' separated plans stacked on it
+    (:func:`stack_effective_plans`), whose entries read all rows and index labels by tuple.
+    Every line acts on each member's slice as on a state alone, so each member's velocities are
+    bit for bit its own sweep's.
     """
+    lead = () if state.rotations.ndim == 3 else (slice(None),)  # the member axis of a group
     beta_dots = np.zeros(state.betas.shape)
     omegas = np.zeros(state.rotations.shape)
     for ytil, acting in plan:
         last = len(acting) - 1
         for i, (l, rows, nu, nu_perp) in enumerate(acting):
-            r, z = state.rotations[l], zs[l][rows]
+            at = lead + (l,)
+            r, z = state.rotations[at], (zs[l] if isinstance(zs, list) else zs[at])[rows]
             nu_z = nu * z
             if i == 0:
                 weight = 1.0 / z.shape[-2]
-                g = nu_z @ r - state.betas[l][..., None, :] - state.pulled_labels[ytil]
+                label = state.pulled_labels[lead + ytil if lead else ytil]
+                g = nu_z @ r - state.betas[at][..., None, :] - label
             c = g @ r.mT
             nu_c = nu * c
-            beta_dots[l] += weight * ((nu_perp * c) @ r).sum(axis=-2)
+            beta_dots[at] += weight * ((nu_perp * c) @ r).sum(axis=-2)
             if z.shape[-1] > 1:  # at Q = 1 every generator is the 1 x 1 zero
                 # the rows' sum of [diag(nu), (z c^T + c z^T)/2], per (n, Q) rows or (B, n, Q) block:
                 # two rank-reduced products, antisymmetrized explicitly so that it is exactly antisymmetric
                 m1, m2 = nu_z.mT @ c, nu_c.mT @ z
-                omegas[l] -= weight * (0.5 * ((m1 - m1.mT) + (m2 - m2.mT)))
+                omegas[at] -= weight * (0.5 * ((m1 - m1.mT) + (m2 - m2.mT)))
             if i < last:
                 g = nu_c @ r
     return beta_dots, omegas
@@ -247,13 +257,58 @@ def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     depth = state.depth
     masks = None if frozen_masks is None else _planned(frozen_masks, data, depth)
     stacked = _stacks(data, depth) if masks is None else masks.stacked
-    if stacked:
-        n = data.counts[0]
-        z = (data.points[:depth * n].reshape(depth, n, -1) + state.betas[:, None]) @ state.rotations.mT
-    else:
-        z = [(data.clusters[k] + b) @ r.T for k, (r, b) in enumerate(zip(state.rotations, state.betas))]
+    z = _own_coordinates(state, data.points, data, stacked)
     plan = _effective_plan([zk > 0.0 for zk in z], stacked) if masks is None else masks.effective
     return _descent_field(state, plan, z)
+
+
+def _own_coordinates(state, points, data: TrainingSet, stacked: bool):
+    """Cluster k's raw coordinates (x + beta_k) R_k^T at its own layer k, for every layer k of
+    `state`: one (L, n, Q) array if the clusters `stacked`, else a list of (N_k, Q) arrays.  A
+    group's (B, L, Q, Q) rotations and (B, L, Q) betas, with its members' (B, N, Q) `points`,
+    give each with the leading member axis, each member's slice bit for bit its own."""
+    depth = state.rotations.shape[-3]
+    if stacked:
+        n = data.counts[0]
+        block = points[..., :depth * n, :].reshape(points.shape[:-2] + (depth, n, points.shape[-1]))
+        return (block + state.betas[..., None, :]) @ state.rotations.mT
+    return [(points[..., data.rows(k), :] + state.betas[..., k, None, :]) @ state.rotations[..., k, :, :].mT
+            for k in range(depth)]
+
+
+def _plan_layers(plan) -> list:
+    """The layers a plan's entries act at, as comparable values."""
+    return [[(l.start, l.stop) if isinstance(l, slice) else l.tolist() if isinstance(l, np.ndarray) else l
+             for l, *_ in acting] for _, acting in plan]
+
+
+def stack_effective_plans(masks: list) -> list | None:
+    """The separated field's plans of a group's :class:`FrozenMasks`, one mask set per member of
+    one shape, stacked on a leading member axis: each entry's float masks (B, ..., n, Q).  None
+    where two members' plans act at different layers: a layer all active for one member is left
+    out of its plan, and padding it back, or chaining through it, would change that member's
+    bits."""
+    plans = [m.effective for m in masks]
+    layers = _plan_layers(plans[0])
+    if any(_plan_layers(plan) != layers for plan in plans[1:]):
+        return None
+    return [(ytil, [(l, rows, np.stack([plan[e][1][i][2] for plan in plans]),
+                     np.stack([plan[e][1][i][3] for plan in plans]))
+                    for i, (l, rows, _, _) in enumerate(acting)])
+            for e, (ytil, acting) in enumerate(plans[0])]
+
+
+def effective_group_rhs(group, points: np.ndarray, data: TrainingSet, plan, stacked: bool):
+    """The separated field of B members of one shape at once, each frozen at its own masks.
+
+    `group` holds the members' (B, L, Q, Q) rotations, (B, L, Q) betas and (B, Q, Q) pulled
+    labels, `points` their (B, N, Q) training points, `data` one member's training set (the
+    cluster sizes they share), `plan` their masks' :func:`stack_effective_plans`, and `stacked`
+    whether their clusters stack (:attr:`FrozenMasks.stacked`).  Returns (beta_dots (B, L, Q),
+    omegas (B, L, Q, Q)): one batched product for the coordinates and one sweep, each member's
+    slice bit for bit its own :func:`effective_rhs` at its masks.
+    """
+    return _descent_field(group, plan, _own_coordinates(group, points, data, stacked))
 
 
 def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
@@ -367,9 +422,10 @@ class CollapsedState:
 
 
 def collapsed_rhs(b: np.ndarray, w: np.ndarray, y: np.ndarray):
-    """Gradient-descent velocities (B_dot, W_dot) of the collapsed standard cost at the arrays (B, W, Y)."""
+    """Gradient-descent velocities (B_dot, W_dot) of the collapsed standard cost at the arrays (B, W, Y);
+    a group's (G, Q, Q) stacks give each member's velocities, bit for bit its own."""
     e = w @ b + y
-    return -(w.T @ e), -(e @ b.T)
+    return -(w.mT @ e), -(e @ b.mT)
 
 
 def conserved_quantity(cs: CollapsedState) -> np.ndarray:

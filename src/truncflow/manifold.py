@@ -9,11 +9,13 @@ bound once per accepted step.  The exponential takes one Pade degree for the who
 from its largest 1-norm (Higham 2005), and at degree 13 one squaring count: an integration
 step's generators are small, so a stage's whole stack normally takes degree 3, and only a
 large generator pays for degree 13 with scaling and squaring; one so large that more than
-MAX_SQUARINGS squarings would carry the result off the group raises ValueError.  :func:`retract`
-and :func:`expm_antisym` are its one-layer case.  A stage's matrices are 2x2 to 4x4, so the
-exponential's cost is mostly per-call overhead: it solves through the LAPACK gufunc that
-`np.linalg.solve` dispatches to, without that function's wrapper, and reads one read-only
-identity per Q, built once.
+MAX_SQUARINGS squarings would carry the result off the group raises ValueError.  A group of
+members, each its own (L, Q, Q) stack, retracts through the same function with one step per
+member; there each member's largest 1-norm picks its own degree, so members never change one
+another's bits.  :func:`retract` and :func:`expm_antisym` are its one-layer case.  A stage's
+matrices are 2x2 to 4x4, so the exponential's cost is mostly per-call overhead: it solves
+through the LAPACK gufunc that `np.linalg.solve` dispatches to, without that function's
+wrapper, and reads one read-only identity per Q, built once.
 """
 
 from __future__ import annotations
@@ -178,26 +180,32 @@ def moving_layers(generators: np.ndarray) -> np.ndarray:
     return (generators * generators).sum(axis=(-2, -1)) != 0.0
 
 
-def _expm_stack(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of every matrix in the (L, Q, Q) stack `a` (Higham 2005).
-
-    The stack's largest 1-norm picks one Pade degree m for the whole stack: the lowest of 3, 5,
-    7, 9 whose theta_m bounds it, else 13, scaled by 2^-s and squared s times, s the fewest
-    squarings that bring that norm below theta_13.  The approximant is
-    u = a (b_1 I + b_3 a^2 + ...), v = b_0 I + b_2 a^2 + ..., solved as (v - u)^-1 (v + u).
-    A layer is exponentiated bit for bit as if alone when its own 1-norm picks the same degree
-    and count as the stack's.  An integration step's generators are small (h ||Omega||_1 of
-    order 1e-3), so a stage's whole stack normally takes degree 3: two products and a solve.
-    A stack whose largest 1-norm is not finite, or needs more than MAX_SQUARINGS squarings, raises
-    ValueError before any product."""
-    norm = float(np.abs(a).sum(axis=-2).max())  # the largest 1-norm in the stack
+def _pade_order(norm: float) -> tuple[int, int]:
+    """The Pade degree (0-3: m = 3-9; 4: m = 13) and squaring count of a stack whose largest 1-norm
+    is `norm`: the lowest of 3, 5, 7, 9 whose theta_m bounds it, else 13 with the fewest squarings
+    that bring it below theta_13.  A norm that is not finite, or needs more than MAX_SQUARINGS
+    squarings, raises ValueError."""
     if not math.isfinite(norm):
         raise ValueError(f"cannot exponentiate a stack whose largest 1-norm is {norm}")
-    degree = bisect_left(_THETA, norm, hi=4)  # 0-3: m = 3-9; 4: m = 13
+    degree = bisect_left(_THETA, norm, hi=4)
     squarings = max(0, math.ceil(math.log2(norm / _THETA[-1]))) if degree == 4 else 0
     if squarings > MAX_SQUARINGS:
         raise ValueError(f"cannot exponentiate a stack whose largest 1-norm is {norm:.6g}: it needs "
                          f"{squarings} squarings, more than the {MAX_SQUARINGS} that keep it on the group")
+    return degree, squarings
+
+
+def _expm_stack(a: np.ndarray, order: tuple[int, int] | None = None) -> np.ndarray:
+    """Matrix exponential of every matrix in the (L, Q, Q) stack `a` (Higham 2005).
+
+    One Pade degree and squaring count serve the whole stack: `order`, else those the stack's
+    largest 1-norm picks (:func:`_pade_order`), so a layer is exponentiated bit for bit as if
+    alone when its own 1-norm picks the same.  The approximant is u = a (b_1 I + b_3 a^2 + ...),
+    v = b_0 I + b_2 a^2 + ..., solved as (v - u)^-1 (v + u), of a / 2^s and squared s times.  An
+    integration step's generators are small (h ||Omega||_1 of order 1e-3), so a stage's whole
+    stack normally takes degree 3: two products and a solve.  A stack whose largest 1-norm is not
+    finite, or needs more than MAX_SQUARINGS squarings, raises ValueError before any product."""
+    degree, squarings = order or _pade_order(float(np.abs(a).sum(axis=-2).max()))
     if squarings:
         a = a / 2.0**squarings
     b = _PADE[degree]
@@ -214,22 +222,41 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def retract_stack(rotations: np.ndarray, generators: np.ndarray, step: float) -> np.ndarray:
+def retract_stack(rotations: np.ndarray, generators: np.ndarray, step) -> np.ndarray:
     """Unvalidated exp(step * generators[k]) @ rotations[k] for every layer k of the (L, Q, Q)
     stacks, the moving layers through one :func:`_expm_stack`: a layer moves bit for bit as if
     alone when the stack's largest 1-norm picks the degree and squaring count its own does.  A
     layer whose generator is zero keeps its rotation bit for bit; a zero step, or no moving
-    layer, returns `rotations` itself."""
-    if step == 0.0:
+    layer, returns `rotations` itself.
+
+    A group of B members stacks them (B, L, Q, Q), with one step per member, `step` (B,).  Each
+    member's moving layers take the degree and squaring count of that member's own largest
+    1-norm, so every member moves bit for bit as in its own call and no member's generators
+    change another's bits; members that pick the same share one Pade evaluation, normally all of
+    them.  A group with no moving layer returns `rotations` itself."""
+    if rotations.ndim == 3:
+        if step == 0.0:
+            return rotations
+        moving = moving_layers(generators)
+        moved = np.count_nonzero(moving)
+        if moved == 0:
+            return rotations
+        if moved == len(moving):
+            return _expm_stack(step * generators) @ rotations
+        out = rotations.copy()
+        out[moving] = _expm_stack(step * generators[moving]) @ rotations[moving]
+        return out
+    moving = moving_layers(generators)  # (B, L)
+    if not moving.any():
         return rotations
-    moving = moving_layers(generators)
-    moved = np.count_nonzero(moving)
-    if moved == 0:
-        return rotations
-    if moved == len(moving):
-        return _expm_stack(step * generators) @ rotations
+    a = step[:, None, None, None] * generators
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)  # every layer's 1-norm, (B, L)
+    orders = [_pade_order(norm) for norm in np.where(moving, norms, 0.0).max(axis=-1).tolist()]
+    distinct = set(orders)
     out = rotations.copy()
-    out[moving] = _expm_stack(step * generators[moving]) @ rotations[moving]
+    for order in distinct:
+        layers = moving if len(distinct) == 1 else moving & np.array([o == order for o in orders])[:, None]
+        out[layers] = _expm_stack(a[layers], order) @ rotations[layers]
     return out
 
 

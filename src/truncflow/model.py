@@ -250,12 +250,17 @@ def euclidean_cost(state: ModelState, data) -> float:
     """Mean squared input-space mismatch of fully truncated data to pulled labels.
 
     (1/2) sum_l (1/N_l) sum_i |tau^(chain)(x_{l,i}) - ytilde_l|^2
+
+    Data whose Q differs from the state's raise ValueError naming both (:func:`check_data`).
     """
+    check_data(state, data)
     return images_cost(state, data, chained_truncation(state, data.points))
 
 
 def standard_cost(state: ModelState, data) -> float:
-    """Same mismatch measured after mapping residuals through the output map."""
+    """Same mismatch measured after mapping residuals through the output map; data whose Q
+    differs from the state's raise ValueError naming both (:func:`check_data`)."""
+    check_data(state, data)
     w = state.output_map
     total = 0.0
     for resid in _residuals(state, data, chained_truncation(state, data.points)):

@@ -17,7 +17,14 @@ from .flows import (
     one_dim_flow,
 )
 from .errors import NearKink
-from .integrate import fit_phase_exponents, integrate_collapsed, integrate_effective, integrate_general
+from .integrate import (
+    ensemble_groups,
+    fit_phase_exponents,
+    integrate_collapsed,
+    integrate_effective,
+    integrate_ensemble,
+    integrate_general,
+)
 from .manifold import random_orthogonal
 from .measures import TrainingSet
 from .model import chained_truncation, euclidean_cost
@@ -43,6 +50,14 @@ def _suite(name: str, properties: list[dict]) -> dict:
         "passed": all(p["passed"] for p in properties),
         "properties": properties,
     }
+
+
+def _integrated(integrator, members: list, s_end: float):
+    """(index, trajectory) of every member, integrated one ensemble group at a time
+    (:func:`~truncflow.integrate.ensemble_groups`): a group's trajectories come before the next
+    group runs, so a suite checks each and lets it go before the next group is integrated."""
+    for group in ensemble_groups(members):
+        yield from zip(group, integrate_ensemble(integrator, [members[i] for i in group], s_end))
 
 
 def _random_state_and_data(q: int, n_max: int, rng: np.random.Generator):
@@ -121,40 +136,46 @@ def monotonicity_suite(seed: int = 0, cases: int = 12) -> dict:
     flow), where sector crossings are transversal.  A trajectory that reaches
     a sliding configuration stops there, and is checked over the part it covers;
     the report's "stopped" list names each such case, where it stopped and why.
+    Every case is drawn first; then each integrator's cases run as ensembles, one
+    group at a time.
     """
     slack_worst = 0.0
     ortho_worst = 0.0
     descent_worst = 0.0
     checked = 0  # descent-identity probes checked; two are tried per trajectory
     stopped = []
-    for i in range(cases):
-        state, data, integrator, rhs = _monotonicity_case(seed, i)
-        traj = integrator(state, data, 1.0)
-        if traj.stopped_reason is not None:
-            stopped.append({"case": i, "s": float(traj.times[-1]), "reason": traj.stopped_reason})
-        costs = traj.costs
-        rises = np.diff(costs) - 1e-8 * (1.0 + costs[:-1])
-        slack_worst = max(slack_worst, float(np.max(rises, initial=-np.inf)))
-        ortho_worst = max(ortho_worst, traj.max_orthogonality_error)
+    draws = [_monotonicity_case(seed, i) for i in range(cases)]
+    for integrator in (integrate_effective, integrate_general):
+        indices = [i for i, draw in enumerate(draws) if draw[2] is integrator]
+        for j, traj in _integrated(integrator, [draws[i][:2] for i in indices], 1.0):
+            i = indices[j]
+            _, data, _, rhs = draws[i]
+            if traj.stopped_reason is not None:
+                stopped.append({"case": i, "s": float(traj.times[-1]), "reason": traj.stopped_reason})
+            costs = traj.costs
+            rises = np.diff(costs) - 1e-8 * (1.0 + costs[:-1])
+            slack_worst = max(slack_worst, float(np.max(rises, initial=-np.inf)))
+            ortho_worst = max(ortho_worst, traj.max_orthogonality_error)
 
-        event_times = [ev.s for ev in traj.events]
-        for frac in (0.3, 0.7):
-            idx = int(frac * (len(traj.samples) - 1))
-            smp = traj.samples[idx]
-            if event_times and min(abs(smp.s - t) for t in event_times) < 1e-3:
-                continue
-            analytic = -sum(
-                float(np.dot(bd, bd)) + float(np.sum(om * om)) for bd, om in zip(*rhs(smp.state, data))
-            )
-            h = 1e-5
-            fwd = reference_integrate(rhs, smp.state, data, h, step=h)
-            back = reference_integrate(
-                lambda st, d: tuple(-v for v in rhs(st, d)), smp.state, data, h, step=h
-            )
-            fd_rate = (euclidean_cost(fwd, data) - euclidean_cost(back, data)) / (2 * h)
-            if abs(analytic) > 1e-8 and abs(fd_rate) > 1e-8:
-                descent_worst = max(descent_worst, abs(fd_rate - analytic) / abs(analytic))
-                checked += 1
+            event_times = [ev.s for ev in traj.events]
+            for frac in (0.3, 0.7):
+                idx = int(frac * (len(traj.samples) - 1))
+                smp = traj.samples[idx]
+                if event_times and min(abs(smp.s - t) for t in event_times) < 1e-3:
+                    continue
+                analytic = -sum(
+                    float(np.dot(bd, bd)) + float(np.sum(om * om)) for bd, om in zip(*rhs(smp.state, data))
+                )
+                h = 1e-5
+                fwd = reference_integrate(rhs, smp.state, data, h, step=h)
+                back = reference_integrate(
+                    lambda st, d: tuple(-v for v in rhs(st, d)), smp.state, data, h, step=h
+                )
+                fd_rate = (euclidean_cost(fwd, data) - euclidean_cost(back, data)) / (2 * h)
+                if abs(analytic) > 1e-8 and abs(fd_rate) > 1e-8:
+                    descent_worst = max(descent_worst, abs(fd_rate - analytic) / abs(analytic))
+                    checked += 1
+    stopped.sort(key=lambda entry: entry["case"])
     return dict(_suite("monotonicity", [
         _prop("cost_non_increasing", slack_worst, 0.0, cases),
         _prop("orthogonality_drift", ortho_worst, 1e-8, cases),
@@ -162,16 +183,21 @@ def monotonicity_suite(seed: int = 0, cases: int = 12) -> dict:
     ]), stopped=stopped)
 
 
-def conservation_suite(seed: int = 0, cases: int = 10) -> dict:
-    """Invariance of B B^T - W^T W along random collapsed flows, each over s in [0, 5]."""
-    worst = 0.0
+def _conservation_starts(seed: int, cases: int) -> list[CollapsedState]:
+    """The conservation suite's random collapsed states, Q = 3."""
+    starts = []
     for i in range(cases):
         rng = np.random.default_rng((seed, 3, i))
         q = 3
-        cs = CollapsedState(
-            rng.normal(size=(q, q)), rng.normal(size=(q, q)), rng.normal(size=(q, q))
-        )
-        traj = integrate_collapsed(cs, 5.0)
+        starts.append(CollapsedState(rng.normal(size=(q, q)), rng.normal(size=(q, q)), rng.normal(size=(q, q))))
+    return starts
+
+
+def conservation_suite(seed: int = 0, cases: int = 10) -> dict:
+    """Invariance of B B^T - W^T W along random collapsed flows, each over s in [0, 5], drawn
+    first and integrated as ensembles, one group at a time."""
+    worst = 0.0
+    for _, traj in _integrated(integrate_collapsed, _conservation_starts(seed, cases), 5.0):
         scale = 1.0 + float(np.linalg.norm(traj.invariant0))
         worst = max(worst, traj.max_drift / scale)
     return _suite("conservation", [_prop("invariant_drift", worst, 1e-6, cases)])
@@ -221,8 +247,28 @@ def equivalence_suite(seed: int = 0) -> dict:
     ])
 
 
+def _oned_ladders(seed: int, cases: int) -> tuple[list, list]:
+    """The oned suite's random ladders, each its closed form and its (state, data) pair; a draw
+    whose threshold starts within 1e-6 of a point is skipped."""
+    flows, ladders = [], []
+    rng = np.random.default_rng((seed, 5))
+    for _ in range(cases):
+        n = int(rng.integers(2, 7))
+        points = np.sort(rng.uniform(-2.0, 2.0, size=n))
+        while np.min(np.diff(points), initial=np.inf) < 1e-3:
+            points = np.sort(rng.uniform(-2.0, 2.0, size=n))
+        y = points[-1] + rng.uniform(1.0, 3.0)
+        b0 = rng.uniform(points[0], points[-1])
+        if min(abs(b0 - p) for p in points) < 1e-6:
+            continue
+        flows.append(one_dim_flow(points, y, b0))
+        ladders.append(make_one_dim_state(points, y, b0))
+    return flows, ladders
+
+
 def oned_suite(seed: int = 0, cases: int = 10) -> dict:
-    """The 1-D event ladder: crossing times and per-segment decay rates."""
+    """The 1-D event ladder: crossing times and per-segment decay rates.  The random ladders
+    are drawn first, then integrated as ensembles, one group at a time."""
     # canonical instance: points (1, 2), label 5, threshold starting at 1
     state, data = make_one_dim_state([1.0, 2.0], 5.0, 1.0)
     traj = integrate_effective(state, data, s_end=3.0)
@@ -237,30 +283,17 @@ def oned_suite(seed: int = 0, cases: int = 10) -> dict:
         slope = phase["log_gap_slopes"][0]
         rate_worst = max(rate_worst, abs(-slope - rate) / rate if slope is not None else np.inf)
 
+    flows, ladders = _oned_ladders(seed, cases)
     closed_worst = 0.0
-    closed_checked = 0
-    rng = np.random.default_rng((seed, 5))
-    for _ in range(cases):
-        n = int(rng.integers(2, 7))
-        points = np.sort(rng.uniform(-2.0, 2.0, size=n))
-        while np.min(np.diff(points), initial=np.inf) < 1e-3:
-            points = np.sort(rng.uniform(-2.0, 2.0, size=n))
-        y = points[-1] + rng.uniform(1.0, 3.0)
-        b0 = rng.uniform(points[0], points[-1])
-        if min(abs(b0 - p) for p in points) < 1e-6:
-            continue
-        flow = one_dim_flow(points, y, b0)
-        st, dt = make_one_dim_state(points, y, b0)
-        tr = integrate_effective(st, dt, s_end=2.5)
+    for i, tr in _integrated(integrate_effective, ladders, 2.5):
         for smp in tr.samples[:: max(1, len(tr.samples) // 20)]:
-            err = abs(smp.beta_gaps[0] - flow.gap(smp.s))
-            closed_worst = max(closed_worst, err / (1.0 + flow.gap(smp.s)))
-        closed_checked += 1
+            err = abs(smp.beta_gaps[0] - flows[i].gap(smp.s))
+            closed_worst = max(closed_worst, err / (1.0 + flows[i].gap(smp.s)))
 
     return _suite("oned", [
         _prop("ladder_crossing_gap", gap_err, 1e-6, 1),
         _prop("segment_rates_vs_n_over_N", rate_worst, 0.01, len(phases)),
-        _prop("closed_form_vs_integrated", closed_worst, 1e-6, closed_checked, cases - closed_checked),
+        _prop("closed_form_vs_integrated", closed_worst, 1e-6, len(ladders), cases - len(ladders)),
     ])
 
 

@@ -333,7 +333,7 @@ class TestSliding:
             cluster = int(rng.integers(data.q))
             pts = data.clusters[cluster]
             _, nus, _, z_dots = push(state.rotations, state.betas, pts, field=field)
-            moved = [push(st.rotations, st.betas, pts) for st in (_apply(state, *field, step) for step in (-h, h))]
+            moved = [push(*_apply(state.rotations, state.betas, *field, step), pts) for step in (-h, h)]
             if not all(np.array_equal(a, b) for m in moved for a, b in zip(nus[:-1], m[1][:-1])):
                 continue  # a point changes sector below the top layer inside the stencil
             fd = [(zp - zm) / (2 * h) for zm, zp in zip(moved[0][0], moved[1][0])]
@@ -421,8 +421,9 @@ class TestCrossingPrediction:
         state, data = make_one_dim_state([1.0, 2.0], 5.0, 1.0)
         masks = FrozenMasks(_sweep(state, data)[0], data)
         k1 = effective_rhs(state, data, masks)
+        field = lambda rotations, betas: effective_rhs(state.derive(rotations, betas), data, masks)  # noqa: E731
         for h, crosses in ((0.1, False), (1.0, True)):
-            trial = truncflow.integrate._rk4_step(state, k1, data, effective_rhs, masks, h)[0]
+            trial = state.derive(*truncflow.integrate._rk4_step(field, state.rotations, state.betas, k1, h)[0])
             assert _masks_equal(masks, _sweep(trial, data)[0]) != crosses
             predicted = _PREDICT(state, k1, trial, data, effective_rhs, masks, h)
             if not crosses:

@@ -428,6 +428,8 @@ LAYERED_ENTRIES = {
     "fd_gradients": fd_gradients,
     "fd_grad_beta": lambda state, data: fd_grad_beta(state, data, 0),
     "fd_grad_rotation": lambda state, data: fd_grad_rotation(state, data, 0),
+    "euclidean_cost": euclidean_cost,
+    "standard_cost": standard_cost,
 }
 
 

@@ -33,18 +33,18 @@ def test_monotonicity_suite_small():
 
 
 def test_monotonicity_suite_integrates_each_case_once(monkeypatch):
-    # a sliding trajectory stops and is checked as it is; nothing is re-run
-    calls = []
-    for name in ("integrate_effective", "integrate_general"):
-        integrator = getattr(truncflow.verify, name)
+    # a sliding trajectory stops and is checked as it is; nothing is re-run: the suite's
+    # ensembles integrate each of its 12 cases once
+    members = []
+    ensemble = truncflow.verify.integrate_ensemble
 
-        def counting(*args, integrator=integrator):
-            calls.append(args)
-            return integrator(*args)
+    def counting(integrator, group, s_end):
+        members.extend(group)
+        return ensemble(integrator, group, s_end)
 
-        monkeypatch.setattr(truncflow.verify, name, counting)
+    monkeypatch.setattr(truncflow.verify, "integrate_ensemble", counting)
     result = monotonicity_suite(seed=0)
-    assert len(calls) == 12
+    assert len(members) == 12 and len({id(state) for state, _ in members}) == 12
     assert result["passed"], result
     assert [(p["cases"], p["skipped"]) for p in result["properties"][:2]] == [(12, 0), (12, 0)]
 
