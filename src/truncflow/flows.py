@@ -44,7 +44,11 @@ The general field sweeps push's coordinates per cluster, except on a mask set
 that is separated and stacks: there each cluster acts at its own layer alone,
 as in the separated field, so it sweeps that field's stacked entry over
 cluster k's rows of push's z_k, one (depth, n, Q) block, bit for bit the
-per-cluster sweep.  The separated field gives cluster k layer k alone, at its
+per-cluster sweep.  A group of B members of one shape whose mask sets are
+separated and stack, and whose plans act at the same layers, is swept as one
+(:func:`general_group_rhs`): one push of all members at their stacked float
+masks, their cluster-k rows of z_k gathered into one (B, L, n, Q) block, and one
+sweep of their stacked plans.  The separated field gives cluster k layer k alone, at its
 own rows' raw coordinates (x + beta_k) R_k^T and mask, whose unfrozen rows are
 their signs (integrators freeze push's, which on the field's domain, separated
 states, are the same rows): it pushes no point and reads no foreign cluster's
@@ -90,7 +94,7 @@ def _descent_field(state, plan, zs):
     the identity on the cluster, and a cluster acted on nowhere has no entry.
     Or it stacks B clusters of one size n, each acting at its own layer alone:
     one tuple whose layer is an index (an array or slice of B distinct layers)
-    into the (B, n, Q) `zs[l]`, and ytil (layers, None).  The same lines serve
+    into the (B, n, Q) `zs[l]`, and ytil the same index.  The same lines serve
     both.  g starts at the topmost acting layer l as R_l^T(nu_l z_l) - beta_l
     - ytilde, so identity layers above add no round-off.  With c = g @ R_l^T,
     layer l gets beta_dot_l += R_l^T Hperp_l c and Omega_l -= [H_l, (z_l c^T
@@ -98,32 +102,40 @@ def _descent_field(state, plan, zs):
 
     A group of members of one shape sweeps as one: `state` then holds their (B, L, Q, Q)
     rotations, (B, L, Q) betas and (B, Q, Q) pulled labels, `zs` their coordinates with the
-    same leading member axis, and the plan its members' separated plans stacked on it
-    (:func:`stack_effective_plans`), whose entries read all rows and index labels by tuple.
-    Every line acts on each member's slice as on a state alone, so each member's velocities are
-    bit for bit its own sweep's.
+    same leading member axis (an array, or a list of (B, n, Q) per layer), and the plan its
+    members' separated plans stacked on a member axis just before the rows
+    (:func:`stack_effective_plans`).  The sweep reads the group's arrays through layer-major
+    views, so one index `[l]` serves a state and a group alike.  Every line acts on each
+    member's slice as on a state alone, so each member's velocities are bit for bit its own
+    sweep's.
     """
-    lead = () if state.rotations.ndim == 3 else (slice(None),)  # the member axis of a group
+    rotations = state.rotations
     beta_dots = np.zeros(state.betas.shape)
-    omegas = np.zeros(state.rotations.shape)
+    omegas = np.zeros(rotations.shape)
+    if rotations.ndim == 3:  # one state; betas (L, 1, Q) and labels (Q, 1, Q) broadcast over rows
+        bd, om, betas, labels = beta_dots, omegas, state.betas[:, None], state.pulled_labels[:, None]
+    else:  # a group: layer-major views, the member axis second
+        rotations, bd, om = rotations.swapaxes(0, 1), beta_dots.swapaxes(0, 1), omegas.swapaxes(0, 1)
+        betas = state.betas.swapaxes(0, 1)[:, :, None]
+        labels = state.pulled_labels.swapaxes(0, 1)[:, :, None]
+        if not isinstance(zs, list):
+            zs = zs.swapaxes(0, 1)
     for ytil, acting in plan:
         last = len(acting) - 1
         for i, (l, rows, nu, nu_perp) in enumerate(acting):
-            at = lead + (l,)
-            r, z = state.rotations[at], (zs[l] if isinstance(zs, list) else zs[at])[rows]
+            r, z = rotations[l], zs[l][rows]
             nu_z = nu * z
             if i == 0:
                 weight = 1.0 / z.shape[-2]
-                label = state.pulled_labels[lead + ytil if lead else ytil]
-                g = nu_z @ r - state.betas[at][..., None, :] - label
+                g = nu_z @ r - betas[l] - labels[ytil]
             c = g @ r.mT
             nu_c = nu * c
-            beta_dots[at] += weight * ((nu_perp * c) @ r).sum(axis=-2)
+            bd[l] += weight * np.add.reduce((nu_perp * c) @ r, axis=-2)
             if z.shape[-1] > 1:  # at Q = 1 every generator is the 1 x 1 zero
                 # the rows' sum of [diag(nu), (z c^T + c z^T)/2], per (n, Q) rows or (B, n, Q) block:
                 # two rank-reduced products, antisymmetrized explicitly so that it is exactly antisymmetric
                 m1, m2 = nu_z.mT @ c, nu_c.mT @ z
-                omegas[at] -= weight * (0.5 * ((m1 - m1.mT) + (m2 - m2.mT)))
+                om[l] -= weight * (0.5 * ((m1 - m1.mT) + (m2 - m2.mT)))
             if i < last:
                 g = nu_c @ r
     return beta_dots, omegas
@@ -147,8 +159,8 @@ def _effective_plan(own, stacked: bool):
             return []
         # a slice when every layer acts: the stack's rows, rotations and labels stay views
         layers = np.flatnonzero(~identity) if identity.any() else slice(0, len(own))
-        return [((layers, None), [_acting(layers, slice(None), mask[layers])])]
-    return [((k, None), [_acting(k, slice(None), mask)]) for k, mask in enumerate(own) if not mask.all()]
+        return [(layers, [_acting(layers, slice(None), mask[layers])])]
+    return [(k, [_acting(k, slice(None), mask)]) for k, mask in enumerate(own) if not mask.all()]
 
 
 def _general_plan(masks, data: TrainingSet):
@@ -267,13 +279,18 @@ def _own_coordinates(state, points, data: TrainingSet, stacked: bool):
     `state`: one (L, n, Q) array if the clusters `stacked`, else a list of (N_k, Q) arrays.  A
     group's (B, L, Q, Q) rotations and (B, L, Q) betas, with its members' (B, N, Q) `points`,
     give each with the leading member axis, each member's slice bit for bit its own."""
-    depth = state.rotations.shape[-3]
+    rotations, betas = state.rotations, state.betas
+    if rotations.ndim == 3:  # one state
+        if stacked:
+            depth, n = len(rotations), data.counts[0]
+            return (points[:depth * n].reshape(depth, n, -1) + betas[:, None]) @ rotations.mT
+        return [(points[data.rows(k)] + b) @ r.T for k, (r, b) in enumerate(zip(rotations, betas))]
+    depth = rotations.shape[1]
     if stacked:
         n = data.counts[0]
-        block = points[..., :depth * n, :].reshape(points.shape[:-2] + (depth, n, points.shape[-1]))
-        return (block + state.betas[..., None, :]) @ state.rotations.mT
-    return [(points[..., data.rows(k), :] + state.betas[..., k, None, :]) @ state.rotations[..., k, :, :].mT
-            for k in range(depth)]
+        block = points[:, :depth * n].reshape(len(points), depth, n, -1)
+        return (block + betas[:, :, None]) @ rotations.mT
+    return [(points[:, data.rows(k)] + betas[:, k, None]) @ rotations[:, k].mT for k in range(depth)]
 
 
 def _plan_layers(plan) -> list:
@@ -284,7 +301,8 @@ def _plan_layers(plan) -> list:
 
 def stack_effective_plans(masks: list) -> list | None:
     """The separated field's plans of a group's :class:`FrozenMasks`, one mask set per member of
-    one shape, stacked on a leading member axis: each entry's float masks (B, ..., n, Q).  None
+    one shape, stacked on a member axis just before the rows, as :func:`_descent_field` reads a
+    group's coordinates: each entry's float masks (..., B, n, Q).  None
     where two members' plans act at different layers: a layer all active for one member is left
     out of its plan, and padding it back, or chaining through it, would change that member's
     bits."""
@@ -292,8 +310,8 @@ def stack_effective_plans(masks: list) -> list | None:
     layers = _plan_layers(plans[0])
     if any(_plan_layers(plan) != layers for plan in plans[1:]):
         return None
-    return [(ytil, [(l, rows, np.stack([plan[e][1][i][2] for plan in plans]),
-                     np.stack([plan[e][1][i][3] for plan in plans]))
+    return [(ytil, [(l, rows, np.stack([plan[e][1][i][2] for plan in plans], axis=-3),
+                     np.stack([plan[e][1][i][3] for plan in plans], axis=-3))
                     for i, (l, rows, _, _) in enumerate(acting)])
             for e, (ytil, acting) in enumerate(plans[0])]
 
@@ -309,6 +327,21 @@ def effective_group_rhs(group, points: np.ndarray, data: TrainingSet, plan, stac
     slice bit for bit its own :func:`effective_rhs` at its masks.
     """
     return _descent_field(group, plan, _own_coordinates(group, points, data, stacked))
+
+
+def general_group_rhs(group, points: np.ndarray, data: TrainingSet, plan, floats: list):
+    """The general field of B members of one shape at once, on mask sets that are separated and
+    stack: there each cluster acts at its own layer alone, as in :func:`general_rhs`'s stacked
+    entry.
+
+    `group`, `points` and `data` are as in :func:`effective_group_rhs`, `plan` the members'
+    :func:`stack_effective_plans`, and `floats[k]` their float masks at layer k stacked (B, N, Q).
+    One `push` carries every member's points up at its own masks, each member's cluster-k rows of
+    z_k make one (B, L, n, Q) block, and one sweep gives (beta_dots (B, L, Q), omegas (B, L, Q, Q)),
+    each member's slice bit for bit its own :func:`general_rhs` at its masks.
+    """
+    zs = push(group.rotations.swapaxes(0, 1), group.betas.swapaxes(0, 1)[:, :, None], points, floats)[0]
+    return _descent_field(group, plan, np.stack([z[:, data.rows(k)] for k, z in enumerate(zs)], axis=1))
 
 
 def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):

@@ -61,12 +61,16 @@ a group) and returns their trajectories in member order; `integrate_effective`,
 `integrate_general` and `integrate_collapsed` are its one-member calls.  A group's arrays carry
 a leading member axis, and each round every live member takes its trial step as one stacked
 field evaluation per stage, one stacked retraction (each member at its own Pade degree) and one
-stacked push; the separated field sweeps the group at once where its members' plans act at the
-same layers, and any other field evaluates member by member inside the stage.  Mask
-comparison, localization probes, cost retries, reprojection, events, samples, stops and stats
-stay each member's own, and members finish independently; every member is bit for bit its
-one-member run.  A collapsed member keeps its own adaptive step.  A group of one steps its
-member's own arrays, without the member axis.
+stacked push.  Both fields sweep a group whose members' plans act at the same layers as one: the
+separated field over the members' own coordinates, the general field, on mask sets that are
+separated and stack, over one stacked push of all members at their float masks; members whose
+plans act at different layers, or whose masks are not separated, evaluate member by member inside
+the stage.  Mask comparison, localization probes, cost retries, reprojection, events, samples,
+stops and stats stay each member's own, and members finish independently; every member is bit for
+bit its one-member run.  A collapsed member keeps its own adaptive step.  A group is built once
+per membership change: the loop holds each member's group of one, which steps that member's probes
+and retries, and no run refers to a group, so a finished trajectory keeps none alive.  A group of
+one steps its member's own arrays, without the member axis, and calls its field by name.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ from .flows import (
     conserved_quantity,
     effective_group_rhs,
     effective_rhs,
+    general_group_rhs,
     general_rhs,
     stack_effective_plans,
 )
@@ -366,86 +371,103 @@ class _Group:
 
     Every RK4 stage is one stacked field evaluation and one stacked retraction, and every step
     ends in one stacked push (`push` takes the member axis where it takes a stacked layer's
-    stencils).  The separated field evaluates a group whose members' plans act at the same
-    layers as one stacked sweep (`effective_group_rhs`); any other group evaluates its members'
-    fields one by one, by name.  A group of one steps its member's own arrays, without the
-    member axis.
+    stencils).  Each field sweeps a group whose members' plans act at the same layers as one:
+    the separated field over every member's own coordinates (`effective_group_rhs`), the general
+    field, on mask sets that are separated and stack, over one stacked push of all members at
+    their float masks (`general_group_rhs`).  The stacked plan and float masks are made once per
+    mask change.  Any other group evaluates its members' fields one by one, by name.  A group of
+    one steps its member's own arrays, without the member axis, and calls its field by name.
     """
 
     def __init__(self, runs: list, separated: bool):
         self.runs = runs
         self.one = len(runs) == 1
-        self.points = self._stacked([run.data.points for run in runs])
-        self.pulled_labels = self._stacked([run.state.pulled_labels for run in runs])
-        self.kernel = separated and not self.one
-        self._planned, self._plan = None, None
+        self.separated = separated
+        if not self.one:
+            self.points = np.stack([run.data.points for run in runs])
+            self.pulled_labels = np.stack([run.state.pulled_labels for run in runs])
+        self._planned = None  # the mask sets the stacked plan was made for
+        self._plan = self._floats = None
         self._accepted = None  # the stacked accepted states and their fields, once evaluated
 
-    def _stacked(self, arrays: list) -> np.ndarray:
-        """The members' arrays on a leading member axis; a group of one's is its member's own."""
-        return arrays[0] if self.one else np.stack(arrays)
+    def _replan(self, masks: list) -> None:
+        """Stack the members' plans, and for the general field their float masks, once per mask
+        change: no plan where the members' plans act at different layers, or where the general
+        field's mask sets are not all separated and stacked."""
+        self._planned, self._plan, self._floats = masks, None, None
+        if self.separated or all(m.stacked and m.separated for m in masks):
+            self._plan = stack_effective_plans(masks)
+        if self._plan is not None and not self.separated:
+            self._floats = [np.stack(layer) for layer in zip(*(m.floats for m in masks))]
 
-    def _members(self, stacked: np.ndarray):
-        """Each member's slice of a stacked array."""
-        return [stacked] if self.one else stacked
-
-    def field(self, rotations: np.ndarray, betas: np.ndarray, states=None) -> tuple:
-        """Every member's velocities at its own masks, at the stacked arrays, stacked like them;
-        `states` are the members' states there, if they are built.  Counts one evaluation per member."""
+    def field(self, rotations: np.ndarray, betas: np.ndarray) -> tuple:
+        """Every member's velocities at its own masks, at the stacked arrays, stacked like them.
+        Counts one evaluation per member."""
+        if self.one:
+            run = self.runs[0]
+            run.stats.rhs_calls += 1
+            return run.rhs(run.state.derive(rotations, betas), run.data, run.masks)
         runs = self.runs
+        masks = [run.masks for run in runs]
         for run in runs:
             run.stats.rhs_calls += 1
-        if self.one:
-            run = runs[0]
-            state = run.state.derive(rotations, betas) if states is None else states[0]
-            return run.rhs(state, run.data, run.masks)
-        if self.kernel:
-            masks = [run.masks for run in runs]
-            if self._planned is None or any(a is not b for a, b in zip(masks, self._planned)):
-                self._planned, self._plan = masks, stack_effective_plans(masks)  # once per mask change
-            if self._plan is not None:
-                return effective_group_rhs(_Layers(rotations, betas, self.pulled_labels), self.points,
-                                           runs[0].data, self._plan, masks[0].stacked)
-        if states is None:
-            states = [run.state.derive(r, b) for run, r, b in zip(runs, rotations, betas)]
-        velocities = [run.rhs(state, run.data, run.masks) for run, state in zip(runs, states)]
+        if self._planned is None or any(a is not b for a, b in zip(masks, self._planned)):
+            self._replan(masks)
+        if self._plan is not None:
+            group, data = _Layers(rotations, betas, self.pulled_labels), runs[0].data
+            if self.separated:
+                return effective_group_rhs(group, self.points, data, self._plan, masks[0].stacked)
+            return general_group_rhs(group, self.points, data, self._plan, self._floats)
+        velocities = [run.rhs(run.state.derive(r, b), run.data, run.masks)
+                      for run, r, b in zip(runs, rotations, betas)]
         return np.stack([v[0] for v in velocities]), np.stack([v[1] for v in velocities])
 
-    def step(self, h: list[float]) -> list[tuple]:
-        """One RK4 step of `h[b]` from member b's accepted state, for every member b: per member
-        the new state, the generators that moved it, and its masks and final images."""
+    def step(self, h) -> list[tuple]:
+        """One RK4 step from every member's accepted state, member b's by `h[b]` of the (B,) `h`,
+        a float for a group of one: per member the new state, the generators that moved it, and
+        its masks and final images."""
         runs = self.runs
+        if self.one:
+            run = runs[0]
+            state = run.state
+            (rotations, betas), generators = _rk4_step(self.field, state.rotations, state.betas, run.k1, h)
+            run.stats.rk4_steps += 1
+            _, nus, images, _ = push(rotations, betas, run.data.points)
+            return [(state.derive(rotations, betas), generators, nus, images)]
         if self._accepted is None:
-            start = (self._stacked([run.state.rotations for run in runs]),
-                     self._stacked([run.state.betas for run in runs]))
-            k1 = self._stacked([run.k1[0] for run in runs]), self._stacked([run.k1[1] for run in runs])
+            start = np.stack([run.state.rotations for run in runs]), np.stack([run.state.betas for run in runs])
+            k1 = np.stack([run.k1[0] for run in runs]), np.stack([run.k1[1] for run in runs])
         else:  # stacked by `accepted_field`, and the members have not moved since
             (start, k1), self._accepted = self._accepted, None
-        (rotations, betas), generators = _rk4_step(self.field, *start, k1, h[0] if self.one else np.array(h))
-        if self.one:
-            _, nus, images, _ = push(rotations, betas, self.points)
-        else:  # layer-major: layer k of every member at once
-            _, nus, images, _ = push(rotations.swapaxes(0, 1), betas.swapaxes(0, 1)[:, :, None], self.points)
+        (rotations, betas), generators = _rk4_step(self.field, *start, k1, h)
+        # layer-major: layer k of every member at once
+        _, nus, images, _ = push(rotations.swapaxes(0, 1), betas.swapaxes(0, 1)[:, :, None], self.points)
         trials = []
-        members = zip(runs, *map(self._members, (rotations, betas, generators, images)))
-        for b, (run, r, bt, g, im) in enumerate(members):
+        for b, run in enumerate(runs):
             run.stats.rk4_steps += 1
-            trials.append((run.state.derive(r, bt), g, nus if self.one else [nu[b] for nu in nus], im))
+            trials.append((run.state.derive(rotations[b], betas[b]), generators[b], [nu[b] for nu in nus],
+                           images[b]))
         return trials
 
     def accepted_field(self) -> None:
         """Evaluate every member's field `k1` at its accepted state, at its masks there."""
-        states = [run.state for run in self.runs]
-        start = self._stacked([st.rotations for st in states]), self._stacked([st.betas for st in states])
-        beta_dots, omegas = self.field(*start, states)
-        for run, bd, om in zip(self.runs, self._members(beta_dots), self._members(omegas)):
+        if self.one:
+            run = self.runs[0]
+            run.stats.rhs_calls += 1
+            run.k1 = run.rhs(run.state, run.data, run.masks)
+            return
+        runs = self.runs
+        start = np.stack([run.state.rotations for run in runs]), np.stack([run.state.betas for run in runs])
+        beta_dots, omegas = self.field(*start)
+        for run, bd, om in zip(runs, beta_dots, omegas):
             run.k1 = bd, om
         self._accepted = start, (beta_dots, omegas)
 
 
 class _Run:
     """One layered trajectory in the making: its training set and field, the accepted state it has
-    reached with that state's masks, cost and field `k1`, and its record so far.
+    reached with that state's masks, cost and field `k1`, and its record so far.  It refers to no
+    group: the loop holds each member's groups.
 
     The start is checked and pushed once; its mask set lists its violations, and a start that
     is not separated logs one warning naming their count and is guarded from then on.
@@ -473,14 +495,6 @@ class _Run:
         self.stats.rhs_calls += 1
         return (self.rhs if fn is None else fn)(*args)
 
-    def step(self, h: float) -> tuple:
-        """A step of this member alone, as cost retries and localization probes take it."""
-        return _Group([self], self.separated).step([h])[0]
-
-    def probe(self, dt: float) -> tuple:
-        self.stats.probes += 1
-        return self.step(dt)
-
     def sample(self) -> FlowSample:
         """The accepted state's sample, read off its field `k1` and its mask set's counts."""
         state = self.state
@@ -501,17 +515,23 @@ class _Run:
                                f"full cost at rate {rate:.3g}")
         return True
 
-    def take(self, kept: tuple, h: float, opts: IntegratorOptions) -> None:
+    def take(self, kept: tuple, h: float, opts: IntegratorOptions, alone: _Group) -> None:
         """Accept one step from the trial step `kept` of `h`: a crossing in it is localized, and
-        the step is halved and retried while it raises the cost.  The field there and the sample
-        follow with the group's (`record`)."""
+        the step is halved and retried while it raises the cost; `alone`, this member's group of
+        one, steps the probes and retries.  The field there and the sample follow with the
+        group's (`record`)."""
         stats, data, masks, s, cost = self.stats, self.data, self.masks, self.s, self.cost
+
+        def probe(dt: float) -> tuple:
+            stats.probes += 1
+            return alone.step(dt)[0]
+
         while True:
             dt, pending = h, []
             if not _masks_equal(masks, kept[2]):
                 stats.localizations += 1
                 predicted = _predict_crossing(self.state, self.k1, kept[0], data, self.counted_rhs, masks, h)
-                dt, kept, hit = _localize(s, h, opts.bisect_tol, masks, kept, self.probe, predicted)
+                dt, kept, hit = _localize(s, h, opts.bisect_tol, masks, kept, probe, predicted)
                 stats.prediction_misses += not hit
                 pending = _diff_events(s + dt, data, masks, kept[2])
             advanced, generators, new_masks, images = kept
@@ -523,7 +543,7 @@ class _Run:
                     event = pending[0] if pending else None
                     where = "" if event is None else f" while localizing the crossing at {event.where()}"
                     raise StepUnderflow(f"step underflow at s = {s:.6g}{where}", s, event)
-                kept = self.step(h)
+                kept = alone.step(h)[0]
                 continue
             break
 
@@ -570,27 +590,32 @@ def _integrate_layered(members: list, rhs, s_end: float, opts: IntegratorOptions
     each member's `masks` (push's list, `[k]` for all points at layer k), so it evaluates the
     smooth extension of that sector configuration and no stage ever samples the field across a
     boundary.  `separated`: the field reads only cluster k's rows of masks[k] (`integrate_effective`).
-    Each round every live member takes its trial step, all as one stacked step; localization,
-    cost retries, reprojection, events, samples and stops are each member's own, and a member
-    that stops or reaches `s_end` leaves the group.
+    Each round every live member takes its trial step, all as one stacked step of the group,
+    each member by its own step; localization, cost retries, reprojection, events, samples and
+    stops are each member's own, and a member that stops or reaches `s_end` leaves the group.
+    A group is built once per membership change: the loop holds each member's group of one,
+    which steps its probes and retries and, once it is the last member left, its rounds too; a
+    group of one is its member's.
     """
     runs = [_Run(state0, data, rhs, separated) for state0, data in members]
     group = _Group(runs, separated)
+    alone = [group] if group.one else [_Group([run], separated) for run in runs]
     group.accepted_field()
     for run in runs:
         run.samples.append(run.sample())
+    live = list(range(len(runs)))  # the group's members, as indices into runs
     while True:
-        live = [run for run in group.runs
-                if run.stopped_reason is None and run.s < s_end - 1e-13 and not run.ascends()]
+        live = [i for i in live if runs[i].stopped_reason is None and runs[i].s < s_end - 1e-13
+                and not runs[i].ascends()]
         if not live:
             break
         if len(live) < len(group.runs):
-            group = _Group(live, separated)
-        h = [min(opts.step, s_end - run.s) for run in live]
-        for run, kept, h_run in zip(live, group.step(h), h):
-            run.take(kept, h_run, opts)
+            group = alone[live[0]] if len(live) == 1 else _Group([runs[i] for i in live], separated)
+        h = [min(opts.step, s_end - runs[i].s) for i in live]
+        for i, kept, h_run in zip(live, group.step(h[0] if group.one else np.array(h)), h):
+            runs[i].take(kept, h_run, opts, alone[i])
         group.accepted_field()
-        for run in live:
+        for run in group.runs:
             run.record()
     return [Trajectory(run.samples, run.events, stopped_reason=run.stopped_reason, stats=run.stats)
             for run in runs]

@@ -177,7 +177,7 @@ def moving_layers(generators: np.ndarray) -> np.ndarray:
     """Which of the (L, Q, Q) `generators` move their rotation at a nonzero step: (L,) bool,
     true where the generator's Frobenius norm is nonzero (a generator whose squared entries all
     underflow to 0 counts as zero)."""
-    return (generators * generators).sum(axis=(-2, -1)) != 0.0
+    return np.add.reduce(generators * generators, axis=(-2, -1)) != 0.0
 
 
 def _pade_order(norm: float) -> tuple[int, int]:
@@ -195,6 +195,16 @@ def _pade_order(norm: float) -> tuple[int, int]:
     return degree, squarings
 
 
+@cache
+def _pade_identities(degree: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """b_1 I and b_0 I of the Q x Q identity at Pade degree `degree`, read-only, built once each."""
+    b, ident = _PADE[degree], _identity(q)
+    out = b[1] * ident, b[0] * ident
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _expm_stack(a: np.ndarray, order: tuple[int, int] | None = None) -> np.ndarray:
     """Matrix exponential of every matrix in the (L, Q, Q) stack `a` (Higham 2005).
 
@@ -205,13 +215,15 @@ def _expm_stack(a: np.ndarray, order: tuple[int, int] | None = None) -> np.ndarr
     integration step's generators are small (h ||Omega||_1 of order 1e-3), so a stage's whole
     stack normally takes degree 3: two products and a solve.  A stack whose largest 1-norm is not
     finite, or needs more than MAX_SQUARINGS squarings, raises ValueError before any product."""
-    degree, squarings = order or _pade_order(float(np.abs(a).sum(axis=-2).max()))
+    if order is None:  # the ufuncs' reductions themselves, as `.sum` and `.max` call them
+        order = _pade_order(float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=-2), axis=None)))
+    degree, squarings = order
     if squarings:
         a = a / 2.0**squarings
     b = _PADE[degree]
-    ident = _identity(a.shape[-1])
+    odd0, even0 = _pade_identities(degree, a.shape[-1])
     a2 = a @ a
-    power, odd, even = a2, b[1] * ident + b[3] * a2, b[0] * ident + b[2] * a2
+    power, odd, even = a2, odd0 + b[3] * a2, even0 + b[2] * a2
     for j in range(4, len(b), 2):  # a^4, ..., a^(m-1)
         power = power @ a2
         odd, even = odd + b[j + 1] * power, even + b[j] * power

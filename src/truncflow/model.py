@@ -230,7 +230,7 @@ def cluster_cost(resid: np.ndarray):
     """One cluster's share (1/2)(1/N_l) sum_i |r_i|^2 of the cost, from its residual rows
     (..., N_l, Q): one share per leading index, each summed over its own rows alone."""
     *lead, n, q = resid.shape
-    return 0.5 * (resid * resid).reshape(*lead, n * q).sum(axis=-1) / n
+    return 0.5 * np.add.reduce((resid * resid).reshape(*lead, n * q), axis=-1) / n
 
 
 def images_cost(state: ModelState, data, images: np.ndarray):

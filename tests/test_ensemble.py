@@ -4,19 +4,26 @@ A group steps its members of one shape together, each RK4 stage one stacked fiel
 one stacked retraction; localization, retries, events, samples, stops and stats stay each
 member's own.  Each test compares every member's trajectory with the member integrated alone:
 every sample's s, cost, state and per-layer arrays, the events, `stopped_reason` and `stats`.
+Counters pin the work by count, not by time: one group per one-member call, one kernel sweep per
+stage of a general group on separated, stacked masks, and no run or group left alive by a call.
 """
 
+import gc
+import weakref
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import truncflow.flows
 import truncflow.integrate
 import truncflow.manifold
-from truncflow.flows import CollapsedState
+from truncflow.flows import CollapsedState, general_rhs
 from truncflow.integrate import (
     MAX_GROUP,
     IntegratorOptions,
+    _Group,
+    _Run,
     ensemble_groups,
     integrate_collapsed,
     integrate_effective,
@@ -25,8 +32,10 @@ from truncflow.integrate import (
 )
 from truncflow.measures import TrainingSet
 from truncflow.model import ModelState
-from truncflow.scenarios import make_separated_config
+from truncflow.scenarios import make_separated_config, named_initial_state
 from truncflow.verify import _conservation_starts, _monotonicity_case, _oned_ladders
+
+from test_integrate import perfbench_cases
 
 
 def layered_bits(traj) -> list:
@@ -166,3 +175,136 @@ def test_groups_are_capped():
 def test_unknown_integrator_rejected():
     with pytest.raises(ValueError, match="^integrator must be"):
         integrate_ensemble(lambda *args: None, [make_separated_config(2, n_per=4, seed=0)], 1.0)
+
+
+# --- the general field's groups ---------------------------------------------------------------
+
+def general_members(seed: int) -> list:
+    """The monotonicity suite's integrate_general cases at suite seed `seed`."""
+    cases = [_monotonicity_case(seed, i) for i in range(12)]
+    return [case[:2] for case in cases if case[2] is integrate_general]
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Count the calls of `module.name` from here on: returns a list that grows one entry a call."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_general_groups(seed, monkeypatch):
+    # the suite's general cases group by Q; separated, stacked mask sets sweep one kernel
+    sweeps = counting(monkeypatch, truncflow.integrate, "general_group_rhs")
+    members = general_members(seed)
+    assert max(len(group) for group in ensemble_groups(members)) > 2
+    trajs = assert_members_are_single_runs(integrate_general, members, 1.0)
+    assert sweeps and sum(len(traj.events) for traj in trajs) > len(trajs)
+
+
+def stage_arrays(members) -> tuple:
+    """Each member's start, stacked on the member axis, as a group's first stage reads it."""
+    return np.stack([state.rotations for state, _ in members]), np.stack([state.betas for state, _ in members])
+
+
+def group_field_calls(monkeypatch, members) -> tuple:
+    """One stage of a general group over `members`: its velocities, each member's own
+    `general_rhs` at its masks, and the `_descent_field` and `push` calls the stage made."""
+    runs = [_Run(state, data, general_rhs, False) for state, data in members]
+    sweeps = counting(monkeypatch, truncflow.flows, "_descent_field")
+    pushes = counting(monkeypatch, truncflow.flows, "push")
+    got = _Group(runs, False).field(*stage_arrays(members))
+    calls = len(sweeps), len(pushes)
+    monkeypatch.undo()
+    want = [general_rhs(run.state, run.data, run.masks) for run in runs]
+    for b, (bd, om) in enumerate(want):
+        assert got[0][b].tobytes() == bd.tobytes() and got[1][b].tobytes() == om.tobytes(), b
+    assert [run.stats.rhs_calls for run in runs] == [1] * len(runs)
+    return calls
+
+
+def test_separated_stacked_group_sweeps_once_per_stage(monkeypatch):
+    members = [make_separated_config(3, n_per=6, seed=seed) for seed in range(4)]
+    assert all(_Run(state, data, general_rhs, False).masks.separated for state, data in members)
+    assert group_field_calls(monkeypatch, members) == (1, 1)
+
+
+def test_members_acting_at_different_layers_fall_back(monkeypatch):
+    # a bias far out makes the top layer the identity on one member, so its plan leaves the layer
+    # out while the other member's acts there: no stacked plan, each member swept alone
+    state, data = make_separated_config(3, n_per=6, seed=1)
+    betas = state.betas.copy()
+    betas[-1] += state.rotations[-1].T @ np.full(3, 100.0)  # z = R x + 100 there
+    members = [make_separated_config(3, n_per=6, seed=0), (state.derive(state.rotations, betas), data)]
+    masks = [_Run(state, data, general_rhs, False).masks for state, data in members]
+    assert all(m.stacked and m.separated for m in masks)
+    assert truncflow.flows.stack_effective_plans(masks) is None
+    assert group_field_calls(monkeypatch, members) == (2, 2)
+    assert_members_are_single_runs(integrate_general, members, 0.5)
+
+
+def test_member_not_separated_takes_the_per_member_path(monkeypatch):
+    state, data = make_separated_config(3, n_per=5, seed=0)
+    members = [(state, data), (named_initial_state("random-orthogonal", data, state.labels, seed=1), data)]
+    assert not _Run(*members[1], general_rhs, False).masks.separated
+    assert group_field_calls(monkeypatch, members) == (2, 2)
+    assert_members_are_single_runs(integrate_general, members, 0.2)
+
+
+def test_general_member_stops_sliding_while_the_others_run_on(monkeypatch):
+    # monotonicity seed 2: one Q = 2 member stops sliding early in a group that sweeps one kernel
+    sweeps = counting(monkeypatch, truncflow.integrate, "general_group_rhs")
+    members = general_members(2)
+    stops = [traj.stopped_reason for traj in assert_members_are_single_runs(integrate_general, members, 1.0)]
+    assert sweeps
+    assert any(reason and reason.startswith("sliding") for reason in stops) and None in stops
+
+
+# --- machine-independent counters -------------------------------------------------------------
+
+def counting_inits(monkeypatch, cls) -> list:
+    """Weak references to every `cls` instance made from here on."""
+    made, init = [], cls.__init__
+
+    def recording(self, *args, **kwargs):
+        made.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", recording)
+    return made
+
+
+def test_one_group_per_one_member_call(monkeypatch, tmp_path):
+    # perfbench's 8 effective_events cases at seed 0: one group each, which also steps every
+    # cost retry and localization probe of its member (271 of them)
+    groups = counting_inits(monkeypatch, _Group)
+    per_call = []
+    for case in perfbench_cases("effective_events", 0, tmp_path):
+        before = len(groups)
+        stats = case.call().stats
+        per_call.append((len(groups) - before, stats.probes + stats.cost_retries))
+    assert [made for made, _ in per_call] == [1] * 8
+    assert sum(extra for _, extra in per_call) == 271
+
+
+def test_no_run_or_group_outlives_its_call(monkeypatch):
+    # with the cyclic collector off, reference counts alone free every run and group when the
+    # call returns: no run refers to a group, so a finished trajectory keeps neither alive
+    runs, groups = counting_inits(monkeypatch, _Run), counting_inits(monkeypatch, _Group)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        trajs = [integrate_effective(*make_separated_config(3, n_per=20, seed=0), 1.0)]
+        trajs += integrate_ensemble(integrate_general, general_members(0), 1.0)
+        trajs += integrate_ensemble(integrate_effective, [make_separated_config(2, n_per=20, seed=s)
+                                                          for s in range(3)], 1.0)
+        assert len(runs) == len(trajs) and len(groups) > len(trajs)
+        assert [ref() for ref in runs + groups] == [None] * (len(runs) + len(groups))
+    finally:
+        if enabled:
+            gc.enable()
