@@ -32,6 +32,7 @@ from .integrate import (
     write_trajectory_csv,
 )
 from .measures import TrainingSet
+from .model import finite_array
 from .scenarios import INITIAL_STATES, make_one_dim_state, named_initial_state, state_from_arrays
 from .verify import SUITES, clustered_closed_vs_ode, run_suites
 
@@ -55,20 +56,6 @@ def _field_error(prefix: str, exc: Exception) -> ConfigError:
     """A library error whose message reads "<key> <reason>", as a ConfigError naming field prefix + key."""
     key, _, reason = str(exc).partition(" ")
     return ConfigError(f"field '{prefix}{key}' {reason}")
-
-
-def _floats(name: str, value, ndim: int = 2) -> np.ndarray:
-    """Config field `name` as an `ndim`-dimensional float array; anything else, or a
-    non-finite entry, is a ConfigError naming it."""
-    try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field '{name}' must be an array of numbers: {exc}") from exc
-    if out.ndim != ndim:
-        raise ConfigError(f"field '{name}' must be a {ndim}-dimensional array, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ConfigError(f"field '{name}' must be finite")
-    return out
 
 
 @dataclass
@@ -157,12 +144,13 @@ class ScenarioConfig:
             raise _field_error("tolerances.", exc) from exc
 
 
-def _square(cfg: ScenarioConfig, key: str) -> np.ndarray:
-    """Config matrix `init.<key>`, which must be q x q."""
-    out = _floats(f"init.{key}", cfg.init[key])
-    if out.shape != (cfg.q, cfg.q):
-        raise ConfigError(f"field 'init.{key}' must be q x q = {cfg.q} x {cfg.q}, got shape {out.shape}")
-    return out
+def _init_array(cfg: ScenarioConfig, key: str, shape: tuple | None = None) -> np.ndarray:
+    """Config array `init.<key>`, q x q unless `shape` says otherwise, read by the library's
+    :func:`~truncflow.model.finite_array`; a rejected one is a ConfigError naming the field."""
+    try:
+        return finite_array(cfg.init[key], key, shape or (cfg.q, cfg.q))
+    except ValueError as exc:
+        raise _field_error("init.", exc) from exc
 
 
 def _load_data(cfg: ScenarioConfig):
@@ -183,18 +171,16 @@ def _load_data(cfg: ScenarioConfig):
 def _build_state(cfg: ScenarioConfig, data, labels):
     init = cfg.init
     kind = init.get("kind", "identity")
-    output_map = _floats("init.output_map", init["output_map"]) if "output_map" in init else None
+    output_map = _init_array(cfg, "output_map") if "output_map" in init else None
     try:
         if kind == "explicit":
             for key in ("rotations", "betas"):
                 if key not in init:
                     raise ConfigError(f"field 'init.{key}' is required for explicit init")
-            rotations = _floats("init.rotations", init["rotations"], ndim=3)
-            betas = _floats("init.betas", init["betas"])
-            q, depth = cfg.q, len(rotations)
-            for key, arr, shape in (("rotations", rotations, (depth, q, q)), ("betas", betas, (depth, q))):
-                if arr.shape != shape:
-                    raise ConfigError(f"field 'init.{key}' has shape {arr.shape}, expected {shape} (q = {q})")
+            q = cfg.q
+            rotations = _init_array(cfg, "rotations", ("L", q, q))
+            depth = len(rotations)
+            betas = _init_array(cfg, "betas", (depth, q))
             if depth > q:
                 raise ConfigError(f"field 'init.rotations' has {depth} layers but q = {q} "
                                   "(one cluster and label per layer)")
@@ -254,7 +240,7 @@ def _run_layered(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dic
 
 
 def _run_collapsed(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> dict:
-    cs = CollapsedState(*(_square(cfg, key) for key in ("b", "w", "y")))
+    cs = CollapsedState(*(_init_array(cfg, key) for key in ("b", "w", "y")))
     traj = integrate_collapsed(cs, cfg.s_end, opts)
     out.mkdir(parents=True, exist_ok=True)
     write_collapsed_csv(traj, out / "trajectory.csv")
@@ -276,7 +262,7 @@ def _run_clustered(cfg: ScenarioConfig, out: Path, opts: IntegratorOptions) -> d
     """Closed form against a fixed-step ODE solve; neither takes step control from `opts`."""
     data, labels = _load_data(cfg)
     try:
-        table, summary = clustered_closed_vs_ode(_square(cfg, "w0"), data, labels, cfg.s_end)
+        table, summary = clustered_closed_vs_ode(_init_array(cfg, "w0"), data, labels, cfg.s_end)
     except SingularGram as exc:
         raise ConfigError(f"field 'data.clusters': {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)

@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import BadOrdering, IndexRange, LabelInsideData, SingularGram
 from .measures import TrainingSet, check_mask, compute_moments, separation_violations
-from .model import ModelState, check_data, finite_points, layer_range, push
+from .model import ModelState, check_data, finite_array, finite_points, layer_range, push
 
 
 def _commutator_with_mask(nu: np.ndarray, sym: np.ndarray) -> np.ndarray:
@@ -428,21 +428,12 @@ class CollapsedState:
     y_matrix: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.b_matrix, dtype=float)  # private copies: the caller's arrays stay theirs
-        w = np.array(self.w_out, dtype=float)
-        y = np.array(self.y_matrix, dtype=float)
+        b = finite_array(self.b_matrix, "b_matrix", ("Q", "Q"))
         q = b.shape[0]
         if q < 1:
             raise ValueError(f"b_matrix has shape {b.shape}: need Q >= 1")
-        for name, m in (("b_matrix", b), ("w_out", w), ("y_matrix", y)):
-            if m.shape != (q, q):
-                raise ValueError(f"{name} has shape {m.shape}, expected ({q}, {q})")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} has a non-finite entry")
-            m.setflags(write=False)
-        object.__setattr__(self, "b_matrix", b)
-        object.__setattr__(self, "w_out", w)
-        object.__setattr__(self, "y_matrix", y)
+        for name, m in (("b_matrix", b), ("w_out", self.w_out), ("y_matrix", self.y_matrix)):
+            object.__setattr__(self, name, finite_array(m, name, (q, q)))
 
     @property
     def dim(self) -> int:
@@ -481,15 +472,10 @@ def clustered_explicit(w0, x0, y_ext, s: float) -> np.ndarray:
     """
     if not np.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
-    w0 = np.asarray(w0, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    y_ext = np.asarray(y_ext, dtype=float)
+    x0 = finite_array(x0, "X", ("Q", "N"))
     q, n = x0.shape
-    if w0.shape != (q, q) or y_ext.shape != (q, n):
-        raise ValueError("shape mismatch: need W0 (Q,Q), X (Q,N), Y_ext (Q,N)")
-    for name, m in (("W0", w0), ("X", x0), ("Y_ext", y_ext)):
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"{name} has a non-finite entry")
+    w0 = finite_array(w0, "W0", (q, q))
+    y_ext = finite_array(y_ext, "Y_ext", (q, n))
     gram = x0 @ x0.T
     vals = np.linalg.eigvalsh(gram)
     if vals[0] <= 1e-10 * vals[-1]:

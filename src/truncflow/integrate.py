@@ -691,6 +691,12 @@ def ensemble_groups(members) -> list[list[int]]:
     return groups
 
 
+def _is_layered_member(member) -> bool:
+    """Whether `member` is a layered integrator's (state, data) pair."""
+    return (isinstance(member, (tuple, list)) and len(member) == 2
+            and isinstance(member[0], ModelState) and isinstance(member[1], TrainingSet))
+
+
 def integrate_ensemble(integrator, members, s_end: float, opts: IntegratorOptions | None = None) -> list:
     """Integrate independent members with one integrator, and return their trajectories in member
     order, each bit for bit its one-member call's: samples, events, `stopped_reason` and `stats`.
@@ -699,20 +705,28 @@ def integrate_ensemble(integrator, members, s_end: float, opts: IntegratorOption
     (state, data) pairs, or :func:`integrate_collapsed`, whose members are collapsed states.
     Members of one shape are stepped together in groups (:func:`ensemble_groups`), each round of a
     group one stacked step of all its live members, and members finish independently.  A member
-    that raises (`StepUnderflow`, a rejected input) ends the call with its error.
+    that raises (`StepUnderflow`, a rejected input) ends the call with its error; a member of
+    another kind than its integrator takes raises ValueError naming its index before any run.
     """
     if not 0 < s_end < np.inf:
         raise ValueError(f"s_end must be positive and finite, got {s_end!r}")
     opts = opts or IntegratorOptions()
     members = list(members)
     if integrator is integrate_collapsed:
+        kind, fits = "a CollapsedState", lambda member: isinstance(member, CollapsedState)
         run = lambda group: _integrate_collapsed(group, s_end, opts)  # noqa: E731
     elif integrator is integrate_effective or integrator is integrate_general:
+        kind, fits = "a (ModelState, TrainingSet) pair", _is_layered_member
         rhs, separated = (effective_rhs, True) if integrator is integrate_effective else (general_rhs, False)
         run = lambda group: _integrate_layered(group, rhs, s_end, opts, separated)  # noqa: E731
     else:
         raise ValueError(f"integrator must be integrate_effective, integrate_general or integrate_collapsed, "
                          f"got {integrator!r}")
+    for i, member in enumerate(members):
+        if not fits(member):
+            got = (f"({', '.join(type(m).__name__ for m in member)})" if isinstance(member, (tuple, list))
+                   else f"a {type(member).__name__}")
+            raise ValueError(f"member {i} is {got}: {integrator.__name__} takes {kind}")
     out = [None] * len(members)
     for group in ensemble_groups(members):
         for i, traj in zip(group, run([members[i] for i in group])):

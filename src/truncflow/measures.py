@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyCluster
-from .model import ModelState, check_data, push
+from .model import ModelState, check_data, finite_array, push
 
 
 class TrainingSet:
@@ -101,14 +101,7 @@ class TrainingSet:
             raise ValueError(f"q must be the number of clusters, {ts.q}, got {q!r}")
         labels = doc.get("labels")
         if labels is not None:
-            try:
-                labels = np.asarray(labels, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"labels must be numbers: {exc}") from exc
-            if labels.shape != (ts.q, ts.q):
-                raise ValueError(f"labels must have shape ({ts.q}, {ts.q}), got {labels.shape}")
-            if not np.all(np.isfinite(labels)):
-                raise ValueError("labels must be finite")
+            labels = finite_array(labels, "labels", (ts.q, ts.q))
         return ts, labels
 
     @classmethod

@@ -13,7 +13,9 @@ activity row `z > 0`, strict so the measure-zero boundary is deterministic.
 
 Invariants are checked at the public constructors (:class:`LayerParams`,
 :class:`ModelState`); states derived from a validated one, such as
-integration stages and finite-difference stencils, check only shapes.
+integration stages and finite-difference stencils, check only shapes.  Every
+parameter array, here and in the other modules' constructors, enters through
+:func:`finite_array`, whose errors name the array and its bad shape or entry.
 """
 
 from __future__ import annotations
@@ -26,6 +28,26 @@ from .errors import IndexRange
 from .manifold import OrthogonalMatrix, check_orthogonal
 
 
+def finite_array(value, name: str, shape: tuple) -> np.ndarray:
+    """`value` as a read-only float copy of `shape`, where a str entry matches any length and
+    prints as given, e.g. (L, 2, 2): the one rule by which a parameter array is accepted, so the
+    caller's array stays theirs.  A value numpy cannot read as numbers, another shape, or a
+    non-finite entry raises ValueError naming `name` and the expected shape or the first such
+    entry and its value."""
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from exc
+    if a.ndim != len(shape) or any(n != m for n, m in zip(a.shape, shape) if not isinstance(m, str)):
+        expected = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ValueError(f"{name} has shape {a.shape}, expected ({expected})")
+    if not np.isfinite(a).all():
+        where = tuple(np.argwhere(~np.isfinite(a))[0].tolist())
+        raise ValueError(f"{name} has a non-finite entry at {where}: {a[where]}")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class LayerParams:
     """One layer's cumulative parameters: rotation R and bias beta."""
@@ -34,13 +56,7 @@ class LayerParams:
     beta: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.beta, dtype=float)  # a private copy: the caller's array stays theirs
-        if b.shape != (self.rotation.dim,):
-            raise ValueError(f"beta has shape {b.shape}, expected ({self.rotation.dim},)")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("beta has a non-finite entry")
-        b.setflags(write=False)
-        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "beta", finite_array(self.beta, "beta", (self.rotation.dim,)))
 
     @property
     def dim(self) -> int:
@@ -75,16 +91,8 @@ class ModelState:
         q = layers[0].dim
         if any(lp.dim != q for lp in layers):
             raise ValueError("all layers must share the same dimension")
-        w = np.array(output_map, dtype=float)  # private copies: the caller's arrays stay theirs
-        if w.shape != (q, q):
-            raise ValueError(f"output_map has shape {w.shape}, expected ({q}, {q})")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("output_map has a non-finite entry")
-        y = np.array(labels, dtype=float)
-        if y.shape != (q, q):
-            raise ValueError(f"labels have shape {y.shape}, expected ({q}, {q}) (one row per cluster)")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("labels have a non-finite entry")
+        w = finite_array(output_map, "output_map", (q, q))
+        y = finite_array(labels, "labels", (q, q))  # one row per cluster
         sv = np.linalg.svd(w, compute_uv=False)
         if sv[-1] <= 1e-12 * sv[0]:
             raise ValueError("output_map is numerically singular")
@@ -93,8 +101,7 @@ class ModelState:
         scale = np.maximum(np.linalg.norm(y, axis=1), 1e-300)
         if np.any(resid > 1e-10 * np.maximum(scale, 1.0)):
             raise ValueError("pulled labels failed the reconstruction check")
-        for a in (w, y, ytil):
-            a.setflags(write=False)
+        ytil.setflags(write=False)
         self.output_map, self.labels, self.pulled_labels = w, y, ytil
         self._set_layers(np.array([lp.rotation.mat for lp in layers]),
                          np.array([lp.beta for lp in layers]))

@@ -21,7 +21,7 @@ from .errors import NearKink
 from .flows import CollapsedState
 from .manifold import AntisymmetricMatrix, OrthogonalMatrix, retract, retract_stack
 from .measures import TrainingSet
-from .model import ModelState, check_data, images_cost, layer_range, push
+from .model import ModelState, check_data, finite_array, images_cost, layer_range, push
 
 
 def _check_step(step: float) -> None:
@@ -163,9 +163,7 @@ def reference_integrate(rhs, state0: ModelState, data: TrainingSet, s_end: float
 
     def advance(rotations, betas, beta_dots, omegas, dt):
         rotations = [retract(r, AntisymmetricMatrix(omega), dt) for r, omega in zip(rotations, omegas)]
-        betas = betas + dt * beta_dots
-        if not np.all(np.isfinite(betas)):
-            raise ValueError("beta has a non-finite entry")
+        betas = finite_array(betas + dt * beta_dots, "beta", ("L", "Q"))
         return rotations, state0.derive(np.array([r.mat for r in rotations]), betas)
 
     # the validated rotations are carried from step to step

@@ -8,19 +8,15 @@ import numpy as np
 
 from .manifold import AntisymmetricMatrix, OrthogonalMatrix, expm_antisym, random_orthogonal
 from .measures import TrainingSet
-from .model import LayerParams, ModelState
+from .model import LayerParams, ModelState, finite_array
 
 
 INITIAL_STATES = ("identity", "random-orthogonal", "all-positive", "fully-truncated")
 
 
 def state_from_arrays(rotations, betas, output_map, labels) -> ModelState:
-    if len(rotations) != len(betas):
-        raise ValueError(f"{len(rotations)} rotations but {len(betas)} betas: need one beta per rotation")
-    layers = [
-        LayerParams(rotation=OrthogonalMatrix(r), beta=np.asarray(b, dtype=float))
-        for r, b in zip(rotations, betas)
-    ]
+    betas = finite_array(betas, "beta", (len(rotations), "Q"))  # one beta per rotation
+    layers = [LayerParams(rotation=OrthogonalMatrix(r), beta=b) for r, b in zip(rotations, betas)]
     return ModelState(layers, output_map, labels)
 
 

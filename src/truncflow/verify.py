@@ -18,6 +18,7 @@ from .flows import (
 )
 from .errors import NearKink
 from .integrate import (
+    IntegratorOptions,
     ensemble_groups,
     fit_phase_exponents,
     integrate_collapsed,
@@ -145,6 +146,7 @@ def monotonicity_suite(seed: int = 0, cases: int = 12) -> dict:
     checked = 0  # descent-identity probes checked; two are tried per trajectory
     stopped = []
     draws = [_monotonicity_case(seed, i) for i in range(cases)]
+    slack = IntegratorOptions().cost_slack  # the rise the integrator lets a step make
     for integrator in (integrate_effective, integrate_general):
         indices = [i for i, draw in enumerate(draws) if draw[2] is integrator]
         for j, traj in _integrated(integrator, [draws[i][:2] for i in indices], 1.0):
@@ -153,7 +155,7 @@ def monotonicity_suite(seed: int = 0, cases: int = 12) -> dict:
             if traj.stopped_reason is not None:
                 stopped.append({"case": i, "s": float(traj.times[-1]), "reason": traj.stopped_reason})
             costs = traj.costs
-            rises = np.diff(costs) - 1e-8 * (1.0 + costs[:-1])
+            rises = np.diff(costs) - slack * (1.0 + costs[:-1])
             slack_worst = max(slack_worst, float(np.max(rises, initial=-np.inf)))
             ortho_worst = max(ortho_worst, traj.max_orthogonality_error)
 

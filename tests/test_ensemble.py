@@ -148,6 +148,44 @@ def test_mixed_shapes_return_in_member_order():
     assert [traj.final_state.dim for traj in trajs] == [3, 2, 3, 2, 2]
 
 
+def test_separated_group_of_unequal_cluster_sizes(monkeypatch):
+    # clusters cut to 6, 5 and 4 points do not stack, so the group reads each layer's own rows
+    # (the list branch of `_own_coordinates` with a member axis)
+    members = [(state, TrainingSet([c[:n] for c, n in zip(data.clusters, (6, 5, 4))]))
+               for state, data in (make_separated_config(3, n_per=6, seed=seed) for seed in range(3))]
+    assert ensemble_groups(members) == [[0, 1, 2]]
+    layouts, own = [], truncflow.flows._own_coordinates
+
+    def recording(state, points, data, stacked):
+        layouts.append((state.rotations.ndim, stacked))
+        return own(state, points, data, stacked)
+
+    monkeypatch.setattr(truncflow.flows, "_own_coordinates", recording)
+    trajs = assert_members_are_single_runs(integrate_effective, members, 1.0)
+    assert (4, False) in layouts and (4, True) not in layouts
+    assert all(traj.events for traj in trajs)
+
+
+@pytest.mark.parametrize("integrator, bad, message", [
+    (integrate_collapsed, make_separated_config(2, n_per=4, seed=0),
+     r"^member 1 is \(ModelState, TrainingSet\): integrate_collapsed takes a CollapsedState$"),
+    (integrate_effective, CollapsedState(np.eye(2), np.eye(2), np.zeros((2, 2))),
+     r"^member 1 is a CollapsedState: integrate_effective takes a \(ModelState, TrainingSet\) pair$"),
+    (integrate_general, make_separated_config(2, n_per=4, seed=0)[0],
+     r"^member 1 is a ModelState: integrate_general takes a \(ModelState, TrainingSet\) pair$"),
+    (integrate_general, (*make_separated_config(2, n_per=4, seed=0), 1.0),
+     r"^member 1 is \(ModelState, TrainingSet, float\): integrate_general takes"),
+], ids=["pair-to-collapsed", "collapsed-to-effective", "bare-state-to-general", "triple-to-general"])
+def test_member_of_another_kind_rejected_before_any_run(monkeypatch, integrator, bad, message):
+    good = (CollapsedState(np.eye(2), np.eye(2), np.zeros((2, 2))) if integrator is integrate_collapsed
+            else make_separated_config(2, n_per=4, seed=1))
+    fields = counting(monkeypatch, truncflow.integrate, "collapsed_rhs")
+    runs = counting_inits(monkeypatch, _Run)
+    with pytest.raises(ValueError, match=message):
+        integrate_ensemble(integrator, [good, bad], 1.0)
+    assert fields == [] and runs == []
+
+
 def test_collapsed_stats_count_every_evaluation(monkeypatch):
     # 10 evaluations per trial beyond the shared first stage, which is evaluated once per state
     # stepped from; the coarse step makes some trials fail the error test

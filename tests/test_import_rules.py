@@ -2,7 +2,9 @@
 
 A module keeps its underscore-prefixed names to itself: no `truncflow` module imports one from
 another, so whatever two modules share is public.  The command-line front end runs no
-finite-difference check, so `cli.py` imports nothing from `oracle`.
+finite-difference check, so `cli.py` imports nothing from `oracle`.  The validating wrappers
+(`OrthogonalMatrix`, `AntisymmetricMatrix`, `LayerParams`) are built at a fixed list of sites,
+which may only shrink.
 """
 
 import ast
@@ -44,3 +46,53 @@ def test_no_module_imports_another_modules_private_name():
 def test_cli_imports_nothing_from_the_oracle():
     pairs = package_imports(PACKAGE / "cli.py")
     assert [(module, name) for module, name in pairs if "oracle" in (module.split(".")[0], name)] == []
+
+
+WRAPPERS = ("OrthogonalMatrix", "AntisymmetricMatrix", "LayerParams")
+
+# Every site in the package that builds a validating wrapper: (module, enclosing function, class).
+# State is meant to travel as arrays and meet the wrappers only at its edges, so a change may
+# remove a site from this list but not add one.
+WRAPPER_SITES = [
+    ("manifold", "antisym_project", "AntisymmetricMatrix"),
+    ("manifold", "expm_antisym", "OrthogonalMatrix"),
+    ("manifold", "polar_decompose", "OrthogonalMatrix"),
+    ("manifold", "retract", "OrthogonalMatrix"),
+    ("model", "LayerParams.with_updates", "LayerParams"),
+    ("model", "ModelState.layers", "LayerParams"),
+    ("model", "ModelState.layers", "OrthogonalMatrix"),
+    ("oracle", "_fd_layer", "AntisymmetricMatrix"),
+    ("oracle", "_fd_layer", "OrthogonalMatrix"),
+    ("oracle", "reference_integrate", "OrthogonalMatrix"),
+    ("oracle", "reference_integrate.advance", "AntisymmetricMatrix"),
+    ("scenarios", "check_collapse_hypotheses", "AntisymmetricMatrix"),
+    ("scenarios", "make_separated_config", "OrthogonalMatrix"),
+    ("scenarios", "rotation_mapping", "OrthogonalMatrix"),
+    ("scenarios", "state_from_arrays", "LayerParams"),
+    ("scenarios", "state_from_arrays", "OrthogonalMatrix"),
+]
+
+
+def wrapper_sites(path: Path) -> list[tuple[str, str, str]]:
+    """The (module, enclosing function, class) of every call in the module at `path` that builds
+    one of WRAPPERS, by name or as an attribute; the function is dotted through its enclosing
+    classes and functions, "" at module level."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in WRAPPERS:
+                    sites.append((path.stem, ".".join(scope), name))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    return sites
+
+
+def test_wrappers_are_built_only_at_the_listed_sites():
+    assert sorted(site for path in MODULES for site in wrapper_sites(path)) == WRAPPER_SITES

@@ -378,13 +378,13 @@ class TestModelState:
         q = 2
         with pytest.raises(ValueError, match="^output_map has a non-finite entry"):
             state_from_arrays([np.eye(q)], [np.zeros(q)], [[np.nan, 0.0], [0.0, 1.0]], np.zeros((q, q)))
-        with pytest.raises(ValueError, match="^labels have a non-finite entry"):
+        with pytest.raises(ValueError, match="^labels has a non-finite entry"):
             state_from_arrays([np.eye(q)], [np.zeros(q)], np.eye(q), [[0.0, 1.0], [np.inf, 0.0]])
         with pytest.raises(ValueError, match="^beta has a non-finite entry"):
             state_from_arrays([np.eye(q)], [[0.0, np.nan]], np.eye(q), np.zeros((q, q)))
 
     def test_one_beta_per_rotation(self):
-        with pytest.raises(ValueError, match="^2 rotations but 1 betas"):
+        with pytest.raises(ValueError, match=r"^beta has shape \(1, 2\), expected \(2, Q\)$"):
             state_from_arrays([np.eye(2)] * 2, [np.zeros(2)], np.eye(2), np.zeros((2, 2)))
 
     def test_constructors_copy_the_callers_arrays(self):
