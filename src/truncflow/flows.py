@@ -41,19 +41,19 @@ a row outside cluster k: when :func:`~truncflow.measures.separation_violations`,
 the list that :func:`~truncflow.measures.check_cluster_separation` returns for
 push's masks, is empty.
 The general field sweeps push's coordinates per cluster, except on a mask set
-that is separated and stacks: there each cluster acts at its own layer alone,
-as in the separated field, so it sweeps that field's stacked entry over
-cluster k's rows of push's z_k, one (depth, n, Q) block, bit for bit the
-per-cluster sweep.  A group of B members of one shape whose mask sets are
-separated and stack, and whose plans act at the same layers, is swept as one
-(:func:`general_group_rhs`): one push of all members at their stacked float
-masks, their cluster-k rows of z_k gathered into one (B, L, n, Q) block, and one
-sweep of their stacked plans.  The separated field gives cluster k layer k alone, at its
-own rows' raw coordinates (x + beta_k) R_k^T and mask, whose unfrozen rows are
-their signs (integrators freeze push's, which on the field's domain, separated
-states, are the same rows): it pushes no point and reads no foreign cluster's
-rows.  Over clusters that stack it takes its layers as one stacked entry, one
-batched product per evaluation; otherwise one entry per acting layer.
+that is separated: there each cluster acts at its own layer alone, as in the
+separated field, so it sweeps that field's plan over cluster k's rows of push's
+z_k (:func:`_own_rows`), bit for bit the per-cluster sweep.  A group of B
+members of one shape whose mask sets are separated, and whose plans act at the
+same layers, is swept as one (:func:`general_group_rhs`): one push of all
+members at their stacked float masks, their cluster-k rows of z_k gathered with
+the member axis, and one sweep of their stacked plans.  The separated field
+gives cluster k layer k alone, at its own rows' raw coordinates
+(x + beta_k) R_k^T and mask, whose unfrozen rows are their signs (integrators
+freeze push's, which on the field's domain, separated states, are the same
+rows): it pushes no point and reads no foreign cluster's rows.  Over clusters
+that stack it takes its layers as one stacked entry, one batched product per
+evaluation; otherwise one entry per acting layer.
 Generators are validated as :class:`~truncflow.manifold.AntisymmetricMatrix`
 only where they cross the public boundary (`retract`, the finite-difference
 oracle).  The collapsed field takes and returns plain arrays too,
@@ -293,6 +293,14 @@ def _own_coordinates(state, points, data: TrainingSet, stacked: bool):
     return [(points[:, data.rows(k)] + betas[:, k, None]) @ rotations[:, k].mT for k in range(depth)]
 
 
+def _own_rows(zs, data: TrainingSet, stacked: bool):
+    """Cluster k's rows of `zs[k]`, push's coordinates at layer k, for every layer k: one
+    (..., L, n, Q) block if the clusters `stacked`, else a list of (..., N_k, Q) arrays, where a
+    group's (B, N, Q) coordinates keep their leading member axis."""
+    own = [z[..., data.rows(k), :] for k, z in enumerate(zs)]
+    return np.stack(own, axis=-3) if stacked else own
+
+
 def _plan_layers(plan) -> list:
     """The layers a plan's entries act at, as comparable values."""
     return [[(l.start, l.stop) if isinstance(l, slice) else l.tolist() if isinstance(l, np.ndarray) else l
@@ -329,19 +337,19 @@ def effective_group_rhs(group, points: np.ndarray, data: TrainingSet, plan, stac
     return _descent_field(group, plan, _own_coordinates(group, points, data, stacked))
 
 
-def general_group_rhs(group, points: np.ndarray, data: TrainingSet, plan, floats: list):
-    """The general field of B members of one shape at once, on mask sets that are separated and
-    stack: there each cluster acts at its own layer alone, as in :func:`general_rhs`'s stacked
-    entry.
+def general_group_rhs(group, points: np.ndarray, data: TrainingSet, plan, floats: list, stacked: bool):
+    """The general field of B members of one shape at once, on separated mask sets: there each
+    cluster acts at its own layer alone, as in :func:`general_rhs`.
 
-    `group`, `points` and `data` are as in :func:`effective_group_rhs`, `plan` the members'
-    :func:`stack_effective_plans`, and `floats[k]` their float masks at layer k stacked (B, N, Q).
-    One `push` carries every member's points up at its own masks, each member's cluster-k rows of
-    z_k make one (B, L, n, Q) block, and one sweep gives (beta_dots (B, L, Q), omegas (B, L, Q, Q)),
-    each member's slice bit for bit its own :func:`general_rhs` at its masks.
+    `group`, `points`, `data` and `stacked` are as in :func:`effective_group_rhs`, `plan` the
+    members' :func:`stack_effective_plans`, and `floats[k]` their float masks at layer k stacked
+    (B, N, Q).  One `push` carries every member's points up at its own masks, each member's
+    cluster-k rows of z_k are gathered (:func:`_own_rows`), and one sweep gives (beta_dots
+    (B, L, Q), omegas (B, L, Q, Q)), each member's slice bit for bit its own :func:`general_rhs`
+    at its masks.
     """
     zs = push(group.rotations.swapaxes(0, 1), group.betas.swapaxes(0, 1)[:, :, None], points, floats)[0]
-    return _descent_field(group, plan, np.stack([z[:, data.rows(k)] for k, z in enumerate(zs)], axis=1))
+    return _descent_field(group, plan, _own_rows(zs, data, stacked))
 
 
 def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
@@ -373,11 +381,10 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     Same contract as :func:`effective_rhs`, but every cluster acts on every
     layer through the chained truncation.  One `push` carries all points up
     (at `frozen_masks` if given); each cluster's plan lists the layers where
-    its mask rows are not all active, from the top down.  On masks that are
-    separated and stack, every cluster acts at its own layer alone: the
-    sweep takes the separated field's stacked entry over cluster k's rows of
-    push's z_k instead, with the same bits, since each layer gets its one
-    contribution either way.
+    its mask rows are not all active, from the top down.  On separated masks
+    every cluster acts at its own layer alone: the sweep takes the separated
+    field's plan over cluster k's rows of push's z_k instead, with the same
+    bits, since each layer gets its one contribution either way.
     """
     check_data(state, data)
     if frozen_masks is None:
@@ -386,9 +393,8 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     else:
         masks = _planned(frozen_masks, data, state.depth)
         pushed = push(state.rotations, state.betas, data.points, masks.floats)[0]
-    if masks.stacked and masks.separated:  # the stacked entry, over cluster k's rows of z_k
-        block = np.stack([z[data.rows(k)] for k, z in enumerate(pushed)])
-        return _descent_field(state, masks.effective, block)
+    if masks.separated:  # the separated plan, over cluster k's rows of z_k
+        return _descent_field(state, masks.effective, _own_rows(pushed, data, masks.stacked))
     return _descent_field(state, masks.general, pushed)
 
 

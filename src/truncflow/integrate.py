@@ -62,15 +62,15 @@ a group) and returns their trajectories in member order; `integrate_effective`,
 a leading member axis, and each round every live member takes its trial step as one stacked
 field evaluation per stage, one stacked retraction (each member at its own Pade degree) and one
 stacked push.  Both fields sweep a group whose members' plans act at the same layers as one: the
-separated field over the members' own coordinates, the general field, on mask sets that are
-separated and stack, over one stacked push of all members at their float masks; members whose
-plans act at different layers, or whose masks are not separated, evaluate member by member inside
-the stage.  Mask comparison, localization probes, cost retries, reprojection, events, samples,
-stops and stats stay each member's own, and members finish independently; every member is bit for
-bit its one-member run.  A collapsed member keeps its own adaptive step.  A group is built once
-per membership change: the loop holds each member's group of one, which steps that member's probes
-and retries, and no run refers to a group, so a finished trajectory keeps none alive.  A group of
-one steps its member's own arrays, without the member axis, and calls its field by name.
+separated field over the members' own coordinates, the general field, on separated mask sets,
+over one stacked push of all members at their float masks; members whose plans act at different
+layers, or whose masks are not separated, evaluate member by member inside the stage.  Mask
+comparison, localization probes, cost retries, reprojection, events, samples, stops and stats
+stay each member's own, and members finish independently; every member is bit for bit its
+one-member run.  A collapsed member keeps its own adaptive step.  A group of two or more members
+is built once per membership change, and no run refers to a group, so a finished trajectory keeps
+none alive.  A lone member, and every member's probes and retries, step the run's own arrays,
+without the member axis, and call its field by name.
 """
 
 from __future__ import annotations
@@ -367,25 +367,21 @@ class _Layers(NamedTuple):
 
 
 class _Group:
-    """Layered members of one shape, stepped together.
+    """Two or more layered members of one shape, stepped together.
 
     Every RK4 stage is one stacked field evaluation and one stacked retraction, and every step
     ends in one stacked push (`push` takes the member axis where it takes a stacked layer's
     stencils).  Each field sweeps a group whose members' plans act at the same layers as one:
     the separated field over every member's own coordinates (`effective_group_rhs`), the general
-    field, on mask sets that are separated and stack, over one stacked push of all members at
-    their float masks (`general_group_rhs`).  The stacked plan and float masks are made once per
-    mask change.  Any other group evaluates its members' fields one by one, by name.  A group of
-    one steps its member's own arrays, without the member axis, and calls its field by name.
+    field, on separated mask sets, over one stacked push of all members at their float masks
+    (`general_group_rhs`).  The stacked plan and float masks are made once per mask change.  Any
+    other group evaluates its members' fields one by one (`_Run.field`).
     """
 
     def __init__(self, runs: list, separated: bool):
-        self.runs = runs
-        self.one = len(runs) == 1
-        self.separated = separated
-        if not self.one:
-            self.points = np.stack([run.data.points for run in runs])
-            self.pulled_labels = np.stack([run.state.pulled_labels for run in runs])
+        self.runs, self.separated = runs, separated
+        self.points = np.stack([run.data.points for run in runs])
+        self.pulled_labels = np.stack([run.state.pulled_labels for run in runs])
         self._planned = None  # the mask sets the stacked plan was made for
         self._plan = self._floats = None
         self._accepted = None  # the stacked accepted states and their fields, once evaluated
@@ -393,9 +389,9 @@ class _Group:
     def _replan(self, masks: list) -> None:
         """Stack the members' plans, and for the general field their float masks, once per mask
         change: no plan where the members' plans act at different layers, or where the general
-        field's mask sets are not all separated and stacked."""
+        field's mask sets are not all separated."""
         self._planned, self._plan, self._floats = masks, None, None
-        if self.separated or all(m.stacked and m.separated for m in masks):
+        if self.separated or all(m.separated for m in masks):
             self._plan = stack_effective_plans(masks)
         if self._plan is not None and not self.separated:
             self._floats = [np.stack(layer) for layer in zip(*(m.floats for m in masks))]
@@ -403,37 +399,24 @@ class _Group:
     def field(self, rotations: np.ndarray, betas: np.ndarray) -> tuple:
         """Every member's velocities at its own masks, at the stacked arrays, stacked like them.
         Counts one evaluation per member."""
-        if self.one:
-            run = self.runs[0]
-            run.stats.rhs_calls += 1
-            return run.rhs(run.state.derive(rotations, betas), run.data, run.masks)
         runs = self.runs
         masks = [run.masks for run in runs]
-        for run in runs:
-            run.stats.rhs_calls += 1
         if self._planned is None or any(a is not b for a, b in zip(masks, self._planned)):
             self._replan(masks)
-        if self._plan is not None:
-            group, data = _Layers(rotations, betas, self.pulled_labels), runs[0].data
-            if self.separated:
-                return effective_group_rhs(group, self.points, data, self._plan, masks[0].stacked)
-            return general_group_rhs(group, self.points, data, self._plan, self._floats)
-        velocities = [run.rhs(run.state.derive(r, b), run.data, run.masks)
-                      for run, r, b in zip(runs, rotations, betas)]
-        return np.stack([v[0] for v in velocities]), np.stack([v[1] for v in velocities])
+        if self._plan is None:
+            velocities = [run.field(r, b) for run, r, b in zip(runs, rotations, betas)]
+            return np.stack([v[0] for v in velocities]), np.stack([v[1] for v in velocities])
+        for run in runs:
+            run.stats.rhs_calls += 1
+        group, data = _Layers(rotations, betas, self.pulled_labels), runs[0].data
+        if self.separated:
+            return effective_group_rhs(group, self.points, data, self._plan, masks[0].stacked)
+        return general_group_rhs(group, self.points, data, self._plan, self._floats, masks[0].stacked)
 
-    def step(self, h) -> list[tuple]:
-        """One RK4 step from every member's accepted state, member b's by `h[b]` of the (B,) `h`,
-        a float for a group of one: per member the new state, the generators that moved it, and
-        its masks and final images."""
+    def step(self, h: np.ndarray) -> list[tuple]:
+        """One RK4 step from every member's accepted state, member b's by `h[b]` of the (B,) `h`:
+        per member the new state, the generators that moved it, and its masks and final images."""
         runs = self.runs
-        if self.one:
-            run = runs[0]
-            state = run.state
-            (rotations, betas), generators = _rk4_step(self.field, state.rotations, state.betas, run.k1, h)
-            run.stats.rk4_steps += 1
-            _, nus, images, _ = push(rotations, betas, run.data.points)
-            return [(state.derive(rotations, betas), generators, nus, images)]
         if self._accepted is None:
             start = np.stack([run.state.rotations for run in runs]), np.stack([run.state.betas for run in runs])
             k1 = np.stack([run.k1[0] for run in runs]), np.stack([run.k1[1] for run in runs])
@@ -451,11 +434,6 @@ class _Group:
 
     def accepted_field(self) -> None:
         """Evaluate every member's field `k1` at its accepted state, at its masks there."""
-        if self.one:
-            run = self.runs[0]
-            run.stats.rhs_calls += 1
-            run.k1 = run.rhs(run.state, run.data, run.masks)
-            return
         runs = self.runs
         start = np.stack([run.state.rotations for run in runs]), np.stack([run.state.betas for run in runs])
         beta_dots, omegas = self.field(*start)
@@ -467,7 +445,7 @@ class _Group:
 class _Run:
     """One layered trajectory in the making: its training set and field, the accepted state it has
     reached with that state's masks, cost and field `k1`, and its record so far.  It refers to no
-    group: the loop holds each member's groups.
+    group: the loop holds the group, and a lone run steps itself.
 
     The start is checked and pushed once; its mask set lists its violations, and a start that
     is not separated logs one warning naming their count and is guarded from then on.
@@ -495,6 +473,23 @@ class _Run:
         self.stats.rhs_calls += 1
         return (self.rhs if fn is None else fn)(*args)
 
+    def field(self, rotations: np.ndarray, betas: np.ndarray) -> tuple:
+        """The field at the arrays (rotations, betas), at this run's masks; counts one evaluation."""
+        return self.counted_rhs(self.state.derive(rotations, betas), self.data, self.masks)
+
+    def step(self, h: float) -> tuple:
+        """One RK4 step of `h` from the accepted state: the new state, the generators that moved
+        it, and its masks and final images."""
+        state = self.state
+        (rotations, betas), generators = _rk4_step(self.field, state.rotations, state.betas, self.k1, h)
+        self.stats.rk4_steps += 1
+        advanced = state.derive(rotations, betas)
+        return advanced, generators, *_sweep(advanced, self.data)
+
+    def accepted_field(self) -> None:
+        """Evaluate the field `k1` at the accepted state, at its masks there."""
+        self.k1 = self.counted_rhs(self.state, self.data, self.masks)
+
     def sample(self) -> FlowSample:
         """The accepted state's sample, read off its field `k1` and its mask set's counts."""
         state = self.state
@@ -515,16 +510,15 @@ class _Run:
                                f"full cost at rate {rate:.3g}")
         return True
 
-    def take(self, kept: tuple, h: float, opts: IntegratorOptions, alone: _Group) -> None:
+    def take(self, kept: tuple, h: float, opts: IntegratorOptions) -> None:
         """Accept one step from the trial step `kept` of `h`: a crossing in it is localized, and
-        the step is halved and retried while it raises the cost; `alone`, this member's group of
-        one, steps the probes and retries.  The field there and the sample follow with the
-        group's (`record`)."""
+        the step is halved and retried while it raises the cost; the run steps its probes and
+        retries itself.  The field there and the sample follow with the round's (`record`)."""
         stats, data, masks, s, cost = self.stats, self.data, self.masks, self.s, self.cost
 
         def probe(dt: float) -> tuple:
             stats.probes += 1
-            return alone.step(dt)[0]
+            return self.step(dt)
 
         while True:
             dt, pending = h, []
@@ -543,7 +537,7 @@ class _Run:
                     event = pending[0] if pending else None
                     where = "" if event is None else f" while localizing the crossing at {event.where()}"
                     raise StepUnderflow(f"step underflow at s = {s:.6g}{where}", s, event)
-                kept = alone.step(h)[0]
+                kept = self.step(h)
                 continue
             break
 
@@ -593,29 +587,27 @@ def _integrate_layered(members: list, rhs, s_end: float, opts: IntegratorOptions
     Each round every live member takes its trial step, all as one stacked step of the group,
     each member by its own step; localization, cost retries, reprojection, events, samples and
     stops are each member's own, and a member that stops or reaches `s_end` leaves the group.
-    A group is built once per membership change: the loop holds each member's group of one,
-    which steps its probes and retries and, once it is the last member left, its rounds too; a
-    group of one is its member's.
+    A group is built once per membership change; a lone live member steps itself, and every
+    member steps its own probes and retries.
     """
-    runs = [_Run(state0, data, rhs, separated) for state0, data in members]
-    group = _Group(runs, separated)
-    alone = [group] if group.one else [_Group([run], separated) for run in runs]
-    group.accepted_field()
+    live = runs = [_Run(state0, data, rhs, separated) for state0, data in members]
+    stepper = _Group(runs, separated) if len(runs) > 1 else runs[0]
+    stepper.accepted_field()
     for run in runs:
         run.samples.append(run.sample())
-    live = list(range(len(runs)))  # the group's members, as indices into runs
     while True:
-        live = [i for i in live if runs[i].stopped_reason is None and runs[i].s < s_end - 1e-13
-                and not runs[i].ascends()]
-        if not live:
+        going = [run for run in live if run.stopped_reason is None and run.s < s_end - 1e-13
+                 and not run.ascends()]
+        if not going:
             break
-        if len(live) < len(group.runs):
-            group = alone[live[0]] if len(live) == 1 else _Group([runs[i] for i in live], separated)
-        h = [min(opts.step, s_end - runs[i].s) for i in live]
-        for i, kept, h_run in zip(live, group.step(h[0] if group.one else np.array(h)), h):
-            runs[i].take(kept, h_run, opts, alone[i])
-        group.accepted_field()
-        for run in group.runs:
+        if len(going) < len(live):
+            live, stepper = going, (_Group(going, separated) if len(going) > 1 else going[0])
+        h = [min(opts.step, s_end - run.s) for run in live]
+        trials = stepper.step(np.array(h)) if len(live) > 1 else [stepper.step(h[0])]
+        for run, kept, h_run in zip(live, trials, h):
+            run.take(kept, h_run, opts)
+        stepper.accepted_field()
+        for run in live:
             run.record()
     return [Trajectory(run.samples, run.events, stopped_reason=run.stopped_reason, stats=run.stats)
             for run in runs]

@@ -65,11 +65,12 @@ def orthogonality_error(m: np.ndarray) -> float:
     return frobenius_norm(m.T @ m - _identity(m.shape[0]))
 
 
-def check_orthogonal(m: np.ndarray) -> None:
-    """Raise ValueError unless the square array m has ||m^T m - I||_F <= 1e-10 (NaN fails)."""
+def check_orthogonal(m: np.ndarray, name: str = "matrix") -> None:
+    """Raise ValueError naming `name` unless the square array m has ||m^T m - I||_F <= 1e-10
+    (NaN fails)."""
     err = orthogonality_error(m)
     if not err <= ORTHO_TOL:
-        raise ValueError(f"matrix is not orthogonal: ||R^T R - I|| = {err:.3e}")
+        raise ValueError(f"{name} is not orthogonal: ||R^T R - I|| = {err:.3e}")
 
 
 class OrthogonalMatrix:
@@ -77,9 +78,9 @@ class OrthogonalMatrix:
 
     __slots__ = ("mat",)
 
-    def __init__(self, mat):
+    def __init__(self, mat, name: str = "matrix"):
         m = as_square(mat)
-        check_orthogonal(m)
+        check_orthogonal(m, name)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 

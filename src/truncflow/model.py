@@ -113,9 +113,9 @@ class ModelState:
         self.betas = betas
 
     def checked(self) -> "ModelState":
-        """This state, after checking every rotation; one off the group raises ValueError."""
-        for r in self.rotations:
-            check_orthogonal(r)
+        """This state, after checking every rotation; one off the group raises ValueError naming it."""
+        for k, r in enumerate(self.rotations):
+            check_orthogonal(r, f"rotation {k}")
         return self
 
     @property

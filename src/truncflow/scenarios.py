@@ -16,7 +16,8 @@ INITIAL_STATES = ("identity", "random-orthogonal", "all-positive", "fully-trunca
 
 def state_from_arrays(rotations, betas, output_map, labels) -> ModelState:
     betas = finite_array(betas, "beta", (len(rotations), "Q"))  # one beta per rotation
-    layers = [LayerParams(rotation=OrthogonalMatrix(r), beta=b) for r, b in zip(rotations, betas)]
+    layers = [LayerParams(OrthogonalMatrix(r, f"rotation {k}"), b)
+              for k, (r, b) in enumerate(zip(rotations, betas))]
     return ModelState(layers, output_map, labels)
 
 
@@ -47,10 +48,9 @@ def named_initial_state(kind: str, data: TrainingSet, labels, output_map=None,
         shift = -data.points.min(axis=0) + 1.0
         rots = [np.eye(q)] * depth
         betas = [shift] * depth
-    elif kind == "fully-truncated":
-        ytil = np.linalg.solve(w, y.T).T
-        rots = [np.eye(q)] * depth
-        betas = [-ytil[k] for k in range(depth)]
+    elif kind == "fully-truncated":  # ModelState solves the pulled labels, and checks W
+        state = state_from_arrays([np.eye(q)] * depth, np.zeros((depth, q)), w, y)
+        return state.derive(state.rotations, -state.pulled_labels[:depth])
     else:
         raise ValueError(f"unknown initial-state generator {kind!r}; choose from {INITIAL_STATES}")
     return state_from_arrays(rots, betas, w, y)

@@ -251,6 +251,21 @@ class TestRunCommand:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("init, message", [
+        ({"kind": "explicit", "rotations": [I2, [[1.0, 0.1], [0.0, 1.0]]], "betas": [[0.0, 0.0]] * 2},
+         "error: field 'init': rotation 1 is not orthogonal: ||R^T R - I|| = 1.418e-01\n"),
+        ({"kind": "fully-truncated", "output_map": [[1.0, 1.0], [1.0, 1.0]]},
+         "error: field 'init': output_map is numerically singular\n"),
+    ], ids=["rotation-off-the-group", "singular-output-map"])
+    def test_init_rejected_by_the_state_names_its_fault(self, tmp_path, capsys, init, message):
+        # the state's own checks, each once: the rotation named by its layer, and the output map
+        # of a fully truncated start rejected before its labels are pulled back
+        doc = all_positive_config(tmp_path)
+        doc["init"] = init
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode", ["oned", "collapsed", "clustered"])
     def test_depth_rejected_where_unused(self, tmp_path, capsys, mode):
         # only the layered modes read l; elsewhere a depth would be dropped without a word

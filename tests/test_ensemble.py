@@ -4,8 +4,8 @@ A group steps its members of one shape together, each RK4 stage one stacked fiel
 one stacked retraction; localization, retries, events, samples, stops and stats stay each
 member's own.  Each test compares every member's trajectory with the member integrated alone:
 every sample's s, cost, state and per-layer arrays, the events, `stopped_reason` and `stats`.
-Counters pin the work by count, not by time: one group per one-member call, one kernel sweep per
-stage of a general group on separated, stacked masks, and no run or group left alive by a call.
+Counters pin the work by count, not by time: no group for a one-member call, one kernel sweep per
+stage of a general group on separated masks, and no run or group left alive by a call.
 """
 
 import gc
@@ -148,9 +148,11 @@ def test_mixed_shapes_return_in_member_order():
     assert [traj.final_state.dim for traj in trajs] == [3, 2, 3, 2, 2]
 
 
-def test_separated_group_of_unequal_cluster_sizes(monkeypatch):
+@pytest.mark.parametrize("integrator", [integrate_effective, integrate_general])
+def test_separated_group_of_unequal_cluster_sizes(monkeypatch, integrator):
     # clusters cut to 6, 5 and 4 points do not stack, so the group reads each layer's own rows
-    # (the list branch of `_own_coordinates` with a member axis)
+    # (the list branch of `_own_coordinates` with a member axis); the general field, on separated
+    # masks, sweeps them as one kernel too
     members = [(state, TrainingSet([c[:n] for c, n in zip(data.clusters, (6, 5, 4))]))
                for state, data in (make_separated_config(3, n_per=6, seed=seed) for seed in range(3))]
     assert ensemble_groups(members) == [[0, 1, 2]]
@@ -161,8 +163,12 @@ def test_separated_group_of_unequal_cluster_sizes(monkeypatch):
         return own(state, points, data, stacked)
 
     monkeypatch.setattr(truncflow.flows, "_own_coordinates", recording)
-    trajs = assert_members_are_single_runs(integrate_effective, members, 1.0)
-    assert (4, False) in layouts and (4, True) not in layouts
+    sweeps = counting(monkeypatch, truncflow.integrate, "general_group_rhs")
+    trajs = assert_members_are_single_runs(integrator, members, 1.0)
+    if integrator is integrate_effective:
+        assert (4, False) in layouts and (4, True) not in layouts
+    else:
+        assert sweeps
     assert all(traj.events for traj in trajs)
 
 
@@ -237,7 +243,7 @@ def counting(monkeypatch, module, name: str) -> list:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_general_groups(seed, monkeypatch):
-    # the suite's general cases group by Q; separated, stacked mask sets sweep one kernel
+    # the suite's general cases group by Q; separated mask sets sweep one kernel
     sweeps = counting(monkeypatch, truncflow.integrate, "general_group_rhs")
     members = general_members(seed)
     assert max(len(group) for group in ensemble_groups(members)) > 2
@@ -317,17 +323,15 @@ def counting_inits(monkeypatch, cls) -> list:
     return made
 
 
-def test_one_group_per_one_member_call(monkeypatch, tmp_path):
-    # perfbench's 8 effective_events cases at seed 0: one group each, which also steps every
-    # cost retry and localization probe of its member (271 of them)
+def test_no_group_for_a_one_member_call(monkeypatch, tmp_path):
+    # perfbench's 8 effective_events cases at seed 0: each lone member steps itself, its rounds and
+    # every cost retry and localization probe (271 of them), and no group is built
     groups = counting_inits(monkeypatch, _Group)
-    per_call = []
+    extra = 0
     for case in perfbench_cases("effective_events", 0, tmp_path):
-        before = len(groups)
         stats = case.call().stats
-        per_call.append((len(groups) - before, stats.probes + stats.cost_retries))
-    assert [made for made, _ in per_call] == [1] * 8
-    assert sum(extra for _, extra in per_call) == 271
+        extra += stats.probes + stats.cost_retries
+    assert groups == [] and extra == 271
 
 
 def test_no_run_or_group_outlives_its_call(monkeypatch):
@@ -341,7 +345,7 @@ def test_no_run_or_group_outlives_its_call(monkeypatch):
         trajs += integrate_ensemble(integrate_general, general_members(0), 1.0)
         trajs += integrate_ensemble(integrate_effective, [make_separated_config(2, n_per=20, seed=s)
                                                           for s in range(3)], 1.0)
-        assert len(runs) == len(trajs) and len(groups) > len(trajs)
+        assert len(runs) == len(trajs) and groups
         assert [ref() for ref in runs + groups] == [None] * (len(runs) + len(groups))
     finally:
         if enabled:

@@ -12,6 +12,10 @@ and the kind of stop must be identical, the event times agree to the localizatio
 final cost to 1e-12 relative, and the final rotations and biases must be the images of the
 original's to 1e-10.  The suite stays out of `verify.SUITES`, whose `verify all` report is
 pinned by digest.
+
+The flows are also blind to the order of each cluster's points: the cost and the fields are sums
+over a cluster's rows.  Each case, with every cluster's points permuted, must meet the same events
+with each point renamed by the permutation, and the same stop and final cost.
 """
 
 import numpy as np
@@ -77,4 +81,24 @@ def test_flows_commute_with_isometries(integrator):
         end, moved_end = traj.final_state, moved.final_state
         assert np.max(np.abs(moved_end.rotations - end.rotations @ u.T)) <= 1e-10, j
         assert np.max(np.abs(moved_end.betas - (end.betas @ u.T - t))) <= 1e-10, j
+    assert sum(len(traj.events) for traj in trajs) > 0
+
+
+@pytest.mark.parametrize("integrator", [integrate_effective, integrate_general])
+def test_flows_ignore_the_order_of_each_clusters_points(integrator):
+    rng = np.random.default_rng(1)
+    originals = [case[:2] for case in CASES if case[2] is integrator]
+    orders = [[rng.permutation(len(c)) for c in data.clusters] for _, data in originals]
+    permuted = [(state, TrainingSet([c[order] for c, order in zip(data.clusters, perms)]))
+                for (state, data), perms in zip(originals, orders)]
+    trajs = integrate_ensemble(integrator, originals + permuted, 1.0)
+    tol = IntegratorOptions().bisect_tol
+    for j, (traj, moved, perms) in enumerate(zip(trajs, trajs[len(originals):], orders)):
+        # the original's point i is the permuted set's point p with perms[cluster][p] == i
+        renamed = [(layer, cluster, int(np.flatnonzero(perms[cluster] == point)[0]), *rest)
+                   for layer, cluster, point, *rest in event_keys(traj)]
+        assert event_keys(moved) == renamed, j
+        assert stop_kind(moved) == stop_kind(traj), j
+        assert all(abs(a.s - b.s) <= tol for a, b in zip(moved.events, traj.events)), j
+        assert abs(moved.costs[-1] - traj.costs[-1]) <= 1e-12 * abs(traj.costs[-1]), j
     assert sum(len(traj.events) for traj in trajs) > 0

@@ -465,27 +465,27 @@ class TestGeneralRhs:
             with pytest.raises(IndexRange, match=f"^depth {state.depth} exceeds the {data.q} clusters$"):
                 check_cluster_separation(state, data)
 
-    def test_only_separated_masks_take_the_stacked_entry(self, monkeypatch):
-        # one truncated foreign row, clusters of two sizes, or more layers than clusters, and the
-        # general field sweeps its per-cluster plan; clusters of two sizes are separated but do not
-        # stack
+    def test_only_separated_masks_take_the_separated_plan(self, monkeypatch):
+        # separated masks take the separated field's plan, over clusters of one size or of two; one
+        # truncated foreign row, or more layers than clusters, and the general field sweeps its
+        # per-cluster plan; both bit for bit that plan's field
         rng = np.random.default_rng(71)
         swept, sweep = [], truncflow.flows._descent_field
         monkeypatch.setattr(truncflow.flows, "_descent_field",
                             lambda state, plan, zs: swept.append(plan) or sweep(state, plan, zs))
         state, data, masks = separated_setup(rng, [4, 4, 4], 3)
-        planned = FrozenMasks(masks, data)
-        general_rhs(state, data, planned)
-        assert planned.separated and swept[-1] is planned.effective
         foreign = [mask.copy() for mask in masks]
         foreign[1][data.rows(2).start + 3, 2] = False  # cluster 2's last point, truncated at layer 1
-        cases = [(state, data, foreign), separated_setup(rng, [4, 5, 4], 3), separated_setup(rng, [4, 4], 3)]
-        for at, on, frozen in cases:
+        cases = [(state, data, masks, True), (*separated_setup(rng, [4, 5, 4], 3), True),
+                 (state, data, foreign, False), (*separated_setup(rng, [4, 4], 3), False)]
+        for at, on, frozen, separated in cases:
             planned = FrozenMasks(frozen, on)
             got = general_rhs(at, on, planned)
-            assert not (planned.stacked and planned.separated) and swept[-1] is planned.general
+            assert planned.separated == separated
+            assert swept[-1] is (planned.effective if separated else planned.general)
             want = per_cluster_general_field(at, on, frozen)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert not FrozenMasks(cases[1][2], cases[1][1]).stacked
 
     def test_reduces_to_effective_on_separated(self):
         for seed in range(10):

@@ -406,6 +406,17 @@ class TestModelState:
         state = state_from_arrays([np.eye(q)] * 2, [np.zeros(q)] * 2, np.eye(q), np.zeros((q, q)))
         assert state.depth == 2 and state.dim == 3
 
+    def test_a_rotation_off_the_group_is_named_by_its_layer(self):
+        # built from arrays, and by `checked`, which the integrators call at entry and per step
+        off = np.array([[1.0, 0.1], [0.0, 1.0]])
+        message = r"^rotation 1 is not orthogonal: \|\|R\^T R - I\|\| = 1\.418e-01$"
+        with pytest.raises(ValueError, match=message):
+            state_from_arrays([np.eye(2), off], np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)))
+        state = state_from_arrays([np.eye(2)] * 2, np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)))
+        assert state.checked() is state
+        with pytest.raises(ValueError, match=message):
+            state.derive(np.stack([np.eye(2), off]), state.betas).checked()
+
     def test_derived_state_checks_rotations_in_its_layers_view(self):
         state, _ = random_state_and_set(3)
         derived = state.derive(state.rotations * 1.001, state.betas + 1.0)
