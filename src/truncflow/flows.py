@@ -43,11 +43,11 @@ push's masks, is empty.
 The general field sweeps push's coordinates per cluster, except on a mask set
 that is separated: there each cluster acts at its own layer alone, as in the
 separated field, so it sweeps that field's plan over cluster k's rows of push's
-z_k (:func:`_own_rows`), bit for bit the per-cluster sweep.  A group of B
-members of one shape whose mask sets are separated, and whose plans act at the
-same layers, is swept as one (:func:`general_group_rhs`): one push of all
-members at their stacked float masks, their cluster-k rows of z_k gathered with
-the member axis, and one sweep of their stacked plans.  The separated field
+z_k (:func:`_own_rows`), bit for bit the per-cluster sweep.  One body,
+:func:`_frozen_field`, makes that choice for every frozen mask set, of one state
+or of a group of members of one shape (:func:`group_rhs`, at a
+:class:`GroupMasks`): where the members' separated plans act at the same layers,
+the group is swept as one, else member by member.  The separated field
 gives cluster k layer k alone, at its own rows' raw coordinates
 (x + beta_k) R_k^T and mask, whose unfrozen rows are their signs (integrators
 freeze push's, which on the field's domain, separated states, are the same
@@ -64,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,7 +105,7 @@ def _descent_field(state, plan, zs):
     rotations, (B, L, Q) betas and (B, Q, Q) pulled labels, `zs` their coordinates with the
     same leading member axis (an array, or a list of (B, n, Q) per layer), and the plan its
     members' separated plans stacked on a member axis just before the rows
-    (:func:`stack_effective_plans`).  The sweep reads the group's arrays through layer-major
+    (:attr:`GroupMasks.effective`).  The sweep reads the group's arrays through layer-major
     views, so one index `[l]` serves a state and a group alike.  Every line acts on each
     member's slice as on a state alone, so each member's velocities are bit for bit its own
     sweep's.
@@ -182,16 +183,15 @@ class FrozenMasks(tuple):
     every point of `data`, for states of `len(masks)` layers; it goes wherever such a list goes.
     Each mask is checked once, here: one that is not a bool array of `data.points`' shape raises
     ValueError naming its layer.  Everything the masks alone decide is computed on first use and
-    kept for as long as the mask set is: `floats`, the masks as float arrays, which `push` takes
-    as its `masks` for the same bits; `own`, cluster k's rows of `masks[k]`; `counts`, its
-    truncated points per coordinate; `stacked`, whether clusters 0..L-1 are of one size, so that
-    the separated field takes its layers as one stacked entry; `violations`, the (layer, cluster,
-    point) triples of rows outside cluster k truncated at layer k, by
-    :func:`~truncflow.measures.separation_violations`, on push's masks the list that
+    kept for as long as the mask set is (`points` is `data.points`): `floats`, the masks as float
+    arrays, which `push` takes as its `masks` for the same bits; `own`, cluster k's rows of
+    `masks[k]`; `counts`, its truncated points per coordinate; `stacked`, whether clusters
+    0..L-1 are of one size, so that the separated field takes its layers as one stacked entry;
+    `violations`, the (layer, cluster, point) triples of rows outside cluster k truncated at
+    layer k, by :func:`~truncflow.measures.separation_violations`, on push's masks the list that
     :func:`~truncflow.measures.check_cluster_separation` returns; `separated`, whether the set
-    has at most Q layers and no violation; and one plan per field
-    (`effective`, `general`), the entries each field's :func:`_descent_field` sweeps as they
-    are.  The integrators wrap push's list once per mask change.  A field given a plain list, or
+    has at most Q layers and no violation; and one plan per field (`effective`, `general`), the
+    entries each field's :func:`_descent_field` sweeps as they are.  The integrators wrap push's list once per mask change.  A field given a plain list, or
     masks planned for other data or another depth, plans them on that call by the same function.
     """
 
@@ -199,7 +199,7 @@ class FrozenMasks(tuple):
         self = super().__new__(cls, masks)
         for l, mask in enumerate(self):
             check_mask(mask, data.points.shape, f"frozen mask {l}")
-        self.data = data
+        self.data, self.points = data, data.points
         return self
 
     @cached_property
@@ -266,12 +266,11 @@ def effective_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     integrator warns there and stops where the field ascends it.
     """
     check_data(state, data, own_clusters=True)
-    depth = state.depth
-    masks = None if frozen_masks is None else _planned(frozen_masks, data, depth)
-    stacked = _stacks(data, depth) if masks is None else masks.stacked
+    if frozen_masks is not None:
+        return _frozen_field(state, _planned(frozen_masks, data, state.depth), True)
+    stacked = _stacks(data, state.depth)
     z = _own_coordinates(state, data.points, data, stacked)
-    plan = _effective_plan([zk > 0.0 for zk in z], stacked) if masks is None else masks.effective
-    return _descent_field(state, plan, z)
+    return _descent_field(state, _effective_plan([zk > 0.0 for zk in z], stacked), z)
 
 
 def _own_coordinates(state, points, data: TrainingSet, stacked: bool):
@@ -307,49 +306,84 @@ def _plan_layers(plan) -> list:
              for l, *_ in acting] for _, acting in plan]
 
 
-def stack_effective_plans(masks: list) -> list | None:
-    """The separated field's plans of a group's :class:`FrozenMasks`, one mask set per member of
-    one shape, stacked on a member axis just before the rows, as :func:`_descent_field` reads a
-    group's coordinates: each entry's float masks (..., B, n, Q).  None
-    where two members' plans act at different layers: a layer all active for one member is left
-    out of its plan, and padding it back, or chaining through it, would change that member's
-    bits."""
-    plans = [m.effective for m in masks]
-    layers = _plan_layers(plans[0])
-    if any(_plan_layers(plan) != layers for plan in plans[1:]):
-        return None
-    return [(ytil, [(l, rows, np.stack([plan[e][1][i][2] for plan in plans], axis=-3),
-                     np.stack([plan[e][1][i][3] for plan in plans], axis=-3))
-                    for i, (l, rows, _, _) in enumerate(acting)])
-            for e, (ytil, acting) in enumerate(plans[0])]
+class GroupMasks(tuple):
+    """A group's :class:`FrozenMasks`, one per member of one shape, with what they decide together,
+    computed on first use: `points` and `floats[k]` stacked (B, N, Q); `separated`, whether every
+    member's set is; `effective`, the members' separated plans stacked on a member axis just
+    before the rows, or None where they act at different layers (a layer all active for one
+    member is left out of its plan, and padding it back would change that member's bits).
+    `data` and `stacked` are the first member's, which every member shares, and no general plan
+    stacks: a group not separated sweeps member by member."""
+
+    general = None
+
+    @property
+    def data(self) -> TrainingSet:
+        return self[0].data
+
+    @property
+    def stacked(self) -> bool:
+        return self[0].stacked
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return np.stack([m.data.points for m in self])
+
+    @cached_property
+    def floats(self) -> list[np.ndarray]:
+        return [np.stack(layer) for layer in zip(*(m.floats for m in self))]
+
+    @cached_property
+    def separated(self) -> bool:
+        return all(m.separated for m in self)
+
+    @cached_property
+    def effective(self):
+        plans = [m.effective for m in self]
+        layers = _plan_layers(plans[0])
+        if any(_plan_layers(plan) != layers for plan in plans[1:]):
+            return None
+        return [(ytil, [(l, rows, np.stack([plan[e][1][i][2] for plan in plans], axis=-3),
+                         np.stack([plan[e][1][i][3] for plan in plans], axis=-3))
+                        for i, (l, rows, _, _) in enumerate(acting)])
+                for e, (ytil, acting) in enumerate(plans[0])]
 
 
-def effective_group_rhs(group, points: np.ndarray, data: TrainingSet, plan, stacked: bool):
-    """The separated field of B members of one shape at once, each frozen at its own masks.
-
-    `group` holds the members' (B, L, Q, Q) rotations, (B, L, Q) betas and (B, Q, Q) pulled
-    labels, `points` their (B, N, Q) training points, `data` one member's training set (the
-    cluster sizes they share), `plan` their masks' :func:`stack_effective_plans`, and `stacked`
-    whether their clusters stack (:attr:`FrozenMasks.stacked`).  Returns (beta_dots (B, L, Q),
-    omegas (B, L, Q, Q)): one batched product for the coordinates and one sweep, each member's
-    slice bit for bit its own :func:`effective_rhs` at its masks.
-    """
-    return _descent_field(group, plan, _own_coordinates(group, points, data, stacked))
+class _GroupState(NamedTuple):
+    """A group's (B, L, Q, Q) rotations, (B, L, Q) betas and (B, Q, Q) pulled labels, read as a
+    state; one member's slices read as that member's state."""
+    rotations: np.ndarray
+    betas: np.ndarray
+    pulled_labels: np.ndarray
 
 
-def general_group_rhs(group, points: np.ndarray, data: TrainingSet, plan, floats: list, stacked: bool):
-    """The general field of B members of one shape at once, on separated mask sets: there each
-    cluster acts at its own layer alone, as in :func:`general_rhs`.
+def _frozen_field(state, masks, own: bool, zs=None):
+    """The separated field (`own`) or the general field, at push's `zs` if given, frozen at a state's
+    :class:`FrozenMasks` or a group's :class:`GroupMasks`: the one place that decides which plan
+    a mask set sweeps, at which coordinates.  A separated set, and every set of the separated
+    field, sweeps the separated plan, at cluster k's raw coordinates at layer k (`own`) or its
+    rows of push's z_k; any other sweeps the general plan at push's z.  A group with no stacked
+    plan sweeps member by member."""
+    plan = masks.effective if own or masks.separated else masks.general
+    if plan is None:
+        velocities = [_frozen_field(_GroupState(*member), m, own)
+                      for *member, m in zip(state.rotations, state.betas, state.pulled_labels, masks)]
+        return np.stack([v[0] for v in velocities]), np.stack([v[1] for v in velocities])
+    if own:
+        return _descent_field(state, plan, _own_coordinates(state, masks.points, masks.data, masks.stacked))
+    if zs is None:
+        rotations, betas = state.rotations, state.betas
+        if rotations.ndim == 4:  # a group, pushed layer-major
+            rotations, betas = rotations.swapaxes(0, 1), betas.swapaxes(0, 1)[:, :, None]
+        zs = push(rotations, betas, masks.points, masks.floats)[0]
+    return _descent_field(state, plan, _own_rows(zs, masks.data, masks.stacked) if masks.separated else zs)
 
-    `group`, `points`, `data` and `stacked` are as in :func:`effective_group_rhs`, `plan` the
-    members' :func:`stack_effective_plans`, and `floats[k]` their float masks at layer k stacked
-    (B, N, Q).  One `push` carries every member's points up at its own masks, each member's
-    cluster-k rows of z_k are gathered (:func:`_own_rows`), and one sweep gives (beta_dots
-    (B, L, Q), omegas (B, L, Q, Q)), each member's slice bit for bit its own :func:`general_rhs`
-    at its masks.
-    """
-    zs = push(group.rotations.swapaxes(0, 1), group.betas.swapaxes(0, 1)[:, :, None], points, floats)[0]
-    return _descent_field(group, plan, _own_rows(zs, data, stacked))
+
+def group_rhs(rotations, betas, pulled_labels, masks: GroupMasks, separated: bool):
+    """The separated field (`separated`) or the general field of B members of one shape, from their
+    (B, L, Q, Q) rotations, (B, L, Q) betas and (B, Q, Q) pulled labels at their mask sets: each
+    member's slice of (beta_dots, omegas) is bit for bit its own field's at its masks."""
+    return _frozen_field(_GroupState(rotations, betas, pulled_labels), masks, separated)
 
 
 def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
@@ -387,15 +421,10 @@ def general_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
     bits, since each layer gets its one contribution either way.
     """
     check_data(state, data)
-    if frozen_masks is None:
-        pushed, masks, _, _ = push(state.rotations, state.betas, data.points)
-        masks = _planned(masks, data, state.depth)
-    else:
-        masks = _planned(frozen_masks, data, state.depth)
-        pushed = push(state.rotations, state.betas, data.points, masks.floats)[0]
-    if masks.separated:  # the separated plan, over cluster k's rows of z_k
-        return _descent_field(state, masks.effective, _own_rows(pushed, data, masks.stacked))
-    return _descent_field(state, masks.general, pushed)
+    if frozen_masks is not None:
+        return _frozen_field(state, _planned(frozen_masks, data, state.depth), False)
+    zs, masks, _, _ = push(state.rotations, state.betas, data.points)
+    return _frozen_field(state, _planned(masks, data, state.depth), False, zs)
 
 
 def chained_projectors(state: ModelState, point, lo: int = 0, hi: int | None = None):

@@ -61,10 +61,9 @@ a group) and returns their trajectories in member order; `integrate_effective`,
 `integrate_general` and `integrate_collapsed` are its one-member calls.  A group's arrays carry
 a leading member axis, and each round every live member takes its trial step as one stacked
 field evaluation per stage, one stacked retraction (each member at its own Pade degree) and one
-stacked push.  Both fields sweep a group whose members' plans act at the same layers as one: the
-separated field over the members' own coordinates, the general field, on separated mask sets,
-over one stacked push of all members at their float masks; members whose plans act at different
-layers, or whose masks are not separated, evaluate member by member inside the stage.  Mask
+stacked push.  A stage hands the members' mask sets to `flows.group_rhs` as one `GroupMasks`,
+built once per mask change, and `flows` alone decides how that field sweeps them: as one kernel
+where their plans stack, else member by member; the integrator plans nothing.  Mask
 comparison, localization probes, cost retries, reprojection, events, samples, stops and stats
 stay each member's own, and members finish independently; every member is bit for bit its
 one-member run.  A collapsed member keeps its own adaptive step.  A group of two or more members
@@ -77,7 +76,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,13 +83,12 @@ from .errors import StepUnderflow
 from .flows import (
     CollapsedState,
     FrozenMasks,
+    GroupMasks,
     collapsed_rhs,
     conserved_quantity,
-    effective_group_rhs,
     effective_rhs,
-    general_group_rhs,
     general_rhs,
-    stack_effective_plans,
+    group_rhs,
 )
 from .manifold import (
     REPOLAR_EVERY,
@@ -358,60 +355,31 @@ def _localize(s: float, h: float, tol: float, masks: list, trial: tuple, step,
     return _bisect(s, h, tol, changed)[-1][1], kept, hit
 
 
-class _Layers(NamedTuple):
-    """A group's layer arrays, stacked on the member axis, as the group field reads them."""
-
-    rotations: np.ndarray      # (B, L, Q, Q)
-    betas: np.ndarray          # (B, L, Q)
-    pulled_labels: np.ndarray  # (B, Q, Q)
-
-
 class _Group:
     """Two or more layered members of one shape, stepped together.
 
     Every RK4 stage is one stacked field evaluation and one stacked retraction, and every step
     ends in one stacked push (`push` takes the member axis where it takes a stacked layer's
-    stencils).  Each field sweeps a group whose members' plans act at the same layers as one:
-    the separated field over every member's own coordinates (`effective_group_rhs`), the general
-    field, on separated mask sets, over one stacked push of all members at their float masks
-    (`general_group_rhs`).  The stacked plan and float masks are made once per mask change.  Any
-    other group evaluates its members' fields one by one (`_Run.field`).
+    stencils).  A stage hands the members' mask sets to `group_rhs` as one `GroupMasks`, built
+    anew only when some member's set is a new object, so whatever they decide together is
+    decided once per mask change; how the field sweeps them is decided in `flows`.
     """
 
     def __init__(self, runs: list, separated: bool):
         self.runs, self.separated = runs, separated
-        self.points = np.stack([run.data.points for run in runs])
         self.pulled_labels = np.stack([run.state.pulled_labels for run in runs])
-        self._planned = None  # the mask sets the stacked plan was made for
-        self._plan = self._floats = None
+        self.masks = None  # the members' mask sets as one GroupMasks, from the first stage on
         self._accepted = None  # the stacked accepted states and their fields, once evaluated
-
-    def _replan(self, masks: list) -> None:
-        """Stack the members' plans, and for the general field their float masks, once per mask
-        change: no plan where the members' plans act at different layers, or where the general
-        field's mask sets are not all separated."""
-        self._planned, self._plan, self._floats = masks, None, None
-        if self.separated or all(m.separated for m in masks):
-            self._plan = stack_effective_plans(masks)
-        if self._plan is not None and not self.separated:
-            self._floats = [np.stack(layer) for layer in zip(*(m.floats for m in masks))]
 
     def field(self, rotations: np.ndarray, betas: np.ndarray) -> tuple:
         """Every member's velocities at its own masks, at the stacked arrays, stacked like them.
         Counts one evaluation per member."""
         runs = self.runs
-        masks = [run.masks for run in runs]
-        if self._planned is None or any(a is not b for a, b in zip(masks, self._planned)):
-            self._replan(masks)
-        if self._plan is None:
-            velocities = [run.field(r, b) for run, r, b in zip(runs, rotations, betas)]
-            return np.stack([v[0] for v in velocities]), np.stack([v[1] for v in velocities])
+        if self.masks is None or any(run.masks is not m for run, m in zip(runs, self.masks)):
+            self.masks = GroupMasks(run.masks for run in runs)
         for run in runs:
             run.stats.rhs_calls += 1
-        group, data = _Layers(rotations, betas, self.pulled_labels), runs[0].data
-        if self.separated:
-            return effective_group_rhs(group, self.points, data, self._plan, masks[0].stacked)
-        return general_group_rhs(group, self.points, data, self._plan, self._floats, masks[0].stacked)
+        return group_rhs(rotations, betas, self.pulled_labels, self.masks, self.separated)
 
     def step(self, h: np.ndarray) -> list[tuple]:
         """One RK4 step from every member's accepted state, member b's by `h[b]` of the (B,) `h`:
@@ -424,7 +392,7 @@ class _Group:
             (start, k1), self._accepted = self._accepted, None
         (rotations, betas), generators = _rk4_step(self.field, *start, k1, h)
         # layer-major: layer k of every member at once
-        _, nus, images, _ = push(rotations.swapaxes(0, 1), betas.swapaxes(0, 1)[:, :, None], self.points)
+        _, nus, images, _ = push(rotations.swapaxes(0, 1), betas.swapaxes(0, 1)[:, :, None], self.masks.points)
         trials = []
         for b, run in enumerate(runs):
             run.stats.rk4_steps += 1
@@ -443,17 +411,19 @@ class _Group:
 
 
 class _Run:
-    """One layered trajectory in the making: its training set and field, the accepted state it has
-    reached with that state's masks, cost and field `k1`, and its record so far.  It refers to no
-    group: the loop holds the group, and a lone run steps itself.
+    """One layered trajectory in the making: its training set and field (`effective_rhs` if
+    `separated`, else `general_rhs`), the accepted state it has reached with that state's masks,
+    cost and field `k1`, and its record so far.  It refers to no group: the loop holds the group,
+    and a lone run steps itself.  `record` decides every stop.
 
     The start is checked and pushed once; its mask set lists its violations, and a start that
     is not separated logs one warning naming their count and is guarded from then on.
     """
 
-    def __init__(self, state0: ModelState, data: TrainingSet, rhs, separated: bool):
+    def __init__(self, state0: ModelState, data: TrainingSet, separated: bool):
         check_data(state0, data, own_clusters=True)
-        self.state, self.data, self.rhs, self.separated = state0.checked(), data, rhs, separated
+        self.state, self.data, self.separated = state0.checked(), data, separated
+        self.rhs = effective_rhs if separated else general_rhs
         nus, images = _sweep(self.state, data)
         self.masks = FrozenMasks(nus, data)
         self.cost = images_cost(self.state, data, images)
@@ -497,18 +467,6 @@ class _Run:
                           np.array([frobenius_norm(omega) for omega in self.k1[1]]),
                           np.array([frobenius_norm(b + y) for b, y in zip(state.betas, state.pulled_labels)]),
                           np.array(self.masks.counts))
-
-    def ascends(self) -> bool:
-        """From a start that is not separated: whether the field ascends the full cost at the
-        accepted state, which ends the run there."""
-        if not self.guarded:
-            return False
-        rate = _full_cost_rate(self.counted_rhs(self.state, self.data, self.masks, fn=general_rhs), self.k1)
-        if not rate > 0.0:
-            return False
-        self.stopped_reason = (f"separation lost at s = {self.s:.6g}: the effective field ascends the "
-                               f"full cost at rate {rate:.3g}")
-        return True
 
     def take(self, kept: tuple, h: float, opts: IntegratorOptions) -> None:
         """Accept one step from the trial step `kept` of `h`: a crossing in it is localized, and
@@ -558,9 +516,10 @@ class _Run:
         self.s += dt
         self.pending = pending
 
-    def record(self) -> None:
-        """Sample the accepted state, whose field `k1` is in; the first of its step's crossings
-        that the run cannot pass ends it (`stopped_reason`)."""
+    def record(self, s_end: float) -> None:
+        """Sample the accepted state, whose field `k1` is in, and decide whether the run ends there
+        (`stopped_reason`): at the first of its step's crossings that it cannot pass, or, from a
+        start that is not separated and short of `s_end`, where the field ascends the full cost."""
         self.samples.append(self.sample())
         for ev in self.pending:
             inward = 1.0 if ev.direction == "entering" else -1.0
@@ -574,30 +533,33 @@ class _Run:
                 continue
             self.stopped_reason = f"{stop} at s = {self.s:.6g}: {ev.where()}: {why}"
             return
+        if self.guarded and self.s < s_end - 1e-13:
+            rate = _full_cost_rate(self.counted_rhs(self.state, self.data, self.masks, fn=general_rhs), self.k1)
+            if rate > 0.0:
+                self.stopped_reason = (f"separation lost at s = {self.s:.6g}: the effective field ascends the "
+                                       f"full cost at rate {rate:.3g}")
 
 
-def _integrate_layered(members: list, rhs, s_end: float, opts: IntegratorOptions,
-                       separated: bool) -> list[Trajectory]:
+def _integrate_layered(members: list, s_end: float, opts: IntegratorOptions, separated: bool) -> list[Trajectory]:
     """The event-splitting integration loop of one group of (state, data) members of one shape.
 
-    `rhs(state, data, masks)` returns the velocities stacked like the state.  Every stage passes
-    each member's `masks` (push's list, `[k]` for all points at layer k), so it evaluates the
-    smooth extension of that sector configuration and no stage ever samples the field across a
-    boundary.  `separated`: the field reads only cluster k's rows of masks[k] (`integrate_effective`).
+    The field is `effective_rhs` if `separated` (`integrate_effective`: it reads only cluster k's
+    rows of masks[k]), else `general_rhs`.  Every stage passes each member's `masks` (push's list,
+    `[k]` for all points at layer k), so it evaluates the smooth extension of that sector
+    configuration and no stage ever samples the field across a boundary.
     Each round every live member takes its trial step, all as one stacked step of the group,
     each member by its own step; localization, cost retries, reprojection, events, samples and
     stops are each member's own, and a member that stops or reaches `s_end` leaves the group.
     A group is built once per membership change; a lone live member steps itself, and every
     member steps its own probes and retries.
     """
-    live = runs = [_Run(state0, data, rhs, separated) for state0, data in members]
+    live = runs = [_Run(state0, data, separated) for state0, data in members]
     stepper = _Group(runs, separated) if len(runs) > 1 else runs[0]
     stepper.accepted_field()
     for run in runs:
-        run.samples.append(run.sample())
+        run.record(s_end)
     while True:
-        going = [run for run in live if run.stopped_reason is None and run.s < s_end - 1e-13
-                 and not run.ascends()]
+        going = [run for run in live if run.stopped_reason is None and run.s < s_end - 1e-13]
         if not going:
             break
         if len(going) < len(live):
@@ -608,7 +570,7 @@ def _integrate_layered(members: list, rhs, s_end: float, opts: IntegratorOptions
             run.take(kept, h_run, opts)
         stepper.accepted_field()
         for run in live:
-            run.record()
+            run.record(s_end)
     return [Trajectory(run.samples, run.events, stopped_reason=run.stopped_reason, stats=run.stats)
             for run in runs]
 
@@ -709,8 +671,8 @@ def integrate_ensemble(integrator, members, s_end: float, opts: IntegratorOption
         run = lambda group: _integrate_collapsed(group, s_end, opts)  # noqa: E731
     elif integrator is integrate_effective or integrator is integrate_general:
         kind, fits = "a (ModelState, TrainingSet) pair", _is_layered_member
-        rhs, separated = (effective_rhs, True) if integrator is integrate_effective else (general_rhs, False)
-        run = lambda group: _integrate_layered(group, rhs, s_end, opts, separated)  # noqa: E731
+        separated = integrator is integrate_effective
+        run = lambda group: _integrate_layered(group, s_end, opts, separated)  # noqa: E731
     else:
         raise ValueError(f"integrator must be integrate_effective, integrate_general or integrate_collapsed, "
                          f"got {integrator!r}")

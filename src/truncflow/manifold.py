@@ -137,11 +137,15 @@ def polar_decompose(w) -> tuple[np.ndarray, OrthogonalMatrix]:
     """Left polar decomposition W = P R with P symmetric positive definite.
 
     Computed from the SVD W = U S V^T as P = U S U^T, R = U V^T.  Raises
-    :class:`SingularInput` when the smallest singular value is below
-    1e-12 times the largest.
+    :class:`SingularInput` when sigma_min <= 1e-12 sigma_max (the zero matrix
+    too), and ValueError on a non-finite entry.
     """
     m = as_square(w)
+    if not np.all(np.isfinite(m)):  # before the SVD, which fails to converge on NaN and turns inf into NaN
+        raise ValueError("matrix has no polar decomposition: it has a non-finite entry")
     u, s, vh = np.linalg.svd(m)
+    if not s[0] > 0.0:  # all singular values zero: no ratio to report
+        raise SingularInput("matrix is numerically singular (it is zero)")
     if s[-1] <= 1e-12 * s[0]:
         raise SingularInput(
             f"matrix is numerically singular (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"

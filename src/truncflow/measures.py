@@ -143,10 +143,13 @@ def compute_moments(rotation, beta, cluster, mask=None) -> Moments:
     The pushed points are the rows z_i = R(x_i + beta).  `mask`, a bool array
     of the cluster's shape (N, Q) (:func:`check_mask`), overrides the sign
     patterns z > 0 that assign points to sectors, as the right-hand sides'
-    `frozen_masks` do.
+    `frozen_masks` do.  A cluster not (N, Q) raises ValueError, an empty one EmptyCluster.
     """
     pts = np.asarray(cluster, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
+    q = rotation.shape[-1]
+    if pts.ndim != 2 or pts.shape[1] != q:
+        raise ValueError(f"cluster has shape {pts.shape}; expected (N, {q})")
+    if pts.shape[0] == 0:
         raise EmptyCluster("cluster must contain at least one point")
     if mask is not None:
         check_mask(mask, pts.shape, "mask")

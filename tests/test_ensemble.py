@@ -5,7 +5,8 @@ one stacked retraction; localization, retries, events, samples, stops and stats 
 member's own.  Each test compares every member's trajectory with the member integrated alone:
 every sample's s, cost, state and per-layer arrays, the events, `stopped_reason` and `stats`.
 Counters pin the work by count, not by time: no group for a one-member call, one kernel sweep per
-stage of a general group on separated masks, and no run or group left alive by a call.
+stage of a general group on separated masks, one `GroupMasks` per change of a group's mask sets,
+and no run or group left alive by a call.
 """
 
 import gc
@@ -18,7 +19,7 @@ import pytest
 import truncflow.flows
 import truncflow.integrate
 import truncflow.manifold
-from truncflow.flows import CollapsedState, general_rhs
+from truncflow.flows import CollapsedState, GroupMasks, general_rhs
 from truncflow.integrate import (
     MAX_GROUP,
     IntegratorOptions,
@@ -163,7 +164,7 @@ def test_separated_group_of_unequal_cluster_sizes(monkeypatch, integrator):
         return own(state, points, data, stacked)
 
     monkeypatch.setattr(truncflow.flows, "_own_coordinates", recording)
-    sweeps = counting(monkeypatch, truncflow.integrate, "general_group_rhs")
+    sweeps = group_sweeps(monkeypatch)
     trajs = assert_members_are_single_runs(integrator, members, 1.0)
     if integrator is integrate_effective:
         assert (4, False) in layouts and (4, True) not in layouts
@@ -241,10 +242,24 @@ def counting(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def group_sweeps(monkeypatch) -> list:
+    """Count the one-kernel sweeps of a group from here on: the `_descent_field` calls whose
+    rotations carry a member axis.  Returns a list that grows one entry a sweep."""
+    calls, sweep = [], truncflow.flows._descent_field
+
+    def counted(state, plan, zs):
+        if state.rotations.ndim == 4:
+            calls.append(None)
+        return sweep(state, plan, zs)
+
+    monkeypatch.setattr(truncflow.flows, "_descent_field", counted)
+    return calls
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_general_groups(seed, monkeypatch):
     # the suite's general cases group by Q; separated mask sets sweep one kernel
-    sweeps = counting(monkeypatch, truncflow.integrate, "general_group_rhs")
+    sweeps = group_sweeps(monkeypatch)
     members = general_members(seed)
     assert max(len(group) for group in ensemble_groups(members)) > 2
     trajs = assert_members_are_single_runs(integrate_general, members, 1.0)
@@ -259,7 +274,7 @@ def stage_arrays(members) -> tuple:
 def group_field_calls(monkeypatch, members) -> tuple:
     """One stage of a general group over `members`: its velocities, each member's own
     `general_rhs` at its masks, and the `_descent_field` and `push` calls the stage made."""
-    runs = [_Run(state, data, general_rhs, False) for state, data in members]
+    runs = [_Run(state, data, False) for state, data in members]
     sweeps = counting(monkeypatch, truncflow.flows, "_descent_field")
     pushes = counting(monkeypatch, truncflow.flows, "push")
     got = _Group(runs, False).field(*stage_arrays(members))
@@ -274,7 +289,7 @@ def group_field_calls(monkeypatch, members) -> tuple:
 
 def test_separated_stacked_group_sweeps_once_per_stage(monkeypatch):
     members = [make_separated_config(3, n_per=6, seed=seed) for seed in range(4)]
-    assert all(_Run(state, data, general_rhs, False).masks.separated for state, data in members)
+    assert all(_Run(state, data, False).masks.separated for state, data in members)
     assert group_field_calls(monkeypatch, members) == (1, 1)
 
 
@@ -285,9 +300,9 @@ def test_members_acting_at_different_layers_fall_back(monkeypatch):
     betas = state.betas.copy()
     betas[-1] += state.rotations[-1].T @ np.full(3, 100.0)  # z = R x + 100 there
     members = [make_separated_config(3, n_per=6, seed=0), (state.derive(state.rotations, betas), data)]
-    masks = [_Run(state, data, general_rhs, False).masks for state, data in members]
+    masks = [_Run(state, data, False).masks for state, data in members]
     assert all(m.stacked and m.separated for m in masks)
-    assert truncflow.flows.stack_effective_plans(masks) is None
+    assert GroupMasks(masks).effective is None
     assert group_field_calls(monkeypatch, members) == (2, 2)
     assert_members_are_single_runs(integrate_general, members, 0.5)
 
@@ -295,18 +310,43 @@ def test_members_acting_at_different_layers_fall_back(monkeypatch):
 def test_member_not_separated_takes_the_per_member_path(monkeypatch):
     state, data = make_separated_config(3, n_per=5, seed=0)
     members = [(state, data), (named_initial_state("random-orthogonal", data, state.labels, seed=1), data)]
-    assert not _Run(*members[1], general_rhs, False).masks.separated
+    assert not _Run(*members[1], False).masks.separated
     assert group_field_calls(monkeypatch, members) == (2, 2)
     assert_members_are_single_runs(integrate_general, members, 0.2)
 
 
 def test_general_member_stops_sliding_while_the_others_run_on(monkeypatch):
     # monotonicity seed 2: one Q = 2 member stops sliding early in a group that sweeps one kernel
-    sweeps = counting(monkeypatch, truncflow.integrate, "general_group_rhs")
+    sweeps = group_sweeps(monkeypatch)
     members = general_members(2)
     stops = [traj.stopped_reason for traj in assert_members_are_single_runs(integrate_general, members, 1.0)]
     assert sweeps
     assert any(reason and reason.startswith("sliding") for reason in stops) and None in stops
+
+
+@pytest.mark.parametrize("integrator, make, s_end", [
+    (integrate_general, lambda: general_members(0), 1.0),
+    (integrate_effective, lambda: _oned_ladders(0, 10)[1], 2.5),
+], ids=["general", "oned"])
+def test_a_group_plans_once_per_mask_change(monkeypatch, integrator, make, s_end):
+    # a group builds its GroupMasks once for each distinct tuple of member mask sets its stages
+    # see, by identity: the cache that keeps the oned suite's groups from restacking every stage
+    builds, stages = [], []
+    build, field = truncflow.integrate.GroupMasks, _Group.field
+
+    def building(masks):
+        builds.append(None)
+        return build(masks)
+
+    def recording(self, rotations, betas):
+        stages.append((self, tuple(run.masks for run in self.runs)))  # held, so no id is reused
+        return field(self, rotations, betas)
+
+    monkeypatch.setattr(truncflow.integrate, "GroupMasks", building)
+    monkeypatch.setattr(_Group, "field", recording)
+    integrate_ensemble(integrator, make(), s_end)
+    distinct = {(id(group), *map(id, masks)) for group, masks in stages}
+    assert 0 < len(builds) == len(distinct) < len(stages)
 
 
 # --- machine-independent counters -------------------------------------------------------------

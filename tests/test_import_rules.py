@@ -2,7 +2,9 @@
 
 A module keeps its underscore-prefixed names to itself: no `truncflow` module imports one from
 another, so whatever two modules share is public.  The command-line front end runs no
-finite-difference check, so `cli.py` imports nothing from `oracle`.  The validating wrappers
+finite-difference check, so `cli.py` imports nothing from `oracle`.  The integrator plans no
+sweep, so `integrate.py` takes from `flows` only the fields, the collapsed state with its
+invariant, and the two mask-set types.  The validating wrappers
 (`OrthogonalMatrix`, `AntisymmetricMatrix`, `LayerParams`) are built at a fixed list of sites,
 which may only shrink.
 """
@@ -46,6 +48,14 @@ def test_no_module_imports_another_modules_private_name():
 def test_cli_imports_nothing_from_the_oracle():
     pairs = package_imports(PACKAGE / "cli.py")
     assert [(module, name) for module, name in pairs if "oracle" in (module.split(".")[0], name)] == []
+
+
+def test_integrate_takes_from_flows_only_fields_and_mask_sets():
+    # the integrator hands mask sets to the fields and plans no sweep itself: a plan, or anything
+    # else of flows' that decides how a field sweeps, stays behind these names
+    names = sorted(name for module, name in package_imports(PACKAGE / "integrate.py") if module == "flows")
+    assert names == ["CollapsedState", "FrozenMasks", "GroupMasks", "collapsed_rhs", "conserved_quantity",
+                     "effective_rhs", "general_rhs", "group_rhs"]
 
 
 WRAPPERS = ("OrthogonalMatrix", "AntisymmetricMatrix", "LayerParams")

@@ -111,6 +111,21 @@ class TestPolarDecompose:
         with pytest.raises(SingularInput):
             polar_decompose(w)
 
+    def test_zero_raises_singular_without_dividing(self):
+        # the ratio sigma_min/sigma_max is 0/0 here; warnings are errors, so dividing would raise
+        # a RuntimeWarning instead
+        for q in (1, 3):
+            with pytest.raises(SingularInput, match=r"^matrix is numerically singular \(it is zero\)$"):
+                polar_decompose(np.zeros((q, q)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # NaN made the SVD fail to converge, and inf gave an all-NaN P without complaint
+        w = np.eye(2)
+        w[0, 0] = bad
+        with pytest.raises(ValueError, match="^matrix has no polar decomposition: it has a non-finite entry$"):
+            polar_decompose(w)
+
 
 class TestExpmAntisym:
     def test_zero(self):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,15 @@ class TestComputeMoments:
     def test_empty_raises(self):
         with pytest.raises(EmptyCluster):
             compute_moments(np.eye(2), np.zeros(2), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("cluster, shape", [
+        (np.ones(2), "(2,)"), (np.ones((3, 3)), "(3, 3)"), (np.ones((0, 3)), "(0, 3)"),
+        (np.ones((1, 2, 2)), "(1, 2, 2)"),
+    ], ids=["1-d", "wrong-q", "empty-wrong-q", "3-d"])
+    def test_cluster_of_the_wrong_shape_rejected(self, cluster, shape):
+        # a 1-D cluster read as empty, and a (3, 3) one for a Q = 2 layer failed inside numpy
+        with pytest.raises(ValueError, match=rf"^cluster has shape {re.escape(shape)}; expected \(N, 2\)$"):
+            compute_moments(np.eye(2), np.zeros(2), cluster)
 
     def test_mask_not_of_the_cluster_shape_rejected(self):
         # a short mask would give moments over its rows alone: it is named, as frozen masks are
