@@ -404,7 +404,7 @@ def moment_form_rhs(state: ModelState, data: TrainingSet, frozen_masks=None):
             if all(bits) or not any(bits):  # the pure sectors contribute nothing
                 continue
             j2 = mom.j2_by_sector[bits]
-            sym = 0.5 * (np.outer(j1, v) + np.outer(v, j1)) - 0.5 * j2
+            sym = 0.5 * (j1[:, None] * v + v[:, None] * j1) - 0.5 * j2
             omegas[k] += _commutator_with_mask(np.array(bits, dtype=float), sym)
     return beta_dots, omegas
 

@@ -12,10 +12,13 @@ large generator pays for degree 13 with scaling and squaring; one so large that 
 MAX_SQUARINGS squarings would carry the result off the group raises ValueError.  A group of
 members, each its own (L, Q, Q) stack, retracts through the same function with one step per
 member; there each member's largest 1-norm picks its own degree, so members never change one
-another's bits.  :func:`retract` and :func:`expm_antisym` are its one-layer case.  A stage's
-matrices are 2x2 to 4x4, so the exponential's cost is mostly per-call overhead: it solves
-through the LAPACK gufunc that `np.linalg.solve` dispatches to, without that function's
-wrapper, and reads one read-only identity per Q, built once.
+another's bits.  :func:`retract` and :func:`expm_antisym` are its one-layer case.  Random
+rotations are drawn as a stack too: :func:`random_rotations` exponentiates each layer at the degree
+its own 1-norm picks, and layers of one degree share one exponential, so the stack is bit for bit
+its layers drawn one at a time; it builds no wrapper, since the state that takes the rotations
+checks them.  A stage's matrices are 2x2 to 4x4, so the exponential's cost is mostly per-call
+overhead: it solves through the LAPACK gufunc that `np.linalg.solve` dispatches to, without that
+function's wrapper, and reads one read-only identity per Q, built once.
 """
 
 from __future__ import annotations
@@ -269,11 +272,23 @@ def retract_stack(rotations: np.ndarray, generators: np.ndarray, step) -> np.nda
     a = step[:, None, None, None] * generators
     norms = np.abs(a).sum(axis=-2).max(axis=-1)  # every layer's 1-norm, (B, L)
     orders = [_pade_order(norm) for norm in np.where(moving, norms, 0.0).max(axis=-1).tolist()]
-    distinct = set(orders)
+    members = np.nonzero(moving)[0].tolist()  # the member of each moving layer, in a[moving]'s order
     out = rotations.copy()
+    out[moving] = _expm_grouped(a[moving], [orders[b] for b in members]) @ rotations[moving]
+    return out
+
+
+def _expm_grouped(a: np.ndarray, orders: list) -> np.ndarray:
+    """The exponentials of the (M, Q, Q) stack `a`, matrix m at the Pade degree and squaring count
+    orders[m]: matrices that share an order share one :func:`_expm_stack`, normally all of them,
+    so each is exponentiated bit for bit as if alone at its order."""
+    distinct = set(orders)
+    if len(distinct) == 1:
+        return _expm_stack(a, orders[0])
+    out = np.empty(a.shape)
     for order in distinct:
-        layers = moving if len(distinct) == 1 else moving & np.array([o == order for o in orders])[:, None]
-        out[layers] = _expm_stack(a[layers], order) @ rotations[layers]
+        picks = np.array([o == order for o in orders])
+        out[picks] = _expm_stack(a[picks], order)
     return out
 
 
@@ -301,7 +316,19 @@ def reproject(r: OrthogonalMatrix) -> OrthogonalMatrix:
     return clean
 
 
-def random_orthogonal(dim: int, rng: np.random.Generator) -> OrthogonalMatrix:
-    """Haar-ish random rotation: exponential of a random antisymmetric matrix."""
-    g = rng.normal(size=(dim, dim))
-    return expm_antisym(antisym_project(g))
+def random_rotations(depth: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """`depth` random rotations of R^dim, a read-only (depth, dim, dim) array: layer k is the
+    exponential of the antisymmetric part of a standard normal draw, at the Pade degree and squaring
+    count its own 1-norm picks.  One (depth, dim, dim) draw serves the stack, so it takes the values,
+    and gives the rotations bit for bit, of `depth` one-layer draws in turn from the same generator.
+    A depth or dim below 1 raises ValueError naming it."""
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    g = rng.normal(size=(depth, dim, dim))
+    a = 0.5 * (g - g.transpose(0, 2, 1))
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)  # every layer's 1-norm, (depth,)
+    out = _expm_grouped(a, [_pade_order(norm) for norm in norms.tolist()])
+    out.setflags(write=False)
+    return out

@@ -40,9 +40,8 @@ class TrainingSet:
                 )
             if c.shape[0] < 1:
                 raise EmptyCluster(f"cluster {i} is empty")
-            bad = np.argwhere(~np.isfinite(c))
-            if len(bad):
-                point, coord = bad[0]
+            if not np.isfinite(c).all():
+                point, coord = np.argwhere(~np.isfinite(c))[0]
                 raise ValueError(f"cluster {i} point {point} coordinate {coord} is {c[point, coord]}, not finite")
         self.points = np.concatenate(cl)
         self.offsets = np.cumsum([0] + [len(c) for c in cl])
@@ -143,10 +142,16 @@ def compute_moments(rotation, beta, cluster, mask=None) -> Moments:
     The pushed points are the rows z_i = R(x_i + beta).  `mask`, a bool array
     of the cluster's shape (N, Q) (:func:`check_mask`), overrides the sign
     patterns z > 0 that assign points to sectors, as the right-hand sides'
-    `frozen_masks` do.  A cluster not (N, Q) raises ValueError, an empty one EmptyCluster.
+    `frozen_masks` do.  Q is the rotation's last axis: a rotation not (Q, Q), a beta not (Q,) or a
+    cluster not (N, Q) raises ValueError naming it, its shape and the shape expected, and an empty
+    cluster EmptyCluster.  Only shapes are compared, since the fields call this once per layer.
     """
     pts = np.asarray(cluster, dtype=float)
     q = rotation.shape[-1]
+    if rotation.shape != (q, q):
+        raise ValueError(f"rotation has shape {rotation.shape}; expected ({q}, {q})")
+    if np.shape(beta) != (q,):
+        raise ValueError(f"beta has shape {np.shape(beta)}; expected ({q},)")
     if pts.ndim != 2 or pts.shape[1] != q:
         raise ValueError(f"cluster has shape {pts.shape}; expected (N, {q})")
     if pts.shape[0] == 0:
@@ -161,14 +166,12 @@ def compute_moments(rotation, beta, cluster, mask=None) -> Moments:
     rows: dict[tuple[bool, ...], list[int]] = {}
     for i, bits in enumerate(map(tuple, pos.tolist())):
         rows.setdefault(bits, []).append(i)
-    return Moments(
-        i0=1.0,
-        i1=z.mean(axis=0),
-        j0=j0,
-        j0_perp=1.0 - j0,
-        j1_by_sector={bits: z[idx].sum(axis=0) / n for bits, idx in rows.items()},
-        j2_by_sector={bits: (z[idx].T @ z[idx]) / n for bits, idx in rows.items()},
-    )
+    mom = Moments(i0=1.0, i1=z.mean(axis=0), j0=j0, j0_perp=1.0 - j0)
+    for bits, idx in rows.items():
+        zs = z[idx]  # the sector's rows, gathered once
+        mom.j1_by_sector[bits] = zs.sum(axis=0) / n
+        mom.j2_by_sector[bits] = (zs.T @ zs) / n
+    return mom
 
 
 def separation_violations(masks, data: TrainingSet) -> list[tuple[int, int, int]]:

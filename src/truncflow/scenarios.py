@@ -4,9 +4,12 @@ a collapse scenario whose convergence hypotheses are verifiable by sampling.
 
 from __future__ import annotations
 
+import math
+from functools import cache
+
 import numpy as np
 
-from .manifold import AntisymmetricMatrix, OrthogonalMatrix, expm_antisym, random_orthogonal
+from .manifold import AntisymmetricMatrix, OrthogonalMatrix, expm_antisym, random_rotations
 from .measures import TrainingSet
 from .model import LayerParams, ModelState, finite_array
 
@@ -41,8 +44,7 @@ def named_initial_state(kind: str, data: TrainingSet, labels, output_map=None,
         betas = [np.zeros(q)] * depth
         rots = [np.eye(q)] * depth
     elif kind == "random-orthogonal":
-        rng = np.random.default_rng(seed)
-        rots = [random_orthogonal(q, rng).mat for _ in range(depth)]
+        rots = random_rotations(depth, q, np.random.default_rng(seed))
         betas = [np.zeros(q)] * depth
     elif kind == "all-positive":
         shift = -data.points.min(axis=0) + 1.0
@@ -87,6 +89,23 @@ def rotation_mapping(src: np.ndarray, dst: np.ndarray) -> OrthogonalMatrix:
     return OrthogonalMatrix(qd @ qs.T)
 
 
+@cache
+def _separating_rotation(q: int, l: int) -> np.ndarray:
+    """Layer l's rotation in :func:`make_separated_config`, read-only, built once per (q, l): it
+    maps the directions from cluster l towards the others onto unit vectors a*ones + e_j/sqrt(2)
+    of pairwise dot 1/2 and strictly positive entries (a solves q a^2 + sqrt(2) a - 1/2 = 0); at
+    q = 1 there is no other cluster, and it is the identity."""
+    if q == 1:
+        rot = np.eye(1)
+        rot.setflags(write=False)
+        return rot
+    a = (-np.sqrt(2.0) + np.sqrt(2.0 + 2.0 * q)) / (2.0 * q)
+    others = [j for j in range(q) if j != l]
+    src = np.column_stack([(np.eye(q)[:, j] - np.eye(q)[:, l]) / np.sqrt(2.0) for j in others])
+    dst = np.column_stack([a * np.ones(q) + np.eye(q)[:, i] / np.sqrt(2.0) for i in range(len(others))])
+    return rotation_mapping(src, dst).mat
+
+
 def make_separated_config(q: int, n_per: int = 5, seed: int = 0,
                           kink_margin: float = 5e-3, truncation: str = "partial"):
     """A cluster-separated configuration with wide margins.
@@ -98,10 +117,20 @@ def make_separated_config(q: int, n_per: int = 5, seed: int = 0,
     zero-gradient collapse point (truncation="full"), while every other
     cluster and every truncated image stays strictly positive.  Points keep
     at least `kink_margin` distance from activation boundaries in their own
-    layer's frame.
+    layer's frame.  Candidate points are drawn in blocks of as many as are
+    still needed, at most 100 * n_per per attempt, so the random stream is
+    that of drawing them one at a time.  A q or n_per below 1, or a
+    kink_margin that is not finite and >= 0, raises ValueError naming it
+    before any draw.
 
     Returns (state, data).
     """
+    if q < 1:
+        raise ValueError(f"q must be at least 1, got {q}")
+    if n_per < 1:
+        raise ValueError(f"n_per must be at least 1, got {n_per}")
+    if not (math.isfinite(kink_margin) and kink_margin >= 0.0):
+        raise ValueError(f"kink_margin must be finite and >= 0, got {kink_margin}")
     if truncation not in ("partial", "full"):
         raise ValueError("truncation must be 'partial' or 'full'")
     if truncation == "partial" and q < 2:
@@ -109,48 +138,41 @@ def make_separated_config(q: int, n_per: int = 5, seed: int = 0,
     rng = np.random.default_rng(seed)
     d_sep, spread = 20.0, 0.5
     centers = d_sep * np.eye(q)
-    # target frame: unit vectors a*ones + e_j/sqrt(2) with pairwise dot 1/2,
-    # strictly positive entries (a solves q a^2 + sqrt(2) a - 1/2 = 0)
-    a = (-np.sqrt(2.0) + np.sqrt(2.0 + 2.0 * q)) / (2.0 * q)
 
     rotations, betas, clusters = [], [], []
     for l in range(q):
-        others = [j for j in range(q) if j != l]
-        if others:
-            src = np.column_stack([(np.eye(q)[:, j] - np.eye(q)[:, l]) / np.sqrt(2.0) for j in others])
-            dst = np.column_stack([a * np.ones(q) + np.eye(q)[:, i] / np.sqrt(2.0) for i in range(len(others))])
-            rot = rotation_mapping(src, dst)
-        else:
-            rot = OrthogonalMatrix(np.eye(q))
+        rot = _separating_rotation(q, l)
         for _attempt in range(100):
             corner_shift = 0.1 * spread * rng.normal(size=q)
             if truncation == "full":
                 corner_shift = corner_shift - 4.0 * spread * np.ones(q)
-            pts = []
-            guard = 0
-            while len(pts) < n_per and guard < 100 * n_per:
-                guard += 1
-                x = centers[l] + spread * rng.normal(size=q)
-                z = rot.mat @ (x - centers[l]) + corner_shift
-                if truncation == "full" and np.max(z) > -kink_margin:
-                    continue
-                if np.min(np.abs(z)) >= kink_margin:
-                    pts.append(x)
-            if len(pts) < n_per:
+            blocks, found, drawn = [], 0, 0
+            while found < n_per and drawn < 100 * n_per:
+                m = min(n_per - found, 100 * n_per - drawn)
+                x = centers[l] + spread * rng.normal(size=(m, q))
+                z = (x - centers[l]) @ rot.T + corner_shift
+                keep = np.abs(z).min(axis=1) >= kink_margin
+                if truncation == "full":
+                    keep &= z.max(axis=1) <= -kink_margin
+                blocks.append(x[keep])
+                found += int(np.count_nonzero(keep))
+                drawn += m
+            if found < n_per:
                 continue
+            pts = np.concatenate(blocks)
             if truncation == "partial":
                 # the layer must actually act: retry until a mixed point exists
-                z = (np.array(pts) - centers[l]) @ rot.mat.T + corner_shift
+                z = (pts - centers[l]) @ rot.T + corner_shift
                 npos = np.sum(z > 0.0, axis=1)
                 if not np.any((npos > 0) & (npos < q)):
                     continue
             break
         else:
             raise RuntimeError("could not draw a separated cluster; loosen parameters")
-        beta = rot.mat.T @ corner_shift - centers[l]
-        rotations.append(rot.mat)
+        beta = rot.T @ corner_shift - centers[l]
+        rotations.append(rot)
         betas.append(beta)
-        clusters.append(np.array(pts))
+        clusters.append(pts)
 
     if truncation == "full":
         # labels equal the collapse points -beta, so the bias gap is exactly 0

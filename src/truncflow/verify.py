@@ -26,7 +26,7 @@ from .integrate import (
     integrate_ensemble,
     integrate_general,
 )
-from .manifold import random_orthogonal
+from .manifold import random_rotations
 from .measures import TrainingSet
 from .model import chained_truncation, euclidean_cost
 from .oracle import fd_gradients, reference_integrate, rk4_array
@@ -64,7 +64,7 @@ def _integrated(integrator, members: list, s_end: float):
 def _random_state_and_data(q: int, n_max: int, rng: np.random.Generator):
     """Unstructured instance: mixed sectors likely, no separation guarantees."""
     depth = q
-    rots = [random_orthogonal(q, rng).mat for _ in range(depth)]
+    rots = random_rotations(depth, q, rng)
     betas = [rng.normal(size=q) for _ in range(depth)]
     w = np.eye(q) + 0.2 * rng.normal(size=(q, q))
     ytil = rng.normal(size=(q, q))

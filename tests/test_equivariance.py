@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from truncflow.integrate import IntegratorOptions, integrate_effective, integrate_ensemble, integrate_general
-from truncflow.manifold import random_orthogonal
+from truncflow.manifold import random_rotations
 from truncflow.measures import TrainingSet
 from truncflow.scenarios import state_from_arrays
 from truncflow.verify import _monotonicity_case
@@ -31,11 +31,11 @@ SHIFT = 3.0  # the length of the translation t
 
 
 def isometries(cases, rng) -> list:
-    """One (U, t) per case: U drawn by `random_orthogonal`, every fourth turned into a reflection
+    """One (U, t) per case: U drawn by `random_rotations`, every fourth turned into a reflection
     by flipping its first row, and t of length SHIFT."""
     out = []
     for j, (state, *_) in enumerate(cases):
-        u = random_orthogonal(state.dim, rng).mat
+        u = random_rotations(1, state.dim, rng)[0]
         if j % 4 == 0:
             u = u * np.where(np.arange(state.dim) == 0, -1.0, 1.0)[:, None]
         t = rng.normal(size=state.dim)

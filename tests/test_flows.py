@@ -21,7 +21,7 @@ from truncflow.flows import (
     moment_form_rhs,
     one_dim_flow,
 )
-from truncflow.manifold import AntisymmetricMatrix, antisym_project, expm_antisym, random_orthogonal
+from truncflow.manifold import AntisymmetricMatrix, antisym_project, expm_antisym, random_rotations
 from truncflow.measures import TrainingSet, check_cluster_separation
 from truncflow.model import chained_truncation, push
 from truncflow.oracle import fd_grad_beta, fd_grad_collapsed, fd_grad_rotation, rk4_array
@@ -168,7 +168,7 @@ class TestEffectiveRhs:
             else:
                 depth = int(rng.integers(1, q))
                 sizes = rng.choice(np.arange(1, 8), size=q, replace=False)
-            rotations = [random_orthogonal(q, rng).mat for _ in range(depth)]
+            rotations = random_rotations(depth, q, rng)
             state = state_from_arrays(rotations, rng.normal(size=(depth, q)), np.eye(q), rng.normal(size=(q, q)))
             clusters = [rng.normal(size=(n, q)) for n in sizes]
             data = TrainingSet(clusters)
@@ -211,7 +211,7 @@ class TestEffectiveRhs:
                 for identity in ([], [0], [depth - 1], list(range(depth))):
                     betas = rng.normal(size=(depth, q))
                     betas[identity] = 100.0  # those layers' clusters all active: the identity
-                    rotations = [random_orthogonal(q, rng).mat for _ in range(depth)]
+                    rotations = random_rotations(depth, q, rng)
                     state = state_from_arrays(rotations, betas, np.eye(q), rng.normal(size=(q, q)))
                     masks = [rng.random(data.points.shape) < 0.5 for _ in range(depth)]
                     for k in identity:
@@ -317,7 +317,7 @@ class TestFieldContract:
         rng = np.random.default_rng(48)
         points = rng.normal(size=(6, 2))
         data, other = TrainingSet([points[:2], points[2:]]), TrainingSet([points[:4], points[4:]])
-        state = state_from_arrays([random_orthogonal(2, rng).mat for _ in range(2)], rng.normal(size=(2, 2)),
+        state = state_from_arrays(random_rotations(2, 2, rng), rng.normal(size=(2, 2)),
                                   np.eye(2), rng.normal(size=(2, 2)))
         masks = [rng.random(points.shape) < 0.5 for _ in range(2)]
         deeper = masks + [rng.random(points.shape) < 0.5]
@@ -331,7 +331,7 @@ class TestFieldContract:
         """A depth-2 state on three clusters of 2, 3 and 4 points, and its push masks."""
         rng = np.random.default_rng(49)
         data = TrainingSet([rng.normal(size=(n, 3)) for n in (2, 3, 4)])
-        state = state_from_arrays([random_orthogonal(3, rng).mat for _ in range(2)], rng.normal(size=(2, 3)),
+        state = state_from_arrays(random_rotations(2, 3, rng), rng.normal(size=(2, 3)),
                                   np.eye(3), rng.normal(size=(3, 3)))
         return state, data, push(state.rotations, state.betas, data.points)[1]
 
@@ -383,7 +383,7 @@ def separated_setup(rng, sizes, depth: int, identity=()):
     every row active at the layers in `identity`."""
     q = len(sizes)
     data = TrainingSet([rng.normal(size=(n, q)) for n in sizes])
-    rotations = [random_orthogonal(q, rng).mat for _ in range(depth)]
+    rotations = random_rotations(depth, q, rng)
     state = state_from_arrays(rotations, rng.normal(size=(depth, q)), np.eye(q), rng.normal(size=(q, q)))
     masks = [np.ones(data.points.shape, dtype=bool) for _ in range(depth)]
     for k in range(min(depth, q)):
@@ -458,7 +458,7 @@ class TestGeneralRhs:
             q = int(rng.integers(1, 5))
             state, data = _random_state_and_data(q, 6, rng)
             beta = rng.normal(size=q) + (100.0 if i % 2 else 0.0)  # half the extra layers truncate nothing
-            deeper.append((state_from_arrays([*state.rotations, random_orthogonal(q, rng).mat], [*state.betas, beta],
+            deeper.append((state_from_arrays([*state.rotations, random_rotations(1, q, rng)[0]], [*state.betas, beta],
                                              state.output_map, state.labels), data))
         for state, data in deeper:
             assert not FrozenMasks(push(state.rotations, state.betas, data.points)[1], data).separated
@@ -698,8 +698,8 @@ class TestCollapsed:
         assert np.max(np.abs(w_grad)) <= 1e-8
 
     def test_conserved_quantity_values(self):
-        r = random_orthogonal(3, RNG)
-        cs = CollapsedState(r.mat, r.mat, np.zeros((3, 3)))
+        r = random_rotations(1, 3, RNG)[0]
+        cs = CollapsedState(r, r, np.zeros((3, 3)))
         np.testing.assert_allclose(conserved_quantity(cs), np.zeros((3, 3)), atol=1e-14)
         cs2 = CollapsedState(2 * np.eye(3), np.eye(3), np.zeros((3, 3)))
         np.testing.assert_allclose(conserved_quantity(cs2), 3 * np.eye(3), atol=1e-14)

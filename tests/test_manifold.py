@@ -18,7 +18,7 @@ from truncflow.manifold import (
     frobenius_norm,
     moving_layers,
     polar_decompose,
-    random_orthogonal,
+    random_rotations,
     reproject,
     retract,
     retract_stack,
@@ -85,10 +85,10 @@ class TestPolarDecompose:
         np.testing.assert_allclose(r.mat, np.eye(3), atol=1e-14)
 
     def test_scaled_rotation(self):
-        r0 = random_orthogonal(4, RNG)
-        p, r = polar_decompose(3.0 * r0.mat)
+        r0 = random_rotations(1, 4, RNG)[0]
+        p, r = polar_decompose(3.0 * r0)
         np.testing.assert_allclose(p, 3.0 * np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(r.mat, r0.mat, atol=1e-12)
+        np.testing.assert_allclose(r.mat, r0, atol=1e-12)
 
     def test_reconstruction_random(self):
         for _ in range(20):
@@ -100,8 +100,8 @@ class TestPolarDecompose:
 
     def test_ill_conditioned_within_bound(self):
         # condition number 1e6 still reconstructs to 1e-10 relative
-        u = random_orthogonal(3, RNG).mat
-        v = random_orthogonal(3, RNG).mat
+        u = random_rotations(1, 3, RNG)[0]
+        v = random_rotations(1, 3, RNG)[0]
         w = (u * np.array([1.0, 1e-3, 1e-6])) @ v
         p, r = polar_decompose(w)
         assert np.linalg.norm(p @ r.mat - w) <= 1e-10 * np.linalg.norm(w)
@@ -135,7 +135,7 @@ class TestExpmAntisym:
             assert out.mat.tobytes() == np.eye(q).tobytes()
         # and a zero layer inside a moving stack keeps its rotation bit for bit
         rng = np.random.default_rng(7)
-        rotations = np.array([random_orthogonal(3, rng).mat for _ in range(3)])
+        rotations = random_rotations(3, 3, rng)
         gens = np.array([random_antisym(3, rng).mat, np.zeros((3, 3)), 50.0 * random_antisym(3, rng).mat])
         out = retract_stack(rotations, gens, 1.0)
         assert out[1].tobytes() == rotations[1].tobytes()
@@ -171,11 +171,11 @@ class TestExpmAntisym:
 
 class TestRetract:
     def test_zero_step_returns_same_object(self):
-        r = random_orthogonal(3, RNG)
+        r = OrthogonalMatrix(random_rotations(1, 3, RNG)[0])
         assert retract(r, random_antisym(3), 0.0) is r
 
     def test_zero_generator_returns_same_object(self):
-        r = random_orthogonal(3, RNG)
+        r = OrthogonalMatrix(random_rotations(1, 3, RNG)[0])
         assert retract(r, AntisymmetricMatrix(np.zeros((3, 3))), 0.7) is r
 
     def test_rotation_by_pi(self):
@@ -185,7 +185,7 @@ class TestRetract:
         np.testing.assert_allclose(out.mat, -np.eye(2), atol=1e-14)
 
     def test_stays_orthogonal_many_steps(self):
-        r = random_orthogonal(4, RNG)
+        r = OrthogonalMatrix(random_rotations(1, 4, RNG)[0])
         omega = random_antisym(4)
         for _ in range(500):
             r = retract(r, omega, 1e-2)
@@ -193,21 +193,21 @@ class TestRetract:
 
     def test_nonfinite_step_rejected(self):
         with pytest.raises(ValueError):
-            retract(random_orthogonal(2, RNG), random_antisym(2), np.inf)
+            retract(OrthogonalMatrix(random_rotations(1, 2, RNG)[0]), random_antisym(2), np.inf)
 
     def test_overflowing_generator_rejected(self):
         # a finite step whose step * omega overflows has no finite 1-norm to scale from: the
         # exponential says so (numpy's own overflow warning is silenced here)
         omega = AntisymmetricMatrix([[0.0, 2.0], [-2.0, 0.0]])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="1-norm is inf"):
-            retract(random_orthogonal(2, RNG), omega, 1e308)
+            retract(OrthogonalMatrix(random_rotations(1, 2, RNG)[0]), omega, 1e308)
 
     def test_generator_too_large_for_the_group_rejected(self):
         # up to MAX_SQUARINGS squarings the result stays on the group; a step * omega that needs
         # more raises by name before any product, so numpy warns of nothing (warnings are errors)
         assert truncflow.manifold.MAX_SQUARINGS == 16
         rng = np.random.default_rng(0)
-        r = random_orthogonal(3, rng)
+        r = OrthogonalMatrix(random_rotations(1, 3, rng)[0])
         omega = random_antisym(3, rng)
         omega = AntisymmetricMatrix(omega.mat * (0.3 / one_norm(omega.mat)))  # 1-norm 0.3
         assert retract(r, omega, 1e6).orthogonality_error() <= 1e-10  # 1-norm 3e5: 16 squarings
@@ -230,7 +230,7 @@ def rotation_stacks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     step = draw(st.sampled_from([1.0, 0.5, -0.7, 1e-3]))
     q, depth = int(rng.integers(2, 5)), int(rng.integers(1, 5))
-    rotations = np.array([random_orthogonal(q, rng).mat for _ in range(depth)])
+    rotations = random_rotations(depth, q, rng)
     gens = np.zeros((depth, q, q))
     for k in range(depth):
         if rng.random() >= 0.25:
@@ -291,13 +291,50 @@ class TestRetractStack:
                 gens.append(n * edge)
                 assert np.abs(gens[-1]).sum(axis=0).max() == n
         gens = np.array(gens)
-        rotations = np.array([random_orthogonal(3, RNG).mat for _ in gens])
+        rotations = random_rotations(len(gens), 3, RNG)
         out = retract_stack(rotations, gens, 1.0)
         assert out[3].tobytes() == rotations[3].tobytes()
         for k in set(range(len(gens))) - {3}:
             ref = scipy.linalg.expm(gens[k]) @ rotations[k]
             assert np.linalg.norm(out[k] - ref) <= 1e-12
             assert np.linalg.norm(out[k].T @ out[k] - np.eye(3)) <= 1e-13
+
+
+class TestRandomRotations:
+    def test_a_stack_is_its_layers_drawn_in_turn(self):
+        # one (depth, dim, dim) draw takes the values of depth (dim, dim) draws, and each layer is
+        # exponentiated bit for bit as the one-layer wrappers do it alone, at its own Pade order
+        mixed = 0
+        for dim in range(1, 9):
+            for depth in range(1, 7):
+                for seed in range(4):
+                    got = random_rotations(depth, dim, np.random.default_rng((dim, depth, seed)))
+                    rng = np.random.default_rng((dim, depth, seed))
+                    in_turn = np.array([random_rotations(1, dim, rng)[0] for _ in range(depth)])
+                    rng = np.random.default_rng((dim, depth, seed))
+                    gens = [antisym_project(rng.normal(size=(dim, dim))) for _ in range(depth)]
+                    assert got.shape == (depth, dim, dim)
+                    assert got.tobytes() == in_turn.tobytes()
+                    assert got.tobytes() == np.array([expm_antisym(g).mat for g in gens]).tobytes()
+                    mixed += len({pade_band(one_norm(g.mat)) for g in gens}) > 1
+        assert mixed >= 50  # stacks whose layers pick different Pade orders
+
+    def test_read_only_and_on_the_group(self):
+        out = random_rotations(3, 4, np.random.default_rng(5))
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0, 0, 0] = 1.0
+        assert max(np.linalg.norm(r.T @ r - np.eye(4)) for r in out) <= 1e-13
+
+    @pytest.mark.parametrize("depth, dim, name", [(0, 2, "depth"), (-1, 2, "depth"), (2, 0, "dim"),
+                                                  (2, -1, "dim")])
+    def test_bad_sizes_rejected_by_name(self, depth, dim, name):
+        # dim 0 said "expected a square matrix", and dim -1 failed inside numpy; neither draws
+        rng = np.random.default_rng(6)
+        bad = depth if name == "depth" else dim
+        with pytest.raises(ValueError, match=rf"^{name} must be at least 1, got {bad}$"):
+            random_rotations(depth, dim, rng)
+        assert rng.normal() == np.random.default_rng(6).normal()
 
 
 class TestTypes:
@@ -333,7 +370,7 @@ class TestTypes:
         # a view passed in stays writeable, and writing through its base later leaves
         # the validated matrix as it was checked
         big = np.zeros((5, 5))
-        big[:3, :3] = random_orthogonal(3, RNG).mat
+        big[:3, :3] = random_rotations(1, 3, RNG)[0]
         big[3:, 3:] = random_antisym(2).mat
         rot, gen = OrthogonalMatrix(big[:3, :3]), AntisymmetricMatrix(big[3:, 3:])
         kept = rot.mat.copy(), gen.mat.copy()
@@ -345,7 +382,7 @@ class TestTypes:
 
     def test_reproject_cleans_drift(self):
         rng = np.random.default_rng(303)  # its own draws, whatever ran before it
-        r = random_orthogonal(4, rng)
+        r = OrthogonalMatrix(random_rotations(1, 4, rng)[0])
         dirty = r.mat + 1e-11 * rng.normal(size=(4, 4))
         cleaned = reproject(OrthogonalMatrix(dirty))
         assert cleaned.orthogonality_error() <= 1e-14
@@ -357,7 +394,7 @@ def test_group_gradient_trace_identity():
     for _ in range(20):
         q = int(rng.integers(2, 6))
         c = rng.normal(size=(q, q))
-        r = random_orthogonal(q, rng)
+        r = OrthogonalMatrix(random_rotations(1, q, rng)[0])
         w = 0.5 * (lambda g: g - g.T)(rng.normal(size=(q, q)))
         eps = 1e-6
         w_a = AntisymmetricMatrix(w)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from truncflow.errors import EmptyCluster, IndexRange
-from truncflow.manifold import random_orthogonal
+from truncflow.manifold import random_rotations
 from truncflow.measures import (
     TrainingSet,
     check_cluster_separation,
@@ -33,12 +33,12 @@ class TestPushforward:
 
     def test_beta_cancels_single_point(self):
         x = RNG.normal(size=3)
-        r = random_orthogonal(3, RNG).mat
+        r = random_rotations(1, 3, RNG)[0]
         np.testing.assert_allclose(pushed(r, -x, x[None, :]), np.zeros((1, 3)), atol=1e-12)
         np.testing.assert_allclose(compute_moments(r, -x, x[None, :]).i1, np.zeros(3), atol=1e-12)
 
     def test_isometry(self):
-        r, beta = random_orthogonal(4, RNG).mat, RNG.normal(size=4)
+        r, beta = random_rotations(1, 4, RNG)[0], RNG.normal(size=4)
         pts = RNG.normal(size=(6, 4))
         z = pushed(r, beta, pts)
         np.testing.assert_allclose(
@@ -73,7 +73,7 @@ class TestComputeMoments:
         for _ in range(200):
             q = int(RNG.integers(1, 5))
             n = int(RNG.integers(1, 9))
-            r, beta = random_orthogonal(q, RNG).mat, RNG.normal(size=q)
+            r, beta = random_rotations(1, q, RNG)[0], RNG.normal(size=q)
             pts = RNG.normal(size=(n, q)) * 2
             mom = compute_moments(r, beta, pts)
             assert mom.i0 == 1.0
@@ -98,7 +98,7 @@ class TestComputeMoments:
         for _ in range(50):
             q = int(RNG.integers(1, 5))
             n = int(RNG.integers(1, 12))
-            r, beta = random_orthogonal(q, RNG).mat, RNG.normal(size=q)
+            r, beta = random_rotations(1, q, RNG)[0], RNG.normal(size=q)
             pts = RNG.normal(size=(n, q)) * 2
             mom = compute_moments(r, beta, pts)
             j1, j2 = {}, {}
@@ -124,6 +124,17 @@ class TestComputeMoments:
         with pytest.raises(ValueError, match=rf"^cluster has shape {re.escape(shape)}; expected \(N, 2\)$"):
             compute_moments(np.eye(2), np.zeros(2), cluster)
 
+    @pytest.mark.parametrize("rotation, beta, message", [
+        (np.ones((1, 2)), np.zeros(2), r"rotation has shape \(1, 2\); expected \(2, 2\)"),
+        (np.ones((2, 2, 2)), np.zeros(2), r"rotation has shape \(2, 2, 2\); expected \(2, 2\)"),
+        (np.eye(2), np.zeros(3), r"beta has shape \(3,\); expected \(2,\)"),
+        (np.eye(2), np.zeros((1, 2)), r"beta has shape \(1, 2\); expected \(2,\)"),
+    ], ids=["short-rotation", "stacked-rotation", "long-beta", "2-d-beta"])
+    def test_layer_of_the_wrong_shape_rejected(self, rotation, beta, message):
+        # a (1, 2) rotation gave one-column moments of a Q = 2 cluster, a long beta failed in numpy
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            compute_moments(rotation, beta, np.ones((3, 2)))
+
     def test_mask_not_of_the_cluster_shape_rejected(self):
         # a short mask would give moments over its rows alone: it is named, as frozen masks are
         pts = RNG.normal(size=(3, 2))
@@ -147,6 +158,29 @@ class TestClusterSeparation:
             make_separated_config(1, n_per=3)
         state, data = make_separated_config(1, n_per=3, truncation="full")
         assert state.depth == data.q == 1
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"q": 0}, "q must be at least 1, got 0"),
+        ({"q": -2, "truncation": "full"}, "q must be at least 1, got -2"),
+        ({"q": 2, "n_per": 0}, "n_per must be at least 1, got 0"),
+        ({"q": 2, "n_per": -3}, "n_per must be at least 1, got -3"),
+        ({"q": 2, "kink_margin": float("nan")}, "kink_margin must be finite and >= 0, got nan"),
+        ({"q": 2, "kink_margin": float("inf")}, "kink_margin must be finite and >= 0, got inf"),
+        ({"q": 2, "kink_margin": -1e-3}, "kink_margin must be finite and >= 0, got -0.001"),
+    ], ids=["q-0", "q-negative", "n_per-0", "n_per-negative", "margin-nan", "margin-inf", "margin-negative"])
+    def test_arguments_it_cannot_honour_rejected_by_name(self, kwargs, message, monkeypatch):
+        # q = 0 divided by zero, n_per <= 0 failed inside numpy, a NaN margin spun through every
+        # attempt, and a negative one meant no margin: each is named before the generator is built
+        def no_draw(seed):
+            raise AssertionError("drew before checking its arguments")
+
+        monkeypatch.setattr("truncflow.scenarios.np.random.default_rng", no_draw)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_separated_config(**kwargs)
+
+    def test_zero_margin_allowed(self):
+        state, data = make_separated_config(2, n_per=3, seed=4, kink_margin=0.0)
+        assert data.counts == [3, 3] and check_cluster_separation(state, data)[0]
 
     def test_all_positive_placement_is_separated(self):
         from truncflow.scenarios import make_equilibrium_data, named_initial_state

@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from truncflow.errors import EmptyCluster, IndexRange
 from truncflow.flows import effective_rhs, general_rhs, moment_form_rhs
-from truncflow.manifold import OrthogonalMatrix, antisym_project, expm_antisym, random_orthogonal
+from truncflow.manifold import OrthogonalMatrix, antisym_project, expm_antisym, random_rotations
 from truncflow.measures import TrainingSet, check_cluster_separation
 from truncflow.model import (
     LayerParams,
@@ -113,7 +113,7 @@ class TestTruncationMap:
         # truncation through W = D R (D positive diagonal) equals the R-truncation
         for _ in range(100):
             q = int(RNG.integers(1, 5))
-            r = random_orthogonal(q, RNG).mat
+            r = random_rotations(1, q, RNG)[0]
             beta = RNG.normal(size=q)
             d = np.exp(RNG.normal(size=q))
             x = RNG.normal(size=q) * 2
@@ -122,7 +122,7 @@ class TestTruncationMap:
             np.testing.assert_allclose(via_w, one_layer_map(r, beta, x), atol=1e-12)
 
     def test_rows_match_points(self):
-        r, beta = random_orthogonal(3, RNG).mat, RNG.normal(size=3)
+        r, beta = random_rotations(1, 3, RNG)[0], RNG.normal(size=3)
         pts = RNG.normal(size=(5, 3)) * 2
         rows = one_layer_map(r, beta, pts)
         for x, row in zip(pts, rows):
@@ -130,7 +130,7 @@ class TestTruncationMap:
 
     def test_fixed_point_set_exact(self):
         # a point whose pushed coordinates are all positive is fixed, up to rounding
-        r = random_orthogonal(3, RNG).mat
+        r = random_rotations(1, 3, RNG)[0]
         x = RNG.normal(size=3)
         beta = r.T @ np.array([0.5, 1.0, 2.0]) - x  # R(x + beta) = (0.5, 1, 2)
         assert all(push(r[None], beta[None], x)[1][0])
@@ -195,7 +195,7 @@ class TestPush:
         rng = np.random.default_rng(11)
         for _ in range(30):
             q, depth = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            rotations = np.array([random_orthogonal(q, rng).mat for _ in range(depth)])
+            rotations = random_rotations(depth, q, rng)
             betas = rng.normal(size=(depth, q))
             pts = 1.5 * rng.normal(size=(int(rng.integers(1, 7)), q))
             zs, nus, t, z_dots = push(rotations, betas, pts)
@@ -217,12 +217,12 @@ class TestPush:
         for _ in range(30):
             q, depth, n = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 7))
             layer, variants = int(rng.integers(depth)), int(rng.integers(1, 5))
-            rotations = np.array([random_orthogonal(q, rng).mat for _ in range(depth)])
+            rotations = np.array(random_rotations(depth, q, rng))  # a writable copy: one layer is swapped below
             betas = rng.normal(size=(depth, q))
             pts = 1.5 * rng.normal(size=(n, q))
             field = (rng.normal(size=(depth, q)),
                      np.array([antisym_project(rng.normal(size=(q, q))).mat for _ in range(depth)]))
-            stack_r = np.array([random_orthogonal(q, rng).mat for _ in range(variants)])
+            stack_r = random_rotations(variants, q, rng)
             stack_b = rng.normal(size=(variants, 1, q))
             rots, bets = list(rotations), list(betas)
             rots[layer], bets[layer] = stack_r, stack_b
@@ -243,7 +243,7 @@ class TestPush:
         rng = np.random.default_rng(13)
         for _ in range(30):
             q, depth, n = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 7))
-            rotations = np.array([random_orthogonal(q, rng).mat for _ in range(depth)])
+            rotations = random_rotations(depth, q, rng)
             betas = rng.normal(size=(depth, q))
             pts = 1.5 * rng.normal(size=(n, q))
             field = (rng.normal(size=(depth, q)),
@@ -258,7 +258,7 @@ class TestPush:
 
 def random_state_and_set(q, n_per=3, depth=None, rng=RNG):
     depth = q if depth is None else depth
-    rots = [random_orthogonal(q, rng).mat for _ in range(depth)]
+    rots = random_rotations(depth, q, rng)
     betas = [rng.normal(size=q) for _ in range(depth)]
     w = np.eye(q) + 0.2 * rng.normal(size=(q, q))
     labels = rng.normal(size=(q, q))
@@ -298,7 +298,7 @@ class TestCosts:
     def test_standard_equals_euclidean_for_identity_output(self):
         for _ in range(20):
             q = int(RNG.integers(2, 4))
-            rots = [random_orthogonal(q, RNG).mat for _ in range(q)]
+            rots = random_rotations(q, q, RNG)
             betas = [RNG.normal(size=q) for _ in range(q)]
             labels = RNG.normal(size=(q, q))
             state = state_from_arrays(rots, betas, np.eye(q), labels)
@@ -308,7 +308,7 @@ class TestCosts:
     def test_standard_scales_quadratically(self):
         # with output map 2*I the pullback metric is 4x the Euclidean one
         q = 3
-        rots = [random_orthogonal(q, RNG).mat for _ in range(q)]
+        rots = random_rotations(q, q, RNG)
         betas = [RNG.normal(size=q) for _ in range(q)]
         labels = RNG.normal(size=(q, q))
         data = TrainingSet([RNG.normal(size=(3, q)) for _ in range(q)])
