@@ -474,6 +474,17 @@ class CollapsedState:
     def dim(self) -> int:
         return self.b_matrix.shape[0]
 
+    def derive(self, b_matrix: np.ndarray, w_out: np.ndarray) -> "CollapsedState":
+        """This state with new arrays (B, W), which become read-only; shares Y and checks shapes only."""
+        if b_matrix.shape != self.b_matrix.shape or w_out.shape != self.w_out.shape:
+            raise ValueError(f"arrays of shapes {b_matrix.shape}, {w_out.shape} do not match "
+                             f"{self.b_matrix.shape}, {self.w_out.shape}")
+        b_matrix.setflags(write=False)
+        w_out.setflags(write=False)
+        out = object.__new__(CollapsedState)  # skips __init__ and its checks
+        out.__dict__.update(b_matrix=b_matrix, w_out=w_out, y_matrix=self.y_matrix)
+        return out
+
     def cost(self) -> float:
         """Standard cost of fully collapsed data: (1/2) tr |W B + Y|^2."""
         e = self.w_out @ self.b_matrix + self.y_matrix

@@ -600,12 +600,16 @@ def integrate_collapsed(cs0: CollapsedState, s_end: float,
     """Integrate the collapsed-data standard-cost flow, logging the invariant.
 
     Adaptive RK4 with step doubling: a step is accepted when the difference
-    between one full step and two half steps meets atol/rtol.  The full step
-    and the first half step share their first stage, the field at the step's
-    start, which is evaluated once per state and also serves every retry of a
-    rejected trial.  Each sample logs the drift of B B^T - W^T W from its
-    initial value, and `stats` counts the field evaluations, accepted steps and
-    rejected trials.  The one-member call of :func:`integrate_ensemble`.
+    between one full step and two half steps meets atol/rtol; a trial whose
+    difference is not finite, such as one that overflowed, is rejected, so
+    every sample is finite.  The full step and the first half step share their
+    first stage, the field at the step's start, which is evaluated once per
+    state and also serves every retry of a rejected trial.  Only the start is
+    validated: each sample is derived from it with its accepted arrays
+    (:meth:`CollapsedState.derive`), sharing its Y.  Each sample logs the drift
+    of B B^T - W^T W from its initial value, and `stats` counts the field
+    evaluations, accepted steps and rejected trials.  The one-member call of
+    :func:`integrate_ensemble`.
     """
     return integrate_ensemble(integrate_collapsed, [cs0], s_end, opts)[0]
 
@@ -749,13 +753,14 @@ class _CollapsedRun:
     """One collapsed trajectory in the making: its step, its s and its record so far."""
 
     def __init__(self, cs0: CollapsedState, opts: IntegratorOptions):
-        self.y, self.s, self.h = cs0.y_matrix, 0.0, opts.step
+        self.start, self.s, self.h = cs0, 0.0, opts.step
         self.traj = CollapsedTrajectory([], conserved_quantity(cs0))
         self.sample(cs0.b_matrix, cs0.w_out)
 
     def sample(self, b: np.ndarray, w: np.ndarray) -> None:
-        """Log the state (B, W) at s, with the drift of its invariant."""
-        cs = CollapsedState(b, w_out=w, y_matrix=self.y)
+        """Log the state (B, W) at s, derived from the start without a check, with the drift of its
+        invariant."""
+        cs = self.start.derive(b, w)
         drift = float(np.linalg.norm(conserved_quantity(cs) - self.traj.invariant0))
         self.traj.samples.append(CollapsedSample(self.s, cs, cs.cost(), drift))
 
@@ -764,11 +769,15 @@ def _integrate_collapsed(members: list, s_end: float, opts: IntegratorOptions) -
     """Adaptive RK4 with step doubling for a group of collapsed states of one Q.
 
     A step is accepted when the difference between one full step and two half steps meets
-    atol/rtol.  The full step and the first half step share their first stage, the field at the
-    step's start, which is evaluated once per state and also serves every retry of a rejected
+    atol/rtol; a NaN or infinite difference fails the test, and the trials run with overflow and
+    invalid-value warnings off, so an overflowed trial is one more rejection and every accepted
+    state is finite.  The full step and the first half step share their first stage, the field at
+    the step's start, which is evaluated once per state and also serves every retry of a rejected
     trial.  Every member keeps its own adaptive step: each round, every member's trial is one
     stacked evaluation per stage, at its own step, and the error test, the step control and the
-    samples are each member's own.  A member that reaches `s_end` leaves the group.
+    samples are each member's own.  A sample is derived from its member's start without a check,
+    its arrays read-only views of the round's accepted stack.  A member that reaches `s_end` leaves
+    the group.
     """
     runs = [_CollapsedRun(cs, opts) for cs in members]
     live = runs
@@ -784,22 +793,23 @@ def _integrate_collapsed(members: list, s_end: float, opts: IntegratorOptions) -
             b, w, y, stale = b[keep], w[keep], y[keep], stale[keep]
             k1 = k1[0][keep], k1[1][keep]
         todo = np.flatnonzero(stale)
-        if len(todo) == len(live):
-            k1 = collapsed_rhs(b, w, y)
-        elif len(todo):
-            k1[0][todo], k1[1][todo] = collapsed_rhs(b[todo], w[todo], y[todo])
         dts = [min(run.h, s_end - run.s) for run in live]
         dt = np.array(dts)[:, None, None]
-        bf, wf = _collapsed_rk4(b, w, y, dt, k1)
-        bh, wh = _collapsed_rk4(b, w, y, 0.5 * dt, k1)
-        bh, wh = _collapsed_rk4(bh, wh, y, 0.5 * dt)
-        errs = zip(np.abs(bf - bh).max(axis=(1, 2)).tolist(), np.abs(wf - wh).max(axis=(1, 2)).tolist())
-        scales = zip(np.abs(b).max(axis=(1, 2)).tolist(), np.abs(w).max(axis=(1, 2)).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):  # a trial that overflows is rejected
+            if len(todo) == len(live):
+                k1 = collapsed_rhs(b, w, y)
+            elif len(todo):
+                k1[0][todo], k1[1][todo] = collapsed_rhs(b[todo], w[todo], y[todo])
+            bf, wf = _collapsed_rk4(b, w, y, dt, k1)
+            bh, wh = _collapsed_rk4(b, w, y, 0.5 * dt, k1)
+            bh, wh = _collapsed_rk4(bh, wh, y, 0.5 * dt)
+            errs = np.maximum(np.abs(bf - bh).max(axis=(1, 2)), np.abs(wf - wh).max(axis=(1, 2))).tolist()
+        scales = np.maximum(np.abs(b).max(axis=(1, 2)), np.abs(w).max(axis=(1, 2))).tolist()
         accepted = np.zeros(len(live), dtype=bool)
         for i, (run, dt_run, err, scale, fresh) in enumerate(zip(live, dts, errs, scales, stale.tolist())):
             run.traj.stats.rhs_calls += 10 + fresh
-            err, tol = max(*err), opts.atol + opts.rtol * max(*scale)
-            if err > tol:
+            tol = opts.atol + opts.rtol * scale
+            if not err <= tol:  # NaN or inf too: an accepted step's arrays are finite
                 run.traj.stats.rejected += 1
                 run.h = 0.5 * dt_run
                 if run.h < opts.min_step:

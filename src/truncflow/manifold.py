@@ -5,7 +5,9 @@ group by :class:`AntisymmetricMatrix`.  Both wrappers verify their defining
 bound at construction, at the public boundary.  Integration stages advance
 the (L, Q, Q) stack of rotations by :func:`retract_stack`, one exponential for all
 layers at once, which stays on the group by construction; the integrator checks the
-bound once per accepted step.  The exponential takes one Pade degree for the whole stack
+bound once per accepted step, over the whole stack in one pass
+(:func:`check_orthogonal_stack`), as a state's one rule does where it is built.  The
+exponential takes one Pade degree for the whole stack
 from its largest 1-norm (Higham 2005), and at degree 13 one squaring count: an integration
 step's generators are small, so a stage's whole stack normally takes degree 3, and only a
 large generator pays for degree 13 with scaling and squaring; one so large that more than
@@ -74,6 +76,18 @@ def check_orthogonal(m: np.ndarray, name: str = "matrix") -> None:
     err = orthogonality_error(m)
     if not err <= ORTHO_TOL:
         raise ValueError(f"{name} is not orthogonal: ||R^T R - I|| = {err:.3e}")
+
+
+def check_orthogonal_stack(stack: np.ndarray, name: str = "rotation") -> None:
+    """:func:`check_orthogonal` of every matrix k of the (L, Q, Q) float array `stack` in one pass,
+    each error bit for bit its own matrix's; the first k that fails raises as `f"{name} {k}"`."""
+    q = stack.shape[-1]
+    g = stack.mT @ stack - _identity(q)
+    v = g.reshape(-1, q * q)
+    fine = np.sqrt(np.vecdot(v, v)) <= ORTHO_TOL  # vecdot is the BLAS dot of frobenius_norm; NaN fails
+    if not fine.all():
+        k = int(np.argmin(fine))
+        check_orthogonal(stack[k], f"{name} {k}")
 
 
 class OrthogonalMatrix:

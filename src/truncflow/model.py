@@ -11,11 +11,13 @@ a(x) = R (x + beta).  A coordinate with a(x)_r <= 0 counts as truncated
 activity row `z > 0`, strict so the measure-zero boundary is deterministic.
 :func:`push` is the one loop that carries points up through the layers.
 
-Invariants are checked at the public constructors (:class:`LayerParams`,
-:class:`ModelState`); states derived from a validated one, such as
-integration stages and finite-difference stencils, check only shapes.  Every
-parameter array, here and in the other modules' constructors, enters through
-:func:`finite_array`, whose errors name the array and its bad shape or entry.
+Invariants are checked once, where a state enters: every :class:`ModelState`
+passes one rule over its stacked arrays, whether it is built from them
+(:func:`state_from_arrays`) or from validated :class:`LayerParams`; states
+derived from a validated one, such as integration stages and finite-difference
+stencils, check only shapes.  Every parameter array, here and in the other
+modules' constructors, enters through :func:`finite_array`, whose errors name
+the array and its bad shape or entry.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _solve, svd as _svd  # np.linalg's gufuncs, without their wrappers
 
 from .errors import IndexRange
-from .manifold import OrthogonalMatrix, check_orthogonal
+from .manifold import OrthogonalMatrix, as_square, check_orthogonal, check_orthogonal_stack
 
 
 def finite_array(value, name: str, shape: tuple) -> np.ndarray:
@@ -69,6 +72,25 @@ class LayerParams:
         )
 
 
+def _rotation_stack(rotations, betas: np.ndarray) -> np.ndarray:
+    """`rotations` as a float (L, Q, Q) copy whose layers match the (L, Q) `betas`, Q >= 1, every
+    rotation checked against the orthogonality bound in one pass.  Otherwise the first bad layer k
+    raises ValueError, in layer order, as its own checks name it: its rotation's shape, its
+    rotation off the group as "rotation k", its beta's length."""
+    l, q = betas.shape
+    try:
+        rots = np.array(rotations, dtype=float)
+    except (TypeError, ValueError):  # layers of different shapes, or entries that are not numbers
+        rots = None
+    if rots is None or rots.shape != (l, q, q) or q < 1:
+        for k, (r, beta) in enumerate(zip(rotations, betas)):  # one of them raises: L >= 1
+            m = as_square(r)
+            check_orthogonal(m, f"rotation {k}")
+            finite_array(beta, "beta", (len(m),))
+    check_orthogonal_stack(rots)
+    return rots
+
+
 class ModelState:
     """All flow variables plus the fixed output map and labels.
 
@@ -77,11 +99,15 @@ class ModelState:
     space to output space; `labels[l]` is the l-th reference output and
     `pulled_labels[l]` its preimage under the output map.
 
-    The constructor takes validated LayerParams, checks the output map and
-    labels, and solves the pulled labels.  States derived from it share those
-    and check only their shapes.  `checked()` applies the orthogonality bound
-    to the stacked rotations; `layers` builds a fresh validated LayerParams
-    view on each read, which checks every rotation too.
+    Every state is checked by one rule over its stacked arrays: the layers'
+    shapes and finite betas, every rotation against the orthogonality bound in
+    one pass, the output map's rank and the labels, and the pulled labels
+    solved and reconstructed.  :func:`state_from_arrays` applies it to arrays;
+    the constructor stacks validated LayerParams and applies it to them.  States
+    derived from a checked one share its output map and labels and check only
+    their shapes.  `checked()` applies the orthogonality bound to the stacked
+    rotations; `layers` builds a fresh validated LayerParams view on each
+    read, which checks every rotation too.
     """
 
     def __init__(self, layers, output_map, labels):
@@ -91,20 +117,30 @@ class ModelState:
         q = layers[0].dim
         if any(lp.dim != q for lp in layers):
             raise ValueError("all layers must share the same dimension")
+        self._check([lp.rotation.mat for lp in layers], [lp.beta for lp in layers], output_map, labels)
+
+    def _check(self, rotations, betas, output_map, labels) -> None:
+        """Check the state's arrays and set them, read-only, with the solved pulled labels."""
+        betas = finite_array(betas, "beta", (len(rotations), "Q"))  # one beta per rotation
+        if not len(betas):
+            raise ValueError("need at least one layer")
+        rots = _rotation_stack(rotations, betas)
+        q = betas.shape[1]
         w = finite_array(output_map, "output_map", (q, q))
         y = finite_array(labels, "labels", (q, q))  # one row per cluster
-        sv = np.linalg.svd(w, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
+        sv = _svd(w, signature="d->d")  # np.linalg.svd would raise where this returns NaN, which fails
+        if not sv[-1] > 1e-12 * sv[0]:
             raise ValueError("output_map is numerically singular")
-        ytil = np.linalg.solve(w, y.T).T
-        resid = np.linalg.norm(w @ ytil.T - y.T, axis=0)
-        scale = np.maximum(np.linalg.norm(y, axis=1), 1e-300)
-        if np.any(resid > 1e-10 * np.maximum(scale, 1.0)):
+        x = _solve(w, y.T, signature="dd->d")  # column l solves W x = y_l
+        r = w @ x - y.T
+        resid = np.sqrt(np.add.reduce(r * r, axis=0))  # np.linalg.norm's arithmetic, bit for bit
+        scale = np.sqrt(np.add.reduce(y * y, axis=1))
+        if not (resid <= 1e-10 * np.maximum(scale, 1.0)).all():
             raise ValueError("pulled labels failed the reconstruction check")
+        ytil = x.T
         ytil.setflags(write=False)
         self.output_map, self.labels, self.pulled_labels = w, y, ytil
-        self._set_layers(np.array([lp.rotation.mat for lp in layers]),
-                         np.array([lp.beta for lp in layers]))
+        self._set_layers(rots, betas)
 
     def _set_layers(self, rotations: np.ndarray, betas: np.ndarray) -> None:
         rotations.setflags(write=False)
@@ -113,9 +149,9 @@ class ModelState:
         self.betas = betas
 
     def checked(self) -> "ModelState":
-        """This state, after checking every rotation; one off the group raises ValueError naming it."""
-        for k, r in enumerate(self.rotations):
-            check_orthogonal(r, f"rotation {k}")
+        """This state, after checking every rotation in one pass; one off the group raises ValueError
+        naming it."""
+        check_orthogonal_stack(self.rotations)
         return self
 
     @property
@@ -139,6 +175,16 @@ class ModelState:
         out.__dict__ = self.__dict__.copy()  # shares output map, labels and pulled labels
         out._set_layers(rotations, betas)
         return out
+
+
+def state_from_arrays(rotations, betas, output_map, labels) -> ModelState:
+    """The state of the layers (rotations[k], betas[k]) with the output map and labels, checked by
+    the one state rule without wrapping a layer; the caller's arrays stay theirs.  A rejected
+    input raises ValueError naming the array, or the layer k whose rotation is off the group as
+    "rotation k"."""
+    state = object.__new__(ModelState)  # skips __init__, which takes its layers wrapped
+    state._check(rotations, betas, output_map, labels)
+    return state
 
 
 def push(rotations, betas, pts, masks=None, field=None):

@@ -9,19 +9,12 @@ from functools import cache
 
 import numpy as np
 
-from .manifold import AntisymmetricMatrix, OrthogonalMatrix, expm_antisym, random_rotations
+from .manifold import AntisymmetricMatrix, expm_antisym, random_rotations
 from .measures import TrainingSet
-from .model import LayerParams, ModelState, finite_array
+from .model import ModelState, state_from_arrays
 
 
 INITIAL_STATES = ("identity", "random-orthogonal", "all-positive", "fully-truncated")
-
-
-def state_from_arrays(rotations, betas, output_map, labels) -> ModelState:
-    betas = finite_array(betas, "beta", (len(rotations), "Q"))  # one beta per rotation
-    layers = [LayerParams(OrthogonalMatrix(r, f"rotation {k}"), b)
-              for k, (r, b) in enumerate(zip(rotations, betas))]
-    return ModelState(layers, output_map, labels)
 
 
 def named_initial_state(kind: str, data: TrainingSet, labels, output_map=None,
@@ -75,8 +68,9 @@ def _orthonormal_completion(cols: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def rotation_mapping(src: np.ndarray, dst: np.ndarray) -> OrthogonalMatrix:
-    """An orthogonal R with R @ src = dst, for column sets with equal Grams."""
+def rotation_mapping(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """An orthogonal R with R @ src = dst, for column sets with equal Grams, as a plain array: the
+    state that takes it checks it."""
 
     def oriented_qr(m):
         qf, rf = np.linalg.qr(m)
@@ -86,7 +80,7 @@ def rotation_mapping(src: np.ndarray, dst: np.ndarray) -> OrthogonalMatrix:
 
     qs = _orthonormal_completion(oriented_qr(src))
     qd = _orthonormal_completion(oriented_qr(dst))
-    return OrthogonalMatrix(qd @ qs.T)
+    return qd @ qs.T
 
 
 @cache
@@ -97,13 +91,14 @@ def _separating_rotation(q: int, l: int) -> np.ndarray:
     q = 1 there is no other cluster, and it is the identity."""
     if q == 1:
         rot = np.eye(1)
-        rot.setflags(write=False)
-        return rot
-    a = (-np.sqrt(2.0) + np.sqrt(2.0 + 2.0 * q)) / (2.0 * q)
-    others = [j for j in range(q) if j != l]
-    src = np.column_stack([(np.eye(q)[:, j] - np.eye(q)[:, l]) / np.sqrt(2.0) for j in others])
-    dst = np.column_stack([a * np.ones(q) + np.eye(q)[:, i] / np.sqrt(2.0) for i in range(len(others))])
-    return rotation_mapping(src, dst).mat
+    else:
+        a = (-np.sqrt(2.0) + np.sqrt(2.0 + 2.0 * q)) / (2.0 * q)
+        others = [j for j in range(q) if j != l]
+        src = np.column_stack([(np.eye(q)[:, j] - np.eye(q)[:, l]) / np.sqrt(2.0) for j in others])
+        dst = np.column_stack([a * np.ones(q) + np.eye(q)[:, i] / np.sqrt(2.0) for i in range(len(others))])
+        rot = rotation_mapping(src, dst)
+    rot.setflags(write=False)
+    return rot
 
 
 def make_separated_config(q: int, n_per: int = 5, seed: int = 0,

@@ -76,9 +76,6 @@ WRAPPER_SITES = [
     ("oracle", "reference_integrate", "OrthogonalMatrix"),
     ("oracle", "reference_integrate.advance", "AntisymmetricMatrix"),
     ("scenarios", "check_collapse_hypotheses", "AntisymmetricMatrix"),
-    ("scenarios", "rotation_mapping", "OrthogonalMatrix"),
-    ("scenarios", "state_from_arrays", "LayerParams"),
-    ("scenarios", "state_from_arrays", "OrthogonalMatrix"),
 ]
 
 

@@ -816,12 +816,17 @@ class TestBoundaryValidation:
             for k in range(smp.state.depth):
                 assert smp.omega_norms[k] == float(np.linalg.norm(omegas[k]))
 
-    def test_one_collapsed_state_per_sample(self, monkeypatch):
-        # RK stages step plain arrays; only the accepted samples are validated states
+    def test_collapsed_samples_derived_from_the_start(self, monkeypatch):
+        # only the start is validated: every sample is derived from it, finite and read-only,
+        # and shares its Y
         cs = CollapsedState(RNG.normal(size=(3, 3)), RNG.normal(size=(3, 3)), RNG.normal(size=(3, 3)))
         states = self.count_inits(monkeypatch, CollapsedState)
         traj = integrate_collapsed(cs, 5.0)
-        assert states["n"] == len(traj.samples)
+        assert states["n"] == 0 and len(traj.samples) > 50
+        for smp in traj.samples:
+            for a in (smp.state.b_matrix, smp.state.w_out):
+                assert np.isfinite(a).all() and not a.flags.writeable
+            assert smp.state.y_matrix is cs.y_matrix
 
     def test_rotation_off_the_group_rejected_at_entry(self):
         state, data = make_separated_config(2, n_per=4, seed=0)
@@ -997,6 +1002,33 @@ class TestCollapsedIntegration:
         final = traj.final_state
         assert np.max(np.abs(final.b_matrix - b)) == 0.0
         assert np.max(np.abs(final.w_out - w)) == 0.0
+
+    def test_overflowing_trial_is_rejected(self):
+        # from B = 100 I the first trials overflow: their error estimate is NaN or inf, which
+        # rejects them without a warning, and every accepted state stays finite
+        cs = CollapsedState(100.0 * np.eye(2), np.eye(2), np.eye(2))
+        traj = integrate_collapsed(cs, 1.0)
+        assert traj.samples[-1].s == pytest.approx(1.0, abs=1e-12)
+        assert traj.stats.rejected > 0 and traj.costs[-1] < 1e-10
+        for smp in traj.samples:
+            assert np.isfinite(smp.state.b_matrix).all() and np.isfinite(smp.state.w_out).all()
+            assert np.isfinite(smp.cost) and np.isfinite(smp.invariant_drift)
+
+    def test_nan_error_estimate_rejects(self, monkeypatch):
+        # an estimate that is NaN from one array alone is a rejection, not an accepted NaN step
+        rk4, calls = truncflow.integrate._collapsed_rk4, itertools.count()
+
+        def nan_once(*args):
+            bn, wn = rk4(*args)
+            if next(calls) == 0:  # the first trial's full step
+                wn = wn.copy()
+                wn[0, 0, 0] = np.nan
+            return bn, wn
+
+        monkeypatch.setattr(truncflow.integrate, "_collapsed_rk4", nan_once)
+        traj = integrate_collapsed(CollapsedState(np.eye(2), np.eye(2), np.eye(2)), 0.05)
+        assert traj.stats.rejected >= 1 and traj.samples[1].s == pytest.approx(0.005)
+        assert all(np.isfinite(smp.state.w_out).all() for smp in traj.samples)
 
     def test_invariant_matches_hand_value(self):
         cs = CollapsedState(2 * np.eye(3), np.eye(3), np.eye(3))

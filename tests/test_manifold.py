@@ -14,9 +14,12 @@ from truncflow.manifold import (
     AntisymmetricMatrix,
     OrthogonalMatrix,
     antisym_project,
+    check_orthogonal,
+    check_orthogonal_stack,
     expm_antisym,
     frobenius_norm,
     moving_layers,
+    orthogonality_error,
     polar_decompose,
     random_rotations,
     reproject,
@@ -403,6 +406,38 @@ def test_group_gradient_trace_identity():
         fd = (f_plus - f_minus) / (2 * eps)
         analytic = -np.trace(w @ antisym_project(c @ r.mat.T).mat)
         assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(analytic))
+
+
+class TestCheckOrthogonalStack:
+    """One pass over an (L, Q, Q) stack decides as check_orthogonal does layer by layer."""
+
+    def test_each_error_is_its_layers_bit_for_bit(self):
+        # drift scaled around ORTHO_TOL, so both verdicts occur, and the stack's verdict on each
+        # layer is the per-layer one; the first layer that fails is the one named
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for _ in range(600):
+            q, depth = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            stack = np.array(random_rotations(depth, q, rng))
+            stack += rng.normal(size=stack.shape) * 10.0 ** rng.uniform(-12.5, -9.5, size=(depth, 1, 1))
+            errs = [orthogonality_error(r) for r in stack]
+            fails = [k for k, err in enumerate(errs) if not err <= 1e-10]
+            verdicts.add(bool(fails))
+            if not fails:
+                check_orthogonal_stack(stack)
+                continue
+            with pytest.raises(ValueError) as raised:
+                check_orthogonal_stack(stack)
+            with pytest.raises(ValueError) as alone:
+                check_orthogonal(stack[fails[0]], f"rotation {fails[0]}")
+            assert str(raised.value) == str(alone.value)
+        assert verdicts == {False, True}
+
+    def test_nan_entry_fails_by_name(self):
+        stack = np.stack([np.eye(3)] * 3)
+        stack[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^layer 2 is not orthogonal: \|\|R\^T R - I\|\| = nan$"):
+            check_orthogonal_stack(stack, "layer")
 
 
 class TestFrobeniusNorm:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import truncflow.model
+from truncflow.cli import ScenarioConfig, run_scenario
 from truncflow.errors import EmptyCluster, IndexRange
 from truncflow.flows import effective_rhs, general_rhs, moment_form_rhs
 from truncflow.manifold import OrthogonalMatrix, antisym_project, expm_antisym, random_rotations
@@ -17,7 +19,15 @@ from truncflow.model import (
     standard_cost,
 )
 from truncflow.oracle import assert_kink_free, fd_grad_beta, fd_grad_rotation, fd_gradients
-from truncflow.scenarios import make_separated_config, state_from_arrays
+from truncflow.scenarios import (
+    INITIAL_STATES,
+    make_equilibrium_data,
+    make_one_dim_state,
+    make_separated_config,
+    named_initial_state,
+    state_from_arrays,
+)
+from truncflow.verify import _random_state_and_data
 
 RNG = np.random.default_rng(42)
 
@@ -426,6 +436,166 @@ class TestModelState:
             derived.layers
         with pytest.raises(ValueError):
             state.derive(state.rotations[:1], state.betas)
+
+
+I2, I3, Z2 = np.eye(2), np.eye(3), np.zeros((2, 2))
+OFF = np.array([[1.0, 0.1], [0.0, 1.0]])  # ||R^T R - I|| = 1.418e-01
+NAN_ROTATION = np.array([[1.0, 0.0], [np.nan, 1.0]])
+INF_ROTATION = np.array([[1.0, np.inf], [0.0, 1.0]])
+NEAR_SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]])  # passes the rank test, not the reconstruction
+
+# (rotations, betas, output map, labels) that state_from_arrays rejects, with the message it gave
+# when each layer was wrapped in an OrthogonalMatrix and a LayerParams before the state was built
+REJECTED = {
+    "rotation-1-off": (([I2, OFF], Z2, I2, Z2), "rotation 1 is not orthogonal: ||R^T R - I|| = 1.418e-01"),
+    "rotation-0-off-before-a-bad-shape": (([OFF, I3], Z2, I2, Z2),
+                                          "rotation 0 is not orthogonal: ||R^T R - I|| = 1.418e-01"),
+    "rotation-0-nan": (([NAN_ROTATION, I2], Z2, I2, Z2), "rotation 0 is not orthogonal: ||R^T R - I|| = nan"),
+    "rotation-1-nan": (([I2, NAN_ROTATION], Z2, I2, Z2), "rotation 1 is not orthogonal: ||R^T R - I|| = nan"),
+    "rotation-inf": (([INF_ROTATION], [[0.0, 0.0]], I2, Z2), "rotation 0 is not orthogonal: ||R^T R - I|| = inf"),
+    "beta-nan": (([I2], [[0.0, np.nan]], I2, Z2), "beta has a non-finite entry at (0, 1): nan"),
+    "beta-inf": (([I2, I2], [[0.0, 0.0], [np.inf, 0.0]], I2, Z2), "beta has a non-finite entry at (1, 0): inf"),
+    "beta-not-numbers": (([I2], "x", I2, Z2),
+                         "beta must be an array of numbers: could not convert string to float: 'x'"),
+    "one-beta-for-two-rotations": (([I2] * 2, [np.zeros(2)], I2, Z2), "beta has shape (1, 2), expected (2, Q)"),
+    "betas-longer-than-q": (([I2] * 2, np.zeros((2, 3)), I2, Z2), "beta has shape (3,), expected (2,)"),
+    "betas-longer-than-q-rotation-off": (([OFF] * 2, np.zeros((2, 3)), I2, Z2),
+                                         "rotation 0 is not orthogonal: ||R^T R - I|| = 1.418e-01"),
+    "rotation-not-square": (([np.zeros((2, 3))], np.zeros((1, 2)), I2, Z2),
+                            "expected a square matrix, got shape (2, 3)"),
+    "rotations-of-two-sizes": (([I2, I3], Z2, I2, Z2), "beta has shape (2,), expected (3,)"),
+    "rotations-of-two-sizes-first-larger": (([I3, I2], np.zeros((2, 3)), I3, np.zeros((3, 3))),
+                                            "beta has shape (3,), expected (2,)"),
+    "rotations-one-matrix": ((I2, Z2, I2, Z2), "expected a square matrix, got shape (2,)"),
+    "rotation-scalar": (([1.0], [[0.0]], np.eye(1), np.zeros((1, 1))), "expected a square matrix, got shape ()"),
+    "rotation-not-numbers": (([[["a", "b"], ["c", "d"]]], [[0.0, 0.0]], I2, Z2),
+                             "could not convert string to float: 'a'"),
+    "no-layers": (([], np.zeros((0, 2)), I2, Z2), "need at least one layer"),
+    "no-layers-no-q": (([], [], I2, Z2), "beta has shape (0,), expected (0, Q)"),
+    "q-0": ((np.zeros((1, 0, 0)), np.zeros((1, 0)), np.zeros((0, 0)), np.zeros((0, 0))),
+            "expected a square matrix, got shape (0, 0)"),
+    "output-map-shape": (([I2], [[0.0, 0.0]], I3, Z2), "output_map has shape (3, 3), expected (2, 2)"),
+    "labels-shape": (([I2], [[0.0, 0.0]], I2, np.zeros((2, 3))), "labels has shape (2, 3), expected (2, 2)"),
+    "output-map-nan": (([I2], [[0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]], Z2),
+                       "output_map has a non-finite entry at (0, 0): nan"),
+    "labels-inf": (([I2], [[0.0, 0.0]], I2, [[0.0, 1.0], [np.inf, 0.0]]),
+                   "labels has a non-finite entry at (1, 0): inf"),
+    "output-map-zero": (([I2], [[0.0, 0.0]], Z2, Z2), "output_map is numerically singular"),
+    "output-map-rank-1": (([I2], [[0.0, 0.0]], np.ones((2, 2)), Z2), "output_map is numerically singular"),
+    "output-map-near-rank-1": (([I2], [[0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-13]], Z2),
+                               "output_map is numerically singular"),
+    "reconstruction": (([I2], [[0.0, 0.0]], NEAR_SINGULAR, [[0.1, 0.7], [0.3, 0.2]]),
+                       "pulled labels failed the reconstruction check"),
+}
+
+
+class TestOneStateRule:
+    """Every state passes one rule over its stacked arrays, built from arrays or from LayerParams."""
+
+    def test_arrays_and_layer_params_give_the_same_state(self):
+        # bit for bit, and the pulled labels are those of numpy's wrappers, which the rule bypasses
+        rng = np.random.default_rng(2024)
+        for q in range(1, 6):
+            for depth in range(1, q + 1):
+                for _ in range(6):
+                    rots = random_rotations(depth, q, rng)
+                    betas = rng.normal(size=(depth, q))
+                    w = np.eye(q) + 0.3 * rng.normal(size=(q, q))
+                    labels = 3.0 * rng.normal(size=(q, q))
+                    arrays_state = state_from_arrays(rots, betas, w, labels)
+                    layers = [LayerParams(OrthogonalMatrix(r), beta) for r, beta in zip(rots, betas)]
+                    layers_state = ModelState(layers, w, labels)
+                    numpy_ytil = np.linalg.solve(w, labels.T).T
+                    for name in ("rotations", "betas", "output_map", "labels", "pulled_labels"):
+                        a, b = getattr(arrays_state, name), getattr(layers_state, name)
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+                        assert not a.flags.writeable and not b.flags.writeable
+                    assert arrays_state.pulled_labels.tobytes() == numpy_ytil.tobytes()
+        # the near-singular output map that passes both tests: the same pulled labels too
+        labels = [[1.0, 2.0], [3.0, -1.0]]
+        state = state_from_arrays([I2], [[0.0, 0.0]], NEAR_SINGULAR, labels)
+        assert state.pulled_labels.tobytes() == np.linalg.solve(NEAR_SINGULAR, np.transpose(labels)).T.tobytes()
+
+    @pytest.mark.parametrize("case", list(REJECTED))
+    def test_rejection_names_the_fault_as_before(self, case):
+        args, message = REJECTED[case]
+        with pytest.raises(ValueError) as raised:
+            state_from_arrays(*args)
+        assert str(raised.value) == message
+
+    def test_layer_params_rejections_as_before(self):
+        lp2, lp3 = LayerParams(OrthogonalMatrix(I2), [0.0, 0.0]), LayerParams(OrthogonalMatrix(I3), [0.0] * 3)
+        for args, message in [(([], I2, Z2), "need at least one layer"),
+                              (([lp2, lp3], I2, Z2), "all layers must share the same dimension"),
+                              (([lp2], Z2, Z2), "output_map is numerically singular"),
+                              (([lp2], I3, Z2), "output_map has shape (3, 3), expected (2, 2)")]:
+            with pytest.raises(ValueError) as raised:
+                ModelState(*args)
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("sv", [[np.nan, np.nan], [1.0, np.nan], [np.nan, 1.0]])
+    def test_nan_singular_value_rejects(self, monkeypatch, sv):
+        # the gufunc returns NaN where np.linalg.svd raises LinAlgError, so the rank test fails on it
+        monkeypatch.setattr(truncflow.model, "_svd", lambda w, signature: np.array(sv))
+        with pytest.raises(ValueError, match="^output_map is numerically singular$"):
+            state_from_arrays([I2], [[0.0, 0.0]], I2, Z2)
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), slice(None)])
+    def test_nan_residual_rejects(self, monkeypatch, where):
+        # likewise a NaN from the solve, in one pulled label or all of them
+        solve = truncflow.model._solve
+
+        def nan_solve(w, y, signature):
+            x = solve(w, y, signature=signature)
+            x[where] = np.nan
+            return x
+
+        monkeypatch.setattr(truncflow.model, "_solve", nan_solve)
+        with pytest.raises(ValueError, match="^pulled labels failed the reconstruction check$"):
+            state_from_arrays([I2], [[0.0, 0.0]], I2, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_checked_names_a_nan_rotation(self):
+        state = state_from_arrays([I2] * 3, np.zeros((3, 2)), I2, Z2)
+        rotations = np.array(state.rotations)
+        rotations[2, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^rotation 2 is not orthogonal: \|\|R\^T R - I\|\| = nan$"):
+            state.derive(rotations, state.betas).checked()
+
+    @staticmethod
+    def count_wrappers(monkeypatch) -> dict:
+        counts = {}
+        for cls in (OrthogonalMatrix, LayerParams):
+            def counting(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+                counts[name] += 1
+                init(self, *args, **kwargs)
+            counts[cls.__name__] = 0
+            monkeypatch.setattr(cls, "__init__", counting)
+        return counts
+
+    def test_states_from_arrays_wrap_no_layer(self, monkeypatch, tmp_path):
+        # every builder of a state from arrays, and the CLI's explicit init through a whole run
+        rng = np.random.default_rng(5)
+        counts = self.count_wrappers(monkeypatch)
+        built = [state_from_arrays(random_rotations(3, 3, rng), rng.normal(size=(3, 3)), I3, I3)]
+        built += [make_separated_config(3, n_per=4, seed=0)[0],
+                  make_separated_config(3, n_per=4, seed=0, truncation="full")[0],
+                  make_separated_config(1, n_per=4, seed=0, truncation="full")[0],
+                  make_one_dim_state([1.0, 2.0, 3.0], 2.5, 0.5)[0],
+                  _random_state_and_data(3, 6, rng)[0]]
+        for kind in INITIAL_STATES:
+            data, labels = make_equilibrium_data(2, "fully-truncated" if kind == "fully-truncated" else "all-positive")
+            built.append(named_initial_state(kind, data, labels))
+        doc = {"q": 2, "mode": "effective", "s_end": 0.05, "output": str(tmp_path / "out"),
+               "data": {"q": 2, "clusters": [[[5.0, 5.2], [5.3, 5.1]], [[8.0, 8.1], [8.2, 7.9]]],
+                        "labels": [[5.1, 5.15], [8.1, 8.0]]},
+               "init": {"kind": "explicit", "rotations": [I2.tolist()] * 2, "betas": [[-4.0, -3.9]] * 2,
+                        "output_map": I2.tolist()}}
+        summary = run_scenario(ScenarioConfig.from_dict(doc))
+        assert counts == {"OrthogonalMatrix": 0, "LayerParams": 0}
+        assert len(built) == 6 + len(INITIAL_STATES) and summary["final_cost"] >= 0.0
+        # the wrappers are still built where asked for: ModelState.layers and its constructor's input
+        state = ModelState(built[0].layers, I3, I3)
+        assert counts == {"OrthogonalMatrix": 3, "LayerParams": 3} and state.depth == 3
 
 
 # every entry below the integrators that takes a state and a training set (the integrators'
